@@ -73,7 +73,7 @@ class RunConfig:
     lattice_list: tuple = (48,)
     quad_n: int = 256
     polar_n: int = 2001
-    seed: int = 0
+    seed: int = 0  # accepted; the fixed bump battery draws no random numbers
     snapshot_every: int = 0
 
     def model(self) -> GasModel:
@@ -310,7 +310,7 @@ def cmd_elliptic(cfg: RunConfig, out: Path, strict: bool) -> int:
     return 0 if sol.converged else 1
 
 
-def run_checks(sol, quad_n, seed):
+def run_checks(sol, quad_n):
     checks = []
     checks += diag_mod.ellipticity_report(sol)
     c, _ = diag_mod.density_extrema(sol)
@@ -320,7 +320,7 @@ def run_checks(sol, quad_n, seed):
         _, arc_checks = diag_mod.arc_profile(sol, side)
         checks += arc_checks
     comp = diag_mod.CompositeField(sol)
-    wr = diag_mod.weak_residual(comp, quad_n=quad_n, seed=seed)
+    wr = diag_mod.weak_residual(comp, quad_n=quad_n)
     checks.append(
         diag_mod.CheckResult(
             name="weak_residual_battery_max",
@@ -339,7 +339,7 @@ def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
     if not sol.converged:
         print("verify: elliptic solve did not converge")
         return 1
-    checks = run_checks(sol, cfg.quad_n, cfg.seed)
+    checks = run_checks(sol, cfg.quad_n)
     for c in checks:
         print(c.line())
     diag_mod.write_report_csv(checks, out / "verify_report.csv")
@@ -367,7 +367,7 @@ def _sweep_job(args):
     dl = float(np.hypot(*(sol.corner_L - pat.xi_L_star)))
     dr = float(np.hypot(*(sol.corner_R - pat.xi_R_star)))
     comp = diag_mod.CompositeField(sol)
-    wr = diag_mod.weak_residual(comp, quad_n=cfg.quad_n, seed=cfg.seed)
+    wr = diag_mod.weak_residual(comp, quad_n=cfg.quad_n)
     return (eps, lattice, sol.converged, rec["combined"], dl, dr, wr["max"])
 
 

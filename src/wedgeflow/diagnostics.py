@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 from .pattern import WavePattern
 from .shocks import resolve_oblique
 from .elliptic import EllipticSolution
+from .unsteady import bilinear
 
 # default acceptance knobs
 C_GRID = 10.0  # grid_tol = C_GRID * spacing
@@ -172,26 +173,29 @@ def density_extrema(sol: EllipticSolution, c_grid: float = C_GRID):
     m = sol.mapping
     h = _spacing(sol)
 
+    xs, es = m.xi[-1, :], m.eta[-1, :]
+
+    def tangential(j, i):
+        """chi_t, the pseudo-velocity along the shock at node (j, i), and the
+        pseudo-normal tolerance 5 * spacing * |z| there."""
+        t_vec = np.array([np.gradient(xs)[i], np.gradient(es)[i]])
+        t_vec /= np.hypot(*t_vec)
+        z_vec = np.array([f["zx"][j, i], f["zy"][j, i]])
+        return float(z_vec @ t_vec), 5.0 * h * float(np.hypot(*z_vec))
+
     reports = []
     for j, i in _local_minima(rho):
         kind = _classify_node(sol, j, i)
-        rep = ExtremumReport(
-            quantity="rho", location_kind=kind, indices=(j, i), value=float(rho[j, i]),
-            classification="min",
-        )
+        chi_t = pseudo_normal = None
         if kind == "shock":
-            # tangential pseudo-velocity along the shock at the node
-            xs, es = m.xi[-1, :], m.eta[-1, :]
-            t_vec = np.array([np.gradient(xs)[i], np.gradient(es)[i]])
-            t_vec /= np.hypot(*t_vec)
-            z_vec = np.array([f["zx"][j, i], f["zy"][j, i]])
-            chi_t = float(z_vec @ t_vec)
-            zmag = float(np.hypot(*z_vec))
-            rep = ExtremumReport(
+            chi_t, tol = tangential(j, i)
+            pseudo_normal = abs(chi_t) < tol
+        reports.append(
+            ExtremumReport(
                 quantity="rho", location_kind=kind, indices=(j, i), value=float(rho[j, i]),
-                classification="min", pseudo_normal=abs(chi_t) < 5.0 * h * zmag, chi_t=chi_t,
+                classification="min", pseudo_normal=pseudo_normal, chi_t=chi_t,
             )
-        reports.append(rep)
+        )
 
     checks = []
     bad = [r for r in reports if r.location_kind in ("interior", "wall")]
@@ -230,13 +234,7 @@ def density_extrema(sol: EllipticSolution, c_grid: float = C_GRID):
             )
         )
     elif gkind == "shock":
-        xs, es = m.xi[-1, :], m.eta[-1, :]
-        t_vec = np.array([np.gradient(xs)[i], np.gradient(es)[i]])
-        t_vec /= np.hypot(*t_vec)
-        z_vec = np.array([f["zx"][j, i], f["zy"][j, i]])
-        chi_t = float(z_vec @ t_vec)
-        zmag = float(np.hypot(*z_vec))
-        tol = 5.0 * h * zmag
+        chi_t, tol = tangential(j, i)
         checks.append(
             CheckResult(
                 name="global_density_min_pseudo_normal",
@@ -677,25 +675,9 @@ class CompositeField:
         self._zx = f["zx"]
         self._zy = f["zy"]
         p = self.pattern
-        self.r_l, self.r_r = p.arc_L.radius, p.arc_R.radius
-        self.v_l = p.state_L.v
         self.eta_shock_R = p.shock_R.point[1]
         self.shock_L_pt = p.shock_L.point
         self.tan_beta = math.tan(p.beta)
-
-    def _bilinear(self, arr, sig, zet):
-        m = self.sol.mapping
-        fi = np.clip(sig / m.d_sig, 0.0, m.n_sigma - 1e-12)
-        fj = np.clip(zet / m.d_zet, 0.0, m.n_zeta - 1e-12)
-        i0 = np.floor(fi).astype(int)
-        j0 = np.floor(fj).astype(int)
-        di, dj = fi - i0, fj - j0
-        return (
-            arr[j0, i0] * (1 - di) * (1 - dj)
-            + arr[j0, i0 + 1] * di * (1 - dj)
-            + arr[j0 + 1, i0] * (1 - di) * dj
-            + arr[j0 + 1, i0 + 1] * di * dj
-        )
 
     def evaluate(self, X, Y):
         """(rho, z, region_code) at points of the upper half plane.
@@ -718,8 +700,6 @@ class CompositeField:
             2: (p.state_R.rho, p.state_R.v),
             3: (p.state_I.rho, p.state_I.v),
         }
-        in_circle_L = np.hypot(X - self.v_l[0], Y - self.v_l[1]) < self.r_l
-        in_circle_R = np.hypot(X, Y) < self.r_r
         # straight shocks delimit the constant regions only outside their
         # sonic corners; between the corners the free boundary of the lens
         # is the shock
@@ -739,9 +719,11 @@ class CompositeField:
             zx[mk] = v_c[0] - X[mk]
             zy[mk] = v_c[1] - Y[mk]
         if np.any(inside):
-            rho[inside] = self._bilinear(self._rho, sig[inside], zet[inside])
-            zx[inside] = self._bilinear(self._zx, sig[inside], zet[inside])
-            zy[inside] = self._bilinear(self._zy, sig[inside], zet[inside])
+            m = self.sol.mapping
+            fi, fj = sig[inside] / m.d_sig, zet[inside] / m.d_zet
+            rho[inside] = bilinear(self._rho, fi, fj)
+            zx[inside] = bilinear(self._zx, fi, fj)
+            zy[inside] = bilinear(self._zy, fi, fj)
         return rho, zx, zy, region
 
 
@@ -789,7 +771,7 @@ def make_test_battery(pattern: WavePattern, n_extra: int = 0, seed: int = 0):
     return out
 
 
-def weak_residual(composite: CompositeField, bumps=None, quad_n: int = 384, seed: int = 0):
+def weak_residual(composite: CompositeField, bumps=None, quad_n: int = 384):
     """Weak-form residual of the composite field against a bump battery.
 
     For each bump theta the midpoint quadrature of
@@ -799,7 +781,7 @@ def weak_residual(composite: CompositeField, bumps=None, quad_n: int = 384, seed
     """
     pattern = composite.pattern
     if bumps is None:
-        bumps = make_test_battery(pattern, seed=seed)
+        bumps = make_test_battery(pattern)
     rho_s = pattern.state_R.rho
     c_s = pattern.state_R.c
     values = []

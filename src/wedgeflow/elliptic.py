@@ -2,8 +2,8 @@
 
 The subsonic lens between the two arcs, the wall and the curved shock is
 mapped to the unit square by onion coordinates: level curves of sigma blend
-the two arc circles (cosine blend of their angle parameterizations), eta is
-preserved, and zeta = eta / s(sigma) scales the shock to zeta = 1.
+the two arc circles (centers and radii linear in sigma, see arc_blend), eta
+is preserved, and zeta = eta / s(sigma) scales the shock to zeta = 1.
 
 On that square the construction alternates two steps until the coupled
 residual settles:
@@ -82,13 +82,28 @@ class ShockCurve:
         return ShockCurve(sigma=self.sigma.copy(), s=self.s + amount)
 
 
+def arc_blend(sig, v_lx, r_l, r_r):
+    """(b, u, R) of the level-sigma arc xi = b + u sqrt(1 - eta^2/R^2).
+
+    Linear in sigma between arc L (sigma = 0: center v_lx, radius r_l, left
+    branch) and arc R (sigma = 1: center 0, radius r_r, right branch), so
+    the slopes db/dsigma = -v_lx, du/dsigma = r_r + r_l and
+    dR/dsigma = r_r - r_l are constants.  The nonzero slope of u keeps the
+    mapping Jacobian nondegenerate at the arc columns.
+    """
+    b = (1.0 - sig) * v_lx
+    u = sig * r_r - (1.0 - sig) * r_l
+    R = (1.0 - sig) * r_l + sig * r_r
+    return b, u, R
+
+
 class GridMapping:
     """Closed-form onion map of the unit square onto the lens.
 
     Level set sigma is the point-blend of the two arc circles at equal
-    height: xi(sigma, eta) = b + u sqrt(1 - eta^2/R^2) with b, u, R cosine
-    blends of the arc centers and radii.  zeta rescales eta by the shock
-    height s(sigma).
+    height: xi(sigma, eta) = b + u sqrt(1 - eta^2/R^2) with b, u, R linear
+    blends of the arc centers and radii (arc_blend).  zeta rescales eta by
+    the shock height s(sigma).
     """
 
     def __init__(self, pattern: WavePattern, shock: ShockCurve, n_sigma: int, n_zeta: int):
@@ -109,20 +124,9 @@ class GridMapping:
         self.S, self.Z = S, Z
         self._build(S, Z)
 
-    # blend pieces ---------------------------------------------------------
-
-    def _blend(self, sig):
-        # linear weight between the cos-parameterized arcs; nonzero slope
-        # keeps the Jacobian nondegenerate at the arc columns
-        w = np.asarray(sig, dtype=float)
-        return w, np.ones_like(w), np.zeros_like(w)
-
     def x_of(self, sig, eta):
         """Closed-form xi(sigma, eta) for scalars or arrays."""
-        w, _, _ = self._blend(np.asarray(sig, dtype=float))
-        b = (1.0 - w) * self.v_lx
-        u = w * self.r_r - (1.0 - w) * self.r_l
-        R = (1.0 - w) * self.r_l + w * self.r_r
+        b, u, R = arc_blend(np.asarray(sig, dtype=float), self.v_lx, self.r_l, self.r_r)
         g2 = 1.0 - (np.asarray(eta) / R) ** 2
         if np.any(g2 <= 0.0):
             raise MappingError("height exceeds the blended arc radius")
@@ -135,16 +139,10 @@ class GridMapping:
         spp = shock.deriv(S, 2)
         eta = Z * s_v
 
-        w, wp, wpp = self._blend(S)
-        b = (1.0 - w) * self.v_lx
-        bp = -wp * self.v_lx
-        bpp = -wpp * self.v_lx
-        u = w * self.r_r - (1.0 - w) * self.r_l
-        up = wp * (self.r_r + self.r_l)
-        upp = wpp * (self.r_r + self.r_l)
-        R = (1.0 - w) * self.r_l + w * self.r_r
-        Rp = wp * (self.r_r - self.r_l)
-        Rpp = wpp * (self.r_r - self.r_l)
+        b, u, R = arc_blend(S, self.v_lx, self.r_l, self.r_r)
+        bp = -self.v_lx
+        up = self.r_r + self.r_l
+        Rp = self.r_r - self.r_l
 
         g2 = 1.0 - (eta / R) ** 2
         if np.any(g2 <= 1e-12):
@@ -154,15 +152,11 @@ class GridMapping:
         g_s = eta**2 * Rp / (R**3 * g)
         g_ee = -1.0 / (R**2 * g) - eta**2 / (R**4 * g**3)
         g_se = eta * Rp * (2.0 * R**2 - eta**2) / (R**5 * g**3)
-        g_ss = (
-            eta**2 * Rpp / (R**3 * g)
-            - 3.0 * eta**2 * Rp**2 / (R**4 * g)
-            - eta**4 * Rp**2 / (R**6 * g**3)
-        )
+        g_ss = -3.0 * eta**2 * (Rp * Rp) / (R**4 * g) - eta**4 * (Rp * Rp) / (R**6 * g**3)
 
         X_s = bp + up * g + u * g_s
         X_e = u * g_e
-        X_ss = bpp + upp * g + 2.0 * up * g_s + u * g_ss
+        X_ss = 2.0 * up * g_s + u * g_ss
         X_se = up * g_e + u * g_se
         X_ee = u * g_ee
 
@@ -176,7 +170,6 @@ class GridMapping:
         eta_z = s_v
         eta_ss = Z * spp
         eta_sz = sp
-        eta_zz = np.zeros_like(s_v)
 
         det = xi_s * eta_z - xi_z * eta_s
         if np.any(det <= 0.0):
@@ -186,23 +179,16 @@ class GridMapping:
         sig_y = -xi_z / det
         zet_x = -eta_s / det
         zet_y = xi_s / det
-        self.xi = self.x_of(S, eta)
+        self.xi = b + u * g
         self.eta = eta
         self.sig_x, self.sig_y = sig_x, sig_y
         self.zet_x, self.zet_y = zet_x, zet_y
 
         # Hessian transform coefficients:
         # u_ab = sum_pq q^p_a q^q_b u_pq - sum_r (sum_pq q^p_a q^q_b G^r_pq) u_r
-        G_s = {
-            ("s", "s"): sig_x * xi_ss + sig_y * eta_ss,
-            ("s", "z"): sig_x * xi_sz + sig_y * eta_sz,
-            ("z", "z"): sig_x * xi_zz + sig_y * eta_zz,
-        }
-        G_z = {
-            ("s", "s"): zet_x * xi_ss + zet_y * eta_ss,
-            ("s", "z"): zet_x * xi_sz + zet_y * eta_sz,
-            ("z", "z"): zet_x * xi_zz + zet_y * eta_zz,
-        }
+        # (Christoffel symbols G^r_pq, ordered ss, sz, zz; eta_zz = 0)
+        G_s = (sig_x * xi_ss + sig_y * eta_ss, sig_x * xi_sz + sig_y * eta_sz, sig_x * xi_zz)
+        G_z = (zet_x * xi_ss + zet_y * eta_ss, zet_x * xi_sz + zet_y * eta_sz, zet_x * xi_zz)
 
         def hess_coeffs(qa, qb):
             # qa, qb are (d/dx or d/dy) rows: (sig_a, zet_a)
@@ -211,8 +197,8 @@ class GridMapping:
             c_ss = sa * sb
             c_sz = sa * zb + za * sb
             c_zz = za * zb
-            corr_s = c_ss * G_s[("s", "s")] + c_sz * G_s[("s", "z")] + c_zz * G_s[("z", "z")]
-            corr_z = c_ss * G_z[("s", "s")] + c_sz * G_z[("s", "z")] + c_zz * G_z[("z", "z")]
+            corr_s = c_ss * G_s[0] + c_sz * G_s[1] + c_zz * G_s[2]
+            corr_z = c_ss * G_z[0] + c_sz * G_z[1] + c_zz * G_z[2]
             return c_ss, c_sz, c_zz, -corr_s, -corr_z
 
         qx = (sig_x, zet_x)
@@ -276,22 +262,14 @@ class GridMapping:
         eta = np.asarray(eta, dtype=float)
         lo = np.zeros_like(xi)
         hi = np.ones_like(xi)
-
-        def x_at(sig):
-            w = sig
-            b = (1.0 - w) * self.v_lx
-            u = w * self.r_r - (1.0 - w) * self.r_l
-            R = (1.0 - w) * self.r_l + w * self.r_r
-            g2 = np.maximum(1.0 - (eta / R) ** 2, 0.0)
-            return b + u * np.sqrt(g2), g2 > 0.0
-
-        xlo, ok_lo = x_at(lo)
-        xhi, ok_hi = x_at(hi)
-        inside = (eta >= 0.0) & (xi >= xlo) & (xi <= xhi) & ok_lo & ok_hi
+        # every level arc is at least as tall as the lower of the two arcs;
+        # heights outside [0, min radius) bisect at eta = 0 and stay outside
+        inside = (eta >= 0.0) & (eta < min(self.r_l, self.r_r))
+        eta_in = np.where(inside, eta, 0.0)
+        inside &= (xi >= self.x_of(lo, eta_in)) & (xi <= self.x_of(hi, eta_in))
         for _ in range(48):
             mid = 0.5 * (lo + hi)
-            xm, _ = x_at(mid)
-            take = xm < xi
+            take = self.x_of(mid, eta_in) < xi
             lo = np.where(take, mid, lo)
             hi = np.where(take, hi, mid)
         sig = 0.5 * (lo + hi)
@@ -347,19 +325,13 @@ def chord_shock(pattern: WavePattern, n_sigma: int) -> ShockCurve:
         h11 = t * t * (t - 1)
         return h00 * a[1] + h10 * dx * ma + h01 * b[1] + h11 * dx * mb
 
-    def x_of(sigv, eta):
-        w = sigv
-        bb = (1.0 - w) * v_lx
-        u = w * r_r - (1.0 - w) * r_l
-        R = (1.0 - w) * r_l + w * r_r
-        return bb + u * math.sqrt(max(1.0 - (eta / R) ** 2, 0.0))
-
     heights = np.empty(n_sigma + 1)
     for k, sv in enumerate(sig):
         lo, hi = xa, xb
+        bb, u, R = arc_blend(sv, v_lx, r_l, r_r)
 
         def f(x):
-            return x_of(sv, hermite(x)) - x
+            return bb + u * math.sqrt(max(1.0 - (hermite(x) / R) ** 2, 0.0)) - x
 
         flo = f(lo)
         for _ in range(60):
@@ -437,8 +409,16 @@ class EllipticSolution:
         return self.mapping.corner("R")
 
 
-def _residual(model, pattern, mapping, psi_old_chi, psi, guard):
-    """Residual of the split problem; rows normalized to be dimensionless."""
+def _conditions(model, pattern, mapping, chi_coef, psi):
+    """The four conditions at psi, block by block, each made dimensionless.
+
+    chi_coef is the chi that sets the coefficients: the frozen chi_old of the
+    split problem, or chi of psi itself for the unsplit conditions.  Returns
+    (interior, arc, wall, shock, z2, c2): the interior operator at the
+    interior nodes, the arc condition at every node (its sigma = 0 and 1
+    columns are the arc rows), the wall and shock rows without their corner
+    nodes, and |z|^2 and c^2 = c0^2 + (1-g)(chi_coef + |z|^2/2) at every node.
+    """
     gamma = model.gamma
     eps = pattern.epsilon
     c_r = pattern.state_R.c
@@ -449,56 +429,55 @@ def _residual(model, pattern, mapping, psi_old_chi, psi, guard):
     xi, eta = mapping.xi, mapping.eta
     zx, zy = vx - xi, vy - eta
     z2 = zx**2 + zy**2
-    c2_mix = model.c0**2 + (1.0 - gamma) * (psi_old_chi + 0.5 * z2)
+    c2 = model.c0**2 + (1.0 - gamma) * (chi_coef + 0.5 * z2)
 
-    F = np.zeros_like(psi)
-
-    # interior rows
     hxx, hxy, hyy = mapping.hessian_terms(psi)
-    Axx = c2_mix - zx * zx
+    Axx = c2 - zx * zx
     Axy = -zx * zy
-    Ayy = c2_mix - zy * zy
-    F[1:-1, 1:-1] = (
+    Ayy = c2 - zy * zy
+    interior = (
         Axx[1:-1, 1:-1] * hxx[1:-1, 1:-1]
         + 2.0 * Axy[1:-1, 1:-1] * hxy[1:-1, 1:-1]
         + Ayy[1:-1, 1:-1] * hyy[1:-1, 1:-1]
     ) / c_r**2
 
-    # arc rows (sigma = 0 and 1): the zeroth-order term uses the old iterate
-    arc_term = (1.0 - eps) * ((gamma - 1.0) * psi_old_chi - model.c0**2) / (
+    # arcs: L^2 = 1 - eps solved for |z|^2/2, with chi_coef in c^2
+    arc_term = (1.0 - eps) * ((gamma - 1.0) * chi_coef - model.c0**2) / (
         gamma + 1.0 - eps * (gamma - 1.0)
     )
-    arc_res = (0.5 * z2 + arc_term) / c_r**2
-    F[:, 0] = arc_res[:, 0]
-    F[:, -1] = arc_res[:, -1]
+    arc = (0.5 * z2 + arc_term) / c_r**2
 
-    # wall rows
-    wall_res = (mapping.sig_y * mapping.d_sigma(psi) + mapping.zet_y * mapping.d_zeta(psi)) / c_r
-    F[0, 1:-1] = wall_res[0, 1:-1]
+    # wall: psi_eta = 0
+    wall = vy[0, 1:-1] / c_r
 
-    # shock rows
-    chi = psi - 0.5 * (xi**2 + eta**2)
-    arg = -chi - 0.5 * z2
-    vac = guard["vacuum_floor"]
-    if np.any(arg[-1, :] <= vac):
-        guard["vacuum_hit"] = True
-    rho_hat = pi_inverse(model, np.maximum(arg, vac + 1e-30))
-    dx, dy = v_I[0] - vx, v_I[1] - vy
-    dn = np.hypot(dx, dy)
-    dn = np.maximum(dn, 1e-14 * c_r)
-    zx_I, zy_I = v_I[0] - xi, v_I[1] - eta
-    shock_res = (
-        (rho_hat * zx - rho_I * zx_I) * (dx / dn) + (rho_hat * zy - rho_I * zy_I) * (dy / dn)
+    # shock: normal mass flux against the upstream state
+    top = (-1, slice(1, -1))
+    chi = psi[top] - 0.5 * (xi[top] ** 2 + eta[top] ** 2)
+    arg = -chi - 0.5 * z2[top]
+    if gamma > 1.0 + ISO_EPS:
+        arg = np.maximum(arg, -model.c0**2 / (gamma - 1.0) * 0.999999)
+    rho = pi_inverse(model, arg)
+    dx, dy = v_I[0] - vx[top], v_I[1] - vy[top]
+    dn = np.maximum(np.hypot(dx, dy), 1e-14 * c_r)
+    shock = (
+        (rho * zx[top] - rho_I * (v_I[0] - xi[top])) * (dx / dn)
+        + (rho * zy[top] - rho_I * (v_I[1] - eta[top])) * (dy / dn)
     ) / (rho_I * c_r)
-    F[-1, 1:-1] = shock_res[-1, 1:-1]
+    return interior, arc, wall, shock, z2, c2
 
+
+def _residual(model, pattern, mapping, chi_old, psi):
+    """Residual of the split problem: coefficients and arc term frozen at chi_old."""
+    interior, arc, wall, shock, _, _ = _conditions(model, pattern, mapping, chi_old, psi)
+    F = np.empty_like(psi)
+    F[1:-1, 1:-1] = interior
     # corner rows carry the arc condition; the shock side is enforced
     # there through the free-boundary placement, the wall side through the
     # even-reflection symmetry of the construction
-    F[0, 0] = arc_res[0, 0]
-    F[0, -1] = arc_res[0, -1]
-    F[-1, 0] = arc_res[-1, 0]
-    F[-1, -1] = arc_res[-1, -1]
+    F[:, 0] = arc[:, 0]
+    F[:, -1] = arc[:, -1]
+    F[0, 1:-1] = wall
+    F[-1, 1:-1] = shock
     return F
 
 
@@ -515,20 +494,15 @@ def solve_fixed_boundary(
     coloring covers the one-sided boundary stencils) and factored directly.
     """
     model = pattern.config.model
-    gamma = model.gamma
     nz, ns = psi_old.shape
     chi_old = psi_old - 0.5 * (mapping.xi**2 + mapping.eta**2)
-    guard = {
-        "vacuum_floor": -model.c0**2 / (gamma - 1.0) * 0.999999 if gamma > 1 + ISO_EPS else -np.inf,
-        "vacuum_hit": False,
-    }
 
     psi = psi_old.copy() if psi_init is None else psi_init.copy()
     scale = pattern.state_R.c * max(1.0, np.max(np.abs(psi)))
     delta_fd = 1e-7 * scale
 
     def resid(p):
-        return _residual(model, pattern, mapping, chi_old, p, guard)
+        return _residual(model, pattern, mapping, chi_old, p)
 
     n_unknowns = nz * ns
     F = resid(psi)
@@ -584,10 +558,8 @@ def solve_fixed_boundary(
             )
 
     # frozen-coefficient ellipticity check at the returned state
-    vx, vy = mapping.gradient(psi)
-    zx, zy = vx - mapping.xi, vy - mapping.eta
-    c2_mix = model.c0**2 + (1.0 - gamma) * (chi_old + 0.5 * (zx**2 + zy**2))
-    ell = c2_mix - (zx**2 + zy**2)
+    *_, z2, c2_mix = _conditions(model, pattern, mapping, chi_old, psi)
+    ell = c2_mix - z2
     bad = ell[1:-1, 1:-1] <= 0.0
     if np.any(bad):
         j, i = np.unravel_index(int(np.argmin(ell[1:-1, 1:-1])), bad.shape)
@@ -608,59 +580,21 @@ def update_shock(pattern: WavePattern, mapping: GridMapping, psi_hat: np.ndarray
 
 
 def _true_residuals(pattern, mapping, psi):
-    """Residuals of the unsplit fixed-point conditions for the current psi."""
-    model = pattern.config.model
-    gamma = model.gamma
-    eps = pattern.epsilon
-    c_r = pattern.state_R.c
-    rho_I = pattern.state_I.rho
-    v_I = pattern.state_I.v
+    """Residuals of the unsplit fixed-point conditions for the current psi.
 
-    vx, vy = mapping.gradient(psi)
-    xi, eta = mapping.xi, mapping.eta
-    zx, zy = vx - xi, vy - eta
-    z2 = zx**2 + zy**2
-    chi = psi - 0.5 * (xi**2 + eta**2)
-    arg = -chi - 0.5 * z2
-    c2 = model.c0**2 + (gamma - 1.0) * arg
+    Wall and shock are measured on their open portions; at the corner nodes
+    the arc condition, measured as L^2 - (1 - eps), takes precedence.
+    """
+    chi = psi - 0.5 * (mapping.xi**2 + mapping.eta**2)
+    interior, _, wall, shock, z2, c2 = _conditions(pattern.config.model, pattern, mapping, chi, psi)
     L2 = z2 / c2
-
-    hxx, hxy, hyy = mapping.hessian_terms(psi)
-    Axx, Axy, Ayy = c2 - zx * zx, -zx * zy, c2 - zy * zy
-    r_int = np.max(
-        np.abs(
-            Axx[1:-1, 1:-1] * hxx[1:-1, 1:-1]
-            + 2 * Axy[1:-1, 1:-1] * hxy[1:-1, 1:-1]
-            + Ayy[1:-1, 1:-1] * hyy[1:-1, 1:-1]
-        )
-    ) / c_r**2
-    r_arc_l = float(np.max(np.abs(L2[1:, 0] - (1.0 - eps))))
-    r_arc_r = float(np.max(np.abs(L2[1:, -1] - (1.0 - eps))))
-    # wall and shock are measured on their open portions; at the corner
-    # nodes the arc condition takes precedence
-    zeta_y = mapping.sig_y * mapping.d_sigma(psi) + mapping.zet_y * mapping.d_zeta(psi)
-    r_wall = float(np.max(np.abs(zeta_y[0, 1:-1]))) / c_r
-    if gamma > 1.0 + ISO_EPS:
-        arg = np.maximum(arg, -model.c0**2 / (gamma - 1.0) * 0.999999)
-    rho = pi_inverse(model, arg)
-    dx, dy = v_I[0] - vx, v_I[1] - vy
-    dn = np.maximum(np.hypot(dx, dy), 1e-14)
-    r_shock = float(
-        np.max(
-            np.abs(
-                (rho[-1, 1:-1] * zx[-1, 1:-1] - rho_I * (v_I[0] - xi[-1, 1:-1]))
-                * (dx[-1, 1:-1] / dn[-1, 1:-1])
-                + (rho[-1, 1:-1] * zy[-1, 1:-1] - rho_I * (v_I[1] - eta[-1, 1:-1]))
-                * (dy[-1, 1:-1] / dn[-1, 1:-1])
-            )
-        )
-    ) / (rho_I * c_r)
+    target = 1.0 - pattern.epsilon
     return {
-        "r_interior": float(r_int),
-        "r_arcL": r_arc_l,
-        "r_arcR": r_arc_r,
-        "r_wall": r_wall,
-        "r_shock": r_shock,
+        "r_interior": float(np.max(np.abs(interior))),
+        "r_arcL": float(np.max(np.abs(L2[1:, 0] - target))),
+        "r_arcR": float(np.max(np.abs(L2[1:, -1] - target))),
+        "r_wall": float(np.max(np.abs(wall))),
+        "r_shock": float(np.max(np.abs(shock))),
     }
 
 

@@ -306,7 +306,9 @@ class SelfSimilarField:
     valid: np.ndarray
 
 
-def _bilinear(arr, fi, fj):
+def bilinear(arr, fi, fj):
+    """arr[j, i] interpolated bilinearly at fractional indices (fi, fj),
+    which are clamped to the array."""
     i0 = np.clip(np.floor(fi).astype(int), 0, arr.shape[1] - 2)
     j0 = np.clip(np.floor(fj).astype(int), 0, arr.shape[0] - 2)
     di = np.clip(fi - i0, 0.0, 1.0)
@@ -332,10 +334,10 @@ def sample_self_similar(
     fi = (XX - grid.x0) / h - 0.5
     fj = (YY - grid.y0) / h - 0.5
     inside = (fi >= 0) & (fi <= grid.nx - 1) & (fj >= 0) & (fj <= grid.ny - 1)
-    rho = _bilinear(state.rho, fi, fj)
-    vx = _bilinear(state.vx, fi, fj)
-    vy = _bilinear(state.vy, fi, fj)
-    solid = _bilinear(grid.solid_mask().astype(float), fi, fj) > 1e-12
+    rho = bilinear(state.rho, fi, fj)
+    vx = bilinear(state.vx, fi, fj)
+    vy = bilinear(state.vy, fi, fj)
+    solid = bilinear(grid.solid_mask().astype(float), fi, fj) > 1e-12
     XiX, XiY = np.meshgrid(xi_x, xi_y)
     c = np.asarray(model.sound_speed(np.maximum(rho, 1e-300)))
     L = np.hypot(vx - XiX, vy - XiY) / c

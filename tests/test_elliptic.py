@@ -103,6 +103,23 @@ class TestMapping:
         assert np.max(np.abs(sig - m.S[5:-5:4, 3:-3:4])) < 1e-9
         assert np.max(np.abs(zet - m.Z[5:-5:4, 3:-3:4])) < 1e-9
 
+    def test_invert_outside_the_lens(self, case12_pattern):
+        p = case12_pattern
+        m = build_mapping(p, chord_shock(p, 32), 32, 24)
+        d = 0.05 * p.state_R.c
+        j, i = 12, 16  # mid-height row, middle column
+        xi = np.array([
+            m.xi[j, 0] - d,  # left of arc L
+            m.xi[j, -1] + d,  # right of arc R
+            m.xi[-1, i],  # above the shock
+            m.xi[0, i],  # below the wall
+            m.xi[j, 0] + d,  # controls: just inside each arc
+            m.xi[j, -1] - d,
+        ])
+        eta = np.array([m.eta[j, 0], m.eta[j, -1], m.eta[-1, i] + d, -d, m.eta[j, 0], m.eta[j, -1]])
+        _, _, inside = m.invert(xi, eta)
+        assert inside.tolist() == [False, False, False, False, True, True]
+
     def test_shock_above_arc_top_rejected(self, case12_pattern):
         p = case12_pattern
         tall = chord_shock(p, 16).bumped(2.0 * p.arc_R.radius)
