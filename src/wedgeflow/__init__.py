@@ -11,7 +11,7 @@ Library layout:
 - ``cli``         the ``wedge`` command line front end
 """
 
-from .gas import GasModel, FlowState, SelfSimilarPoint, VacuumError
+from .gas import GasModel, FlowState, SelfSimilarPoint, VacuumError, WedgeError
 from .shocks import ShockSolution
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "FlowState",
     "SelfSimilarPoint",
     "VacuumError",
+    "WedgeError",
     "ShockSolution",
 ]
 

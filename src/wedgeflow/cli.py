@@ -22,24 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .gas import GasModel, FlowState, VacuumError
+from .gas import GasModel, FlowState, WedgeError
 from . import pattern as pattern_mod
-from .pattern import GeometryError, ProblemConfig, SupersonicityViolation, build
-from .shocks import NoAttachedShock, critical_angle, deflection_solutions, shock_polar
+from .pattern import ProblemConfig, build
+from .shocks import critical_angle, deflection_solutions, shock_polar
 from . import unsteady as unsteady_mod
 from .unsteady import UnsteadyConfig
-from .elliptic import (
-    CornerEscapeError,
-    EllipticConfig,
-    InnerSolveError,
-    MappingError,
-    export_solution_csv,
-    iterate,
-)
+from .elliptic import EllipticConfig, export_solution_csv, iterate
 from . import diagnostics as diag_mod
 
 
-class ConfigError(ValueError):
+class ConfigError(WedgeError, ValueError):
     pass
 
 
@@ -114,6 +107,9 @@ _RANGES = {
     "omega_relax": (1e-3, 1.0),
     "tol_inner": (0.0, 1.0),
     "tol_outer": (0.0, 1.0),
+    "grid_n": (4, math.inf),
+    "sample_nx": (2, math.inf),
+    "snapshot_every": (0, math.inf),
 }
 
 
@@ -275,16 +271,16 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def write_field_csv(grid, state, path):
+    """One row per fluid cell, row-major.  Rows are built from blocks of
+    cells so that the Python objects of only one block are alive at once."""
     x, y = grid.centers()
-    solid = grid.solid_mask()
+    j, i = np.nonzero(~grid.solid_mask())
+    cols = (i, j, x[i], y[j], state.rho[j, i], state.vx[j, i], state.vy[j, i])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["i", "j", "x", "y", "rho", "vx", "vy"])
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                if solid[j, i]:
-                    continue
-                w.writerow([i, j, x[i], y[j], state.rho[j, i], state.vx[j, i], state.vy[j, i]])
+        for k in range(0, len(i), 4096):
+            w.writerows(zip(*(c[k : k + 4096].tolist() for c in cols)))
 
 
 def write_field_raw(grid, state, path):
@@ -425,7 +421,7 @@ def dispatch(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 2
 
     out = Path(args.out)
@@ -433,19 +429,16 @@ def dispatch(argv=None) -> int:
     try:
         return COMMANDS[args.command](cfg, out, args.strict)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 2
-    except (
-        NoAttachedShock,
-        GeometryError,
-        SupersonicityViolation,
-        MappingError,
-        InnerSolveError,
-        CornerEscapeError,
-        VacuumError,
-    ) as exc:
-        print(f"solver failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+    except WedgeError as exc:
+        print(f"solver failure ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
         return 1
+
+
+def _one_line(exc) -> str:
+    """The message with its whitespace runs, newlines included, collapsed."""
+    return " ".join(str(exc).split())
 
 
 def main():

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .gas import WedgeError
 from .pattern import WavePattern
 from .shocks import resolve_oblique
 from .elliptic import EllipticSolution
@@ -27,7 +28,7 @@ C_GRID = 10.0  # grid_tol = C_GRID * spacing
 C_WINDOW = 3.0  # velocity / normal / corner windows in units of sqrt(eps)
 
 
-class ProfileError(RuntimeError):
+class ProfileError(WedgeError, RuntimeError):
     """Arc profile extraction refused (boundary condition not satisfied)."""
 
 

@@ -38,25 +38,25 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from .gas import constant_state_potential, pi_inverse
+from .gas import WedgeError, constant_state_potential, pi_inverse
 from .pattern import WavePattern, separation_check
 
 ISO_EPS = 1e-12
 
 
-class MappingError(ValueError):
+class MappingError(WedgeError, ValueError):
     pass
 
 
-class InnerSolveError(RuntimeError):
+class InnerSolveError(WedgeError, RuntimeError):
     pass
 
 
-class EllipticityLost(RuntimeError):
+class EllipticityLost(WedgeError, RuntimeError):
     pass
 
 
-class CornerEscapeError(RuntimeError):
+class CornerEscapeError(WedgeError, RuntimeError):
     pass
 
 

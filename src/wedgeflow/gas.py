@@ -23,7 +23,12 @@ import numpy as np
 ISOTHERMAL_EPS = 1e-12
 
 
-class VacuumError(ValueError):
+class WedgeError(Exception):
+    """Base of every error the package raises on purpose; the ``wedge``
+    command turns it into one stderr line and a documented exit code."""
+
+
+class VacuumError(WedgeError, ValueError):
     """Raised when a state reaches or passes the vacuum bound."""
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .gas import GasModel, FlowState
+from .gas import GasModel, FlowState, WedgeError
 from .shocks import (
     NoAttachedShock,
     ShockSolution,
@@ -30,11 +30,11 @@ from .shocks import (
 )
 
 
-class GeometryError(ValueError):
+class GeometryError(WedgeError, ValueError):
     """No shock in the family realizes the requested geometry."""
 
 
-class SupersonicityViolation(ValueError):
+class SupersonicityViolation(WedgeError, ValueError):
     """Downstream state of the tip shock is not supersonic."""
 
 

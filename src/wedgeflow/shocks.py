@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .gas import GasModel, FlowState
+from .gas import GasModel, FlowState, WedgeError
 
 # width of the near-sonic window in which the series branch replaces the
 # root solve: g is quadratically flat at 1, so the g-equality loses half the
@@ -34,23 +34,23 @@ from .gas import GasModel, FlowState
 SONIC_WINDOW = 1e-5
 
 
-class InadmissibleShock(ValueError):
+class InadmissibleShock(WedgeError, ValueError):
     """Expansion branch requested where an admissible shock is required."""
 
 
-class WrongSideError(ValueError):
+class WrongSideError(WedgeError, ValueError):
     """Upstream pseudo-velocity does not cross the shock in the normal direction."""
 
 
-class NoPolarError(ValueError):
+class NoPolarError(WedgeError, ValueError):
     """Pseudo-subsonic upstream state has no shock polar."""
 
 
-class NoAttachedShock(ValueError):
+class NoAttachedShock(WedgeError, ValueError):
     """Subsonic upstream flow cannot carry an attached shock."""
 
 
-class NoSonicIntersection(ValueError):
+class NoSonicIntersection(WedgeError, ValueError):
     """Downstream sonic circle does not intersect the shock."""
 
 
@@ -157,10 +157,14 @@ def jump_state(model: GasModel, rho_u: float, c_u: float, lun: float, *, require
     """Downstream (rho_d, c_d) across a shock with upstream normal pseudo-Mach lun."""
     if lun < 1.0 and require_admissible:
         raise InadmissibleShock(f"L_un = {lun} < 1 is an entropy-violating expansion")
-    ldn = downstream_normal_mach(model.gamma, lun)
+    return _jump_ratios(model.gamma, rho_u, c_u, lun, downstream_normal_mach(model.gamma, lun))
+
+
+def _jump_ratios(gamma: float, rho_u: float, c_u: float, lun: float, ldn: float):
+    """(rho_d, c_d) from the normal pseudo-Mach numbers on both sides."""
     ratio = lun / ldn
-    rho_d = rho_u * ratio ** (2.0 / (model.gamma + 1.0))
-    c_d = c_u * ratio ** ((model.gamma - 1.0) / (model.gamma + 1.0))
+    rho_d = rho_u * ratio ** (2.0 / (gamma + 1.0))
+    c_d = c_u * ratio ** ((gamma - 1.0) / (gamma + 1.0))
     return rho_d, c_d
 
 
@@ -262,7 +266,7 @@ def resolve_oblique(model: GasModel, upstream: FlowState, xi, n) -> ShockSolutio
     z_t = float(z_u @ t)
     lun = z_un / upstream.c
     ldn = downstream_normal_mach(model.gamma, lun)
-    rho_d, c_d = jump_state(model, upstream.rho, upstream.c, lun, require_admissible=False)
+    rho_d, c_d = _jump_ratios(model.gamma, upstream.rho, upstream.c, lun, ldn)
     z_d = z_t * t + ldn * c_d * n
     v_d = z_d + xi
     beta = math.atan2(cross2(z_u, n), z_un)

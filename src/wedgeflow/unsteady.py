@@ -20,24 +20,32 @@ the box is the upstream wall (slip via mirror).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gas import GasModel, FlowState, VacuumError, pi_of_rho
+from .gas import GasModel, FlowState, VacuumError, WedgeError, pi_of_rho
 from .pattern import ProblemConfig, WavePattern, build, picture_map
 
 CFL_DEFAULT = 0.45
 RHO_FLOOR_FACTOR = 1e-10
 
 
-class CFLviolation(ValueError):
+class CFLviolation(WedgeError, ValueError):
     pass
+
+
+class ShockFitError(WedgeError, ArithmeticError):
+    """Too few shock-front crossings to fit the tip-shock angle."""
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform square-cell grid; cells with center below the wedge face are solid."""
+    """Uniform square-cell grid; cells with center below the wedge face are solid.
+
+    The static geometry is built once, at construction: the read-only solid
+    mask and the wall-ghost stencil that ``step`` reads.
+    """
 
     x0: float
     y0: float
@@ -45,6 +53,15 @@ class Grid:
     nx: int
     ny: int
     tau: float = 0.0
+    _solid: np.ndarray = field(init=False, repr=False, compare=False)
+    _ghosts: _WallGhosts = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        x, y = self.centers()
+        solid = (x[None, :] > 0.0) & (y[:, None] < x[None, :] * math.tan(self.tau))
+        solid.flags.writeable = False
+        object.__setattr__(self, "_solid", solid)
+        object.__setattr__(self, "_ghosts", _WallGhosts(self))
 
     def centers(self):
         x = self.x0 + (np.arange(self.nx) + 0.5) * self.spacing
@@ -52,9 +69,8 @@ class Grid:
         return x, y
 
     def solid_mask(self):
-        x, y = self.centers()
-        xx, yy = np.meshgrid(x, y)
-        return (xx > 0.0) & (yy < xx * math.tan(self.tau))
+        """Solid cells, shape (ny, nx); the array is read-only."""
+        return self._solid
 
 
 @dataclass
@@ -76,8 +92,7 @@ def init(model: GasModel, upstream: FlowState, grid: Grid) -> SimState:
 
 
 def total_mass(grid: Grid, state: SimState) -> float:
-    fluid = ~grid.solid_mask()
-    return float(np.sum(state.rho[fluid])) * grid.spacing**2
+    return float(np.sum(state.rho[~grid._solid])) * grid.spacing**2
 
 
 def _pad(arr, left, top, bottom_mirror_sign):
@@ -99,16 +114,12 @@ def _pad(arr, left, top, bottom_mirror_sign):
     return out
 
 
-def max_wave_speeds(model: GasModel, state: SimState, fluid) -> tuple[float, float]:
-    c = np.asarray(model.sound_speed(state.rho))
-    sx = np.max(np.abs(state.vx[fluid]) + c[fluid])
-    sy = np.max(np.abs(state.vy[fluid]) + c[fluid])
-    return float(sx), float(sy)
-
-
 def stable_dt(model: GasModel, grid: Grid, state: SimState, cfl=CFL_DEFAULT) -> float:
-    fluid = ~grid.solid_mask()
-    sx, sy = max_wave_speeds(model, state, fluid)
+    """cfl * h / (max(|vx| + c) + max(|vy| + c)), maxima over the fluid cells."""
+    fluid = ~grid._solid
+    c = np.asarray(model.sound_speed(state.rho))[fluid]
+    sx = float(np.max(np.abs(state.vx[fluid]) + c))
+    sy = float(np.max(np.abs(state.vy[fluid]) + c))
     return cfl * grid.spacing / (sx + sy)
 
 
@@ -117,10 +128,8 @@ class _WallGhosts:
     carry the fluid state at their mirror point across the wedge surface,
     with velocity mirrored about the wall normal."""
 
-    _cache: dict = {}
-
     def __init__(self, grid: Grid):
-        solid = grid.solid_mask()
+        solid = grid._solid
         near = np.zeros_like(solid)
         near[:-1, :] |= solid[:-1, :] & ~solid[1:, :]
         near[1:, :] |= solid[1:, :] & ~solid[:-1, :]
@@ -163,14 +172,6 @@ class _WallGhosts:
         self.mxy = -2.0 * n[0] * n[1]
         self.myy = 1.0 - 2.0 * n[1] * n[1]
 
-    @classmethod
-    def get(cls, grid: Grid) -> "_WallGhosts":
-        if grid not in cls._cache:
-            if len(cls._cache) > 16:
-                cls._cache.clear()
-            cls._cache[grid] = cls(grid)
-        return cls._cache[grid]
-
     def _gather(self, arr):
         return np.sum(self.w * arr[self.sj, self.si], axis=0)
 
@@ -182,6 +183,19 @@ class _WallGhosts:
         rho[self.jj, self.ii] = r
         vx[self.jj, self.ii] = self.mxx * u + self.mxy * w
         vy[self.jj, self.ii] = self.mxy * u + self.myy * w
+
+
+def _llf(rho_p, B_p, c_p, vn_p, vt_p, lo, hi):
+    """Local Lax-Friedrichs fluxes of (rho, v_n, v_t) through the faces
+    between the padded cells [lo] and [hi]; n points from lo to hi."""
+    r0, r1 = rho_p[lo], rho_p[hi]
+    n0, n1 = vn_p[lo], vn_p[hi]
+    a = np.maximum(np.abs(n0) + c_p[lo], np.abs(n1) + c_p[hi])
+    return (
+        0.5 * (r0 * n0 + r1 * n1) - 0.5 * a * (r1 - r0),
+        0.5 * (B_p[lo] + B_p[hi]) - 0.5 * a * (n1 - n0),
+        -0.5 * a * (vt_p[hi] - vt_p[lo]),
+    )
 
 
 def step(
@@ -200,53 +214,34 @@ def step(
     top_bc/left_bc are "inflow" (upstream Dirichlet, the wedge-problem
     default) or "outflow" (zero gradient, for quasi-1D test strips).
     """
-    solid = grid.solid_mask()
+    solid = grid._solid
     fluid = ~solid
     h = grid.spacing
 
-    dt_max = stable_dt(model, grid, state, cfl=1.0)
-    if dt is None:
-        dt = cfl * dt_max
-    elif dt > dt_max * (1.0 + 1e-12):
-        raise CFLviolation(f"dt = {dt} exceeds the stable bound {dt_max}")
-
     rho_g, vx_g, vy_g = state.rho.copy(), state.vx.copy(), state.vy.copy()
-    if solid.any():
-        _WallGhosts.get(grid).fill(rho_g, vx_g, vy_g)
+    grid._ghosts.fill(rho_g, vx_g, vy_g)
 
     top_in = top_bc == "inflow"
     left_in = left_bc == "inflow"
     rho_p = _pad(rho_g, upstream.rho if left_in else None, upstream.rho if top_in else None, 1.0)
     vx_p = _pad(vx_g, upstream.v[0] if left_in else None, upstream.v[0] if top_in else None, 1.0)
     vy_p = _pad(vy_g, upstream.v[1] if left_in else None, upstream.v[1] if top_in else None, -1.0)
+    # the gas closures, once per padded cell; B is the Bernoulli flux |v|^2/2 + pi
+    c_p = np.asarray(model.sound_speed(rho_p))
+    B_p = 0.5 * (vx_p**2 + vy_p**2) + pi_of_rho(model, rho_p)
 
-    def pi_arr(rho):
-        return pi_of_rho(model, rho)
+    # the stable_dt bound at cfl = 1, from the same c on the fluid cells
+    c = c_p[1:-1, 1:-1][fluid]
+    sx = float(np.max(np.abs(state.vx[fluid]) + c))
+    sy = float(np.max(np.abs(state.vy[fluid]) + c))
+    dt_max = h / (sx + sy)
+    if dt is None:
+        dt = cfl * dt_max
+    elif dt > dt_max * (1.0 + 1e-12):
+        raise CFLviolation(f"dt = {dt} exceeds the stable bound {dt_max}")
 
-    def c_arr(rho):
-        return np.asarray(model.sound_speed(rho))
-
-    # x faces -----------------------------------------------------------
-    rL, rR = rho_p[1:-1, :-1], rho_p[1:-1, 1:]
-    uL, uR = vx_p[1:-1, :-1], vx_p[1:-1, 1:]
-    wL, wR = vy_p[1:-1, :-1], vy_p[1:-1, 1:]
-    BL = 0.5 * (uL**2 + wL**2) + pi_arr(rL)
-    BR = 0.5 * (uR**2 + wR**2) + pi_arr(rR)
-    a = np.maximum(np.abs(uL) + c_arr(rL), np.abs(uR) + c_arr(rR))
-    fx_rho = 0.5 * (rL * uL + rR * uR) - 0.5 * a * (rR - rL)
-    fx_vx = 0.5 * (BL + BR) - 0.5 * a * (uR - uL)
-    fx_vy = -0.5 * a * (wR - wL)
-
-    # y faces -----------------------------------------------------------
-    rB, rT = rho_p[:-1, 1:-1], rho_p[1:, 1:-1]
-    uB, uT = vx_p[:-1, 1:-1], vx_p[1:, 1:-1]
-    wB, wT = vy_p[:-1, 1:-1], vy_p[1:, 1:-1]
-    BB = 0.5 * (uB**2 + wB**2) + pi_arr(rB)
-    BT = 0.5 * (uT**2 + wT**2) + pi_arr(rT)
-    a = np.maximum(np.abs(wB) + c_arr(rB), np.abs(wT) + c_arr(rT))
-    fy_rho = 0.5 * (rB * wB + rT * wT) - 0.5 * a * (rT - rB)
-    fy_vx = -0.5 * a * (uT - uB)
-    fy_vy = 0.5 * (BB + BT) - 0.5 * a * (wT - wB)
+    fx_rho, fx_vx, fx_vy = _llf(rho_p, B_p, c_p, vx_p, vy_p, np.s_[1:-1, :-1], np.s_[1:-1, 1:])
+    fy_rho, fy_vy, fy_vx = _llf(rho_p, B_p, c_p, vy_p, vx_p, np.s_[:-1, 1:-1], np.s_[1:, 1:-1])
 
     lam = dt / h
     rho_new = state.rho - lam * (fx_rho[:, 1:] - fx_rho[:, :-1] + fy_rho[1:, :] - fy_rho[:-1, :])
@@ -337,7 +332,7 @@ def sample_self_similar(
     rho = bilinear(state.rho, fi, fj)
     vx = bilinear(state.vx, fi, fj)
     vy = bilinear(state.vy, fi, fj)
-    solid = bilinear(grid.solid_mask().astype(float), fi, fj) > 1e-12
+    solid = bilinear(grid._solid.astype(float), fi, fj) > 1e-12
     XiX, XiY = np.meshgrid(xi_x, xi_y)
     c = np.asarray(model.sound_speed(np.maximum(rho, 1e-300)))
     L = np.hypot(vx - XiX, vy - XiY) / c
@@ -470,7 +465,9 @@ def tip_shock_angle(result: UnsteadyResult, n_columns: int = 60) -> float:
         frac = (rho_mid - col_rho[j]) / (col_rho[j + 1] - col_rho[j])
         pts.append((xc, ys[j] + frac * (ys[j + 1] - ys[j])))
     if len(pts) < max(4, n_columns // 4):
-        raise ArithmeticError("too few shock-front crossings for the angle fit")
+        raise ShockFitError(
+            f"too few shock-front crossings for the angle fit: {len(pts)} of {n_columns} columns"
+        )
     pts = np.asarray(pts)
     slope = np.polyfit(pts[:, 0], pts[:, 1], 1)[0]
     return math.atan(slope)

@@ -1,12 +1,26 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+import wedgeflow
+from wedgeflow import cli, diagnostics, elliptic, gas, pattern, shocks, unsteady
 from wedgeflow.cli import ConfigError, dispatch, parse_config
 
 CASE12 = "gamma = 1.4\nM_I = 2.94\ntau_deg = 10\nepsilon = 0.01\n"
 UNPERT = "gamma = 1.0\nM_I_y = -2.0\nepsilon = 0.04\nlattice_n = 32\n"
+# every exception class the package defines, the WedgeError base included
+MODULES = (gas, shocks, pattern, unsteady, elliptic, diagnostics, cli)
+PACKAGE_ERRORS = sorted(
+    {
+        obj
+        for mod in MODULES
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == mod.__name__
+    },
+    key=lambda c: c.__name__,
+)
 
 
 class TestParseConfig:
@@ -49,6 +63,13 @@ class TestParseConfig:
     def test_missing_tau(self):
         with pytest.raises(ConfigError, match="tau_deg"):
             parse_config(text="M_I = 2.0\n")
+
+    @pytest.mark.parametrize(
+        "line", ["grid_n = 0", "grid_n = 3", "sample_nx = 1", "snapshot_every = -1"]
+    )
+    def test_integer_knob_ranges(self, line):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config(text=CASE12 + line + "\n")
 
     def test_eps_list(self):
         cfg = parse_config(text="M_I_y = -2\neps_list = 0.04, 0.01\nlattice_list = 24 32\n")
@@ -154,6 +175,62 @@ class TestDispatch:
         lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 3
         assert "slope" in capsys.readouterr().out
+
+
+class TestErrorContract:
+    def test_every_package_error_derives_from_wedge_error(self):
+        assert len(PACKAGE_ERRORS) == 17
+        for exc_type in PACKAGE_ERRORS:
+            assert issubclass(exc_type, wedgeflow.WedgeError)
+
+    @pytest.mark.parametrize("exc_type", PACKAGE_ERRORS, ids=lambda c: c.__name__)
+    def test_dispatch_exit_code_and_one_line(self, exc_type, tmp_path, monkeypatch, capsys):
+        def stub(cfg, out, strict):
+            raise exc_type("first line\n  second line")
+
+        monkeypatch.setitem(cli.COMMANDS, "pattern", stub)
+        code = dispatch(["pattern", "--out", str(tmp_path)])
+        assert code == (2 if exc_type is ConfigError else 1)
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "first line second line" in err
+
+    def test_coarse_simulate_exit_1(self, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12 + "grid_n = 40\nt_final = 0.05\n")
+        code = dispatch(["simulate", "--config", str(f), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "ShockFitError" in err
+
+    def test_grid_n_zero_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12 + "grid_n = 0\n")
+        code = dispatch(["simulate", "--config", str(f), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "grid_n" in err
+
+
+def test_write_field_csv_matches_cell_loop(tmp_path):
+    # more fluid cells than one 4096-cell block of the writer
+    g = unsteady.Grid(x0=-0.5, y0=0.0, spacing=0.01, nx=150, ny=40, tau=math.radians(10))
+    rng = np.random.default_rng(3)
+    state = unsteady.SimState(t=0.5, rho=rng.random((40, 150)), vx=rng.random((40, 150)),
+                              vy=rng.standard_normal((40, 150)))
+    cli.write_field_csv(g, state, tmp_path / "field.csv")
+    x, y = g.centers()
+    solid = g.solid_mask()
+    with open(tmp_path / "loop.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["i", "j", "x", "y", "rho", "vx", "vy"])
+        for j in range(g.ny):
+            for i in range(g.nx):
+                if not solid[j, i]:
+                    w.writerow([i, j, x[i], y[j], state.rho[j, i], state.vx[j, i], state.vy[j, i]])
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 @pytest.mark.slow

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wedgeflow import unsteady
 from wedgeflow.gas import GasModel, FlowState
 from wedgeflow.pattern import ProblemConfig
 from wedgeflow.shocks import resolve_oblique
@@ -52,6 +53,11 @@ class TestInit:
         assert not solid[:, x < 0].any()
         assert solid[0, -1]  # bottom-right cell is inside the wedge
 
+    def test_solid_mask_read_only(self):
+        g = Grid(x0=-0.5, y0=0.0, spacing=0.1, nx=20, ny=10, tau=math.radians(30))
+        with pytest.raises(ValueError):
+            g.solid_mask()[0, -1] = False
+
     def test_flat_wall_constant_state_is_exact(self):
         up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
         g = flat_grid()
@@ -69,6 +75,27 @@ class TestStep:
         s = init(AIR, up, g)
         with pytest.raises(CFLviolation):
             step(AIR, g, s, up, dt=10.0)
+
+    def test_step_evaluates_each_closure_once(self, monkeypatch):
+        up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
+        g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
+        assert g.solid_mask().any()
+        s = init(AIR, up, g)
+        calls = dict.fromkeys(("sound_speed", "pi_of_rho", "stable_dt", "solid_mask"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(GasModel, "sound_speed", counted("sound_speed", GasModel.sound_speed))
+        monkeypatch.setattr(unsteady, "pi_of_rho", counted("pi_of_rho", unsteady.pi_of_rho))
+        monkeypatch.setattr(unsteady, "stable_dt", counted("stable_dt", unsteady.stable_dt))
+        monkeypatch.setattr(Grid, "solid_mask", counted("solid_mask", Grid.solid_mask))
+        step(AIR, g, s, up)
+        assert calls == {"sound_speed": 1, "pi_of_rho": 1, "stable_dt": 0, "solid_mask": 0}
 
     def test_mass_conservation_against_boundary_flux(self):
         cfg = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
