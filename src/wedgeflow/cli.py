@@ -105,8 +105,13 @@ _RANGES = {
     "cfl": (1e-6, 0.999),
     "t_final": (1e-9, math.inf),
     "omega_relax": (1e-3, 1.0),
-    "tol_inner": (0.0, 1.0),
+    # below about 1e-15 a Newton step relative to the potential scale stalls
+    # at rounding level before it reaches the tolerance
+    "tol_inner": (1e-14, 1.0),
     "tol_outer": (0.0, 1.0),
+    "max_outer": (1, math.inf),
+    "lattice_n": (8, math.inf),
+    "quad_n": (2, math.inf),
     "grid_n": (4, math.inf),
     "sample_nx": (2, math.inf),
     "snapshot_every": (0, math.inf),
@@ -165,6 +170,21 @@ def parse_config(path=None, text=None) -> RunConfig:
         v = getattr(cfg, name)
         if v is not None and not lo <= v <= hi:
             raise ConfigError(f"{name} = {v} out of range [{lo}, {hi}]")
+    for n in cfg.lattice_list:
+        if n < _RANGES["lattice_n"][0]:
+            raise ConfigError(f"lattice_list entry {n} below {_RANGES['lattice_n'][0]}")
+    if not cfg.box_x_min < 0.0 < cfg.box_x_max:
+        raise ConfigError(
+            f"box_x_min = {cfg.box_x_min}, box_x_max = {cfg.box_x_max}: "
+            "the box must contain the wedge tip x = 0"
+        )
+    # the cell-row count of unsteady.run
+    rows = round(cfg.box_y_max / ((cfg.box_x_max - cfg.box_x_min) / cfg.grid_n))
+    if rows < 2:
+        raise ConfigError(
+            f"box_y_max = {cfg.box_y_max} gives {rows} cell rows at grid_n = {cfg.grid_n}; "
+            "at least 2 are needed"
+        )
     if cfg.tau is not None and not 0.0 < cfg.tau < 0.5 * math.pi:
         raise ConfigError(f"tau_deg = {math.degrees(cfg.tau)} out of range (0, 90)")
     if cfg.M_I is not None and cfg.M_I <= 1.0:
@@ -247,6 +267,20 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
     res = unsteady_mod.run(ucfg, on_snapshot=snap if cfg.snapshot_every else None)
     write_field_csv(res.grid, res.final, out / "field_final.csv")
     write_field_raw(res.grid, res.final, out / "field_final.raw")
+    # probes.csv is written before the tip-angle fit, which can fail on a
+    # coarse run; the probe lines are printed after the summary line
+    rows, lines = [], []
+    for name, center in unsteady_mod.region_probes(res.pattern).items():
+        try:
+            st = unsteady_mod.probe_stats(res.sample_final, center, 0.1)
+        except ValueError:
+            lines.append(f"  probe {name}: outside the sampled window, skipped")
+            continue
+        rows.append((name, center[0], center[1], st["rho_mean"], st["rho_std"], st["L_mean"]))
+        lines.append(
+            f"  probe {name}: rho={st['rho_mean']:.4f} (std {st['rho_std']:.4f}) L={st['L_mean']:.3f}"
+        )
+    _write_rows(out / "probes.csv", ["region", "x", "y", "rho_mean", "rho_std", "L_mean"], rows)
     ang = unsteady_mod.tip_shock_angle(res)
     pred = unsteady_mod.predicted_tip_shock_angle(res.pattern)
     print(
@@ -254,19 +288,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
         f"tip angle {math.degrees(ang):.3f}deg (weak-shock prediction {math.degrees(pred):.3f}deg) "
         f"self-similarity defect {res.defect:.5f}"
     )
-    probes = unsteady_mod.region_probes(res.pattern)
-    rows = []
-    for name, center in probes.items():
-        try:
-            st = unsteady_mod.probe_stats(res.sample_final, center, 0.1)
-        except ValueError:
-            print(f"  probe {name}: outside the sampled window, skipped")
-            continue
-        rows.append((name, center[0], center[1], st["rho_mean"], st["rho_std"], st["L_mean"]))
-        print(
-            f"  probe {name}: rho={st['rho_mean']:.4f} (std {st['rho_std']:.4f}) L={st['L_mean']:.3f}"
-        )
-    _write_rows(out / "probes.csv", ["region", "x", "y", "rho_mean", "rho_std", "L_mean"], rows)
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -114,6 +114,8 @@ class GridMapping:
         self.v_lx = float(pattern.state_L.v[0])
         self.r_l = pattern.arc_L.radius
         self.r_r = pattern.arc_R.radius
+        # d(b, u, R)/dsigma of arc_blend, constant in sigma
+        self.slopes = (-self.v_lx, self.r_r + self.r_l, self.r_r - self.r_l)
 
         sig = np.linspace(0.0, 1.0, n_sigma + 1)
         zet = np.linspace(0.0, 1.0, n_zeta + 1)
@@ -140,9 +142,7 @@ class GridMapping:
         eta = Z * s_v
 
         b, u, R = arc_blend(S, self.v_lx, self.r_l, self.r_r)
-        bp = -self.v_lx
-        up = self.r_r + self.r_l
-        Rp = self.r_r - self.r_l
+        bp, up, Rp = self.slopes
 
         g2 = 1.0 - (eta / R) ** 2
         if np.any(g2 <= 1e-12):
@@ -253,30 +253,60 @@ class GridMapping:
         return combine(self.hxx), combine(self.hxy), combine(self.hyy)
 
     def invert(self, xi, eta):
-        """(sigma, zeta) of physical points, by bisection on the sigma blend.
+        """(sigma, zeta) of physical points, by bracketed Newton on the sigma blend.
 
         Returns (sigma, zeta, inside).  Points outside the lens or above the
-        shock get inside=False.
+        shock get inside=False.  For points inside the lens, sigma solves
+        x_of(sigma, eta) = xi by _newton_sigma, started from the linear
+        interpolation between the two arcs; other points keep that start,
+        clipped to [0, 1].
         """
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        lo = np.zeros_like(xi)
-        hi = np.ones_like(xi)
         # every level arc is at least as tall as the lower of the two arcs;
-        # heights outside [0, min radius) bisect at eta = 0 and stay outside
+        # heights outside [0, min radius) are tested at eta = 0 and stay outside
         inside = (eta >= 0.0) & (eta < min(self.r_l, self.r_r))
         eta_in = np.where(inside, eta, 0.0)
-        inside &= (xi >= self.x_of(lo, eta_in)) & (xi <= self.x_of(hi, eta_in))
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            take = self.x_of(mid, eta_in) < xi
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        sig = 0.5 * (lo + hi)
+        x0, x1 = self.x_of(0.0, eta_in), self.x_of(1.0, eta_in)
+        inside &= (xi >= x0) & (xi <= x1)
+        sig = np.asarray(np.clip((xi - x0) / (x1 - x0), 0.0, 1.0))
+        del eta_in, x0, x1  # lowers the peak memory of the Newton arrays
+        sig[inside] = self._newton_sigma(xi[inside], eta[inside], sig[inside])
         s_here = self.shock.value(sig)
         zet = np.where(s_here > 0, eta / np.maximum(s_here, 1e-300), np.inf)
         inside &= zet <= 1.0
         return sig, zet, inside
+
+    def _newton_sigma(self, xi, eta, sig):
+        """sigma in [0, 1] with x_of(sigma, eta) = xi, from the start sig.
+
+        Newton falls back to the midpoint of the bracket [lo, hi] whenever
+        its point leaves it, and stops when every step is at most 1e-14.
+        """
+        lo, hi = np.zeros_like(sig), np.ones_like(sig)
+        for _ in range(64):
+            f, fp = self._x_and_slope(sig, eta)
+            f -= xi
+            # f is exactly 0 at lattice nodes: the inclusive bracket keeps that
+            # Newton point instead of restarting bisection
+            below = f < 0.0
+            np.copyto(lo, sig, where=below)
+            np.copyto(hi, sig, where=~below)
+            new = sig - f / fp
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            done = np.all(np.abs(new - sig) <= 1e-14)
+            sig = new
+            if done:
+                return sig
+        raise MappingError("sigma inversion did not converge in 64 steps")
+
+    def _x_and_slope(self, sig, eta):
+        """x_of(sig, eta) and its sigma derivative, from arc_blend and its
+        constant slopes (heights below the blended radius)."""
+        b, u, R = arc_blend(sig, self.v_lx, self.r_l, self.r_r)
+        bp, up, Rp = self.slopes
+        g = np.sqrt(1.0 - (eta / R) ** 2)
+        return b + u * g, bp + up * g + u * eta**2 * Rp / (R**3 * g)
 
     def corner(self, side: str):
         j = -1
@@ -481,6 +511,45 @@ def _residual(model, pattern, mapping, chi_old, psi):
     return F
 
 
+def _jacobian(resid, psi, F, delta_fd):
+    """Sparse finite-difference Jacobian of resid at psi (F = resid(psi)).
+
+    Grouped differences over a 5x5 node coloring: the perturbed nodes of one
+    color are 5 apart in each direction and every stencil, the one-sided
+    boundary stencils included, reaches at most 2 nodes, so each row sees
+    at most one perturbed node.
+    """
+    nz, ns = psi.shape
+    rows, cols, vals = [], [], []
+    for ci in range(5):
+        for cj in range(5):
+            mask = np.zeros_like(psi, dtype=bool)
+            mask[cj::5, ci::5] = True
+            Fp = resid(psi + delta_fd * mask)
+            dF = (Fp - F) / delta_fd
+            rj, ri = np.nonzero(np.abs(dF) > 0.0)
+            # unique perturbed node within distance 2 of each row
+            off_i = (ci - ri) % 5
+            off_i = np.where(off_i > 2, off_i - 5, off_i)
+            off_j = (cj - rj) % 5
+            off_j = np.where(off_j > 2, off_j - 5, off_j)
+            src_i = ri + off_i
+            src_j = rj + off_j
+            ok = (src_i >= 0) & (src_i < ns) & (src_j >= 0) & (src_j < nz)
+            rows.append(rj[ok] * ns + ri[ok])
+            cols.append(src_j[ok] * ns + src_i[ok])
+            vals.append(dF[rj[ok], ri[ok]])
+    return coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nz * ns, nz * ns),
+    ).tocsc()
+
+
+# the chord iteration refactors once a step shrinks by less than this factor
+# against the step before it made with the same factorization
+CHORD_CONTRACTION = 4.0
+
+
 def solve_fixed_boundary(
     pattern: WavePattern,
     mapping: GridMapping,
@@ -488,13 +557,19 @@ def solve_fixed_boundary(
     config: EllipticConfig,
     psi_init: np.ndarray | None = None,
 ):
-    """Newton solve of the split problem with coefficients frozen at psi_old.
+    """Chord-Newton solve of the split problem with coefficients frozen at psi_old.
 
-    The Jacobian is assembled by grouped finite differences (5x5 node
-    coloring covers the one-sided boundary stencils) and factored directly.
+    The Jacobian is assembled by grouped finite differences (_jacobian) and
+    factored once per call; later steps reuse that factorization (the chord
+    method) and refresh it at the current iterate only when a step shrinks
+    by less than CHORD_CONTRACTION against the previous step made with the
+    same factorization.  The solve stops when a step falls below tol_inner
+    relative to the potential scale; a residual above 4x its best value on
+    5 consecutive steps, or above 1e3 tol_inner after max_newton steps,
+    raises InnerSolveError.  The returned state must keep the frozen
+    coefficients elliptic at every interior node (EllipticityLost otherwise).
     """
     model = pattern.config.model
-    nz, ns = psi_old.shape
     chi_old = psi_old - 0.5 * (mapping.xi**2 + mapping.eta**2)
 
     psi = psi_old.copy() if psi_init is None else psi_init.copy()
@@ -504,39 +579,17 @@ def solve_fixed_boundary(
     def resid(p):
         return _residual(model, pattern, mapping, chi_old, p)
 
-    n_unknowns = nz * ns
     F = resid(psi)
     best = np.max(np.abs(F))
     growth = 0
-    for it in range(config.max_newton):
-        # colored finite-difference Jacobian
-        rows, cols, vals = [], [], []
-        for ci in range(5):
-            for cj in range(5):
-                mask = np.zeros_like(psi, dtype=bool)
-                mask[cj::5, ci::5] = True
-                Fp = resid(psi + delta_fd * mask)
-                dF = (Fp - F) / delta_fd
-                rj, ri = np.nonzero(np.abs(dF) > 0.0)
-                # unique perturbed node within distance 2 of each row
-                off_i = (ci - ri) % 5
-                off_i = np.where(off_i > 2, off_i - 5, off_i)
-                off_j = (cj - rj) % 5
-                off_j = np.where(off_j > 2, off_j - 5, off_j)
-                src_i = ri + off_i
-                src_j = rj + off_j
-                ok = (src_i >= 0) & (src_i < ns) & (src_j >= 0) & (src_j < nz)
-                rows.append(rj[ok] * ns + ri[ok])
-                cols.append(src_j[ok] * ns + src_i[ok])
-                vals.append(dF[rj[ok], ri[ok]])
-        J = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_unknowns, n_unknowns),
-        ).tocsc()
-        try:
-            lu = splu(J)
-        except RuntimeError as exc:
-            raise InnerSolveError(f"singular Newton matrix: {exc}") from exc
+    lu = None
+    for _ in range(config.max_newton):
+        if lu is None:
+            try:
+                lu = splu(_jacobian(resid, psi, F, delta_fd))
+            except RuntimeError as exc:
+                raise InnerSolveError(f"singular Newton matrix: {exc}") from exc
+            upd_prev = math.inf
         step = lu.solve(-F.ravel()).reshape(psi.shape)
         psi = psi + step
         F = resid(psi)
@@ -551,6 +604,9 @@ def solve_fixed_boundary(
         else:
             growth = 0
             best = min(best, res_norm)
+        if CHORD_CONTRACTION * upd > upd_prev:
+            lu = None
+        upd_prev = upd
     else:
         if np.max(np.abs(F)) > 1e3 * config.tol_inner:
             raise InnerSolveError(

@@ -204,6 +204,35 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1
         assert "ShockFitError" in err
 
+    def test_coarse_simulate_leaves_all_files(self, tmp_path):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12 + "grid_n = 40\nt_final = 0.05\n")
+        assert dispatch(["simulate", "--config", str(f), "--out", str(tmp_path)]) == 1
+        for name in ("field_final.csv", "field_final.raw", "probes.csv"):
+            assert (tmp_path / name).exists(), name
+        assert (tmp_path / "probes.csv").read_text().startswith("region,x,y,")
+
+    @pytest.mark.parametrize(
+        "command, lines, key",
+        [
+            ("elliptic", "tol_inner = 0", "tol_inner"),
+            ("elliptic", "max_outer = 0", "max_outer"),
+            ("verify", "quad_n = 1", "quad_n"),
+            ("elliptic", "lattice_n = 2", "lattice_n"),
+            ("sweep", "lattice_list = 48, 2", "lattice_list"),
+            ("simulate", "grid_n = 40\nbox_y_max = 0.01", "box_y_max"),
+            ("simulate", "box_x_max = -1", "box_x_max"),
+        ],
+    )
+    def test_config_range_exit_2(self, command, lines, key, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12 + lines + "\n")
+        code = dispatch([command, "--config", str(f), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert key in err
+
     def test_grid_n_zero_exit_2(self, tmp_path, capsys):
         f = tmp_path / "wedge.cfg"
         f.write_text(CASE12 + "grid_n = 0\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
+from wedgeflow import elliptic
 from wedgeflow.gas import GasModel, constant_state_potential
 from wedgeflow.pattern import ProblemConfig, build
 from wedgeflow.elliptic import (
@@ -24,6 +25,16 @@ ISO = GasModel(gamma=1.0)
 
 UNPERT = ProblemConfig(model=ISO, MIy=-2.0, epsilon=0.04)
 CASE_12 = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.04)
+
+
+def bisect_sigma(m, xi, eta, steps=60):
+    """Reference inverse of the onion map: plain bisection on x_of."""
+    lo, hi = np.zeros_like(xi), np.ones_like(xi)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        take = m.x_of(mid, eta) < xi
+        lo, hi = np.where(take, mid, lo), np.where(take, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +131,31 @@ class TestMapping:
         _, _, inside = m.invert(xi, eta)
         assert inside.tolist() == [False, False, False, False, True, True]
 
+    def test_invert_matches_bisection(self, case12_pattern):
+        p = case12_pattern
+        m = build_mapping(p, chord_shock(p, 32), 32, 24)
+        # lattice nodes are exact roots
+        sig, _, _ = m.invert(m.xi, m.eta)
+        assert np.max(np.abs(sig - bisect_sigma(m, m.xi, m.eta))) <= 1e-13
+        sig, _, inside = m.invert(float(m.xi[5, 5]), float(m.eta[5, 5]))
+        assert inside and abs(sig - m.S[5, 5]) <= 1e-13
+        # 1e-12 inside each arc, at every node height of that arc
+        for k, side in ((0, 1.0), (-1, -1.0)):
+            eta = m.eta[:, k]
+            xi = m.x_of(float(k == -1), eta) + side * 1e-12
+            sig, _, inside = m.invert(xi, eta)
+            assert np.all(inside[:-1])
+            assert np.max(np.abs(sig - bisect_sigma(m, xi, eta))) <= 1e-13
+        # above the shock, beyond either arc and above the lower arc top
+        d = 0.05 * p.state_R.c
+        top = min(m.r_l, m.r_r)
+        xi = np.concatenate([m.xi[-1, 1:-1], m.xi[1:-1, 0] - d, m.xi[1:-1, -1] + d, m.xi[0, 1:-1]])
+        eta = np.concatenate([
+            m.eta[-1, 1:-1] + d, m.eta[1:-1, 0], m.eta[1:-1, -1], np.full(m.n_sigma - 1, 1.01 * top),
+        ])
+        _, _, inside = m.invert(xi, eta)
+        assert not np.any(inside)
+
     def test_shock_above_arc_top_rejected(self, case12_pattern):
         p = case12_pattern
         tall = chord_shock(p, 16).bumped(2.0 * p.arc_R.radius)
@@ -175,6 +211,26 @@ class TestInnerSolve:
         psi0 = initial_guess(p, m)
         psi_hat = solve_fixed_boundary(p, m, psi0, cfg)
         assert np.max(np.abs(psi_hat - psi0)) < 1e-8
+
+    def test_chord_newton_reuses_the_factorization(self, case12_pattern, monkeypatch):
+        # a first outer iteration, from the initial guess
+        p = case12_pattern
+        cfg = EllipticConfig(n_sigma=24, n_zeta=24)
+        m = build_mapping(p, chord_shock(p, 24), 24, 24)
+        psi0 = initial_guess(p, m)
+        calls = []
+        real_splu = elliptic.splu
+
+        def counting_splu(*args):
+            calls.append(1)
+            return real_splu(*args)
+
+        monkeypatch.setattr(elliptic, "splu", counting_splu)
+        psi = solve_fixed_boundary(p, m, psi0, cfg)
+        assert 1 <= len(calls) <= 2
+        chi_old = psi0 - 0.5 * (m.xi**2 + m.eta**2)
+        F = elliptic._residual(p.config.model, p, m, chi_old, psi)
+        assert np.max(np.abs(F)) < cfg.tol_inner
 
     def test_wall_rows_exact_in_discrete_stencil(self, case12_solution):
         sol = case12_solution
