@@ -87,6 +87,8 @@ class RunConfig:
         )
 
     def elliptic(self) -> EllipticConfig:
+        if self.epsilon <= 0.0:
+            raise ConfigError(f"epsilon = {self.epsilon}: the elliptic solve needs epsilon > 0")
         return EllipticConfig(
             n_sigma=self.lattice_n,
             n_zeta=self.lattice_n,
@@ -173,6 +175,9 @@ def parse_config(path=None, text=None) -> RunConfig:
     for n in cfg.lattice_list:
         if n < _RANGES["lattice_n"][0]:
             raise ConfigError(f"lattice_list entry {n} below {_RANGES['lattice_n'][0]}")
+    for eps in cfg.eps_list:
+        if not 0.0 < eps <= _RANGES["epsilon"][1]:
+            raise ConfigError(f"eps_list entry {eps} out of range (0, {_RANGES['epsilon'][1]}]")
     if not cfg.box_x_min < 0.0 < cfg.box_x_max:
         raise ConfigError(
             f"box_x_min = {cfg.box_x_min}, box_x_max = {cfg.box_x_max}: "

@@ -402,8 +402,6 @@ class EllipticConfig:
     tol_outer: float = 1e-6
     omega_relax: float = 0.5
     max_outer: int = 120
-    max_newton: int = 20
-    corner_margin: float = 0.995  # corner escape above this fraction of the arc radius
 
 
 @dataclass
@@ -548,6 +546,8 @@ def _jacobian(resid, psi, F, delta_fd):
 # the chord iteration refactors once a step shrinks by less than this factor
 # against the step before it made with the same factorization
 CHORD_CONTRACTION = 4.0
+MAX_NEWTON = 20  # Newton steps per fixed-boundary solve
+CORNER_MARGIN = 0.995  # a corner above this fraction of its arc radius has escaped
 
 
 def solve_fixed_boundary(
@@ -565,7 +565,7 @@ def solve_fixed_boundary(
     by less than CHORD_CONTRACTION against the previous step made with the
     same factorization.  The solve stops when a step falls below tol_inner
     relative to the potential scale; a residual above 4x its best value on
-    5 consecutive steps, or above 1e3 tol_inner after max_newton steps,
+    5 consecutive steps, or above 1e3 tol_inner after MAX_NEWTON steps,
     raises InnerSolveError.  The returned state must keep the frozen
     coefficients elliptic at every interior node (EllipticityLost otherwise).
     """
@@ -583,7 +583,7 @@ def solve_fixed_boundary(
     best = np.max(np.abs(F))
     growth = 0
     lu = None
-    for _ in range(config.max_newton):
+    for _ in range(MAX_NEWTON):
         if lu is None:
             try:
                 lu = splu(_jacobian(resid, psi, F, delta_fd))
@@ -658,7 +658,6 @@ def iterate(
     pattern: WavePattern,
     config: EllipticConfig | None = None,
     shock0: ShockCurve | None = None,
-    separation_hint: float | None = None,
 ) -> EllipticSolution:
     """Alternate fixed-boundary solves and shock updates until residuals settle."""
     config = config or EllipticConfig()
@@ -691,7 +690,7 @@ def iterate(
 
         # corner escape checks against the (extended) arcs
         for side, idx, radius in (("L", 0, pattern.arc_L.radius), ("R", -1, pattern.arc_R.radius)):
-            if s_relaxed[idx] >= config.corner_margin * radius:
+            if s_relaxed[idx] >= CORNER_MARGIN * radius:
                 target = pattern.xi_L_star if side == "L" else pattern.xi_R_star
                 raise CornerEscapeError(
                     f"{side} corner left the extended arc: height {s_relaxed[idx]:.4f} "

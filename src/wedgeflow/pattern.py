@@ -29,6 +29,8 @@ from .shocks import (
     sonic_points,
 )
 
+ETA_MARGIN_COEFF = 2.0  # heuristic eta_L_star headroom, in units of sqrt(eps) c_R
+
 
 class GeometryError(WedgeError, ValueError):
     """No shock in the family realizes the requested geometry."""
@@ -55,7 +57,6 @@ class ProblemConfig:
     tau: float | None = None
     eta_L_star: float | None = None
     epsilon: float = 0.01
-    eta_margin_coeff: float = 2.0  # heuristic eta_L_star headroom, in units of sqrt(eps) c_R
 
     def __post_init__(self):
         if self.rho_I <= 0 or self.c_I <= 0:
@@ -143,12 +144,12 @@ class WavePattern:
     @property
     def within_eta_margin(self) -> bool:
         """Heuristic headroom check for gamma > 1: eta_L_star at least
-        eta_margin_coeff sqrt(eps) c_R below eta_R_star (the analytic
+        ETA_MARGIN_COEFF sqrt(eps) c_R below eta_R_star (the analytic
         construction needs an unquantified margin there; the coefficient is
-        a knob, not a derived constant)."""
+        a heuristic, not a derived constant)."""
         if self.config.model.gamma <= 1.0 + 1e-12 or self.beta == 0.0:
             return True
-        margin = self.config.eta_margin_coeff * math.sqrt(max(self.epsilon, 0.0)) * self.state_R.c
+        margin = ETA_MARGIN_COEFF * math.sqrt(max(self.epsilon, 0.0)) * self.state_R.c
         return self.eta_L_star <= self.eta_R_star - margin
 
     @property

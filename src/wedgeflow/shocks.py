@@ -21,12 +21,13 @@ L_un >= 1, equivalently rho_d >= rho_u.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .gas import GasModel, FlowState, WedgeError
+from .gas import ISOTHERMAL_EPS, GasModel, FlowState, WedgeError
 
 # width of the near-sonic window in which the series branch replaces the
 # root solve: g is quadratically flat at 1, so the g-equality loses half the
@@ -54,6 +55,10 @@ class NoSonicIntersection(WedgeError, ValueError):
     """Downstream sonic circle does not intersect the shock."""
 
 
+class ShockSolveError(WedgeError, ArithmeticError):
+    """The normal-shock relation has no root the solve reaches or can represent."""
+
+
 def perp(w):
     """Counterclockwise rotation by 90 degrees."""
     return np.array([-w[1], w[0]])
@@ -64,30 +69,38 @@ def cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
+def _g_shifted(gamma: float, s, xp=math):
+    """h(s) = g(e^s) - 2/(gamma-1) (g itself at gamma = 1) and dh/ds.
+
+    The constant 2/(gamma-1) of g diverges as gamma -> 1; h leaves it out
+    and is written with expm1, as gas.pi_of_rho is, so h and the root of
+    h(s) = h(s_u) keep their digits there.  h is convex with its minimum
+    h(0) = 1 at the sonic point.  xp is math for scalars, numpy for arrays.
+    """
+    if gamma - 1.0 < ISOTHERMAL_EPS:
+        p = xp.exp(2.0 * s)
+        return p - 2.0 * s, 2.0 * (p - 1.0)
+    k = 2.0 * (gamma - 1.0) / (gamma + 1.0)
+    p = xp.exp((2.0 - k) * s)
+    q = xp.expm1(-k * s)
+    return p + 2.0 / (gamma - 1.0) * q, (2.0 - k) * (p - 1.0 - q)
+
+
 def g_value(gamma: float, x):
     """The shock invariant g; both sides of a shock share its value."""
-    if isinstance(x, float) or isinstance(x, int):
-        if x <= 0.0:
-            raise ValueError("normal pseudo-Mach number must be positive")
-        if gamma - 1.0 < 1e-12:
-            return x * x - 2.0 * math.log(x)
-        return (x * x + 2.0 / (gamma - 1.0)) * x ** (2.0 * (1.0 - gamma) / (gamma + 1.0))
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("normal pseudo-Mach number must be positive")
-    if gamma - 1.0 < 1e-12:
-        out = x * x - 2.0 * np.log(x)
-    else:
-        out = (x * x + 2.0 / (gamma - 1.0)) * x ** (2.0 * (1.0 - gamma) / (gamma + 1.0))
+    out = _g_shifted(gamma, np.log(x), np)[0]
+    if gamma - 1.0 >= ISOTHERMAL_EPS:
+        out = out + 2.0 / (gamma - 1.0)
     return float(out) if out.ndim == 0 else out
 
 
 def g_prime(gamma: float, x):
     """dg/dx = 4/(gamma+1) (x - 1/x) x^(-2(gamma-1)/(gamma+1))."""
-    if isinstance(x, float) or isinstance(x, int):
-        return 4.0 / (gamma + 1.0) * (x - 1.0 / x) * x ** (-2.0 * (gamma - 1.0) / (gamma + 1.0))
     x = np.asarray(x, dtype=float)
-    out = 4.0 / (gamma + 1.0) * (x - 1.0 / x) * x ** (-2.0 * (gamma - 1.0) / (gamma + 1.0))
+    out = _g_shifted(gamma, np.log(x), np)[1] / x
     return float(out) if out.ndim == 0 else out
 
 
@@ -95,62 +108,60 @@ def downstream_normal_mach(gamma: float, lun: float) -> float:
     """Nontrivial branch of g(L_dn) = g(L_un).
 
     Strictly decreasing, self-inverse; maps (1, inf) onto (0, 1) and back.
-    g is monotone on each side of 1, so a bracketed log-space bisection is
-    safe; a short Newton polish sharpens the root to round-off.
+    Newton on h(s) = h(log L_un) in s = log L_dn (see _g_shifted), started
+    beyond the root so that convexity brings it in from one side; the
+    inclusive bracket [lo, hi] takes the midpoint whenever round-off throws
+    a Newton point out of it.
     """
     if lun <= 0.0:
         raise ValueError("normal pseudo-Mach number must be positive")
-    if lun == 1.0:
-        return 1.0
     if abs(lun - 1.0) < SONIC_WINDOW:
         # tangent slope -1 at the sonic point plus the quadratic term of the
         # nontrivial branch: L_dn = 1 - d + (5g-3)/(3(g+1)) d^2 + O(d^3)
         d = lun - 1.0
         return 1.0 - d + (5.0 * gamma - 3.0) / (3.0 * (gamma + 1.0)) * d * d
 
-    target = g_value(gamma, lun)
+    try:
+        target = _g_shifted(gamma, math.log(lun))[0]
+    except OverflowError as exc:
+        raise ShockSolveError(f"g overflows at L_un = {lun}, gamma = {gamma}") from exc
     if lun > 1.0:
-        # root in (0, 1) where g is decreasing
-        lo, hi = math.log(1e-250), math.log(1.0 - 1e-14)
-        with np.errstate(over="ignore"):
-            flo = g_value(gamma, math.exp(lo)) - target
-        if not flo > 0.0:
-            raise ArithmeticError("bracket failure on (0, 1)")
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if g_value(gamma, math.exp(mid)) - target > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        y = math.exp(0.5 * (lo + hi))
+        # root s < 0, above lo since h >= 2/(gamma-1) expm1(-k s) (-2s at
+        # gamma = 1); the map is convex with slope -1 at the sonic point, so
+        # L_dn >= 2 - L_un starts Newton closer
+        if gamma - 1.0 < ISOTHERMAL_EPS:
+            lo = -0.5 * target
+        else:
+            lo = -math.log1p(0.5 * (gamma - 1.0) * target) * (gamma + 1.0) / (2.0 * (gamma - 1.0))
+        hi = 0.0
+        s = max(lo, math.log(2.0 - lun)) if lun < 2.0 else lo
     else:
-        # root in (1, inf) where g is increasing
-        lo = math.log(1.0 + 1e-14)
-        hi = math.log(2.0)
-        while g_value(gamma, math.exp(hi)) < target:
-            hi *= 2.0
-            if hi > 800.0:
-                raise ArithmeticError("bracket failure on (1, inf)")
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if g_value(gamma, math.exp(mid)) - target < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        y = math.exp(0.5 * (lo + hi))
-
-    for _ in range(8):
-        dg = g_prime(gamma, y)
-        if dg == 0.0:
+        # root s > 0, below hi since h >= exp(m s) - m s with m = 4/(gamma+1);
+        # h >= 1 + (m s)^2 / 2 starts Newton closer
+        m = 4.0 / (gamma + 1.0)
+        lo, hi = 0.0, math.log(2.0 * target) / m
+        s = min(hi, math.sqrt(2.0 * (target - 1.0)) / m)
+    for _ in range(64):
+        h, dh = _g_shifted(gamma, s)
+        f = h - target
+        if (f > 0.0) == (lun > 1.0):
+            lo = s
+        else:
+            hi = s
+        new = s - f / dh
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        # a residual of a few ulps of the target is round-off: take that
+        # last step and stop
+        if abs(f) <= 4e-15 * target or abs(new - s) <= 4e-16 * abs(s):
             break
-        step = (g_value(gamma, y) - target) / dg
-        y_new = y - step
-        if y_new <= 0.0 or (lun > 1.0) != (y_new < 1.0):
-            break
-        y = y_new
-        if abs(step) < 1e-15 * y:
-            break
-    return y
+        s = new
+    else:
+        raise ShockSolveError(f"normal-shock solve at L_un = {lun} did not converge in 64 steps")
+    ldn = math.exp(new)
+    if ldn < sys.float_info.min:
+        raise ShockSolveError(f"L_dn = exp({new}) underflows at L_un = {lun}, gamma = {gamma}")
+    return ldn
 
 
 def jump_state(model: GasModel, rho_u: float, c_u: float, lun: float, *, require_admissible=True):
@@ -293,20 +304,11 @@ class PolarSample:
 
 
 def polar_beta_max(model: GasModel, upstream: FlowState, xi) -> float:
-    """Largest |beta| with an admissible shock: L_un(beta) = 1, by bisection."""
-    xi = np.asarray(xi, dtype=float)
-    z_u = upstream.v - xi
-    zmag = float(np.hypot(*z_u))
+    """Largest |beta| with an admissible shock: L_un(beta) = 1, acos(c_u / |z_u|)."""
+    zmag = float(np.hypot(*(upstream.v - np.asarray(xi, dtype=float))))
     if zmag <= upstream.c:
         raise NoPolarError(f"|z_u| = {zmag} <= c_u = {upstream.c}: no polar at this point")
-    lo, hi = 0.0, 0.5 * math.pi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if zmag * math.cos(mid) / upstream.c >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.acos(upstream.c / zmag)
 
 
 def shock_polar(model: GasModel, upstream: FlowState, xi, beta_grid) -> list[PolarSample]:
@@ -359,16 +361,6 @@ class DeflectionSolutions:
         return self.strong.downstream_mach > 1.0
 
 
-def _steady_deflection(model: GasModel, upstream: FlowState, beta: float) -> float:
-    """Counterclockwise turning angle of the velocity across a steady shock."""
-    vhat = upstream.v / np.hypot(*upstream.v)
-    cb, sb = math.cos(beta), math.sin(beta)
-    n = np.array([cb * vhat[0] - sb * vhat[1], sb * vhat[0] + cb * vhat[1]])
-    sol = resolve_oblique(model, upstream, np.zeros(2), n)
-    v_d = sol.downstream.v
-    return math.atan2(cross2(upstream.v, v_d), float(upstream.v @ v_d))
-
-
 def _resolve_steady_beta(model: GasModel, upstream: FlowState, beta: float) -> ShockSolution:
     vhat = upstream.v / np.hypot(*upstream.v)
     cb, sb = math.cos(beta), math.sin(beta)
@@ -376,8 +368,15 @@ def _resolve_steady_beta(model: GasModel, upstream: FlowState, beta: float) -> S
     return resolve_oblique(model, upstream, np.zeros(2), n)
 
 
-def critical_angle(model: GasModel, upstream: FlowState) -> float:
-    """Largest deflection with an attached steady shock (weak = strong there)."""
+def _steady_deflection(model: GasModel, upstream: FlowState, beta: float) -> float:
+    """Counterclockwise turning angle of the velocity across a steady shock."""
+    v_d = _resolve_steady_beta(model, upstream, beta).downstream.v
+    return math.atan2(cross2(upstream.v, v_d), float(upstream.v @ v_d))
+
+
+def _max_deflection(model: GasModel, upstream: FlowState):
+    """(beta_max, beta_star, tau_star): the polar edge, and the normal angle
+    and value of the largest steady deflection."""
     if upstream.mach <= 1.0:
         raise NoAttachedShock(f"M_u = {upstream.mach} <= 1")
     beta_max = polar_beta_max(model, upstream, np.zeros(2))
@@ -387,7 +386,12 @@ def critical_angle(model: GasModel, upstream: FlowState) -> float:
         method="bounded",
         options={"xatol": 1e-13},
     )
-    return -float(res.fun)
+    return beta_max, float(res.x), -float(res.fun)
+
+
+def critical_angle(model: GasModel, upstream: FlowState) -> float:
+    """Largest deflection with an attached steady shock (weak = strong there)."""
+    return _max_deflection(model, upstream)[2]
 
 
 def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
@@ -396,18 +400,9 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
     Returns None above the critical angle.  Downstream-sonic classification
     is available on the result.  The expansion branch is never returned.
     """
-    if upstream.mach <= 1.0:
-        raise NoAttachedShock(f"M_u = {upstream.mach} <= 1")
     if not 0.0 <= tau < 0.5 * math.pi:
         raise ValueError(f"deflection angle must lie in [0, pi/2), got {tau}")
-    beta_max = polar_beta_max(model, upstream, np.zeros(2))
-    res = minimize_scalar(
-        lambda b: -_steady_deflection(model, upstream, b),
-        bounds=(-beta_max, 0.0),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    beta_star, tau_star = float(res.x), -float(res.fun)
+    beta_max, beta_star, tau_star = _max_deflection(model, upstream)
     if tau > tau_star:
         return None
     if tau == 0.0:
@@ -435,8 +430,7 @@ def horizontal_downstream_shock(model: GasModel, upstream: FlowState, beta: floa
     """Shock through (0, eta) with downstream normal (sin b, -cos b) and v_d^y = 0.
 
     Upstream velocity must be (0, v_uy) with v_uy < 0.  Returns the unique
-    height eta_0 and the resolved shock there.  v_d^y is strictly increasing
-    in eta, so a bracketed root solve is safe.
+    height eta_0 = v_uy + L_un c_u / cos(b) and the resolved shock there.
     """
     if abs(upstream.v[0]) > 1e-14 * max(1.0, abs(upstream.v[1])):
         raise ValueError("upstream velocity must be vertical, (0, v_uy)")
@@ -445,21 +439,20 @@ def horizontal_downstream_shock(model: GasModel, upstream: FlowState, beta: floa
         raise ValueError("upstream vertical velocity must be negative")
     if not -0.5 * math.pi < beta < 0.5 * math.pi:
         raise ValueError(f"beta must lie in (-pi/2, pi/2), got {beta}")
-    n = np.array([math.sin(beta), -math.cos(beta)])
+    # v_d^y = 0 is the normal velocity jump z_un - z_dn = -v_uy / cos(b); in
+    # units of c_u, L_un - L_dn c_d / c_u = J.  The left side rises from 0 at
+    # L_un = 1 with slope above 2/(gamma+1) (ShockSensitivities), so the root
+    # lies in [1, 1 + (gamma+1) J / 2]
+    cos_b = math.cos(beta)
+    jump = -vuy / (upstream.c * cos_b)
 
-    def vdy(eta):
-        sol = resolve_oblique(model, upstream, np.array([0.0, eta]), n)
-        return float(sol.downstream.v[1])
+    def excess(lun):
+        ldn = downstream_normal_mach(model.gamma, lun)
+        return lun - ldn * _jump_ratios(model.gamma, 1.0, 1.0, lun, ldn)[1] - jump
 
-    lo = vuy + upstream.c / math.cos(beta)  # L_un = 1 there, v_d^y = v_uy < 0
-    step = upstream.c / math.cos(beta)
-    hi = lo + step
-    while vdy(hi) <= 0.0:
-        step *= 2.0
-        hi = lo + step
-        if step > 1e12 * upstream.c:
-            raise ArithmeticError("failed to bracket v_d^y = 0")
-    eta0 = brentq(vdy, lo + 1e-15 * abs(lo), hi, xtol=1e-15, rtol=8.9e-16)
+    lun = brentq(excess, 1.0, 1.0 + 0.5 * (model.gamma + 1.0) * jump, xtol=1e-15, rtol=8.9e-16)
+    eta0 = vuy + lun * upstream.c / cos_b
+    n = np.array([math.sin(beta), -cos_b])
     return eta0, resolve_oblique(model, upstream, np.array([0.0, eta0]), n)
 
 

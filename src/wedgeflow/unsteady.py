@@ -96,14 +96,14 @@ def total_mass(grid: Grid, state: SimState) -> float:
 
 
 def _pad(arr, left, top, bottom_mirror_sign):
-    """One ghost layer: zero-gradient right, mirror bottom.
+    """One ghost layer: Dirichlet left, zero-gradient right, mirror bottom.
 
-    left/top = None copies the edge (outflow); otherwise Dirichlet.
+    top = None copies the edge (outflow); otherwise Dirichlet.
     """
     ny, nx = arr.shape
     out = np.empty((ny + 2, nx + 2))
     out[1:-1, 1:-1] = arr
-    out[1:-1, 0] = arr[:, 0] if left is None else left
+    out[1:-1, 0] = left
     out[1:-1, -1] = arr[:, -1]
     out[-1, 1:-1] = arr[-1, :] if top is None else top
     out[0, 1:-1] = bottom_mirror_sign * arr[0, :]
@@ -207,12 +207,11 @@ def step(
     cfl: float = CFL_DEFAULT,
     return_diag: bool = False,
     top_bc: str = "inflow",
-    left_bc: str = "inflow",
 ):
     """One explicit finite-volume update.  dt=None chooses the CFL step.
 
-    top_bc/left_bc are "inflow" (upstream Dirichlet, the wedge-problem
-    default) or "outflow" (zero gradient, for quasi-1D test strips).
+    The left boundary is upstream inflow; top_bc is "inflow" too (the
+    wedge-problem default) or "outflow" (zero gradient, for quasi-1D test strips).
     """
     solid = grid._solid
     fluid = ~solid
@@ -222,10 +221,9 @@ def step(
     grid._ghosts.fill(rho_g, vx_g, vy_g)
 
     top_in = top_bc == "inflow"
-    left_in = left_bc == "inflow"
-    rho_p = _pad(rho_g, upstream.rho if left_in else None, upstream.rho if top_in else None, 1.0)
-    vx_p = _pad(vx_g, upstream.v[0] if left_in else None, upstream.v[0] if top_in else None, 1.0)
-    vy_p = _pad(vy_g, upstream.v[1] if left_in else None, upstream.v[1] if top_in else None, -1.0)
+    rho_p = _pad(rho_g, upstream.rho, upstream.rho if top_in else None, 1.0)
+    vx_p = _pad(vx_g, upstream.v[0], upstream.v[0] if top_in else None, 1.0)
+    vy_p = _pad(vy_g, upstream.v[1], upstream.v[1] if top_in else None, -1.0)
     # the gas closures, once per padded cell; B is the Bernoulli flux |v|^2/2 + pi
     c_p = np.asarray(model.sound_speed(rho_p))
     B_p = 0.5 * (vx_p**2 + vy_p**2) + pi_of_rho(model, rho_p)

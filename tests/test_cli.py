@@ -122,6 +122,15 @@ class TestDispatch:
         )
         assert code == 2
 
+    def test_pattern_gamma_5(self, tmp_path, capsys):
+        # gamma = 5 is above 4.22, where g(1e-250) overflows
+        code = dispatch(
+            ["pattern", "--config", self._cfg_file(tmp_path, CASE12 + "gamma = 5\n"),
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert "separation" in capsys.readouterr().out
+
     def test_pattern_command(self, tmp_path, capsys):
         code = dispatch(
             ["pattern", "--config", self._cfg_file(tmp_path, CASE12), "--out", str(tmp_path)]
@@ -179,7 +188,7 @@ class TestDispatch:
 
 class TestErrorContract:
     def test_every_package_error_derives_from_wedge_error(self):
-        assert len(PACKAGE_ERRORS) == 17
+        assert len(PACKAGE_ERRORS) == 18
         for exc_type in PACKAGE_ERRORS:
             assert issubclass(exc_type, wedgeflow.WedgeError)
 
@@ -222,6 +231,10 @@ class TestErrorContract:
             ("sweep", "lattice_list = 48, 2", "lattice_list"),
             ("simulate", "grid_n = 40\nbox_y_max = 0.01", "box_y_max"),
             ("simulate", "box_x_max = -1", "box_x_max"),
+            ("elliptic", "epsilon = 0", "epsilon"),
+            ("verify", "epsilon = 0", "epsilon"),
+            ("sweep", "eps_list = 0.04 0", "eps_list"),
+            ("sweep", "eps_list = 0.5", "eps_list"),
         ],
     )
     def test_config_range_exit_2(self, command, lines, key, tmp_path, capsys):
@@ -232,6 +245,25 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert key in err
+
+    @pytest.mark.parametrize(
+        "command, lines, name",
+        [
+            # above the critical angle of M_I = 2.94 at gamma = 10
+            ("pattern", "gamma = 10", "NoAttachedShock"),
+            # below the 4.19 degree critical angle, but no tilt of the shock
+            # family meets the wedge tip
+            ("elliptic", "M_I = 1.2\ntau_deg = 3", "GeometryError"),
+        ],
+    )
+    def test_solver_failure_exit_1(self, command, lines, name, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12 + lines + "\n")
+        code = dispatch([command, "--config", str(f), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert name in err
 
     def test_grid_n_zero_exit_2(self, tmp_path, capsys):
         f = tmp_path / "wedge.cfg"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wedgeflow.gas import (
     GasModel,
@@ -11,10 +12,12 @@ from wedgeflow.gas import (
     density_sound_pseudo_mach,
 )
 from wedgeflow.shocks import (
+    SONIC_WINDOW,
     InadmissibleShock,
     NoAttachedShock,
     NoPolarError,
     NoSonicIntersection,
+    ShockSolveError,
     WrongSideError,
     critical_angle,
     deflection_solutions,
@@ -141,6 +144,55 @@ class TestDownstreamNormalMach:
     def test_near_sonic_tangent(self):
         for lun in (1 + 1e-10, 1 - 1e-10, 1 + 5e-10):
             assert downstream_normal_mach(1.4, lun) == pytest.approx(2.0 - lun, abs=1e-13)
+
+    @pytest.mark.parametrize("gamma", [5.0, 10.0])
+    def test_gamma_above_4_22(self, gamma):
+        # g(1e-250) overflows once gamma > 4.22
+        ldn = downstream_normal_mach(gamma, 2.0)
+        assert abs(g_value(gamma, 2.0) - g_value(gamma, ldn)) < 1e-10 * g_value(gamma, 2.0)
+        assert abs(downstream_normal_mach(gamma, ldn) - 2.0) < 1e-8
+
+    @pytest.mark.parametrize("lun", [41.0, 1e200])
+    def test_unrepresentable_root_is_typed(self, lun):
+        # on the isothermal branch L_dn underflows at 41, g overflows at 1e200
+        assert issubclass(ShockSolveError, ArithmeticError)
+        with pytest.raises(ShockSolveError):
+            downstream_normal_mach(1.0, lun)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 3.0])
+    def test_continuous_across_sonic_window(self, gamma):
+        # the series branch inside the window against the root solve outside
+        for side in (1.0, -1.0):
+            inside = downstream_normal_mach(gamma, 1.0 + side * SONIC_WINDOW * (1.0 - 1e-9))
+            outside = downstream_normal_mach(gamma, 1.0 + side * SONIC_WINDOW * (1.0 + 1e-9))
+            assert abs(inside - outside) <= 4e-11
+
+
+GAMMA_RANGE = st.floats(1.0, 10.0)
+# an admissible L_un, or its reciprocal on the expansion side of the map
+L_RANGE = st.builds(
+    lambda lun, inverse: 1.0 / lun if inverse else lun, st.floats(1.0 + 1e-5, 30.0), st.booleans()
+)
+
+
+class TestShockMapProperties:
+    @given(GAMMA_RANGE, L_RANGE)
+    def test_self_inverse(self, gamma, lun):
+        ldn = downstream_normal_mach(gamma, lun)
+        assert (ldn < 1.0) == (lun > 1.0)
+        assert downstream_normal_mach(gamma, ldn) == pytest.approx(lun, rel=1e-8)
+
+    @given(GAMMA_RANGE, st.floats(1.0 + 1e-5, 29.0), st.floats(1e-9, 1.0))
+    def test_strictly_decreasing(self, gamma, a, gap):
+        b = a + gap * (30.0 - a)
+        assert downstream_normal_mach(gamma, b) < downstream_normal_mach(gamma, a)
+        assert downstream_normal_mach(gamma, 1.0 / a) < downstream_normal_mach(gamma, 1.0 / b)
+
+    @given(GAMMA_RANGE, L_RANGE)
+    def test_mass_flux_identity(self, gamma, lun):
+        ldn = downstream_normal_mach(gamma, lun)
+        rho_d, c_d = jump_state(GasModel(gamma=gamma), 1.2, 0.8, lun, require_admissible=False)
+        assert rho_d * ldn * c_d == pytest.approx(1.2 * lun * 0.8, rel=1e-10)
 
 
 class TestJumpState:
