@@ -116,6 +116,7 @@ _RANGES = {
     "quad_n": (2, math.inf),
     "grid_n": (4, math.inf),
     "sample_nx": (2, math.inf),
+    "polar_n": (2, math.inf),
     "snapshot_every": (0, math.inf),
 }
 

@@ -555,24 +555,27 @@ def solve_fixed_boundary(
     mapping: GridMapping,
     psi_old: np.ndarray,
     config: EllipticConfig,
-    psi_init: np.ndarray | None = None,
+    lu=None,
 ):
     """Chord-Newton solve of the split problem with coefficients frozen at psi_old.
 
-    The Jacobian is assembled by grouped finite differences (_jacobian) and
-    factored once per call; later steps reuse that factorization (the chord
-    method) and refresh it at the current iterate only when a step shrinks
-    by less than CHORD_CONTRACTION against the previous step made with the
-    same factorization.  The solve stops when a step falls below tol_inner
-    relative to the potential scale; a residual above 4x its best value on
-    5 consecutive steps, or above 1e3 tol_inner after MAX_NEWTON steps,
-    raises InnerSolveError.  The returned state must keep the frozen
-    coefficients elliptic at every interior node (EllipticityLost otherwise).
+    Newton starts from psi_old.  Its steps reuse one factorization of the
+    Jacobian (the chord method): lu when given, such as the one an earlier
+    call returned on a nearby mapping, else one of the grouped
+    finite-difference Jacobian (_jacobian).  That is refactored at the
+    current iterate when a step shrinks by less than CHORD_CONTRACTION
+    against the previous step of this call made with the same factorization.
+    The solve stops when a step falls below tol_inner relative to the
+    potential scale; a residual above 4x its best value on 5 consecutive
+    steps, or above 1e3 tol_inner after MAX_NEWTON steps, raises
+    InnerSolveError.  The returned state must keep the frozen coefficients
+    elliptic at every interior node (EllipticityLost otherwise).  Returns
+    (psi, lu), with lu None when the last step asked for a refresh.
     """
     model = pattern.config.model
     chi_old = psi_old - 0.5 * (mapping.xi**2 + mapping.eta**2)
 
-    psi = psi_old.copy() if psi_init is None else psi_init.copy()
+    psi = psi_old.copy()
     scale = pattern.state_R.c * max(1.0, np.max(np.abs(psi)))
     delta_fd = 1e-7 * scale
 
@@ -582,7 +585,7 @@ def solve_fixed_boundary(
     F = resid(psi)
     best = np.max(np.abs(F))
     growth = 0
-    lu = None
+    upd_prev = math.inf
     for _ in range(MAX_NEWTON):
         if lu is None:
             try:
@@ -623,7 +626,7 @@ def solve_fixed_boundary(
             f"frozen coefficients lost ellipticity at node (sigma={mapping.sig[i+1]:.3f}, "
             f"zeta={mapping.zet[j+1]:.3f})"
         )
-    return psi
+    return psi, lu
 
 
 def update_shock(pattern: WavePattern, mapping: GridMapping, psi_hat: np.ndarray) -> ShockCurve:
@@ -659,7 +662,11 @@ def iterate(
     config: EllipticConfig | None = None,
     shock0: ShockCurve | None = None,
 ) -> EllipticSolution:
-    """Alternate fixed-boundary solves and shock updates until residuals settle."""
+    """Alternate fixed-boundary solves and shock updates until residuals settle.
+
+    The mapping changes little between outer iterations, so each solve
+    starts from the factorization the previous one returned.
+    """
     config = config or EllipticConfig()
     if pattern.epsilon <= 0.0:
         raise ValueError("the free-boundary solve needs epsilon > 0")
@@ -669,9 +676,10 @@ def iterate(
     history = []
     converged = False
     r_r = pattern.arc_R.radius
+    lu = None
 
     for outer in range(config.max_outer):
-        psi_hat = solve_fixed_boundary(pattern, mapping, psi, config, psi_init=psi)
+        psi_hat, lu = solve_fixed_boundary(pattern, mapping, psi, config, lu)
         s_target = update_shock(pattern, mapping, psi_hat)
         ds = s_target.s - shock.s
         s_relaxed = shock.s + config.omega_relax * ds

@@ -56,7 +56,7 @@ class NoSonicIntersection(WedgeError, ValueError):
 
 
 class ShockSolveError(WedgeError, ArithmeticError):
-    """The normal-shock relation has no root the solve reaches or can represent."""
+    """A shock relation has no root the solve reaches or can represent."""
 
 
 def perp(w):
@@ -417,6 +417,11 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
         b_weak = b_strong = beta_star
     else:
         b_weak = brentq(f, -beta_max, beta_star, xtol=1e-14)
+        if f(-1e-15) > 0.0:  # at very large M_u the strong root is within 1e-15 of normal
+            raise ShockSolveError(
+                f"no strong-branch root below beta = -1e-15 at M_u = {upstream.mach:.6g}, "
+                f"tau = {tau:.6g}"
+            )
         b_strong = brentq(f, beta_star, -1e-15, xtol=1e-14)
     return DeflectionSolutions(
         weak=_resolve_steady_beta(model, upstream, b_weak),

@@ -1,5 +1,8 @@
+import math
 import tempfile
+import time
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -13,3 +16,23 @@ settings.load_profile("wedgeflow")
 # checkout
 _HOME = tempfile.TemporaryDirectory(prefix="wedgeflow-hypothesis-")
 set_hypothesis_home_dir(_HOME.name)
+
+
+@pytest.fixture(scope="session")
+def desk_march():
+    """The desk problem (M_I 2.94, tau 10 deg, eps 0.01) marched at grid_n 400
+    to t = 1, and the wall time of that march in seconds.
+
+    The acceptance run and the cross-validation both read this one run; they
+    must not modify it.
+    """
+    from wedgeflow.gas import GasModel
+    from wedgeflow.pattern import ProblemConfig
+    from wedgeflow.unsteady import UnsteadyConfig, run
+
+    problem = ProblemConfig(
+        model=GasModel(gamma=1.4), M_I=2.94, tau=math.radians(10.0), epsilon=0.01
+    )
+    t0 = time.perf_counter()
+    res = run(UnsteadyConfig(problem=problem, grid_n=400, t_final=1.0))
+    return res, time.perf_counter() - t0

@@ -235,6 +235,8 @@ class TestErrorContract:
             ("verify", "epsilon = 0", "epsilon"),
             ("sweep", "eps_list = 0.04 0", "eps_list"),
             ("sweep", "eps_list = 0.5", "eps_list"),
+            ("polar", "polar_n = 0", "polar_n"),
+            ("polar", "polar_n = 1", "polar_n"),
         ],
     )
     def test_config_range_exit_2(self, command, lines, key, tmp_path, capsys):
@@ -254,6 +256,8 @@ class TestErrorContract:
             # below the 4.19 degree critical angle, but no tilt of the shock
             # family meets the wedge tip
             ("elliptic", "M_I = 1.2\ntau_deg = 3", "GeometryError"),
+            # the strong steady root lies within 1e-15 rad of the normal shock
+            ("pattern", "M_I = 1e4", "ShockSolveError"),
         ],
     )
     def test_solver_failure_exit_1(self, command, lines, name, tmp_path, capsys):

@@ -14,7 +14,6 @@ from scipy.interpolate import RegularGridInterpolator
 
 from wedgeflow.gas import GasModel
 from wedgeflow.pattern import ProblemConfig, build, picture_map
-from wedgeflow.unsteady import UnsteadyConfig, run
 from wedgeflow.elliptic import EllipticConfig, iterate
 from wedgeflow.diagnostics import CompositeField
 
@@ -22,9 +21,9 @@ AIR = GasModel(gamma=1.4)
 
 
 @pytest.mark.slow
-def test_unsteady_and_elliptic_agree_in_the_lens():
+def test_unsteady_and_elliptic_agree_in_the_lens(desk_march):
     prob = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
-    res = run(UnsteadyConfig(problem=prob, grid_n=400, t_final=1.0))
+    res, _ = desk_march  # the same problem marched at grid_n 400 to t = 1
     sol = iterate(build(prob), EllipticConfig(n_sigma=64, n_zeta=64))
     assert sol.converged
 

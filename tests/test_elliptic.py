@@ -52,6 +52,20 @@ def case12_solution(case12_pattern):
     return iterate(case12_pattern, EllipticConfig(n_sigma=48, n_zeta=48))
 
 
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """A list that gains one entry per elliptic.splu call."""
+    calls = []
+    real_splu = elliptic.splu
+
+    def counting_splu(*args):
+        calls.append(1)
+        return real_splu(*args)
+
+    monkeypatch.setattr(elliptic, "splu", counting_splu)
+    return calls
+
+
 class TestMapping:
     def test_wall_row_exactly_on_axis(self, case12_pattern):
         m = build_mapping(case12_pattern, chord_shock(case12_pattern, 32), 32, 24)
@@ -209,28 +223,36 @@ class TestInnerSolve:
         cfg = EllipticConfig(n_sigma=32, n_zeta=32)
         m = build_mapping(p, chord_shock(p, 32), 32, 32)
         psi0 = initial_guess(p, m)
-        psi_hat = solve_fixed_boundary(p, m, psi0, cfg)
+        psi_hat, _ = solve_fixed_boundary(p, m, psi0, cfg)
         assert np.max(np.abs(psi_hat - psi0)) < 1e-8
 
-    def test_chord_newton_reuses_the_factorization(self, case12_pattern, monkeypatch):
+    def test_chord_newton_reuses_the_factorization(self, case12_pattern, splu_calls):
         # a first outer iteration, from the initial guess
         p = case12_pattern
         cfg = EllipticConfig(n_sigma=24, n_zeta=24)
         m = build_mapping(p, chord_shock(p, 24), 24, 24)
         psi0 = initial_guess(p, m)
-        calls = []
-        real_splu = elliptic.splu
-
-        def counting_splu(*args):
-            calls.append(1)
-            return real_splu(*args)
-
-        monkeypatch.setattr(elliptic, "splu", counting_splu)
-        psi = solve_fixed_boundary(p, m, psi0, cfg)
-        assert 1 <= len(calls) <= 2
+        psi, _ = solve_fixed_boundary(p, m, psi0, cfg)
+        assert 1 <= len(splu_calls) <= 2
         chi_old = psi0 - 0.5 * (m.xi**2 + m.eta**2)
         F = elliptic._residual(p.config.model, p, m, chi_old, psi)
         assert np.max(np.abs(F)) < cfg.tol_inner
+
+    def test_stale_factorization_converges_to_the_fresh_solution(self, case12_pattern):
+        # a factorization carried from the chord-shock mapping, used on a
+        # mapping whose shock sits a few percent of r_R higher
+        p = case12_pattern
+        cfg = EllipticConfig(n_sigma=24, n_zeta=24)
+        chord = chord_shock(p, 24)
+        m0 = build_mapping(p, chord, 24, 24)
+        _, lu = solve_fixed_boundary(p, m0, initial_guess(p, m0), cfg)
+        assert lu is not None
+        m = build_mapping(p, chord.bumped(0.03 * p.arc_R.radius), 24, 24)
+        psi0 = initial_guess(p, m)
+        fresh, _ = solve_fixed_boundary(p, m, psi0, cfg)
+        stale, _ = solve_fixed_boundary(p, m, psi0, cfg, lu)
+        scale = p.state_R.c * max(1.0, np.max(np.abs(fresh)))
+        assert np.max(np.abs(stale - fresh)) < 1e-9 * scale
 
     def test_wall_rows_exact_in_discrete_stencil(self, case12_solution):
         sol = case12_solution
@@ -274,7 +296,7 @@ class TestShockUpdate:
         cfg = EllipticConfig(n_sigma=24, n_zeta=24)
         sh = chord_shock(p, 24)
         m = build_mapping(p, sh, 24, 24)
-        psi_hat = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
+        psi_hat, _ = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
         s_new = update_shock(p, m, psi_hat)
         assert np.max(np.abs(s_new.s - sh.s)) < 1e-10
 
@@ -282,7 +304,7 @@ class TestShockUpdate:
         p = case12_pattern
         cfg = EllipticConfig(n_sigma=24, n_zeta=24)
         m = build_mapping(p, chord_shock(p, 24), 24, 24)
-        psi_hat = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
+        psi_hat, _ = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
         s_new = update_shock(p, m, psi_hat)
         psi_I, a0 = constant_state_potential(AIR, p.state_I.rho, p.state_I.v)
         v_iy = p.state_I.v[1]
@@ -305,6 +327,11 @@ class TestIterate:
         sol = iterate(p, cfg, shock0=bumped)
         assert sol.converged
         assert np.max(np.abs(sol.shock.s - p.eta_R_star)) < 1e-6
+
+    def test_factorization_carried_across_outer_iterations(self, case12_pattern, splu_calls):
+        sol = iterate(case12_pattern, EllipticConfig(n_sigma=48, n_zeta=48))
+        assert sol.converged
+        assert len(splu_calls) <= 3
 
     def test_case12_converges_with_structure(self, case12_solution, case12_pattern):
         sol, p = case12_solution, case12_pattern
