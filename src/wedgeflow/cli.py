@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,6 @@ from .pattern import ProblemConfig, build
 from .shocks import critical_angle, deflection_solutions, shock_polar
 from . import unsteady as unsteady_mod
 from .unsteady import UnsteadyConfig
-from .elliptic import EllipticConfig, export_solution_csv, iterate
-from . import diagnostics as diag_mod
 
 
 class ConfigError(WedgeError, ValueError):
@@ -86,7 +84,9 @@ class RunConfig:
             epsilon=self.epsilon,
         )
 
-    def elliptic(self) -> EllipticConfig:
+    def elliptic(self):
+        from .elliptic import EllipticConfig  # loads scipy: imported where used
+
         if self.epsilon <= 0.0:
             raise ConfigError(f"epsilon = {self.epsilon}: the elliptic solve needs epsilon > 0")
         return EllipticConfig(
@@ -322,6 +322,8 @@ def write_field_raw(grid, state, path):
 
 
 def cmd_elliptic(cfg: RunConfig, out: Path, strict: bool) -> int:
+    from .elliptic import export_solution_csv, iterate
+
     pat = build(cfg.problem())
     sol = iterate(pat, cfg.elliptic())
     export_solution_csv(
@@ -335,17 +337,20 @@ def cmd_elliptic(cfg: RunConfig, out: Path, strict: bool) -> int:
     return 0 if sol.converged else 1
 
 
-def run_checks(sol, quad_n):
-    checks = []
-    checks += diag_mod.ellipticity_report(sol)
-    c, _ = diag_mod.density_extrema(sol)
-    checks += c
+def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
+    from . import diagnostics as diag_mod
+    from .elliptic import iterate
+
+    pat = build(cfg.problem())
+    sol = iterate(pat, cfg.elliptic())
+    if not sol.converged:
+        print("verify: elliptic solve did not converge")
+        return 1
+    checks = diag_mod.ellipticity_report(sol) + diag_mod.density_extrema(sol)[0]
     checks += diag_mod.velocity_and_normal_ranges(sol)
     for side in ("L", "R"):
-        _, arc_checks = diag_mod.arc_profile(sol, side)
-        checks += arc_checks
-    comp = diag_mod.CompositeField(sol)
-    wr = diag_mod.weak_residual(comp, quad_n=quad_n)
+        checks += diag_mod.arc_profile(sol, side)[1]
+    wr = diag_mod.weak_residual(diag_mod.CompositeField(sol), quad_n=cfg.quad_n)
     checks.append(
         diag_mod.CheckResult(
             name="weak_residual_battery_max",
@@ -355,16 +360,6 @@ def run_checks(sol, quad_n):
             note=f"{len(wr['values'])} bumps, informational at fixed epsilon",
         )
     )
-    return checks
-
-
-def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
-    pat = build(cfg.problem())
-    sol = iterate(pat, cfg.elliptic())
-    if not sol.converged:
-        print("verify: elliptic solve did not converge")
-        return 1
-    checks = run_checks(sol, cfg.quad_n)
     for c in checks:
         print(c.line())
     diag_mod.write_report_csv(checks, out / "verify_report.csv")
@@ -376,10 +371,11 @@ def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def _sweep_job(args):
+    from . import diagnostics as diag_mod
+    from .elliptic import export_solution_csv, iterate
+
     cfg_dict, eps, lattice, out_dir = args
-    cfg = RunConfig(**cfg_dict)
-    cfg.epsilon = eps
-    cfg.lattice_n = lattice
+    cfg = RunConfig(**{**cfg_dict, "epsilon": eps, "lattice_n": lattice})
     pat = build(cfg.problem())
     sol = iterate(pat, cfg.elliptic())
     export_solution_csv(
@@ -391,13 +387,13 @@ def _sweep_job(args):
     rec = sol.residual_history[-1]
     dl = float(np.hypot(*(sol.corner_L - pat.xi_L_star)))
     dr = float(np.hypot(*(sol.corner_R - pat.xi_R_star)))
-    comp = diag_mod.CompositeField(sol)
-    wr = diag_mod.weak_residual(comp, quad_n=cfg.quad_n)
+    wr = diag_mod.weak_residual(diag_mod.CompositeField(sol), quad_n=cfg.quad_n)
     return (eps, lattice, sol.converged, rec["combined"], dl, dr, wr["max"])
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
-    from dataclasses import asdict
+    # loaded before the pool starts, so that forked workers inherit them
+    from . import diagnostics, elliptic  # noqa: F401
 
     jobs = [
         (asdict(cfg), eps, lattice, str(out))

@@ -40,6 +40,7 @@ from scipy.sparse.linalg import splu
 
 from .gas import WedgeError, constant_state_potential, pi_inverse
 from .pattern import WavePattern, separation_check
+from .shocks import _bracketed_root
 
 ISO_EPS = 1e-12
 
@@ -356,23 +357,14 @@ def chord_shock(pattern: WavePattern, n_sigma: int) -> ShockCurve:
         return h00 * a[1] + h10 * dx * ma + h01 * b[1] + h11 * dx * mb
 
     heights = np.empty(n_sigma + 1)
-    for k, sv in enumerate(sig):
-        lo, hi = xa, xb
-        bb, u, R = arc_blend(sv, v_lx, r_l, r_r)
+    heights[0], heights[-1] = a[1], b[1]
+    for k in range(1, n_sigma):
+        bb, u, R = arc_blend(sig[k], v_lx, r_l, r_r)
 
         def f(x):
             return bb + u * math.sqrt(max(1.0 - (hermite(x) / R) ** 2, 0.0)) - x
 
-        flo = f(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if f(mid) * flo <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-                flo = f(lo)
-        heights[k] = hermite(0.5 * (lo + hi))
-    heights[0], heights[-1] = a[1], b[1]
+        heights[k] = hermite(_bracketed_root(f, xa, xb, xtol=1e-15))
     return ShockCurve(sigma=sig, s=heights)
 
 

@@ -19,12 +19,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .gas import GasModel, FlowState, WedgeError
 from .shocks import (
     NoAttachedShock,
     ShockSolution,
+    ShockSolveError,
+    _bracketed_root,
+    deflection_solutions,
     horizontal_downstream_shock,
     sonic_points,
 )
@@ -177,11 +179,6 @@ class WavePattern:
     def tip(self) -> np.ndarray:
         return np.array([-self.wall_speed, 0.0])
 
-    def shock_L_height(self, xi_x: float) -> float:
-        """Height of the (straight) L shock above abscissa xi_x."""
-        p = self.shock_L.point
-        return p[1] + (xi_x - p[0]) * math.tan(self.beta)
-
 
 def _sonic_pair(model, sol, epsilon):
     """Sonic points ordered left-to-right; the left one faces the wedge tip."""
@@ -218,7 +215,7 @@ def build(
     _, xi_R_star = _sonic_pair(model, shock_R, config.epsilon)
 
     if config.tau is not None and config.eta_L_star is None:
-        beta = _beta_from_tau(config, upstream, eta_R_star)
+        beta = _beta_from_tau(config, upstream)
         eta_L_star, eta0_L, shock_L = _eta_L_of_beta(config, upstream, beta)
         if eta_L_star <= 0.0:
             raise SupersonicityViolation(
@@ -231,7 +228,7 @@ def build(
             raise GeometryError(
                 f"eta_L_star must lie in (0, eta_R_star = {eta_R_star}], got {eta_L_star}"
             )
-        beta = _beta_from_eta_L(config, upstream, eta_L_star, eta_R_star, beta_hint)
+        beta = _beta_from_eta_L(config, upstream, eta_L_star, shock_R, beta_hint)
         eta_L_star, eta0_L, shock_L = _eta_L_of_beta(config, upstream, beta)
 
     xi_L_star, _ = _sonic_pair(model, shock_L, config.epsilon)
@@ -284,43 +281,39 @@ def build(
     return pattern
 
 
-def _beta_from_eta_L(config, upstream, target, eta_R_star, beta_hint=None):
-    """Tilt angle whose tip-side sonic point sits at the target height."""
-    if target >= eta_R_star:
+def _beta_from_eta_L(config, upstream, target, shock_R, beta_hint=None):
+    """Tilt angle whose tip-side sonic point sits at the target height.
+
+    That point lies at height c_d (L_dn cos b - sqrt(1 - eps - L_dn^2) sin b)
+    and L_dn falls from the R shock's as b grows, so the height is <= 0 from
+    tan b = L_dn / sqrt(1 - eps - L_dn^2) of the R shock on: the bracket's
+    top.  A hint narrows it to [0.8, 1.25] hint where that holds the root.
+    """
+    if target >= shock_R.point[1]:  # eta_R_star
         return 0.0
 
     def f(beta):
         return _eta_L_of_beta(config, upstream, beta)[0] - target
 
+    ldn = shock_R.ldn
+    top = math.atan2(ldn, math.sqrt(1.0 - config.epsilon - ldn * ldn))
     if beta_hint is not None and beta_hint > 1e-12:
-        lo, hi = 0.8 * beta_hint, min(1.25 * beta_hint, 0.5 * math.pi - 1e-9)
-        for _ in range(30):
-            flo, fhi = f(lo), f(hi)
-            if flo > 0.0 >= fhi:
-                return brentq(f, lo, hi, xtol=1e-14)
-            if flo <= 0.0:
-                lo *= 0.7
-            if fhi > 0.0:
-                hi = min(hi * 1.3, 0.5 * math.pi - 1e-9)
-    hi = 0.1
-    while f(hi) > 0.0:
-        hi = min(hi * 1.6, 0.5 * math.pi - 1e-9)
-        if hi >= 0.5 * math.pi - 1e-9 and f(hi) > 0.0:
-            raise GeometryError(f"no shock tilt reaches eta_L_star = {target}")
-    return brentq(f, 0.0, hi, xtol=1e-14)
+        try:
+            return _bracketed_root(f, 0.8 * beta_hint, min(1.25 * beta_hint, top), xtol=1e-14)
+        except ShockSolveError:
+            pass
+    return _bracketed_root(f, 0.0, top, xtol=1e-14)
 
 
-def _beta_from_tau(config, upstream, eta_R_star):
+def _beta_from_tau(config, upstream):
     """Tilt angle of the tip shock for the original wedge pair (M_I, tau).
 
     The tip shock is steady through the wedge tip with deflection tau: the
     weak branch of the deflection pair.  Its angle above the incoming
-    stream exceeds tau by exactly the tilt, which seeds a local polish of
-    the tip-incidence relation eta_0(b) = M_I c_I cos(tau) tan(b) so the
-    tilt is consistent with the shock-family solve.
+    stream exceeds tau by exactly the tilt beta0, which the solve of the
+    tip-incidence relation eta_0(b) = M_I c_I cos(tau) tan(b) on [beta0/2,
+    3 beta0/2] polishes so the tilt is consistent with the shock family.
     """
-    from .shocks import deflection_solutions
-
     model = config.model
     up_orig = FlowState.from_model(model, config.rho_I, (config.M_I * config.c_I, 0.0))
     sols = deflection_solutions(model, up_orig, config.tau)
@@ -340,15 +333,13 @@ def _beta_from_tau(config, upstream, eta_R_star):
         eta0, _ = horizontal_downstream_shock(config.model, upstream, beta)
         return eta0 - v_wall * math.tan(beta)
 
-    lo, hi = 0.5 * beta0, min(1.5 * beta0, 0.5 * math.pi - 1e-9)
-    for _ in range(40):
-        if f(lo) > 0.0 >= f(hi):
-            break
-        lo = 0.5 * lo
-        hi = min(1.2 * hi, 0.5 * math.pi - 1e-9)
-    else:
-        raise GeometryError(f"could not bracket the tip shock tilt near {beta0}")
-    return brentq(f, lo, hi, xtol=1e-14)
+    # eta_0 - v_wall tan(b) is positive at b = 0, falls through the tilt and
+    # rises again towards pi/2: a bracket reaching past the second root has
+    # no sign change
+    try:
+        return _bracketed_root(f, 0.5 * beta0, min(1.5 * beta0, 0.5 * math.pi - 1e-9), xtol=1e-14)
+    except ShockSolveError as exc:
+        raise GeometryError(f"could not bracket the tip shock tilt near {beta0}") from exc
 
 
 def _dist_point_segment(p, a, b) -> float:

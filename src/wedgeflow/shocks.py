@@ -25,7 +25,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .gas import ISOTHERMAL_EPS, GasModel, FlowState, WedgeError
 
@@ -57,6 +56,40 @@ class NoSonicIntersection(WedgeError, ValueError):
 
 class ShockSolveError(WedgeError, ArithmeticError):
     """A shock relation has no root the solve reaches or can represent."""
+
+
+def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] to xtol + 4 eps |x| by Chandrupatla's method (Adv.
+    Eng. Software 28, 1997): inverse quadratic interpolation through the
+    last three points where they allow it, bisection otherwise.  An end
+    where f vanishes is returned as is; a bracket without a sign change
+    raises ShockSolveError."""
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ShockSolveError(f"no sign change on [{a!r}, {b!r}]: f = {fa:.3g}, {fb:.3g}")
+    t = 0.5  # a is the newest point, b the end across the root, c the one dropped
+    for _ in range(100):
+        x = a + t * (b - a)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        best = a if abs(fa) < abs(fb) else b
+        tlim = (0.5 * xtol + 2.0 * sys.float_info.epsilon * abs(best)) / abs(b - a)
+        if tlim > 0.5:
+            return best
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        t = min(1.0 - tlim, max(tlim, t))
+    raise ShockSolveError(f"root solve on [{a!r}, {b!r}] did not converge in 100 steps")
 
 
 def perp(w):
@@ -196,7 +229,6 @@ class ShockSensitivities:
     dvdn_dsigma: float
     dvdn_dsigma_lower_bound: float
     drho_d_dsigma: float
-    drho_d_dsigma_sign: int
 
 
 def sensitivities(gamma: float, lun: float) -> ShockSensitivities:
@@ -219,7 +251,6 @@ def sensitivities(gamma: float, lun: float) -> ShockSensitivities:
         dvdn_dsigma=1.0 - dzdn,
         dvdn_dsigma_lower_bound=2.0 / (gamma + 1.0),
         drho_d_dsigma=-drho_dlun,
-        drho_d_dsigma_sign=-1,
     )
 
 
@@ -244,10 +275,6 @@ class ShockSolution:
     @property
     def admissible(self) -> bool:
         return self.lun >= 1.0
-
-    @property
-    def vanishing(self) -> bool:
-        return abs(self.lun - 1.0) < 1e-12
 
     @property
     def downstream_mach(self) -> float:
@@ -311,25 +338,24 @@ def polar_beta_max(model: GasModel, upstream: FlowState, xi) -> float:
     return math.acos(upstream.c / zmag)
 
 
-def shock_polar(model: GasModel, upstream: FlowState, xi, beta_grid) -> list[PolarSample]:
-    """Sample the downstream states over all admissible shock normals at xi.
-
-    beta_grid may be an integer sample count (symmetric grid over
-    [-beta_max, beta_max]) or an explicit array of angles.
-    """
+def _resolve_turned(model: GasModel, upstream: FlowState, beta: float, xi=(0.0, 0.0)):
+    """The shock through xi whose normal is z_u = v_u - xi turned by beta."""
     xi = np.asarray(xi, dtype=float)
-    beta_max = polar_beta_max(model, upstream, xi)
-    if np.isscalar(beta_grid) and not isinstance(beta_grid, np.ndarray):
-        betas = np.linspace(-beta_max, beta_max, int(beta_grid))
-    else:
-        betas = np.clip(np.asarray(beta_grid, dtype=float), -beta_max, beta_max)
     z_u = upstream.v - xi
     zhat = z_u / np.hypot(*z_u)
+    cb, sb = math.cos(beta), math.sin(beta)
+    n = np.array([cb * zhat[0] - sb * zhat[1], sb * zhat[0] + cb * zhat[1]])
+    return resolve_oblique(model, upstream, xi, n)
+
+
+def shock_polar(model: GasModel, upstream: FlowState, xi, n: int) -> list[PolarSample]:
+    """Downstream states at n shock normals evenly spread over the admissible
+    range [-beta_max, beta_max] at xi."""
+    xi = np.asarray(xi, dtype=float)
+    beta_max = polar_beta_max(model, upstream, xi)
     samples = []
-    for b in betas:
-        cb, sb = math.cos(b), math.sin(b)
-        n = np.array([cb * zhat[0] - sb * zhat[1], sb * zhat[0] + cb * zhat[1]])
-        sol = resolve_oblique(model, upstream, xi, n)
+    for b in np.linspace(-beta_max, beta_max, n):
+        sol = _resolve_turned(model, upstream, b, xi)
         z_d = sol.downstream.v - xi
         samples.append(
             PolarSample(
@@ -361,32 +387,40 @@ class DeflectionSolutions:
         return self.strong.downstream_mach > 1.0
 
 
-def _resolve_steady_beta(model: GasModel, upstream: FlowState, beta: float) -> ShockSolution:
-    vhat = upstream.v / np.hypot(*upstream.v)
-    cb, sb = math.cos(beta), math.sin(beta)
-    n = np.array([cb * vhat[0] - sb * vhat[1], sb * vhat[0] + cb * vhat[1]])
-    return resolve_oblique(model, upstream, np.zeros(2), n)
 
 
 def _steady_deflection(model: GasModel, upstream: FlowState, beta: float) -> float:
     """Counterclockwise turning angle of the velocity across a steady shock."""
-    v_d = _resolve_steady_beta(model, upstream, beta).downstream.v
+    v_d = _resolve_turned(model, upstream, beta).downstream.v
     return math.atan2(cross2(upstream.v, v_d), float(upstream.v @ v_d))
 
 
 def _max_deflection(model: GasModel, upstream: FlowState):
     """(beta_max, beta_star, tau_star): the polar edge, and the normal angle
-    and value of the largest steady deflection."""
+    and value of the largest steady deflection.
+
+    tau(b) = b - atan(q sin b / z_dn) with q = |v_u| and z_dn a function of
+    z_un = q cos b, so dtau/db = 1 - q (z_dn cos b + q sin^2 b F') / (z_dn^2
+    + q^2 sin^2 b), F' = dz_dn/dz_un: negative at b = 0, sin^2 b (1 - F') > 0
+    at the polar edge, where F' = (gamma - 3)/(gamma + 1).  beta_star is its
+    root.
+    """
     if upstream.mach <= 1.0:
         raise NoAttachedShock(f"M_u = {upstream.mach} <= 1")
     beta_max = polar_beta_max(model, upstream, np.zeros(2))
-    res = minimize_scalar(
-        lambda b: -_steady_deflection(model, upstream, b),
-        bounds=(-beta_max, 0.0),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return beta_max, float(res.x), -float(res.fun)
+    gamma, mach = model.gamma, upstream.mach
+
+    def dtau(b):  # z_dn in units of c_u
+        lun, ms = mach * math.cos(b), mach * math.sin(b)
+        if lun <= 1.0:
+            return 4.0 / (gamma + 1.0) * math.sin(b) ** 2
+        ldn = downstream_normal_mach(gamma, lun)
+        z_dn = ldn * _jump_ratios(gamma, 1.0, 1.0, lun, ldn)[1]
+        slope = sensitivities(gamma, lun).dzdn_dzun
+        return 1.0 - mach * (z_dn * math.cos(b) + ms * math.sin(b) * slope) / (z_dn**2 + ms**2)
+
+    beta_star = _bracketed_root(dtau, -beta_max, 0.0, xtol=1e-13)
+    return beta_max, beta_star, _steady_deflection(model, upstream, beta_star)
 
 
 def critical_angle(model: GasModel, upstream: FlowState) -> float:
@@ -406,8 +440,8 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
     if tau > tau_star:
         return None
     if tau == 0.0:
-        weak = _resolve_steady_beta(model, upstream, -beta_max)
-        strong = _resolve_steady_beta(model, upstream, -1e-14)
+        weak = _resolve_turned(model, upstream, -beta_max)
+        strong = _resolve_turned(model, upstream, -1e-14)
         return DeflectionSolutions(weak=weak, strong=strong, tau=0.0, tau_star=tau_star)
 
     def f(b):
@@ -416,16 +450,13 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
     if tau == tau_star or f(beta_star) <= 0.0:
         b_weak = b_strong = beta_star
     else:
-        b_weak = brentq(f, -beta_max, beta_star, xtol=1e-14)
-        if f(-1e-15) > 0.0:  # at very large M_u the strong root is within 1e-15 of normal
-            raise ShockSolveError(
-                f"no strong-branch root below beta = -1e-15 at M_u = {upstream.mach:.6g}, "
-                f"tau = {tau:.6g}"
-            )
-        b_strong = brentq(f, beta_star, -1e-15, xtol=1e-14)
+        b_weak = _bracketed_root(f, -beta_max, beta_star, xtol=1e-14)
+        # at very large M_u the strong root lies within 1e-15 of the normal
+        # shock, and this bracket has no sign change
+        b_strong = _bracketed_root(f, beta_star, -1e-15, xtol=1e-14)
     return DeflectionSolutions(
-        weak=_resolve_steady_beta(model, upstream, b_weak),
-        strong=_resolve_steady_beta(model, upstream, b_strong),
+        weak=_resolve_turned(model, upstream, b_weak),
+        strong=_resolve_turned(model, upstream, b_strong),
         tau=tau,
         tau_star=tau_star,
     )
@@ -455,7 +486,7 @@ def horizontal_downstream_shock(model: GasModel, upstream: FlowState, beta: floa
         ldn = downstream_normal_mach(model.gamma, lun)
         return lun - ldn * _jump_ratios(model.gamma, 1.0, 1.0, lun, ldn)[1] - jump
 
-    lun = brentq(excess, 1.0, 1.0 + 0.5 * (model.gamma + 1.0) * jump, xtol=1e-15, rtol=8.9e-16)
+    lun = _bracketed_root(excess, 1.0, 1.0 + 0.5 * (model.gamma + 1.0) * jump, xtol=1e-15)
     eta0 = vuy + lun * upstream.c / cos_b
     n = np.array([math.sin(beta), -cos_b])
     return eta0, resolve_oblique(model, upstream, np.array([0.0, eta0]), n)

@@ -117,10 +117,14 @@ def _pad(arr, left, top, bottom_mirror_sign):
 def stable_dt(model: GasModel, grid: Grid, state: SimState, cfl=CFL_DEFAULT) -> float:
     """cfl * h / (max(|vx| + c) + max(|vy| + c)), maxima over the fluid cells."""
     fluid = ~grid._solid
-    c = np.asarray(model.sound_speed(state.rho))[fluid]
+    return _cfl_dt(grid.spacing, state, fluid, np.asarray(model.sound_speed(state.rho))[fluid], cfl)
+
+
+def _cfl_dt(h, state, fluid, c, cfl):
+    """stable_dt from the sound speed c on the fluid cells."""
     sx = float(np.max(np.abs(state.vx[fluid]) + c))
     sy = float(np.max(np.abs(state.vy[fluid]) + c))
-    return cfl * grid.spacing / (sx + sy)
+    return cfl * h / (sx + sy)
 
 
 class _WallGhosts:
@@ -207,8 +211,10 @@ def step(
     cfl: float = CFL_DEFAULT,
     return_diag: bool = False,
     top_bc: str = "inflow",
+    t_stop: float = math.inf,
 ):
-    """One explicit finite-volume update.  dt=None chooses the CFL step.
+    """One explicit finite-volume update.  dt=None chooses the CFL step,
+    shortened so that the step ends no later than t_stop.
 
     The left boundary is upstream inflow; top_bc is "inflow" too (the
     wedge-problem default) or "outflow" (zero gradient, for quasi-1D test strips).
@@ -228,15 +234,12 @@ def step(
     c_p = np.asarray(model.sound_speed(rho_p))
     B_p = 0.5 * (vx_p**2 + vy_p**2) + pi_of_rho(model, rho_p)
 
-    # the stable_dt bound at cfl = 1, from the same c on the fluid cells
+    # the stable_dt bound from the same c on the fluid cells
     c = c_p[1:-1, 1:-1][fluid]
-    sx = float(np.max(np.abs(state.vx[fluid]) + c))
-    sy = float(np.max(np.abs(state.vy[fluid]) + c))
-    dt_max = h / (sx + sy)
     if dt is None:
-        dt = cfl * dt_max
-    elif dt > dt_max * (1.0 + 1e-12):
-        raise CFLviolation(f"dt = {dt} exceeds the stable bound {dt_max}")
+        dt = min(_cfl_dt(h, state, fluid, c, cfl), t_stop - state.t)
+    elif dt > _cfl_dt(h, state, fluid, c, 1.0) * (1.0 + 1e-12):
+        raise CFLviolation(f"dt = {dt} exceeds the stable bound {_cfl_dt(h, state, fluid, c, 1.0)}")
 
     fx_rho, fx_vx, fx_vy = _llf(rho_p, B_p, c_p, vx_p, vy_p, np.s_[1:-1, :-1], np.s_[1:-1, 1:])
     fy_rho, fy_vy, fy_vx = _llf(rho_p, B_p, c_p, vy_p, vx_p, np.s_[:-1, 1:-1], np.s_[1:, 1:-1])
@@ -249,11 +252,13 @@ def step(
     vx_new[solid] = state.vx[solid]
     vy_new[solid] = state.vy[solid]
 
+    # written so that a NaN density fails it too; argmin finds a NaN first
     floor = RHO_FLOOR_FACTOR * upstream.rho
-    if np.any(rho_new[fluid] <= floor):
+    if not np.all(rho_new[fluid] > floor):
         j, i = np.unravel_index(int(np.argmin(np.where(fluid, rho_new, np.inf))), rho_new.shape)
         raise VacuumError(
-            f"density floor reached at cell (i={i}, j={j}), t = {state.t + dt}"
+            f"density {rho_new[j, i]} not above the floor {floor} at cell (i={i}, j={j}), "
+            f"t = {state.t + dt}"
         )
 
     new = SimState(t=state.t + dt, rho=rho_new, vx=vx_new, vy=vy_new)
@@ -397,8 +402,7 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
     steps = 0
     for target in (t_half, config.t_final):
         while state.t < target - 1e-14:
-            dt = min(stable_dt(model, grid, state, config.cfl), target - state.t)
-            state = step(model, grid, state, upstream_orig, dt=dt)
+            state = step(model, grid, state, upstream_orig, cfl=config.cfl, t_stop=target)
             steps += 1
             if on_snapshot and config.snapshot_every and steps % config.snapshot_every == 0:
                 on_snapshot(grid, state)

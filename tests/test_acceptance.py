@@ -279,7 +279,7 @@ def test_criterion_elliptic_fixed_point(desk_solutions):
 
 def test_criterion_weak_residual_scaling(desk_solutions):
     eps_list = [0.04, 0.01, 0.0025]
-    battery = diag.make_test_battery(desk_solutions[0.01].pattern, seed=0)
+    battery = diag.make_test_battery(desk_solutions[0.01].pattern)
     vals = []
     for eps in eps_list:
         comp = diag.CompositeField(desk_solutions[eps])

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,3 +321,28 @@ class TestSimulateCommand:
         assert len(rest) == 3 * nx * ny * 8
         arr = np.frombuffer(rest, dtype="<f8", count=nx * ny).reshape(ny, nx)
         assert arr.min() > 0.5  # densities
+
+
+def test_light_commands_load_no_scipy(tmp_path):
+    """polar, pattern and simulate import neither elliptic nor diagnostics,
+    and so no scipy module."""
+    cfg = tmp_path / "wedge.cfg"
+    cfg.write_text(CASE12 + "grid_n = 60\nsample_nx = 60\n")
+    script = (
+        "import sys\n"
+        "import wedgeflow.cli as cli\n"
+        "print('scipy: import', [m for m in sys.modules if m.startswith('scipy')])\n"
+        "for cmd in ('polar', 'pattern', 'simulate'):\n"
+        f"    code = cli.dispatch([cmd, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}])\n"
+        "    print('scipy:', cmd, code, [m for m in sys.modules if m.startswith('scipy')])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wedgeflow.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    lines = [ln for ln in run.stdout.splitlines() if ln.startswith("scipy:")]
+    assert lines == [
+        "scipy: import []",
+        "scipy: polar 0 []",
+        "scipy: pattern 0 []",
+        "scipy: simulate 0 []",
+    ]

@@ -205,13 +205,13 @@ class TestWeakResidual:
 
     def test_deterministic(self, case12_solution):
         comp = CompositeField(case12_solution)
-        battery = make_test_battery(case12_solution.pattern, seed=3)
+        battery = make_test_battery(case12_solution.pattern)
         a = weak_residual(comp, bumps=battery, quad_n=128)
         b = weak_residual(comp, bumps=battery, quad_n=128)
         assert np.array_equal(a["values"], b["values"])
 
     def test_battery_stays_above_wall(self, case12_solution):
-        for center, radius in make_test_battery(case12_solution.pattern, n_extra=5, seed=1):
+        for center, radius in make_test_battery(case12_solution.pattern):
             assert center[1] - radius > 0.0
 
 

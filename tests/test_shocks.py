@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from wedgeflow.gas import (
     GasModel,
+    WedgeError,
     FlowState,
     SelfSimilarPoint,
     constant_state_potential,
@@ -19,6 +21,8 @@ from wedgeflow.shocks import (
     NoSonicIntersection,
     ShockSolveError,
     WrongSideError,
+    _bracketed_root,
+    _steady_deflection,
     critical_angle,
     deflection_solutions,
     downstream_normal_mach,
@@ -512,3 +516,53 @@ class TestSonicPoints:
         eps_too_big = 1.0 - sol.ldn**2 + 1e-6
         with pytest.raises(NoSonicIntersection):
             sonic_points(AIR, sol, eps_too_big)
+
+
+# monotone test functions with the root r: f(x; r, k)
+MONOTONE = {
+    "cubic": lambda x, r, k: (x - r) * (1.0 + k * (x - r) ** 2),
+    "expm1": lambda x, r, k: math.expm1(k * (x - r)),
+    "atan": lambda x, r, k: math.atan(k * (x - r)) + 1e-3 * (x - r),
+}
+
+
+class TestBracketedRoot:
+    @given(
+        st.sampled_from(sorted(MONOTONE)),
+        st.floats(-10.0, 10.0),
+        st.floats(0.1, 5.0),
+        st.floats(1e-3, 10.0),
+        st.floats(1e-3, 10.0),
+        st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6]),
+        st.booleans(),
+    )
+    def test_matches_brentq(self, name, r, k, below, above, xtol, falling):
+        sign = -1.0 if falling else 1.0
+
+        def f(x):
+            return sign * MONOTONE[name](x, r, k)
+
+        a, b = r - below, r + above
+        assert abs(_bracketed_root(f, a, b, xtol=xtol) - brentq(f, a, b, xtol=xtol)) <= xtol
+
+    def test_root_at_an_end_is_returned_as_is(self):
+        assert _bracketed_root(lambda x: x - 0.1, 0.1, 2.0, xtol=1e-12) == 0.1
+        assert _bracketed_root(lambda x: x - 0.1, -3.0, 0.1, xtol=1e-12) == 0.1
+
+    @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: math.nan])
+    def test_no_sign_change_is_typed(self, f):
+        assert issubclass(ShockSolveError, WedgeError) and issubclass(ShockSolveError, ArithmeticError)
+        with pytest.raises(ShockSolveError, match="no sign change"):
+            _bracketed_root(f, -1.0, 1.0, xtol=1e-12)
+
+    @given(st.floats(1.05, 20.0))
+    def test_critical_angle_is_the_largest_deflection(self, mach):
+        up = FlowState.from_model(AIR, 1.0, (mach, 0.0))
+        beta_max = polar_beta_max(AIR, up, np.zeros(2))
+        top = minimize_scalar(
+            lambda b: -_steady_deflection(AIR, up, b),
+            bounds=(-beta_max, 0.0),
+            method="bounded",
+            options={"xatol": 1e-13},
+        )
+        assert abs(critical_angle(AIR, up) + top.fun) <= 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wedgeflow import unsteady
-from wedgeflow.gas import GasModel, FlowState
+from wedgeflow.gas import GasModel, FlowState, WedgeError
 from wedgeflow.pattern import ProblemConfig
 from wedgeflow.shocks import resolve_oblique
 from wedgeflow.unsteady import (
@@ -75,6 +75,22 @@ class TestStep:
         s = init(AIR, up, g)
         with pytest.raises(CFLviolation):
             step(AIR, g, s, up, dt=10.0)
+
+    def test_cfl_step_is_stable_dt_cut_at_t_stop(self):
+        up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
+        g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
+        s = init(AIR, up, g)
+        assert step(AIR, g, s, up, cfl=0.3).t == stable_dt(AIR, g, s, 0.3)
+        assert step(AIR, g, s, up, cfl=0.3, t_stop=1e-4).t == 1e-4
+
+    def test_nan_names_the_cell(self):
+        up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
+        g = flat_grid()
+        s = init(AIR, up, g)
+        dt = stable_dt(AIR, g, s)
+        s.vy[0, 5] = math.nan
+        with pytest.raises(WedgeError, match=r"nan .*cell \(i=5, j=0\)"):
+            step(AIR, g, s, up, dt=dt)
 
     def test_step_evaluates_each_closure_once(self, monkeypatch):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
