@@ -300,16 +300,17 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def write_field_csv(grid, state, path):
-    """One row per fluid cell, row-major.  Rows are built from blocks of
-    cells so that the Python objects of only one block are alive at once."""
+    """One row per fluid cell, row-major, in csv.writer's format (repr of
+    each float, CRLF line ends).  Rows are built from blocks of cells so that
+    the Python objects of only one block are alive at once."""
     x, y = grid.centers()
     j, i = np.nonzero(~grid.solid_mask())
     cols = (i, j, x[i], y[j], state.rho[j, i], state.vx[j, i], state.vy[j, i])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "x", "y", "rho", "vx", "vy"])
+        fh.write("i,j,x,y,rho,vx,vy\r\n")
         for k in range(0, len(i), 4096):
-            w.writerows(zip(*(c[k : k + 4096].tolist() for c in cols)))
+            rows = zip(*(c[k : k + 4096].tolist() for c in cols))
+            fh.write("".join("%d,%d,%r,%r,%r,%r,%r\r\n" % row for row in rows))
 
 
 def write_field_raw(grid, state, path):

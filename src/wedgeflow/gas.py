@@ -63,9 +63,14 @@ class GasModel:
 
 
 def _check_density(rho):
+    """rho unchanged; VacuumError naming the first value that is not positive and finite."""
     arr = np.asarray(rho)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise VacuumError(f"density must be positive and finite, got {rho}")
+    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):  # a NaN minimum fails too
+        if arr.ndim == 0:
+            raise VacuumError(f"density must be positive and finite, got {rho}")
+        first = np.argmax((arr <= 0.0) | ~np.isfinite(arr))
+        idx = tuple(int(k) for k in np.unravel_index(first, arr.shape))
+        raise VacuumError(f"density must be positive and finite, got {arr[idx]} at index {idx}")
     return rho
 
 

@@ -178,6 +178,14 @@ class TestDispatch:
         for name in ("solution_nodes.csv", "solution_shock.csv", "residual_history.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_simulate_deterministic_outputs(self, tmp_path):
+        cfgfile = self._cfg_file(tmp_path, CASE12 + "grid_n = 60\nsample_nx = 60\n")
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        for d in (d1, d2):
+            assert dispatch(["simulate", "--config", cfgfile, "--out", str(d)]) == 0
+        for name in ("field_final.raw", "field_final.csv", "probes.csv"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
     def test_sweep_single_worker(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("WEDGE_THREADS", "1")
         cfgtext = UNPERT + "eps_list = 0.04, 0.02\nlattice_list = 24\nquad_n = 64\n"

@@ -47,6 +47,20 @@ def test_nonpositive_density_rejected():
         pi_of_rho(AIR, -1.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.inf])
+@pytest.mark.parametrize(
+    "closure", [AIR.sound_speed, lambda rho: pi_of_rho(AIR, rho)], ids=["sound_speed", "pi_of_rho"]
+)
+def test_array_density_error_is_one_line_naming_the_cell(closure, bad):
+    rho = np.ones((50, 60))
+    rho[3, 7] = bad
+    with pytest.raises(VacuumError) as info:
+        closure(rho)
+    msg = str(info.value)
+    assert "\n" not in msg
+    assert "(3, 7)" in msg and repr(bad) in msg
+
+
 def test_pi_inverse_at_reference():
     for model in (AIR, ISO, GasModel(gamma=5 / 3, rho0=2.0, c0=0.5)):
         assert pi_inverse(model, 0.0) == pytest.approx(model.rho0, rel=1e-15)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wedgeflow import unsteady
-from wedgeflow.gas import GasModel, FlowState, WedgeError
+from wedgeflow.gas import GasModel, FlowState, WedgeError, pi_of_rho
 from wedgeflow.pattern import ProblemConfig
 from wedgeflow.shocks import resolve_oblique
 from wedgeflow.unsteady import (
@@ -199,6 +199,128 @@ class TestStep:
         # quiescent upstream quarter of the box, away from wall and shocks
         sub = curl[30:, :20]
         assert np.max(np.abs(sub)) < 1e-6 * 1.0 / g.spacing
+
+
+# A plain copy of the step's arithmetic as first written: a padded copy per
+# field, the face states gathered per face, one expression per flux and
+# update.  The lean step must reproduce it bit for bit.
+
+
+def _ref_pad(arr, left, top, bottom_mirror_sign):
+    ny, nx = arr.shape
+    out = np.empty((ny + 2, nx + 2))
+    out[1:-1, 1:-1] = arr
+    out[1:-1, 0] = left
+    out[1:-1, -1] = arr[:, -1]
+    out[-1, 1:-1] = arr[-1, :] if top is None else top
+    out[0, 1:-1] = bottom_mirror_sign * arr[0, :]
+    out[0, 0] = out[1, 0]
+    out[0, -1] = out[1, -1]
+    out[-1, 0] = out[-1, 1]
+    out[-1, -1] = out[-1, -2]
+    return out
+
+
+def _ref_llf(rho_p, B_p, c_p, vn_p, vt_p, lo, hi):
+    r0, r1 = rho_p[lo], rho_p[hi]
+    n0, n1 = vn_p[lo], vn_p[hi]
+    a = np.maximum(np.abs(n0) + c_p[lo], np.abs(n1) + c_p[hi])
+    return (
+        0.5 * (r0 * n0 + r1 * n1) - 0.5 * a * (r1 - r0),
+        0.5 * (B_p[lo] + B_p[hi]) - 0.5 * a * (n1 - n0),
+        -0.5 * a * (vt_p[hi] - vt_p[lo]),
+    )
+
+
+def _ref_step(model, grid, state, upstream, dt=None, cfl=unsteady.CFL_DEFAULT, top_bc="inflow"):
+    """(new state, boundary mass inflow) by the reference arithmetic."""
+    solid = grid.solid_mask()
+    fluid = ~solid
+    h = grid.spacing
+    rho_g, vx_g, vy_g = state.rho.copy(), state.vx.copy(), state.vy.copy()
+    grid._ghosts.fill(rho_g, vx_g, vy_g)
+    top_in = top_bc == "inflow"
+    rho_p = _ref_pad(rho_g, upstream.rho, upstream.rho if top_in else None, 1.0)
+    vx_p = _ref_pad(vx_g, upstream.v[0], upstream.v[0] if top_in else None, 1.0)
+    vy_p = _ref_pad(vy_g, upstream.v[1], upstream.v[1] if top_in else None, -1.0)
+    c_p = np.asarray(model.sound_speed(rho_p))
+    B_p = 0.5 * (vx_p**2 + vy_p**2) + pi_of_rho(model, rho_p)
+    if dt is None:
+        c = c_p[1:-1, 1:-1][fluid]
+        sx = float(np.max(np.abs(state.vx[fluid]) + c))
+        sy = float(np.max(np.abs(state.vy[fluid]) + c))
+        dt = cfl * h / (sx + sy)
+    fx_rho, fx_vx, fx_vy = _ref_llf(rho_p, B_p, c_p, vx_p, vy_p, np.s_[1:-1, :-1], np.s_[1:-1, 1:])
+    fy_rho, fy_vy, fy_vx = _ref_llf(rho_p, B_p, c_p, vy_p, vx_p, np.s_[:-1, 1:-1], np.s_[1:, 1:-1])
+    lam = dt / h
+    rho_new = state.rho - lam * (fx_rho[:, 1:] - fx_rho[:, :-1] + fy_rho[1:, :] - fy_rho[:-1, :])
+    vx_new = state.vx - lam * (fx_vx[:, 1:] - fx_vx[:, :-1] + fy_vx[1:, :] - fy_vx[:-1, :])
+    vy_new = state.vy - lam * (fx_vy[:, 1:] - fx_vy[:, :-1] + fy_vy[1:, :] - fy_vy[:-1, :])
+    rho_new[solid] = state.rho[solid]
+    vx_new[solid] = state.vx[solid]
+    vy_new[solid] = state.vy[solid]
+    fluid_f = fluid.astype(float)
+    influx = (
+        np.sum(fx_rho[:, 0] * fluid_f[:, 0])
+        - np.sum(fx_rho[:, -1] * fluid_f[:, -1])
+        + np.sum(fy_rho[0, :] * fluid_f[0, :])
+        - np.sum(fy_rho[-1, :] * fluid_f[-1, :])
+    )
+    sxL, sxR = solid[:, :-1], solid[:, 1:]
+    influx += np.sum(fx_rho[:, 1:-1] * (sxL & ~sxR)) - np.sum(fx_rho[:, 1:-1] * (sxR & ~sxL))
+    syB, syT = solid[:-1, :], solid[1:, :]
+    influx += np.sum(fy_rho[1:-1, :] * (syB & ~syT)) - np.sum(fy_rho[1:-1, :] * (syT & ~syB))
+    new = SimState(t=state.t + dt, rho=rho_new, vx=vx_new, vy=vy_new)
+    return new, float(influx) * h * dt
+
+
+class TestStepMatchesReference:
+    STEPS = 40
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.t == b.t
+        for name in ("rho", "vx", "vy"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def wedge_case(self):
+        up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
+        g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
+        return up, g, init(AIR, up, g)
+
+    def test_wedge_inflow_top_cfl_step(self):
+        up, g, s = self.wedge_case()
+        ref = s
+        for _ in range(self.STEPS):
+            s = step(AIR, g, s, up)
+            ref, _ = _ref_step(AIR, g, ref, up)
+            self.assert_same(s, ref)
+
+    def test_flat_strip_outflow_top_given_dt(self):
+        up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
+        sol = resolve_oblique(AIR, up, (0.8, 0.0), (1.0, 0.0))
+        g = flat_grid(nx=120, ny=6, h=0.01)
+        s = init(AIR, up, g)
+        s.t = 1.0
+        right = g.centers()[0] >= 0.6
+        s.rho[:, right] = sol.downstream.rho
+        s.vx[:, right] = sol.downstream.v[0]
+        s.vy[:, right] = 0.01  # v_y jumps across x faces: a nonzero tangential flux
+        dt = 0.5 * stable_dt(AIR, g, s)
+        ref = s
+        for _ in range(self.STEPS):
+            s = step(AIR, g, s, up, dt=dt, top_bc="outflow")
+            ref, _ = _ref_step(AIR, g, ref, up, dt=dt, top_bc="outflow")
+            self.assert_same(s, ref)
+
+    def test_diag_boundary_mass_inflow(self):
+        up, g, s = self.wedge_case()
+        ref = s
+        for _ in range(self.STEPS):
+            s, diag = step(AIR, g, s, up, return_diag=True)
+            ref, inflow = _ref_step(AIR, g, ref, up)
+            self.assert_same(s, ref)
+            assert diag["boundary_mass_inflow"] == inflow
 
 
 class TestSampling:
