@@ -302,15 +302,16 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
 def write_field_csv(grid, state, path):
     """One row per fluid cell, row-major, in csv.writer's format (repr of
     each float, CRLF line ends).  Rows are built from blocks of cells so that
-    the Python objects of only one block are alive at once."""
-    x, y = grid.centers()
+    the Python objects of only one block are alive at once.  The reprs of the
+    column and row centres are formed once and indexed per cell."""
+    xs, ys = (np.array([repr(v) for v in c.tolist()], dtype=object) for c in grid.centers())
     j, i = np.nonzero(~grid.solid_mask())
-    cols = (i, j, x[i], y[j], state.rho[j, i], state.vx[j, i], state.vy[j, i])
+    cols = (i, j, xs[i], ys[j], state.rho[j, i], state.vx[j, i], state.vy[j, i])
     with open(path, "w", newline="") as fh:
         fh.write("i,j,x,y,rho,vx,vy\r\n")
         for k in range(0, len(i), 4096):
             rows = zip(*(c[k : k + 4096].tolist() for c in cols))
-            fh.write("".join("%d,%d,%r,%r,%r,%r,%r\r\n" % row for row in rows))
+            fh.write("".join("%d,%d,%s,%s,%r,%r,%r\r\n" % row for row in rows))
 
 
 def write_field_raw(grid, state, path):

@@ -15,6 +15,15 @@ Scheme: first-order local Lax-Friedrichs fluxes with wave-speed bound
 cells with mirror-reflected ghost states; outer boundaries are upstream
 Dirichlet (left, top) and zero-gradient outflow (right).  The bottom row of
 the box is the upstream wall (slip via mirror).
+
+A step updates only the rows the wedge has disturbed.  A cell whose four
+neighbours hold its own state bit for bit has two equal flux pairs, so its
+increment is exactly 0 and the update returns it unchanged; ahead of the
+tip shock the upstream state therefore survives bit for bit.  Each step
+finds the highest row, above the wall ghosts, whose bits differ from the
+upstream state, marches the rows up to the one above it as a grid that
+ends there, and copies the rest (``_active_rows``).  The fields and the
+time step are bit for bit those of the full-grid update.
 """
 
 from __future__ import annotations
@@ -164,6 +173,8 @@ class _WallGhosts:
             wsum = np.sum(w, axis=0)
         self.w = w / wsum
         self.sj, self.si = sj, si
+        # the highest row the ghost fill writes or reads; -1 without a wedge
+        self.top = int(max(self.jj.max(initial=-1), sj.max(initial=-1)))
         # velocity mirror about the wall normal
         self.mxx = 1.0 - 2.0 * n[0] * n[0]
         self.mxy = -2.0 * n[0] * n[1]
@@ -198,6 +209,35 @@ def _llf(rho_p, B_p, s_p, vn_p, vt_p, lo, hi):
     return (*fluxes, f_t)
 
 
+def _active_rows(grid: Grid, state: SimState, upstream: FlowState) -> int:
+    """W: a step updates rows 0..W-1 and copies the rows above.
+
+    J is the highest row holding a value whose bits differ from the upstream
+    state's (a NaN, or -0.0 in place of 0.0, counts as differing), and never
+    below the top wall-ghost row; the rows below that are not scanned.
+    W = min(ny, J + 2), and why this is exact:
+
+    - every cell from row J + 2 up has four neighbours holding its own state
+      bit for bit, so its two flux pairs are equal, its increment is exactly
+      0 and old - 0 == old: the full-grid step returns it unchanged;
+    - below ny, rows W - 1 and W both hold the upstream state, so the top
+      ghost layer of the window (upstream for inflow, a copy of row W - 1 for
+      outflow) holds what row W holds: the fluxes into row W - 1 are the
+      full-grid ones;
+    - a solid cell below a fluid one is a wall ghost, so row W - 1 has a fluid
+      cell whenever a row above it does, and the wave-speed maxima over the
+      window's fluid cells are the full-grid ones.
+    """
+    g = grid._ghosts.top
+    differs = np.zeros((grid.ny - g - 1, grid.nx), dtype=bool)
+    for a, v in zip((state.rho, state.vx, state.vy), (upstream.rho, *upstream.v)):
+        bits = np.asarray(a[g + 1 :], dtype=np.float64).view(np.int64)
+        differs |= bits != np.float64(v).view(np.int64)
+    rows = np.flatnonzero(differs.any(axis=1))
+    J = g + 1 + int(rows[-1]) if rows.size else g
+    return min(grid.ny, J + 2)
+
+
 def step(
     model: GasModel,
     grid: Grid,
@@ -214,15 +254,21 @@ def step(
 
     The left boundary is upstream inflow; top_bc is "inflow" too (the
     wedge-problem default) or "outflow" (zero gradient, for quasi-1D test strips).
+    The update works on the rows below ``_active_rows`` as on a grid that
+    ends there, and the new state copies the rows above.
     """
-    solid = grid._solid
+    ny = grid.ny
+    # the mass diagnostic sums boundary fluxes over every row
+    W = ny if return_diag else _active_rows(grid, state, upstream)
+    solid = grid._solid[:W]
     fluid = ~solid
     h = grid.spacing
     inner = np.s_[1:-1, 1:-1]
+    olds = (state.rho, state.vx, state.vy)
 
-    # padded arrays: the state inside, wall ghosts in its solid cells, one outer ghost layer
-    rho_p, vx_p, vy_p = (np.empty((grid.ny + 2, grid.nx + 2)) for _ in range(3))
-    rho_p[inner], vx_p[inner], vy_p[inner] = state.rho, state.vx, state.vy
+    # padded arrays: the window's state inside, wall ghosts in its solid cells, one outer ghost layer
+    rho_p, vx_p, vy_p = (np.empty((W + 2, grid.nx + 2)) for _ in range(3))
+    rho_p[inner], vx_p[inner], vy_p[inner] = (old[:W] for old in olds)
     grid._ghosts.fill(rho_p[inner], vx_p[inner], vy_p[inner])
     for p, v, sign in zip((rho_p, vx_p, vy_p), (upstream.rho, *upstream.v), (1.0, 1.0, -1.0)):
         _fill_border(p, v, v if top_bc == "inflow" else None, sign)
@@ -244,20 +290,25 @@ def step(
     fx_rho, fx_vx, fx_vy = _llf(rho_p, B_p, sx_p, vx_p, vy_p, np.s_[1:-1, :-1], np.s_[1:-1, 1:])
     fy_rho, fy_vy, fy_vx = _llf(rho_p, B_p, sy_p, vy_p, vx_p, np.s_[:-1, 1:-1], np.s_[1:, 1:-1])
 
-    # old - lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid; solid cells keep old
+    # old - lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid; solid cells
+    # and the rows above the window keep old
     lam = dt / h
-    rho_new, vx_new, vy_new = news = [np.diff(fx, axis=1) for fx in (fx_rho, fx_vx, fx_vy)]
-    for d, fy, old in zip(news, (fy_rho, fy_vx, fy_vy), (state.rho, state.vx, state.vy)):
+    rho_new, vx_new, vy_new = news = [np.empty((ny, grid.nx)) for _ in olds]
+    for new, fx, fy, old in zip(news, (fx_rho, fx_vx, fx_vy), (fy_rho, fy_vx, fy_vy), olds):
+        d = new[:W]
+        np.subtract(fx[:, 1:], fx[:, :-1], out=d)
         d += fy[1:]
         d -= fy[:-1]
         d *= lam
-        np.subtract(old, d, out=d)
-        np.copyto(d, old, where=solid)
+        np.subtract(old[:W], d, out=d)
+        np.copyto(d, old[:W], where=solid)
+        new[W:] = old[W:]
 
-    # written so that a NaN density fails it too; argmin finds a NaN first
+    # written so that a NaN density fails it too; argmin finds a NaN first.
+    # The rows above the window hold the upstream density
     floor = RHO_FLOOR_FACTOR * upstream.rho
-    if not np.all(rho_new > floor, where=fluid):
-        j, i = np.unravel_index(int(np.argmin(np.where(fluid, rho_new, np.inf))), rho_new.shape)
+    if not np.all(rho_new[:W] > floor, where=fluid):
+        j, i = np.unravel_index(int(np.argmin(np.where(fluid, rho_new[:W], np.inf))), fluid.shape)
         raise VacuumError(
             f"density {rho_new[j, i]} not above the floor {floor} at cell (i={i}, j={j}), "
             f"t = {state.t + dt}"

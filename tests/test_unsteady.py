@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wedgeflow import unsteady
-from wedgeflow.gas import GasModel, FlowState, WedgeError, pi_of_rho
+from wedgeflow.gas import GasModel, FlowState, VacuumError, WedgeError, pi_of_rho
 from wedgeflow.pattern import ProblemConfig
 from wedgeflow.shocks import resolve_oblique
 from wedgeflow.unsteady import (
@@ -321,6 +321,82 @@ class TestStepMatchesReference:
             ref, inflow = _ref_step(AIR, g, ref, up)
             self.assert_same(s, ref)
             assert diag["boundary_mass_inflow"] == inflow
+
+
+class TestActiveRows:
+    """The step updates only the rows below ``_active_rows``; every other row
+    holds the upstream state and must come out as the full-grid step leaves it."""
+
+    STEPS = 5
+
+    @staticmethod
+    def assert_same_bytes(a, b):
+        assert a.t == b.t
+        for name in ("rho", "vx", "vy"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def march_like_reference(self, up, g, s, top_bc="inflow"):
+        ref = s
+        for _ in range(self.STEPS):
+            s = step(AIR, g, s, up, top_bc=top_bc)
+            ref, _ = _ref_step(AIR, g, ref, up, top_bc=top_bc)
+            self.assert_same_bytes(s, ref)
+
+    @pytest.mark.parametrize(
+        "j, i, name, value",
+        [
+            (29, 17, "rho", 1.01),  # one cell in the top row
+            (15, 59, "vx", 2.9),  # at the right edge, half-way up
+            (22, 30, "vy", -0.0),  # equal to the upstream 0.0, but not in its bits
+        ],
+    )
+    def test_disturbed_cell_steps_like_reference(self, j, i, name, value):
+        up, g, s = TestStepMatchesReference().wedge_case()
+        assert g._ghosts.top < 15
+        getattr(s, name)[j, i] = value
+        assert unsteady._active_rows(g, s, up) == min(g.ny, j + 2)
+        self.march_like_reference(up, g, s)
+
+    def test_flat_strip_outflow_top_steps_like_reference(self):
+        up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
+        g = flat_grid(nx=40, ny=12)
+        s = init(AIR, up, g)
+        s.rho[2, 10] = 1.1
+        assert g._ghosts.top == -1
+        assert unsteady._active_rows(g, s, up) == 4
+        self.march_like_reference(up, g, s, top_bc="outflow")
+
+    def test_ghosts_up_to_the_top_row_give_the_full_grid(self):
+        up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
+        g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=math.radians(40.0))
+        s = init(AIR, up, g)
+        assert g._ghosts.top == g.ny - 1
+        assert unsteady._active_rows(g, s, up) == g.ny
+        self.march_like_reference(up, g, s)
+
+    def test_nan_in_top_row_names_the_cell(self):
+        up, g, s = TestStepMatchesReference().wedge_case()
+        dt = stable_dt(AIR, g, s)
+        s.vx[-1, 0] = math.nan
+        with pytest.raises(VacuumError, match=r"nan .*cell \(i=0, j=29\)"):
+            step(AIR, g, s, up, dt=dt)
+
+    def test_window_starts_small_and_grows_to_the_full_grid(self, monkeypatch):
+        up, g, s = TestStepMatchesReference().wedge_case()
+        first = unsteady._active_rows(g, s, up)
+        assert first < g.ny
+        rows = []  # rows of the padded arrays each step builds, ghost layers excluded
+        sound_speed = GasModel.sound_speed
+
+        def recording(model, rho):
+            rows.append(np.shape(rho)[0] - 2)
+            return sound_speed(model, rho)
+
+        monkeypatch.setattr(GasModel, "sound_speed", recording)
+        for _ in range(TestStepMatchesReference.STEPS):
+            s = step(AIR, g, s, up)
+        assert rows[0] == first
+        assert rows[-1] == g.ny
 
 
 class TestSampling:
