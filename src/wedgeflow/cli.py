@@ -3,9 +3,10 @@
     wedge <command> --config FILE [--strict] [--out DIR]
 
 Commands: polar, pattern, simulate, elliptic, verify, sweep.  The config is
-flat ``key = value`` text with ``#`` comments; angles use a ``_deg`` suffix
-and are stored in radians.  Exit codes: 0 success, 1 solver
-non-convergence, 2 configuration error, 3 diagnostic FAIL under --strict.
+flat ``key = value`` text with ``#`` comments; the wedge angle is given as
+``tau_deg`` in degrees and stored in radians.  Exit codes: 0 success, 1
+solver non-convergence, 2 configuration error, 3 diagnostic FAIL under
+--strict.  Every output file is written here.
 The WEDGE_THREADS environment variable caps the sweep worker count.
 """
 
@@ -141,31 +142,21 @@ def parse_config(path=None, text=None) -> RunConfig:
             raw[key] = val
 
     cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    # the wedge angle is the one angle key: set in degrees, stored in radians
+    known = {f.name for f in fields(RunConfig)} - {"tau"} | {"tau_deg"}
     for key, val in raw.items():
-        name = key
-        if key.endswith("_deg"):
-            name = key[: -len("_deg")]
-            if name not in known:
-                raise ConfigError(f"unknown key: {key}")
-            try:
-                setattr(cfg, name, math.radians(float(val)))
-            except ValueError as exc:
-                raise ConfigError(f"malformed value for {key}: {val!r}") from exc
-            continue
-        if name not in known:
+        if key not in known:
             raise ConfigError(f"unknown key: {key}")
-        current = getattr(cfg, name)
         try:
-            if name in ("eps_list", "lattice_list"):
+            if key == "tau_deg":
+                cfg.tau = math.radians(float(val))
+            elif key in ("eps_list", "lattice_list"):
                 parts = [s for s in val.replace(",", " ").split() if s]
-                setattr(cfg, name, tuple(int(s) if name == "lattice_list" else float(s) for s in parts))
-            elif isinstance(current, bool):
-                setattr(cfg, name, val.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int) and not isinstance(current, bool):
-                setattr(cfg, name, int(val))
+                setattr(cfg, key, tuple(int(s) if key == "lattice_list" else float(s) for s in parts))
+            elif isinstance(getattr(cfg, key), int):
+                setattr(cfg, key, int(val))
             else:
-                setattr(cfg, name, float(val))
+                setattr(cfg, key, float(val))
         except ValueError as exc:
             raise ConfigError(f"malformed value for {key}: {val!r}") from exc
 
@@ -203,6 +194,8 @@ def parse_config(path=None, text=None) -> RunConfig:
 
 
 def _write_rows(path, header, rows):
+    """Every CSV file but the field and snapshot files, in csv.writer's
+    default dialect (repr of each float, CRLF line ends)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -242,7 +235,19 @@ def cmd_polar(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 def cmd_pattern(cfg: RunConfig, out: Path, strict: bool) -> int:
     pat = build(cfg.problem())
-    pattern_mod.export_csv(pat, out / "pattern.csv")
+    # one row per geometric entity, for plotting scripts
+    states = (pat.state_I, pat.state_L, pat.state_R)
+    rows = [(f"state_{k}", *st.v, st.rho, st.c, "") for k, st in zip("ILR", states)]
+    rows += [
+        ("shock_L", *pat.shock_L.point, *pat.shock_L.n, pat.beta),
+        ("shock_R", *pat.shock_R.point, *pat.shock_R.n, 0.0),
+        ("corner_L", *pat.xi_L_star, "", "", ""),
+        ("corner_R", *pat.xi_R_star, "", "", ""),
+    ]
+    for k, arc in zip("LR", (pat.arc_L, pat.arc_R)):
+        rows.append((f"arc_{k}", *arc.center, arc.radius, arc.angle_lo, arc.angle_hi))
+    rows.append(("wall", *pat.xi_BL, *pat.xi_BR, ""))
+    _write_rows(out / "pattern.csv", ["entity", "a", "b", "c", "d", "e"], rows)
     sep = pattern_mod.separation_check(pat)
     print(
         f"pattern: eta_R*={pat.eta_R_star:.6f} eta_L*={pat.eta_L_star:.6f} "
@@ -323,12 +328,29 @@ def write_field_raw(grid, state, path):
             fh.write(arr.astype("<f8").tobytes())
 
 
+def write_solution_csv(sol, node_path, shock_path, history_path):
+    """Per-node (row-major over the lattice), shock-curve and residual-history
+    files of an elliptic solution."""
+    m, f = sol.mapping, sol.fields()
+    nodes = (m.S, m.Z, m.xi, m.eta, sol.psi, f["rho"], f["vx"], f["vy"], f["L2"])
+    _write_rows(
+        node_path,
+        ["sigma", "zeta", "xi", "eta", "psi", "rho", "vx", "vy", "L2"],
+        zip(*(a.ravel().tolist() for a in nodes)),
+    )
+    xs, ss = m.xi[-1, :], m.eta[-1, :]
+    normal = [math.atan2(sl, 1.0) - 0.5 * math.pi for sl in np.gradient(ss, xs).tolist()]
+    _write_rows(shock_path, ["xi", "s", "normal_angle"], zip(xs.tolist(), ss.tolist(), normal))
+    keys = ["iter", "r_interior", "r_arcL", "r_arcR", "r_wall", "r_shock", "r_shock_update", "combined"]
+    _write_rows(history_path, keys, ([rec[k] for k in keys] for rec in sol.residual_history))
+
+
 def cmd_elliptic(cfg: RunConfig, out: Path, strict: bool) -> int:
-    from .elliptic import export_solution_csv, iterate
+    from .elliptic import iterate
 
     pat = build(cfg.problem())
     sol = iterate(pat, cfg.elliptic())
-    export_solution_csv(
+    write_solution_csv(
         sol, out / "solution_nodes.csv", out / "solution_shock.csv", out / "residual_history.csv"
     )
     rec = sol.residual_history[-1]
@@ -348,7 +370,7 @@ def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
     if not sol.converged:
         print("verify: elliptic solve did not converge")
         return 1
-    checks = diag_mod.ellipticity_report(sol) + diag_mod.density_extrema(sol)[0]
+    checks = diag_mod.ellipticity_report(sol) + diag_mod.density_extrema(sol)
     checks += diag_mod.velocity_and_normal_ranges(sol)
     for side in ("L", "R"):
         checks += diag_mod.arc_profile(sol, side)[1]
@@ -364,7 +386,8 @@ def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
     )
     for c in checks:
         print(c.line())
-    diag_mod.write_report_csv(checks, out / "verify_report.csv")
+    rows = [(c.name, "PASS" if c.passed else "FAIL", c.value, c.tolerance, c.location, c.note) for c in checks]
+    _write_rows(out / "verify_report.csv", ["name", "verdict", "value", "tolerance", "location", "note"], rows)
     n_fail = sum(1 for c in checks if not c.passed)
     print(f"verify: {len(checks) - n_fail}/{len(checks)} checks passed")
     if n_fail and strict:
@@ -374,18 +397,14 @@ def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 def _sweep_job(args):
     from . import diagnostics as diag_mod
-    from .elliptic import export_solution_csv, iterate
+    from .elliptic import iterate
 
     cfg_dict, eps, lattice, out_dir = args
     cfg = RunConfig(**{**cfg_dict, "epsilon": eps, "lattice_n": lattice})
     pat = build(cfg.problem())
     sol = iterate(pat, cfg.elliptic())
-    export_solution_csv(
-        sol,
-        Path(out_dir) / f"sweep_eps{eps:g}_n{lattice}_nodes.csv",
-        Path(out_dir) / f"sweep_eps{eps:g}_n{lattice}_shock.csv",
-        Path(out_dir) / f"sweep_eps{eps:g}_n{lattice}_history.csv",
-    )
+    stem = Path(out_dir) / f"sweep_eps{eps:g}_n{lattice}"
+    write_solution_csv(sol, f"{stem}_nodes.csv", f"{stem}_shock.csv", f"{stem}_history.csv")
     rec = sol.residual_history[-1]
     dl = float(np.hypot(*(sol.corner_L - pat.xi_L_star)))
     dr = float(np.hypot(*(sol.corner_R - pat.xi_R_star)))

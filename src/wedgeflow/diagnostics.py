@@ -10,19 +10,18 @@ finite differences, and the weak-form residual of the composite flow.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gas import WedgeError
+from .gas import ISOTHERMAL_EPS, WedgeError
 from .pattern import WavePattern
 from .shocks import _bracketed_root, resolve_oblique
 from .elliptic import EllipticSolution
 from .unsteady import bilinear
 
-# default acceptance knobs
+# acceptance constants
 C_GRID = 10.0  # grid_tol = C_GRID * spacing
 C_WINDOW = 3.0  # velocity / normal / corner windows in units of sqrt(eps)
 
@@ -47,14 +46,6 @@ class CheckResult:
         return f"{verdict} {self.name}: value={self.value:.6g} tol={self.tolerance:.6g}{loc}{note}"
 
 
-def write_report_csv(results, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "verdict", "value", "tolerance", "location", "note"])
-        for r in results:
-            w.writerow([r.name, "PASS" if r.passed else "FAIL", r.value, r.tolerance, r.location, r.note])
-
-
 def _spacing(sol: EllipticSolution) -> float:
     m = sol.mapping
     dx = np.hypot(np.diff(m.xi, axis=1), np.diff(m.eta, axis=1))
@@ -65,12 +56,12 @@ def _spacing(sol: EllipticSolution) -> float:
 # --- ellipticity -------------------------------------------------------------
 
 
-def ellipticity_report(sol: EllipticSolution, c_grid: float = C_GRID):
+def ellipticity_report(sol: EllipticSolution):
     """Interior pseudo-Mach bound: L^2 < 1 - eps + grid_tol away from the arcs."""
     eps = sol.pattern.epsilon
     f = sol.fields()
     h = _spacing(sol)
-    grid_tol = c_grid * h
+    grid_tol = C_GRID * h
     inner = f["L2"][:, 1:-1]  # all rows, arc columns excluded
     j, i = np.unravel_index(int(np.argmax(inner)), inner.shape)
     val = float(inner[j, i])
@@ -138,17 +129,6 @@ def _local_minima(arr):
     return out
 
 
-@dataclass(frozen=True)
-class ExtremumReport:
-    quantity: str
-    location_kind: str  # interior | wall | shock | arc | corner
-    indices: tuple
-    value: float
-    classification: str
-    pseudo_normal: bool | None = None
-    chi_t: float | None = None
-
-
 def _classify_node(sol, j, i):
     nz, ns = sol.psi.shape
     on_wall, on_shock = j == 0, j == nz - 1
@@ -164,9 +144,9 @@ def _classify_node(sol, j, i):
     return "interior"
 
 
-def density_extrema(sol: EllipticSolution, c_grid: float = C_GRID):
+def density_extrema(sol: EllipticSolution):
     """Locate density minima; check the interior/wall exclusion and the
-    pseudo-normal + convexity structure of shock minima."""
+    pseudo-normal + convexity structure of the global minimum on the shock."""
     pattern = sol.pattern
     f = sol.fields()
     rho = f["rho"]
@@ -175,39 +155,16 @@ def density_extrema(sol: EllipticSolution, c_grid: float = C_GRID):
 
     xs, es = m.xi[-1, :], m.eta[-1, :]
 
-    def tangential(j, i):
-        """chi_t, the pseudo-velocity along the shock at node (j, i), and the
-        pseudo-normal tolerance 5 * spacing * |z| there."""
-        t_vec = np.array([np.gradient(xs)[i], np.gradient(es)[i]])
-        t_vec /= np.hypot(*t_vec)
-        z_vec = np.array([f["zx"][j, i], f["zy"][j, i]])
-        return float(z_vec @ t_vec), 5.0 * h * float(np.hypot(*z_vec))
-
-    reports = []
-    for j, i in _local_minima(rho):
-        kind = _classify_node(sol, j, i)
-        chi_t = pseudo_normal = None
-        if kind == "shock":
-            chi_t, tol = tangential(j, i)
-            pseudo_normal = abs(chi_t) < tol
-        reports.append(
-            ExtremumReport(
-                quantity="rho", location_kind=kind, indices=(j, i), value=float(rho[j, i]),
-                classification="min", pseudo_normal=pseudo_normal, chi_t=chi_t,
-            )
-        )
-
-    checks = []
-    bad = [r for r in reports if r.location_kind in ("interior", "wall")]
-    checks.append(
+    bad = sum(_classify_node(sol, j, i) in ("interior", "wall") for j, i in _local_minima(rho))
+    checks = [
         CheckResult(
             name="no_interior_or_wall_density_minima",
-            passed=len(bad) == 0,
-            value=float(len(bad)),
+            passed=bad == 0,
+            value=float(bad),
             tolerance=0.0,
             note="strict 8-neighbor minima, plateaus grouped",
         )
-    )
+    ]
 
     # global minimum over the closed region
     j, i = np.unravel_index(int(np.argmin(rho)), rho.shape)
@@ -234,7 +191,12 @@ def density_extrema(sol: EllipticSolution, c_grid: float = C_GRID):
             )
         )
     elif gkind == "shock":
-        chi_t, tol = tangential(j, i)
+        # chi_t, the pseudo-velocity along the shock, against the
+        # pseudo-normal tolerance 5 * spacing * |z|
+        t_vec = np.array([np.gradient(xs)[i], np.gradient(es)[i]])
+        t_vec /= np.hypot(*t_vec)
+        z_vec = np.array([f["zx"][j, i], f["zy"][j, i]])
+        chi_t, tol = float(z_vec @ t_vec), 5.0 * h * float(np.hypot(*z_vec))
         checks.append(
             CheckResult(
                 name="global_density_min_pseudo_normal",
@@ -257,13 +219,13 @@ def density_extrema(sol: EllipticSolution, c_grid: float = C_GRID):
                     location=f"shock node i={i}",
                 )
             )
-    return checks, reports
+    return checks
 
 
 # --- velocity and shock-normal windows ---------------------------------------
 
 
-def velocity_and_normal_ranges(sol: EllipticSolution, c_window: float = C_WINDOW):
+def velocity_and_normal_ranges(sol: EllipticSolution):
     """Horizontal-velocity window, shock-normal window, admissibility, and
     the above-the-corner-chord property."""
     pattern = sol.pattern
@@ -271,7 +233,7 @@ def velocity_and_normal_ranges(sol: EllipticSolution, c_window: float = C_WINDOW
     c_r = pattern.state_R.c
     f = sol.fields()
     m = sol.mapping
-    band = c_window * math.sqrt(eps) * c_r
+    band = C_WINDOW * math.sqrt(eps) * c_r
     v_lx = float(pattern.state_L.v[0])
 
     checks = []
@@ -305,9 +267,9 @@ def velocity_and_normal_ranges(sol: EllipticSolution, c_window: float = C_WINDOW
     checks.append(
         CheckResult(
             name="shock_normal_window",
-            passed=worst <= c_window * math.sqrt(eps),
+            passed=worst <= C_WINDOW * math.sqrt(eps),
             value=worst,
-            tolerance=c_window * math.sqrt(eps),
+            tolerance=C_WINDOW * math.sqrt(eps),
             note="angular distance to [n_R, n_L]",
         )
     )
@@ -355,19 +317,8 @@ def velocity_and_normal_ranges(sol: EllipticSolution, c_window: float = C_WINDOW
 
 @dataclass
 class ArcProfile:
-    side: str
-    phi: np.ndarray
-    p: np.ndarray
-    h: np.ndarray
-    k: np.ndarray | None
-    q: np.ndarray | None
-    theta: np.ndarray | None
-    sigma_f: float
-    sigma_g: float
-    sigma_theta: float | None
-    h0: float
-    r: float
-    phi_bar: float
+    p: np.ndarray  # chi_phi, the tangential pseudo-velocity, from the wall corner up
+    phi_bar: float  # the arc angle at the shock corner
     chi_t_over_c_max: float
 
 
@@ -377,7 +328,7 @@ def arc_ode_constants(gamma: float, eps: float, r: float):
     sigma_g = -2.0 * (gamma - 1.0) / D
     h0 = (1.0 + 2.0 * eps / D) ** 2 * r**2 / (1.0 - eps)
     sigma_f = (1.0 - eps) / (2.0 * (1.0 + 2.0 * eps / D))
-    sigma_theta = math.sqrt(-sigma_f * sigma_g) if gamma > 1.0 + 1e-12 else None
+    sigma_theta = math.sqrt(-sigma_f * sigma_g) if gamma - 1.0 >= ISOTHERMAL_EPS else None
     return D, sigma_g, sigma_f, h0, sigma_theta
 
 
@@ -391,8 +342,9 @@ def arc_rhs_f(gamma: float, eps: float, r: float, h, p):
     )
 
 
-def arc_profile(sol: EllipticSolution, side: str, c_grid: float = C_GRID):
-    """Extract (phi, p, h, k, q, theta) along an arc and check the ODE system.
+def arc_profile(sol: EllipticSolution, side: str):
+    """Extract (phi, p = chi_phi, h = c^2, theta) along an arc and check the
+    ODE system; returns (ArcProfile, checks).
 
     The L side is evaluated in its mirror frame, where it has the same
     orientation as the R side (the mirror flips the tangential direction,
@@ -438,26 +390,13 @@ def arc_profile(sol: EllipticSolution, side: str, c_grid: float = C_GRID):
     arg = -f["chi"][:, i] - 0.5 * (zx**2 + zy**2)
     h_arr = model.c0**2 + (gamma - 1.0) * arg
 
-    D, sigma_g, sigma_f, h0, sigma_theta = arc_ode_constants(gamma, eps, r)
-    if gamma > 1.0 + 1e-12:
-        k = math.sqrt(-sigma_f / sigma_g) * (h_arr - h0)
-        q = np.hypot(p, k)
-        theta = np.arctan2(k, p)
-        theta = np.where(theta < -0.5 * math.pi, theta + 2.0 * math.pi, theta)
-    else:
-        k = q = theta = None
-
-    c_arr = np.sqrt(h_arr)
-    chi_t_over_c = np.abs(p) / (r * c_arr)
-    profile = ArcProfile(
-        side=side, phi=phi, p=p, h=h_arr, k=k, q=q, theta=theta,
-        sigma_f=sigma_f, sigma_g=sigma_g, sigma_theta=sigma_theta, h0=h0, r=r,
-        phi_bar=float(phi[-1]), chi_t_over_c_max=float(np.max(chi_t_over_c)),
-    )
+    _, sigma_g, sigma_f, h0, sigma_theta = arc_ode_constants(gamma, eps, r)
+    chi_t_over_c = np.abs(p) / (r * np.sqrt(h_arr))
+    profile = ArcProfile(p=p, phi_bar=float(phi[-1]), chi_t_over_c_max=float(np.max(chi_t_over_c)))
 
     checks = []
     scale = c_c**2
-    tol = c_grid * h_grid * scale
+    tol = C_GRID * h_grid * scale
 
     # (i) ODE identity (c^2)_phi = sigma_g * chi_phi
     dh_dphi = np.gradient(h_arr, phi)
@@ -497,11 +436,13 @@ def arc_profile(sol: EllipticSolution, side: str, c_grid: float = C_GRID):
     )
 
     # (iv) sector exclusion for gamma > 1
-    if gamma > 1.0 + 1e-12:
-        phi_bar = profile.phi_bar
-        q_floor = c_grid * h_grid * scale
-        live = q > q_floor
-        hi_edge = 1.5 * math.pi - sigma_theta * phi_bar
+    if not model.isothermal:
+        k = math.sqrt(-sigma_f / sigma_g) * (h_arr - h0)
+        theta = np.arctan2(k, p)
+        theta = np.where(theta < -0.5 * math.pi, theta + 2.0 * math.pi, theta)
+        q_floor = C_GRID * h_grid * scale
+        live = np.hypot(p, k) > q_floor
+        hi_edge = 1.5 * math.pi - sigma_theta * profile.phi_bar
         inside = live & (theta > 0.5 * math.pi) & (theta < hi_edge)
         checks.append(
             CheckResult(
@@ -546,9 +487,10 @@ class CornerSensitivity:
     phi_bar: float
 
 
-def corner_sensitivity(pattern: WavePattern, eta: float | None = None) -> CornerSensitivity:
+def corner_sensitivity(pattern: WavePattern) -> CornerSensitivity:
     """Closed-form derivatives of the right-corner data as the corner slides
-    along its arc, evaluated at the expected height (O(eps) terms dropped)."""
+    along its arc, evaluated at the expected height eta_R_star (O(eps) terms
+    dropped)."""
     model = pattern.config.model
     gamma = model.gamma
     eps = pattern.epsilon
@@ -556,8 +498,7 @@ def corner_sensitivity(pattern: WavePattern, eta: float | None = None) -> Corner
     v_uy = float(pattern.state_I.v[1])
     c_r = pattern.state_R.c
     r = math.sqrt(1.0 - eps) * c_r
-    if eta is None:
-        eta = pattern.eta_R_star
+    eta = pattern.eta_R_star
     if not 0.0 < eta < r:
         raise ValueError(f"corner height {eta} outside the arc range (0, {r})")
     xi_x = math.sqrt(r**2 - eta**2)
@@ -625,17 +566,16 @@ def corner_state_direct(pattern: WavePattern, eta: float):
     }
 
 
-def corner_sensitivity_fd(pattern: WavePattern, eta: float | None = None, step: float | None = None):
-    """Central finite differences of the direct corner parameterization."""
+def corner_sensitivity_fd(pattern: WavePattern):
+    """Central finite differences of the direct corner parameterization at
+    the expected height eta_R_star, with step 1e-6 c_R."""
     model = pattern.config.model
     gamma = model.gamma
     eps = pattern.epsilon
     c_r = pattern.state_R.c
     r = math.sqrt(1.0 - eps) * c_r
-    if eta is None:
-        eta = pattern.eta_R_star
-    if step is None:
-        step = 1e-6 * c_r
+    eta = pattern.eta_R_star
+    step = 1e-6 * c_r
     a = corner_state_direct(pattern, eta - step)
     b = corner_state_direct(pattern, eta + step)
     out = {
@@ -643,7 +583,7 @@ def corner_sensitivity_fd(pattern: WavePattern, eta: float | None = None, step: 
         "dvdy_domega": (b["v_dy"] - a["v_dy"]) / (2 * step),
         "dzdy_domega": (b["z_dy"] - a["z_dy"]) / (2 * step),
     }
-    if gamma > 1.0 + 1e-12:
+    if not model.isothermal:
         _, sigma_g, sigma_f, _, _ = arc_ode_constants(gamma, eps, r)
         pref = math.sqrt(-sigma_f / sigma_g)
         out["k_omega"] = pref * (b["h"] - a["h"]) / (2 * step)

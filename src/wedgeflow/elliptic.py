@@ -29,7 +29,6 @@ the self-similar potential flow problem with L^2 = 1 - eps on the arcs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -41,8 +40,6 @@ from scipy.sparse.linalg import splu
 from .gas import WedgeError, constant_state_potential, pi_inverse
 from .pattern import WavePattern, separation_check
 from .shocks import _bracketed_root
-
-ISO_EPS = 1e-12
 
 
 class MappingError(WedgeError, ValueError):
@@ -474,7 +471,7 @@ def _conditions(model, pattern, mapping, chi_coef, psi):
     top = (-1, slice(1, -1))
     chi = psi[top] - 0.5 * (xi[top] ** 2 + eta[top] ** 2)
     arg = -chi - 0.5 * z2[top]
-    if gamma > 1.0 + ISO_EPS:
+    if not model.isothermal:
         arg = np.maximum(arg, -model.c0**2 / (gamma - 1.0) * 0.999999)
     rho = pi_inverse(model, arg)
     dx, dy = v_I[0] - vx[top], v_I[1] - vy[top]
@@ -719,51 +716,3 @@ def iterate(
         separation_ok=separation_check(pattern) > 0.0,
     )
     return sol
-
-
-def export_solution_csv(sol: EllipticSolution, node_path, shock_path, history_path) -> None:
-    """Per-node, shock-curve and residual-history CSV files."""
-    m = sol.mapping
-    f = sol.fields()
-    with open(node_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sigma", "zeta", "xi", "eta", "psi", "rho", "vx", "vy", "L2"])
-        for j in range(m.n_zeta + 1):
-            for i in range(m.n_sigma + 1):
-                w.writerow(
-                    [
-                        m.sig[i],
-                        m.zet[j],
-                        m.xi[j, i],
-                        m.eta[j, i],
-                        sol.psi[j, i],
-                        f["rho"][j, i],
-                        f["vx"][j, i],
-                        f["vy"][j, i],
-                        f["L2"][j, i],
-                    ]
-                )
-    with open(shock_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi", "s", "normal_angle"])
-        xs = m.xi[-1, :]
-        ss = m.eta[-1, :]
-        slope = np.gradient(ss, xs)
-        for x, s_v, sl in zip(xs, ss, slope):
-            w.writerow([x, s_v, math.atan2(sl, 1.0) - 0.5 * math.pi])
-    with open(history_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "r_interior", "r_arcL", "r_arcR", "r_wall", "r_shock", "r_shock_update", "combined"])
-        for rec in sol.residual_history:
-            w.writerow(
-                [
-                    rec["iter"],
-                    rec["r_interior"],
-                    rec["r_arcL"],
-                    rec["r_arcR"],
-                    rec["r_wall"],
-                    rec["r_shock"],
-                    rec["r_shock_update"],
-                    rec["combined"],
-                ]
-            )

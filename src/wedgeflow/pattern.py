@@ -14,7 +14,6 @@ eta_L_star = eta_R_star degenerates to the straight-shock pattern.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -110,10 +109,6 @@ class Arc:
     def tangent(self, angle) -> np.ndarray:
         return np.array([-math.sin(angle), math.cos(angle)])
 
-    @property
-    def span(self) -> float:
-        return self.angle_hi - self.angle_lo
-
 
 @dataclass(frozen=True)
 class WavePattern:
@@ -140,16 +135,12 @@ class WavePattern:
     wall_speed: float
 
     @property
-    def wall(self):
-        return self.xi_BL, self.xi_BR
-
-    @property
     def within_eta_margin(self) -> bool:
         """Heuristic headroom check for gamma > 1: eta_L_star at least
         ETA_MARGIN_COEFF sqrt(eps) c_R below eta_R_star (the analytic
         construction needs an unquantified margin there; the coefficient is
         a heuristic, not a derived constant)."""
-        if self.config.model.gamma <= 1.0 + 1e-12 or self.beta == 0.0:
+        if self.config.model.isothermal or self.beta == 0.0:
             return True
         margin = ETA_MARGIN_COEFF * math.sqrt(max(self.epsilon, 0.0)) * self.state_R.c
         return self.eta_L_star <= self.eta_R_star - margin
@@ -472,35 +463,3 @@ def picture_transform(pattern: WavePattern, target: str):
         "rho_L": pattern.state_L.rho,
         "rho_R": pattern.state_R.rho,
     }
-
-
-def export_csv(pattern: WavePattern, path) -> None:
-    """One row per geometric entity for plotting scripts."""
-    rows = [
-        ("state_I", *pattern.state_I.v, pattern.state_I.rho, pattern.state_I.c, ""),
-        ("state_L", *pattern.state_L.v, pattern.state_L.rho, pattern.state_L.c, ""),
-        ("state_R", *pattern.state_R.v, pattern.state_R.rho, pattern.state_R.c, ""),
-        ("shock_L", *pattern.shock_L.point, *pattern.shock_L.n, pattern.beta),
-        ("shock_R", *pattern.shock_R.point, *pattern.shock_R.n, 0.0),
-        ("corner_L", *pattern.xi_L_star, "", "", ""),
-        ("corner_R", *pattern.xi_R_star, "", "", ""),
-        (
-            "arc_L",
-            *pattern.arc_L.center,
-            pattern.arc_L.radius,
-            pattern.arc_L.angle_lo,
-            pattern.arc_L.angle_hi,
-        ),
-        (
-            "arc_R",
-            *pattern.arc_R.center,
-            pattern.arc_R.radius,
-            pattern.arc_R.angle_lo,
-            pattern.arc_R.angle_hi,
-        ),
-        ("wall", *pattern.xi_BL, *pattern.xi_BR, ""),
-    ]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["entity", "a", "b", "c", "d", "e"])
-        w.writerows(rows)

@@ -250,7 +250,8 @@ def step(
     t_stop: float = math.inf,
 ):
     """One explicit finite-volume update.  dt=None chooses the CFL step,
-    shortened so that the step ends no later than t_stop.
+    shortened so that the step ends no later than t_stop; a wave speed that is
+    not finite then raises VacuumError naming its cell and the start time.
 
     The left boundary is upstream inflow; top_bc is "inflow" too (the
     wedge-problem default) or "outflow" (zero gradient, for quasi-1D test strips).
@@ -281,8 +282,12 @@ def step(
     sx_p, sy_p = (np.abs(v) + c_p for v in (vx_p, vy_p))
 
     # the stable_dt bound from the same wave speeds on the fluid cells
-    speeds = _max_speeds(sx_p[inner], sy_p[inner], fluid)
+    sx, sy = sx_p[inner], sy_p[inner]
+    speeds = _max_speeds(sx, sy, fluid)
     if dt is None:
+        if not math.isfinite(speeds):  # a NaN or infinite velocity
+            j, i = np.unravel_index(int(np.argmax(fluid & ~np.isfinite(sx + sy))), fluid.shape)
+            raise VacuumError(f"wave speed {sx[j, i] + sy[j, i]} at cell (i={i}, j={j}), t = {state.t}")
         dt = min(cfl * h / speeds, t_stop - state.t)
     elif dt > h / speeds * (1.0 + 1e-12):
         raise CFLviolation(f"dt = {dt} exceeds the stable bound {h / speeds}")
@@ -428,7 +433,6 @@ class UnsteadyResult:
     pattern: WavePattern
     grid: Grid
     final: SimState
-    sample_half: SelfSimilarField
     sample_final: SelfSimilarField
     defect: float
     steps: int
@@ -452,26 +456,22 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
 
     state = init(model, upstream_orig, grid)
     t_half = 0.5 * config.t_final
-    steps = 0
+    margin = 1.5 * h / t_half
+    xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)
+    xi_y = np.linspace(margin, y_max - margin, max(8, int(config.sample_nx * y_max / (x_max - x_min))))
+    steps, samples = 0, []
     for target in (t_half, config.t_final):
         while state.t < target - 1e-14:
             state = step(model, grid, state, upstream_orig, cfl=config.cfl, t_stop=target)
             steps += 1
             if on_snapshot and config.snapshot_every and steps % config.snapshot_every == 0:
                 on_snapshot(grid, state)
-        if target == t_half:
-            sample_half_state = state  # step returns new arrays and never writes its input
-
-    margin = 1.5 * h / t_half
-    xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)
-    xi_y = np.linspace(margin, y_max - margin, max(8, int(config.sample_nx * y_max / (x_max - x_min))))
-    f1 = sample_self_similar(model, grid, sample_half_state, xi_x, xi_y)
-    f2 = sample_self_similar(model, grid, state, xi_x, xi_y)
+        samples.append(sample_self_similar(model, grid, state, xi_x, xi_y))
+    f1, f2 = samples
     return UnsteadyResult(
         pattern=pattern,
         grid=grid,
         final=state,
-        sample_half=f1,
         sample_final=f2,
         defect=self_similarity_defect(f1, f2),
         steps=steps,
@@ -481,7 +481,7 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
 # --- measurements against the predicted pattern ------------------------------
 
 
-def tip_shock_angle(result: UnsteadyResult, n_columns: int = 60) -> float:
+def tip_shock_angle(result: UnsteadyResult) -> float:
     """Measured tip-shock angle from the mid-density level set.
 
     Least-squares line through the per-column crossing heights of
@@ -497,7 +497,7 @@ def tip_shock_angle(result: UnsteadyResult, n_columns: int = 60) -> float:
 
     to_orig = picture_map(pattern, "original")
     corner = to_orig.apply(pattern.xi_L_star)
-    cols = np.linspace(0.25 * corner[0], 0.75 * corner[0], n_columns)
+    cols = np.linspace(0.25 * corner[0], 0.75 * corner[0], 60)
     tau = pattern.tau
     theta_pred = tau + pattern.beta
     dxi = 0.5 * grid.spacing / state.t
@@ -517,9 +517,9 @@ def tip_shock_angle(result: UnsteadyResult, n_columns: int = 60) -> float:
             continue
         frac = (rho_mid - col_rho[j]) / (col_rho[j + 1] - col_rho[j])
         pts.append((xc, ys[j] + frac * (ys[j + 1] - ys[j])))
-    if len(pts) < max(4, n_columns // 4):
+    if len(pts) < len(cols) // 4:
         raise ShockFitError(
-            f"too few shock-front crossings for the angle fit: {len(pts)} of {n_columns} columns"
+            f"too few shock-front crossings for the angle fit: {len(pts)} of {len(cols)} columns"
         )
     pts = np.asarray(pts)
     slope = np.polyfit(pts[:, 0], pts[:, 1], 1)[0]
@@ -546,7 +546,6 @@ def probe_stats(field: SelfSimilarField, center, halfwidth):
         "rho_mean": float(np.mean(rho)),
         "rho_std": float(np.std(rho)),
         "L_mean": float(np.mean(field.L[mask])),
-        "cells": int(np.sum(mask)),
     }
 
 

@@ -260,9 +260,9 @@ def test_criterion_elliptic_fixed_point(desk_solutions):
             float(np.hypot(*(sol.corner_L - pat.xi_L_star))) < 3 * math.sqrt(eps) * c_r
             and float(np.hypot(*(sol.corner_R - pat.xi_R_star))) < 3 * math.sqrt(eps) * c_r
         )
-        vel_checks = diag.velocity_and_normal_ranges(sol, c_window=3.0)
+        vel_checks = diag.velocity_and_normal_ranges(sol)
         vel_ok = all(c.passed for c in vel_checks)
-        dens_checks, _ = diag.density_extrema(sol)
+        dens_checks = diag.density_extrema(sol)
         names = {c.name: c.passed for c in dens_checks}
         dens_ok = names.get("global_density_min_pseudo_normal", False) and names.get(
             "no_interior_or_wall_density_minima", False

@@ -249,6 +249,11 @@ class TestErrorContract:
             ("sweep", "eps_list = 0.5", "eps_list"),
             ("polar", "polar_n = 0", "polar_n"),
             ("polar", "polar_n = 1", "polar_n"),
+            # tau_deg is the one angle key; any other *_deg key and a bare tau are unknown
+            ("simulate", "grid_n_deg = 400", "grid_n_deg"),
+            ("elliptic", "lattice_n_deg = 3000", "lattice_n_deg"),
+            ("simulate", "cfl_deg = 20", "cfl_deg"),
+            ("pattern", "tau = 0.17", "unknown key: tau"),
         ],
     )
     def test_config_range_exit_2(self, command, lines, key, tmp_path, capsys):
@@ -308,6 +313,36 @@ def test_write_field_csv_matches_cell_loop(tmp_path):
                 if not solid[j, i]:
                     w.writerow([i, j, x[i], y[j], state.rho[j, i], state.vx[j, i], state.vy[j, i]])
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_write_solution_csv_matches_node_loop(tmp_path):
+    # a lattice with more sigma than zeta nodes pins the row-major node order
+    pat = pattern.build(parse_config(text=CASE12).problem())
+    sol = elliptic.iterate(pat, elliptic.EllipticConfig(n_sigma=16, n_zeta=12, max_outer=3))
+    names = ("nodes", "shock", "history")
+    cli.write_solution_csv(sol, *(tmp_path / f"{n}.csv" for n in names))
+    m, f = sol.mapping, sol.fields()
+    with open(tmp_path / "loop_nodes.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sigma", "zeta", "xi", "eta", "psi", "rho", "vx", "vy", "L2"])
+        for j in range(m.n_zeta + 1):
+            for i in range(m.n_sigma + 1):
+                w.writerow([m.sig[i], m.zet[j], m.xi[j, i], m.eta[j, i], sol.psi[j, i],
+                            f["rho"][j, i], f["vx"][j, i], f["vy"][j, i], f["L2"][j, i]])
+    with open(tmp_path / "loop_shock.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["xi", "s", "normal_angle"])
+        xs, ss = m.xi[-1, :], m.eta[-1, :]
+        for x, s_v, sl in zip(xs, ss, np.gradient(ss, xs)):
+            w.writerow([x, s_v, math.atan2(sl, 1.0) - 0.5 * math.pi])
+    with open(tmp_path / "loop_history.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        keys = ["iter", "r_interior", "r_arcL", "r_arcR", "r_wall", "r_shock", "r_shock_update", "combined"]
+        w.writerow(keys)
+        for rec in sol.residual_history:
+            w.writerow([rec[k] for k in keys])
+    for n in names:
+        assert (tmp_path / f"{n}.csv").read_bytes() == (tmp_path / f"loop_{n}.csv").read_bytes(), n
 
 
 @pytest.mark.slow

@@ -372,10 +372,10 @@ class TestIterate:
 
 
 def test_export_csv(tmp_path, case12_solution):
-    from wedgeflow.elliptic import export_solution_csv
+    from wedgeflow.cli import write_solution_csv
 
     node, shock, hist = tmp_path / "n.csv", tmp_path / "s.csv", tmp_path / "h.csv"
-    export_solution_csv(case12_solution, node, shock, hist)
+    write_solution_csv(case12_solution, node, shock, hist)
     assert node.read_text().splitlines()[0].startswith("sigma,zeta,xi")
     assert len(shock.read_text().splitlines()) == case12_solution.config.n_sigma + 2
     assert "combined" in hist.read_text().splitlines()[0]

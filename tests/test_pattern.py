@@ -10,12 +10,12 @@ from wedgeflow.pattern import (
     WavePattern,
     build,
     eta_L_cross,
-    export_csv,
     picture_map,
     picture_transform,
     separation_check,
 )
 from wedgeflow.shocks import cross2, horizontal_downstream_shock
+from wedgeflow.cli import dispatch
 
 AIR = GasModel(gamma=1.4)
 ISO = GasModel(gamma=1.0)
@@ -195,11 +195,12 @@ class TestPictures:
         assert np.hypot(*z) == pytest.approx(np.hypot(*z2), rel=1e-13)
 
 
-def test_export_csv(tmp_path):
-    p = build(CASE_12)
-    path = tmp_path / "pattern.csv"
-    export_csv(p, path)
-    lines = path.read_text().strip().splitlines()
+def test_export_csv(tmp_path, capsys):
+    # the pattern file of `wedge pattern` on CASE_12
+    cfg = tmp_path / "wedge.cfg"
+    cfg.write_text("gamma = 1.4\nM_I = 2.94\ntau_deg = 10\nepsilon = 0.01\n")
+    assert dispatch(["pattern", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "pattern.csv").read_text().strip().splitlines()
     assert lines[0].startswith("entity")
     kinds = {ln.split(",")[0] for ln in lines[1:]}
     assert {"state_I", "shock_L", "arc_R", "wall", "corner_L"} <= kinds

@@ -83,14 +83,17 @@ class TestStep:
         assert step(AIR, g, s, up, cfl=0.3).t == stable_dt(AIR, g, s, 0.3)
         assert step(AIR, g, s, up, cfl=0.3, t_stop=1e-4).t == 1e-4
 
-    def test_nan_names_the_cell(self):
+    @pytest.mark.parametrize("dt_given", [True, False], ids=["given_dt", "cfl_dt"])
+    def test_nan_names_the_cell(self, dt_given):
+        # with dt=None the NaN reaches the CFL bound before any density
         up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
         g = flat_grid()
         s = init(AIR, up, g)
-        dt = stable_dt(AIR, g, s)
+        dt = stable_dt(AIR, g, s) if dt_given else None
         s.vy[0, 5] = math.nan
-        with pytest.raises(WedgeError, match=r"nan .*cell \(i=5, j=0\)"):
+        with pytest.raises(WedgeError, match=r"nan .*cell \(i=5, j=0\), t = ") as exc:
             step(AIR, g, s, up, dt=dt)
+        assert str(exc.value).endswith(f"t = {dt}" if dt_given else "t = 0.0")
 
     def test_step_evaluates_each_closure_once(self, monkeypatch):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
