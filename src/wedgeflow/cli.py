@@ -170,6 +170,10 @@ def parse_config(path=None, text=None) -> RunConfig:
     for eps in cfg.eps_list:
         if not 0.0 < eps <= _RANGES["epsilon"][1]:
             raise ConfigError(f"eps_list entry {eps} out of range (0, {_RANGES['epsilon'][1]}]")
+    # a sweep job's files are named by its eps (as %g) and lattice
+    for key, stems in (("eps_list", [f"{e:g}" for e in cfg.eps_list]), ("lattice_list", cfg.lattice_list)):
+        if not stems or len(set(stems)) < len(stems):
+            raise ConfigError(f"{key} = {list(stems)} needs at least one entry, none repeated")
     if not cfg.box_x_min < 0.0 < cfg.box_x_max:
         raise ConfigError(
             f"box_x_min = {cfg.box_x_min}, box_x_max = {cfg.box_x_max}: "

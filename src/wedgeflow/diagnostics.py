@@ -600,7 +600,6 @@ class CompositeField:
     def __init__(self, sol: EllipticSolution):
         self.sol = sol
         self.pattern = sol.pattern
-        self.model = sol.pattern.config.model
         f = sol.fields()
         self._rho = f["rho"]
         self._zx = f["zx"]
@@ -734,4 +733,4 @@ def weak_residual(composite: CompositeField, bumps=None, quad_n: int = 384):
         raw = float(np.sum(integrand) * dx * dy)
         norm = float(np.sum(weight) * dx * dy)
         values.append(abs(raw) / norm)
-    return {"values": np.array(values), "max": float(np.max(values)), "bumps": bumps}
+    return {"values": np.array(values), "max": float(np.max(values))}

@@ -38,7 +38,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .gas import WedgeError, constant_state_potential, pi_inverse
-from .pattern import WavePattern, separation_check
+from .pattern import WavePattern
 from .shocks import _bracketed_root
 
 
@@ -402,7 +402,6 @@ class EllipticSolution:
     shock: ShockCurve
     converged: bool
     residual_history: list
-    separation_ok: bool = True
 
     def fields(self):
         """Nodal (rho, vx, vy, L2, chi) derived from psi on the mapping."""
@@ -703,9 +702,7 @@ def iterate(
         mapping = build_mapping(pattern, shock, config.n_sigma, config.n_zeta)
         psi = psi_hat
 
-    # the corner-chord separation condition is advisory for the solver: a
-    # violating pattern still runs, but the case is marked unsupported
-    sol = EllipticSolution(
+    return EllipticSolution(
         pattern=pattern,
         config=config,
         mapping=mapping,
@@ -713,6 +710,4 @@ def iterate(
         shock=shock,
         converged=converged,
         residual_history=history,
-        separation_ok=separation_check(pattern) > 0.0,
     )
-    return sol

@@ -30,9 +30,6 @@ from .shocks import (
     sonic_points,
 )
 
-ETA_MARGIN_COEFF = 2.0  # heuristic eta_L_star headroom, in units of sqrt(eps) c_R
-
-
 class GeometryError(WedgeError, ValueError):
     """No shock in the family realizes the requested geometry."""
 
@@ -135,17 +132,6 @@ class WavePattern:
     wall_speed: float
 
     @property
-    def within_eta_margin(self) -> bool:
-        """Heuristic headroom check for gamma > 1: eta_L_star at least
-        ETA_MARGIN_COEFF sqrt(eps) c_R below eta_R_star (the analytic
-        construction needs an unquantified margin there; the coefficient is
-        a heuristic, not a derived constant)."""
-        if self.config.model.isothermal or self.beta == 0.0:
-            return True
-        margin = ETA_MARGIN_COEFF * math.sqrt(max(self.epsilon, 0.0)) * self.state_R.c
-        return self.eta_L_star <= self.eta_R_star - margin
-
-    @property
     def mach_L(self) -> float:
         """Tip-frame Mach number of the L state (original coordinates)."""
         return abs(self.wall_speed + self.state_L.v[0]) / self.state_L.c
@@ -178,9 +164,11 @@ def _sonic_pair(model, sol, epsilon):
 
 
 def _eta_L_of_beta(config, upstream, beta):
+    """(tip-side sonic point, eta_0, shock) of the family member with tilt beta;
+    the point's height is eta_L_star."""
     eta0, sol = horizontal_downstream_shock(config.model, upstream, beta)
     left, _ = _sonic_pair(config.model, sol, config.epsilon)
-    return float(left[1]), eta0, sol
+    return left, eta0, sol
 
 
 def build(
@@ -188,11 +176,12 @@ def build(
 ) -> WavePattern:
     """Construct the pattern for the given config.
 
-    The R shock comes from the horizontal member of the shock family; the L
-    shock is found by solving for the tilt whose tip-side sonic point sits
-    at height eta_L_star.  Tilt is monotone in that height, so the solve
-    brackets cleanly.  validate_supersonic=False skips the tip-frame Mach
-    check (used by geometric sweeps over the whole parameter range);
+    The R shock comes from the horizontal member of the shock family.  For a
+    wedge pair (M_I, tau) the tilt of the L shock is read off the weak steady
+    tip shock; for a requested height eta_L_star it is solved for, so that the
+    tip-side sonic point sits there.  Tilt is monotone in that height, so the
+    solve brackets cleanly.  validate_supersonic=False skips the tip-frame
+    Mach check (used by geometric sweeps over the whole parameter range);
     beta_hint narrows the tilt bracket when sweeping nearby heights.
     """
     model = config.model
@@ -206,23 +195,21 @@ def build(
     _, xi_R_star = _sonic_pair(model, shock_R, config.epsilon)
 
     if config.tau is not None and config.eta_L_star is None:
-        beta = _beta_from_tau(config, upstream)
-        eta_L_star, eta0_L, shock_L = _eta_L_of_beta(config, upstream, beta)
-        if eta_L_star <= 0.0:
-            raise SupersonicityViolation(
-                f"tip shock sonic corner lies below the wall (eta_L_star = {eta_L_star}): "
-                "supersonic-subsonic configuration"
-            )
+        beta = _beta_from_tau(config)
     else:
-        eta_L_star = config.eta_L_star if config.eta_L_star is not None else eta_R_star
-        if not 0.0 < eta_L_star <= eta_R_star:
+        target = config.eta_L_star if config.eta_L_star is not None else eta_R_star
+        if not 0.0 < target <= eta_R_star:
             raise GeometryError(
-                f"eta_L_star must lie in (0, eta_R_star = {eta_R_star}], got {eta_L_star}"
+                f"eta_L_star must lie in (0, eta_R_star = {eta_R_star}], got {target}"
             )
-        beta = _beta_from_eta_L(config, upstream, eta_L_star, shock_R, beta_hint)
-        eta_L_star, eta0_L, shock_L = _eta_L_of_beta(config, upstream, beta)
-
-    xi_L_star, _ = _sonic_pair(model, shock_L, config.epsilon)
+        beta = _beta_from_eta_L(config, upstream, target, shock_R, beta_hint)
+    xi_L_star, eta0_L, shock_L = _eta_L_of_beta(config, upstream, beta)
+    eta_L_star = float(xi_L_star[1])
+    if eta_L_star <= 0.0:
+        raise SupersonicityViolation(
+            f"tip shock sonic corner lies below the wall (eta_L_star = {eta_L_star}): "
+            "supersonic-subsonic configuration"
+        )
 
     state_L = shock_L.downstream
     state_R = shock_R.downstream
@@ -284,7 +271,7 @@ def _beta_from_eta_L(config, upstream, target, shock_R, beta_hint=None):
         return 0.0
 
     def f(beta):
-        return _eta_L_of_beta(config, upstream, beta)[0] - target
+        return float(_eta_L_of_beta(config, upstream, beta)[0][1]) - target
 
     ldn = shock_R.ldn
     top = math.atan2(ldn, math.sqrt(1.0 - config.epsilon - ldn * ldn))
@@ -296,41 +283,24 @@ def _beta_from_eta_L(config, upstream, target, shock_R, beta_hint=None):
     return _bracketed_root(f, 0.0, top, xtol=1e-14)
 
 
-def _beta_from_tau(config, upstream):
+def _beta_from_tau(config):
     """Tilt angle of the tip shock for the original wedge pair (M_I, tau).
 
     The tip shock is steady through the wedge tip with deflection tau: the
-    weak branch of the deflection pair.  Its angle above the incoming
-    stream exceeds tau by exactly the tilt beta0, which the solve of the
-    tip-incidence relation eta_0(b) = M_I c_I cos(tau) tan(b) on [beta0/2,
-    3 beta0/2] polishes so the tilt is consistent with the shock family.
+    weak branch of the deflection pair.  Its angle above the incoming stream
+    exceeds tau by exactly the tilt, and that tilt meets the tip-incidence
+    relation eta_0(b) = M_I c_I cos(tau) tan(b) of the shock family to
+    rounding, so nothing is solved for here.
     """
-    model = config.model
-    up_orig = FlowState.from_model(model, config.rho_I, (config.M_I * config.c_I, 0.0))
-    sols = deflection_solutions(model, up_orig, config.tau)
+    up_orig = FlowState.from_model(config.model, config.rho_I, (config.M_I * config.c_I, 0.0))
+    sols = deflection_solutions(config.model, up_orig, config.tau)
     if sols is None:
         raise NoAttachedShock(
             f"tau = {config.tau} exceeds the critical angle for M_I = {config.M_I}"
         )
     t = sols.weak.tangent
-    theta_s = math.atan2(abs(t[1]), abs(t[0]))
-    beta0 = theta_s - config.tau
-    if beta0 <= 1e-12:
-        return 0.0
-
-    v_wall = config.M_I * config.c_I * math.cos(config.tau)
-
-    def f(beta):
-        eta0, _ = horizontal_downstream_shock(config.model, upstream, beta)
-        return eta0 - v_wall * math.tan(beta)
-
-    # eta_0 - v_wall tan(b) is positive at b = 0, falls through the tilt and
-    # rises again towards pi/2: a bracket reaching past the second root has
-    # no sign change
-    try:
-        return _bracketed_root(f, 0.5 * beta0, min(1.5 * beta0, 0.5 * math.pi - 1e-9), xtol=1e-14)
-    except ShockSolveError as exc:
-        raise GeometryError(f"could not bracket the tip shock tilt near {beta0}") from exc
+    beta0 = math.atan2(abs(t[1]), abs(t[0])) - config.tau
+    return beta0 if beta0 > 1e-12 else 0.0
 
 
 def _dist_point_segment(p, a, b) -> float:

@@ -266,7 +266,6 @@ class ShockSolution:
     lun: float
     ldn: float
     beta: float
-    sigma: float
 
     @property
     def tangent(self) -> np.ndarray:
@@ -317,7 +316,6 @@ def resolve_oblique(model: GasModel, upstream: FlowState, xi, n) -> ShockSolutio
         lun=lun,
         ldn=ldn,
         beta=beta,
-        sigma=float(xi @ n),
     )
 
 
@@ -375,8 +373,6 @@ class DeflectionSolutions:
 
     weak: ShockSolution
     strong: ShockSolution
-    tau: float
-    tau_star: float
 
     @property
     def weak_supersonic(self) -> bool:
@@ -385,8 +381,6 @@ class DeflectionSolutions:
     @property
     def strong_supersonic(self) -> bool:
         return self.strong.downstream_mach > 1.0
-
-
 
 
 def _steady_deflection(model: GasModel, upstream: FlowState, beta: float) -> float:
@@ -442,7 +436,7 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
     if tau == 0.0:
         weak = _resolve_turned(model, upstream, -beta_max)
         strong = _resolve_turned(model, upstream, -1e-14)
-        return DeflectionSolutions(weak=weak, strong=strong, tau=0.0, tau_star=tau_star)
+        return DeflectionSolutions(weak=weak, strong=strong)
 
     def f(b):
         return _steady_deflection(model, upstream, b) - tau
@@ -457,8 +451,6 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
     return DeflectionSolutions(
         weak=_resolve_turned(model, upstream, b_weak),
         strong=_resolve_turned(model, upstream, b_strong),
-        tau=tau,
-        tau_star=tau_star,
     )
 
 

@@ -245,7 +245,6 @@ def step(
     upstream: FlowState,
     dt: float | None = None,
     cfl: float = CFL_DEFAULT,
-    return_diag: bool = False,
     top_bc: str = "inflow",
     t_stop: float = math.inf,
 ):
@@ -256,11 +255,10 @@ def step(
     The left boundary is upstream inflow; top_bc is "inflow" too (the
     wedge-problem default) or "outflow" (zero gradient, for quasi-1D test strips).
     The update works on the rows below ``_active_rows`` as on a grid that
-    ends there, and the new state copies the rows above.
+    ends there, and the new state copies the rows above: bit for bit the
+    full-grid update.
     """
-    ny = grid.ny
-    # the mass diagnostic sums boundary fluxes over every row
-    W = ny if return_diag else _active_rows(grid, state, upstream)
+    W = _active_rows(grid, state, upstream)
     solid = grid._solid[:W]
     fluid = ~solid
     h = grid.spacing
@@ -298,7 +296,7 @@ def step(
     # old - lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid; solid cells
     # and the rows above the window keep old
     lam = dt / h
-    rho_new, vx_new, vy_new = news = [np.empty((ny, grid.nx)) for _ in olds]
+    rho_new, vx_new, vy_new = news = [np.empty((grid.ny, grid.nx)) for _ in olds]
     for new, fx, fy, old in zip(news, (fx_rho, fx_vx, fx_vy), (fy_rho, fy_vx, fy_vy), olds):
         d = new[:W]
         np.subtract(fx[:, 1:], fx[:, :-1], out=d)
@@ -319,25 +317,7 @@ def step(
             f"t = {state.t + dt}"
         )
 
-    new = SimState(t=state.t + dt, rho=rho_new, vx=vx_new, vy=vy_new)
-    if not return_diag:
-        return new
-
-    # net mass inflow through the boundary of the fluid region: the outer
-    # box faces plus the fluid-solid faces of the wedge staircase
-    fluid_f = fluid.astype(float)
-    influx = (
-        np.sum(fx_rho[:, 0] * fluid_f[:, 0])
-        - np.sum(fx_rho[:, -1] * fluid_f[:, -1])
-        + np.sum(fy_rho[0, :] * fluid_f[0, :])
-        - np.sum(fy_rho[-1, :] * fluid_f[-1, :])
-    )
-    sxL, sxR = solid[:, :-1], solid[:, 1:]
-    influx += np.sum(fx_rho[:, 1:-1] * (sxL & ~sxR)) - np.sum(fx_rho[:, 1:-1] * (sxR & ~sxL))
-    syB, syT = solid[:-1, :], solid[1:, :]
-    influx += np.sum(fy_rho[1:-1, :] * (syB & ~syT)) - np.sum(fy_rho[1:-1, :] * (syT & ~syB))
-    diag = {"dt": dt, "boundary_mass_inflow": float(influx) * h * dt}
-    return new, diag
+    return SimState(t=state.t + dt, rho=rho_new, vx=vx_new, vy=vy_new)
 
 
 def discrete_curl(grid: Grid, state: SimState):

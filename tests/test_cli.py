@@ -247,6 +247,11 @@ class TestErrorContract:
             ("verify", "epsilon = 0", "epsilon"),
             ("sweep", "eps_list = 0.04 0", "eps_list"),
             ("sweep", "eps_list = 0.5", "eps_list"),
+            # a sweep needs at least one eps and one lattice, none repeated
+            ("sweep", "eps_list =", "eps_list"),
+            ("sweep", "lattice_list =", "lattice_list"),
+            ("sweep", "eps_list = 0.04, 0.04", "eps_list"),
+            ("sweep", "lattice_list = 48, 48", "lattice_list"),
             ("polar", "polar_n = 0", "polar_n"),
             ("polar", "polar_n = 1", "polar_n"),
             # tau_deg is the one angle key; any other *_deg key and a bare tau are unknown
@@ -270,9 +275,11 @@ class TestErrorContract:
         [
             # above the critical angle of M_I = 2.94 at gamma = 10
             ("pattern", "gamma = 10", "NoAttachedShock"),
-            # below the 4.19 degree critical angle, but no tilt of the shock
-            # family meets the wedge tip
-            ("elliptic", "M_I = 1.2\ntau_deg = 3", "GeometryError"),
+            # below the 4.19 degree critical angle: the pattern builds, though
+            # its corner chord cuts the upstream sonic disc, and Newton diverges
+            ("elliptic", "M_I = 1.2\ntau_deg = 3", "InnerSolveError"),
+            # a requested L corner above the R shock's
+            ("pattern", "M_I_y = -2.0\neta_L_star = 5", "GeometryError"),
             # the strong steady root lies within 1e-15 rad of the normal shock
             ("pattern", "M_I = 1e4", "ShockSolveError"),
         ],

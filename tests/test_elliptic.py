@@ -6,7 +6,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from wedgeflow import elliptic
 from wedgeflow.gas import GasModel, constant_state_potential
-from wedgeflow.pattern import ProblemConfig, build
+from wedgeflow.pattern import ProblemConfig, build, separation_check
 from wedgeflow.elliptic import (
     EllipticConfig,
     GridMapping,
@@ -357,13 +357,14 @@ class TestIterate:
 
     def test_separation_flag_marks_unsupported_case(self):
         # small |M_I^y| with a low corner violates the corner-chord
-        # separation; the solver still runs but flags the case
+        # separation; the condition is advisory and the solver still runs
         p = build(
             ProblemConfig(model=AIR, MIy=-0.3, eta_L_star=0.1, epsilon=0.01),
             validate_supersonic=False,
         )
+        assert separation_check(p) < 0.0
         sol = iterate(p, EllipticConfig(n_sigma=16, n_zeta=16, max_outer=2))
-        assert not sol.separation_ok
+        assert len(sol.residual_history) == 2
 
     def test_requires_positive_epsilon(self):
         p = build(ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.0))

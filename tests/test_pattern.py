@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from wedgeflow.gas import GasModel
+from wedgeflow.gas import FlowState, GasModel
 from wedgeflow.pattern import (
     GeometryError,
     ProblemConfig,
     WavePattern,
+    _beta_from_tau,
     build,
     eta_L_cross,
     picture_map,
     picture_transform,
     separation_check,
 )
-from wedgeflow.shocks import cross2, horizontal_downstream_shock
+from wedgeflow.shocks import critical_angle, cross2, horizontal_downstream_shock
 from wedgeflow.cli import dispatch
 
 AIR = GasModel(gamma=1.4)
@@ -71,16 +72,6 @@ class TestBuild:
         assert 0 < p.eta_L_star < p.eta_R_star
         # tilted shock is strictly stronger than the horizontal one
         assert p.state_L.rho > p.state_R.rho
-        assert p.within_eta_margin  # heuristic headroom knob
-
-    def test_eta_margin_flag(self):
-        # a target right below eta_R_star trips the heuristic margin
-        cfg = ProblemConfig(model=AIR, MIy=-2.0, epsilon=0.01)
-        eta_R, _ = horizontal_downstream_shock(AIR, cfg.upstream(), 0.0)
-        tight = build(
-            ProblemConfig(model=AIR, MIy=-2.0, eta_L_star=0.995 * eta_R, epsilon=0.01)
-        )
-        assert not tight.within_eta_margin
 
     def test_tau_round_trip(self):
         p = build(CASE_12)
@@ -107,6 +98,26 @@ class TestBuild:
             assert p.eta_L_star == pytest.approx(eta, abs=1e-9)
             betas.append(p.beta)
         assert np.all(np.diff(betas) < 0)  # tilt decreases toward the straight shock
+
+    def test_slow_wedge_pair_builds(self):
+        # below the 4.19 degree critical angle of M_I = 1.2
+        p = build(ProblemConfig(model=AIR, M_I=1.2, tau=math.radians(3.0), epsilon=0.01))
+        assert p.beta == pytest.approx(1.0642440684652414, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 5.0 / 3.0, 3.0])
+    def test_tilt_meets_the_tip_incidence_relation(self, gamma):
+        # the weak steady tip shock's tilt b satisfies
+        # eta_0(b) = M_I c_I cos(tau) tan(b) of the horizontal-downstream family
+        model = GasModel(gamma=gamma)
+        for mach in (1.05, 1.2, 1.5, 2.0, 2.94, 5.0):
+            tau_star = critical_angle(model, FlowState.from_model(model, 1.0, (mach, 0.0)))
+            for frac in np.linspace(0.02, 0.98, 25):
+                cfg = ProblemConfig(model=model, M_I=mach, tau=float(frac * tau_star), epsilon=0.01)
+                beta = _beta_from_tau(cfg)
+                assert beta > 0.0
+                eta0, _ = horizontal_downstream_shock(model, cfg.upstream(), beta)
+                gap = eta0 - mach * math.cos(cfg.tau) * math.tan(beta)
+                assert abs(gap) <= 1e-12 * mach, (mach, frac)
 
     def test_invalid_eta_rejected(self):
         with pytest.raises(GeometryError):

@@ -117,15 +117,18 @@ class TestStep:
         assert calls == {"sound_speed": 1, "pi_of_rho": 1, "stable_dt": 0, "solid_mask": 0}
 
     def test_mass_conservation_against_boundary_flux(self):
+        # the inflow over the fluid region's boundary comes from the reference
+        # step, whose states and CFL step are step's bit for bit
         cfg = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
         g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=cfg.tau)
         s = init(AIR, up, g)
         for _ in range(25):
             m0 = total_mass(g, s)
-            s, diag = step(AIR, g, s, up, return_diag=True)
+            _, inflow = _ref_step(AIR, g, s, up)
+            s = step(AIR, g, s, up)
             m1 = total_mass(g, s)
-            assert m1 - m0 == pytest.approx(diag["boundary_mass_inflow"], rel=1e-10, abs=1e-14)
+            assert m1 - m0 == pytest.approx(inflow, rel=1e-10, abs=1e-14)
 
     def test_moving_normal_shock_speed(self):
         # exact potential-flow shock: upstream (1, 2.0), speed sigma = 0.8
@@ -315,15 +318,6 @@ class TestStepMatchesReference:
             s = step(AIR, g, s, up, dt=dt, top_bc="outflow")
             ref, _ = _ref_step(AIR, g, ref, up, dt=dt, top_bc="outflow")
             self.assert_same(s, ref)
-
-    def test_diag_boundary_mass_inflow(self):
-        up, g, s = self.wedge_case()
-        ref = s
-        for _ in range(self.STEPS):
-            s, diag = step(AIR, g, s, up, return_diag=True)
-            ref, inflow = _ref_step(AIR, g, ref, up)
-            self.assert_same(s, ref)
-            assert diag["boundary_mass_inflow"] == inflow
 
 
 class TestActiveRows:
