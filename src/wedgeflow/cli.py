@@ -194,6 +194,8 @@ def parse_config(path=None, text=None) -> RunConfig:
         raise ConfigError(f"M_I_y = {cfg.M_I_y} must be negative")
     if cfg.M_I is not None and cfg.tau is None:
         raise ConfigError("M_I given without tau_deg")
+    if cfg.M_I_y is not None and (cfg.M_I is not None or cfg.tau is not None):
+        raise ConfigError("M_I_y and the wedge pair (M_I, tau_deg) both given; give one or the other")
     return cfg
 
 

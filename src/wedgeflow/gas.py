@@ -59,7 +59,18 @@ class GasModel:
         rho = _check_density(rho)
         if self.isothermal:
             return self.c0 * np.ones_like(rho) if isinstance(rho, np.ndarray) else self.c0
-        return self.c0 * (rho / self.rho0) ** (0.5 * (self.gamma - 1.0))
+        if not _is_array(rho):
+            return self.c0 * (rho / self.rho0) ** (0.5 * (self.gamma - 1.0))
+        # the scalar expression's operations in its order, on one result array
+        out = np.divide(rho, self.rho0)
+        out **= 0.5 * (self.gamma - 1.0)
+        out *= self.c0
+        return out
+
+
+def _is_array(rho) -> bool:
+    """An ndarray with at least one axis: the closures compute on it in place."""
+    return isinstance(rho, np.ndarray) and rho.ndim > 0
 
 
 def _check_density(rho):
@@ -77,16 +88,28 @@ def _check_density(rho):
 def pi_of_rho(model: GasModel, rho):
     """Evaluate pi(rho); continuous in gamma at gamma = 1.
 
-    Written via expm1 to keep full precision for rho far from rho0.
+    Written via expm1 to keep full precision for rho far from rho0.  For an
+    array, every operation of the expression works in place on the one
+    result array, in the expression's order.
     """
     rho = _check_density(rho)
-    t = np.asarray(rho, dtype=float) / model.rho0
+    if not _is_array(rho):
+        t = np.asarray(rho, dtype=float) / model.rho0
+        if model.isothermal:
+            return float(model.c0**2 * np.log(t))
+        gm1 = model.gamma - 1.0
+        return float(model.c0**2 * np.expm1(gm1 * np.log(t)) / gm1)
+    out = np.divide(rho, model.rho0, dtype=float)
+    np.log(out, out=out)
     if model.isothermal:
-        out = model.c0**2 * np.log(t)
+        out *= model.c0**2
     else:
         gm1 = model.gamma - 1.0
-        out = model.c0**2 * np.expm1(gm1 * np.log(t)) / gm1
-    return float(out) if np.ndim(rho) == 0 else out
+        out *= gm1
+        np.expm1(out, out=out)
+        out *= model.c0**2
+        out /= gm1
+    return out
 
 
 def pi_inverse(model: GasModel, a):

@@ -16,6 +16,14 @@ cells with mirror-reflected ghost states; outer boundaries are upstream
 Dirichlet (left, top) and zero-gradient outflow (right).  The bottom row of
 the box is the upstream wall (slip via mirror).
 
+A step allocates nothing the size of the grid but the results of the two gas
+closures.  ``run`` hands every step one ``_Workspace``: flat padded arrays,
+face and flux-sum buffers, and two state sets that the steps write into in
+turn.  In the flat padded layout (rows of nx + 2 cells, one ghost layer
+round the window) the faces between cells k and k + 1 (x) and k and
+k + nx + 2 (y) are contiguous slices, so the fluxes and their sums per cell
+are formed by 1-D array operations.
+
 A step updates only the rows the wedge has disturbed.  A cell whose four
 neighbours hold its own state bit for bit has two equal flux pairs, so its
 increment is exactly 0 and the update returns it unchanged; ahead of the
@@ -188,25 +196,61 @@ class _WallGhosts:
         vy[self.jj, self.ii] = self.mxy * u + self.myy * w
 
 
-def _llf(rho_p, B_p, s_p, vn_p, vt_p, lo, hi):
-    """Local Lax-Friedrichs fluxes of (rho, v_n, v_t) through the faces
-    between the padded cells [lo] and [hi]; n points from lo to hi, and s is
-    the wave speed |v_n| + c.  Mass flux and wave speed are formed once per cell."""
-    m_p = rho_p * vn_p
-    ha = np.maximum(s_p[lo], s_p[hi])
+def _llf(rho, B, s, vn, vt, m, k0, k1, off, ha, d):
+    """Yield the local Lax-Friedrichs fluxes of rho, v_n and v_t in turn
+    through the faces between the flat padded cells k and k + off,
+    k0 <= k < k1, entry k - k0 for face k; n points from k to k + off, and s
+    is the wave speed |v_n| + c.
+
+    Every flux is yielded in s's array, so each is read before the next is
+    asked for.  m, ha and d are scratch; the mass flux is formed once per cell.
+    """
+    lo, hi = slice(k0, k1), slice(k0 + off, k1 + off)
+    ha, d, f = ha[: k1 - k0], d[: k1 - k0], s[: k1 - k0]
+    np.maximum(s[lo], s[hi], out=ha)
     ha *= 0.5  # a/2: halving and the sign flip of the v_t flux are exact
-    d = np.empty_like(ha)  # the scaled jumps, one buffer for both fluxes
-    fluxes = []
-    for q, u in ((m_p, rho_p), (B_p, vn_p)):  # 0.5 (q_lo + q_hi) - (a/2) (u_hi - u_lo)
-        f = np.add(q[lo], q[hi])
+    np.multiply(rho, vn, out=m)
+    for q, u in ((m, rho), (B, vn)):  # 0.5 (q_lo + q_hi) - (a/2) (u_hi - u_lo)
+        np.add(q[lo], q[hi], out=f)
         f *= 0.5
         np.subtract(u[hi], u[lo], out=d)
         d *= ha
         f -= d
-        fluxes.append(f)
-    f_t = np.subtract(vt_p[lo], vt_p[hi])
-    f_t *= ha
-    return (*fluxes, f_t)
+        yield f
+    np.subtract(vt[lo], vt[hi], out=f)
+    f *= ha
+    yield f
+
+
+class _Workspace:
+    """The buffers of the steps on one grid, sized for the full grid; a step
+    works on their leading part.
+
+    The padded arrays are flat, (W + 2) * (nx + 2) values for a window of W
+    rows, so the faces between flat cells k and k + 1 (x) and k and
+    k + nx + 2 (y) are contiguous slices; the faces that straddle a row end
+    join two border ghosts and are never read.  The two state sets take the
+    steps' results in turn.
+    """
+
+    def __init__(self, grid: Grid):
+        S = grid.nx + 2
+        self.rho, self.vx, self.vy, self.sx, self.sy = (np.empty((grid.ny + 2) * S) for _ in range(5))
+        self.ha, self.d = np.empty((grid.ny + 1) * S), np.empty((grid.ny + 1) * S)
+        self.sums = tuple(np.empty(grid.ny * S) for _ in range(3))  # the flux sums of rho, vx, vy
+        self.sets = tuple(tuple(np.empty((grid.ny, grid.nx)) for _ in range(3)) for _ in range(2))
+        self.fluid = ~grid._solid
+        fluid_p = np.zeros((grid.ny + 2, grid.nx + 2), dtype=bool)
+        fluid_p[1:-1, 1:-1] = self.fluid
+        self.fluid_p = fluid_p.reshape(-1)  # the fluid cells in the flat padded layout
+
+    def free_set(self, state: SimState):
+        """The state set that holds none of state's arrays."""
+        olds = (state.rho, state.vx, state.vy)
+        first, second = self.sets
+        if any(np.may_share_memory(a, b) for a in first for b in olds):
+            return second
+        return first
 
 
 def _active_rows(grid: Grid, state: SimState, upstream: FlowState) -> int:
@@ -247,6 +291,7 @@ def step(
     cfl: float = CFL_DEFAULT,
     top_bc: str = "inflow",
     t_stop: float = math.inf,
+    workspace: _Workspace | None = None,
 ):
     """One explicit finite-volume update.  dt=None chooses the CFL step,
     shortened so that the step ends no later than t_stop; a wave speed that is
@@ -257,58 +302,83 @@ def step(
     The update works on the rows below ``_active_rows`` as on a grid that
     ends there, and the new state copies the rows above: bit for bit the
     full-grid update.
+
+    The new state's arrays belong to ``workspace`` (a fresh one when None):
+    the next step with it writes into the set the input state does not use,
+    so the step after that overwrites them.  The input state is never written.
     """
+    ws = _Workspace(grid) if workspace is None else workspace
     W = _active_rows(grid, state, upstream)
     solid = grid._solid[:W]
-    fluid = ~solid
+    fluid = ws.fluid[:W]
     h = grid.spacing
+    S = grid.nx + 2  # the padded row length
+    P = (W + 2) * S
     inner = np.s_[1:-1, 1:-1]
     olds = (state.rho, state.vx, state.vy)
 
     # padded arrays: the window's state inside, wall ghosts in its solid cells, one outer ghost layer
-    rho_p, vx_p, vy_p = (np.empty((W + 2, grid.nx + 2)) for _ in range(3))
+    rho, vx, vy, sx, sy = (a[:P] for a in (ws.rho, ws.vx, ws.vy, ws.sx, ws.sy))
+    rho_p, vx_p, vy_p = (a.reshape(W + 2, S) for a in (rho, vx, vy))
     rho_p[inner], vx_p[inner], vy_p[inner] = (old[:W] for old in olds)
     grid._ghosts.fill(rho_p[inner], vx_p[inner], vy_p[inner])
     for p, v, sign in zip((rho_p, vx_p, vy_p), (upstream.rho, *upstream.v), (1.0, 1.0, -1.0)):
         _fill_border(p, v, v if top_bc == "inflow" else None, sign)
 
-    # once per padded cell, for the faces and the CFL bound: c, B = |v|^2/2 + pi, |v_n| + c
-    c_p = np.asarray(model.sound_speed(rho_p))
-    B_p = vx_p * vx_p + vy_p * vy_p
-    B_p *= 0.5
-    B_p += pi_of_rho(model, rho_p)
-    sx_p, sy_p = (np.abs(v) + c_p for v in (vx_p, vy_p))
+    # once per padded cell, for the faces and the CFL bound: c, B = |v|^2/2 + pi,
+    # |v_n| + c (sx holds |v|^2/2 until it takes |v_x| + c)
+    c = np.asarray(model.sound_speed(rho_p)).reshape(P)
+    np.multiply(vx, vx, out=sx)
+    np.multiply(vy, vy, out=sy)
+    sx += sy
+    sx *= 0.5
+    B = pi_of_rho(model, rho_p).reshape(P)
+    B += sx
+    for v, s in ((vx, sx), (vy, sy)):
+        np.abs(v, out=s)
+        s += c
 
     # the stable_dt bound from the same wave speeds on the fluid cells
-    sx, sy = sx_p[inner], sy_p[inner]
-    speeds = _max_speeds(sx, sy, fluid)
+    rows = slice(S, (W + 1) * S)
+    speeds = _max_speeds(sx[rows], sy[rows], ws.fluid_p[rows])
     if dt is None:
         if not math.isfinite(speeds):  # a NaN or infinite velocity
-            j, i = np.unravel_index(int(np.argmax(fluid & ~np.isfinite(sx + sy))), fluid.shape)
-            raise VacuumError(f"wave speed {sx[j, i] + sy[j, i]} at cell (i={i}, j={j}), t = {state.t}")
+            sx_in, sy_in = sx.reshape(W + 2, S)[inner], sy.reshape(W + 2, S)[inner]
+            bad = fluid & ~np.isfinite(sx_in + sy_in)
+            j, i = np.unravel_index(int(np.argmax(bad)), fluid.shape)
+            raise VacuumError(
+                f"wave speed {sx_in[j, i] + sy_in[j, i]} at cell (i={i}, j={j}), t = {state.t}"
+            )
         dt = min(cfl * h / speeds, t_stop - state.t)
     elif dt > h / speeds * (1.0 + 1e-12):
         raise CFLviolation(f"dt = {dt} exceeds the stable bound {h / speeds}")
 
-    fx_rho, fx_vx, fx_vy = _llf(rho_p, B_p, sx_p, vx_p, vy_p, np.s_[1:-1, :-1], np.s_[1:-1, 1:])
-    fy_rho, fy_vy, fy_vx = _llf(rho_p, B_p, sy_p, vy_p, vx_p, np.s_[:-1, 1:-1], np.s_[1:, 1:-1])
-
-    # old - lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid; solid cells
-    # and the rows above the window keep old
+    # old - lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid, summed in the
+    # flat layout: entry q of a sum is the padded cell S + 1 + q, whose x faces
+    # are entries q and q + 1 of the x pass and whose y faces are entries
+    # 1 + q and S + 1 + q of the y pass.  Solid cells and the rows above the
+    # window keep old.  c's array takes the mass flux
+    n = W * S - 2  # from the first interior cell of the window to its last
+    sums = [a[:n] for a in ws.sums]
+    for a, f in zip(sums, _llf(rho, B, sx, vx, vy, c, S, (W + 1) * S, 1, ws.ha, ws.d)):
+        np.subtract(f[1 : n + 1], f[:n], out=a)
+    y_faces = _llf(rho, B, sy, vy, vx, c, 0, (W + 1) * S, S, ws.ha, ws.d)
+    for a, f in zip((sums[0], sums[2], sums[1]), y_faces):
+        a += f[S + 1 : S + 1 + n]
+        a -= f[1 : 1 + n]
     lam = dt / h
-    rho_new, vx_new, vy_new = news = [np.empty((grid.ny, grid.nx)) for _ in olds]
-    for new, fx, fy, old in zip(news, (fx_rho, fx_vx, fx_vy), (fy_rho, fy_vx, fy_vy), olds):
+    news = ws.free_set(state)
+    for new, a, old in zip(news, ws.sums, olds):
+        a[:n] *= lam
         d = new[:W]
-        np.subtract(fx[:, 1:], fx[:, :-1], out=d)
-        d += fy[1:]
-        d -= fy[:-1]
-        d *= lam
+        np.copyto(d, a[: W * S].reshape(W, S)[:, : S - 2])
         np.subtract(old[:W], d, out=d)
         np.copyto(d, old[:W], where=solid)
         new[W:] = old[W:]
 
     # written so that a NaN density fails it too; argmin finds a NaN first.
     # The rows above the window hold the upstream density
+    rho_new, vx_new, vy_new = news
     floor = RHO_FLOOR_FACTOR * upstream.rho
     if not np.all(rho_new[:W] > floor, where=fluid):
         j, i = np.unravel_index(int(np.argmin(np.where(fluid, rho_new[:W], np.inf))), fluid.shape)
@@ -419,7 +489,12 @@ class UnsteadyResult:
 
 
 def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
-    """March the wedge problem to t_final and sample at t_final/2 and t_final."""
+    """March the wedge problem to t_final and sample at t_final/2 and t_final.
+
+    Every ``snapshot_every`` steps ``on_snapshot(grid, state)`` is called with
+    a state whose arrays the march reuses two steps later: a caller copies
+    what it keeps.
+    """
     problem = config.problem
     if problem.tau is None:
         raise ValueError("unsteady run needs the original picture (M_I, tau)")
@@ -439,13 +514,18 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
     margin = 1.5 * h / t_half
     xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)
     xi_y = np.linspace(margin, y_max - margin, max(8, int(config.sample_nx * y_max / (x_max - x_min))))
+    workspace = _Workspace(grid)
     steps, samples = 0, []
     for target in (t_half, config.t_final):
         while state.t < target - 1e-14:
-            state = step(model, grid, state, upstream_orig, cfl=config.cfl, t_stop=target)
+            state = step(
+                model, grid, state, upstream_orig, cfl=config.cfl, t_stop=target, workspace=workspace
+            )
             steps += 1
             if on_snapshot and config.snapshot_every and steps % config.snapshot_every == 0:
                 on_snapshot(grid, state)
+        if target == config.t_final:
+            workspace = None  # the last sample and the caller's export reuse its memory
         samples.append(sample_self_similar(model, grid, state, xi_x, xi_y))
     f1, f2 = samples
     return UnsteadyResult(

@@ -259,6 +259,8 @@ class TestErrorContract:
             ("elliptic", "lattice_n_deg = 3000", "lattice_n_deg"),
             ("simulate", "cfl_deg = 20", "cfl_deg"),
             ("pattern", "tau = 0.17", "unknown key: tau"),
+            # the upstream state comes from M_I_y or from the wedge pair, not both
+            ("pattern", "M_I_y = -2.0", "M_I_y and the wedge pair (M_I, tau_deg)"),
         ],
     )
     def test_config_range_exit_2(self, command, lines, key, tmp_path, capsys):
@@ -278,8 +280,6 @@ class TestErrorContract:
             # below the 4.19 degree critical angle: the pattern builds, though
             # its corner chord cuts the upstream sonic disc, and Newton diverges
             ("elliptic", "M_I = 1.2\ntau_deg = 3", "InnerSolveError"),
-            # a requested L corner above the R shock's
-            ("pattern", "M_I_y = -2.0\neta_L_star = 5", "GeometryError"),
             # the strong steady root lies within 1e-15 rad of the normal shock
             ("pattern", "M_I = 1e4", "ShockSolveError"),
         ],
@@ -292,6 +292,14 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert name in err
+
+    def test_l_corner_above_r_shock_exit_1(self, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(UNPERT + "eta_L_star = 5\n")
+        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "GeometryError" in err
 
     def test_grid_n_zero_exit_2(self, tmp_path, capsys):
         f = tmp_path / "wedge.cfg"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wedgeflow.gas import (
     GasModel,
@@ -156,3 +157,36 @@ def test_constant_state_pseudo_mach_circle(gamma):
         assert rho == pytest.approx(rho_c, rel=1e-13)
         assert c == pytest.approx(c_c, rel=1e-13)
         assert L == pytest.approx(1.0, abs=1e-13)
+
+
+# The closures compute in place on their one result array; they must give the
+# bits of the one-line expressions they replace, for arrays and for scalars.
+@given(
+    gamma=st.sampled_from([1.0, 1.4, 5 / 3, 3.0]),
+    rho0=st.floats(0.05, 20.0).filter(lambda x: x != 1.0),
+    c0=st.floats(0.05, 20.0).filter(lambda x: x != 1.0),
+    rho=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=70),
+)
+def test_closures_equal_the_one_line_expressions(gamma, rho0, c0, rho):
+    model = GasModel(gamma=gamma, rho0=rho0, c0=c0)
+    gm1 = gamma - 1.0
+
+    def old_sound_speed(r):
+        if model.isothermal:
+            return c0 * np.ones_like(r) if isinstance(r, np.ndarray) else c0
+        return c0 * (r / rho0) ** (0.5 * gm1)
+
+    def old_pi(r):
+        t = np.asarray(r, dtype=float) / rho0
+        out = c0**2 * np.log(t) if model.isothermal else c0**2 * np.expm1(gm1 * np.log(t)) / gm1
+        return float(out) if np.ndim(r) == 0 else out
+
+    arr = np.array(rho)
+    for r in (arr, arr[::-1].reshape(1, -1)):
+        assert model.sound_speed(r).tobytes() == old_sound_speed(r).tobytes()
+        assert pi_of_rho(model, r).tobytes() == old_pi(r).tobytes()
+    for r in rho[:5]:
+        c, p = model.sound_speed(r), pi_of_rho(model, r)
+        assert type(c) is float and type(p) is float
+        assert np.float64(c).tobytes() == np.float64(old_sound_speed(r)).tobytes()
+        assert np.float64(p).tobytes() == np.float64(old_pi(r)).tobytes()

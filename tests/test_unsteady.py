@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,60 @@ class TestStep:
         # quiescent upstream quarter of the box, away from wall and shocks
         sub = curl[30:, :20]
         assert np.max(np.abs(sub)) < 1e-6 * 1.0 / g.spacing
+
+
+class TestWorkspace:
+    """``run`` hands one workspace to every step; the steps write their
+    states into its two sets in turn."""
+
+    def test_step_allocates_nothing_grid_sized(self):
+        up, g, s = TestStepMatchesReference().wedge_case()
+        ws = unsteady._Workspace(g)
+        for _ in range(20):
+            s = step(AIR, g, s, up, workspace=ws)
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                s = step(AIR, g, s, up, workspace=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two closure results are the only arrays a step allocates at full size
+        padded = (g.ny + 2) * (g.nx + 2) * 8
+        assert peak < 4 * padded
+
+    def test_step_leaves_its_input_unchanged(self):
+        up, g, s = TestStepMatchesReference().wedge_case()
+        ws = unsteady._Workspace(g)
+        for _ in range(3):
+            s = step(AIR, g, s, up, workspace=ws)
+        kept = [a.copy() for a in (s.rho, s.vx, s.vy)]
+        new = step(AIR, g, s, up, workspace=ws)
+        for a, b in zip((s.rho, s.vx, s.vy), kept):
+            assert a.tobytes() == b.tobytes()
+        for a in (new.rho, new.vx, new.vy):
+            assert not any(np.may_share_memory(a, b) for b in (s.rho, s.vx, s.vy))
+
+    def test_run_marches_like_steps_without_a_workspace(self):
+        problem = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
+        cfg = UnsteadyConfig(problem=problem, grid_n=100, t_final=1.0, snapshot_every=50)
+        snaps = []
+
+        def keep(grid, state):  # the march reuses the state's arrays
+            snaps.append(SimState(state.t, state.rho.copy(), state.vx.copy(), state.vy.copy()))
+
+        res = run(cfg, on_snapshot=keep)
+        up = FlowState.from_model(AIR, problem.rho_I, (problem.M_I * problem.c_I, 0.0))
+        s, steps, ref_snaps = init(AIR, up, res.grid), 0, []
+        for target in (0.5 * cfg.t_final, cfg.t_final):
+            while s.t < target - 1e-14:
+                s = step(AIR, res.grid, s, up, cfl=cfg.cfl, t_stop=target)
+                steps += 1
+                if steps % cfg.snapshot_every == 0:
+                    ref_snaps.append(s)
+        assert steps == res.steps and len(snaps) == len(ref_snaps) == steps // 50 > 0
+        for a, b in zip([*snaps, res.final], [*ref_snaps, s]):
+            TestActiveRows.assert_same_bytes(a, b)
 
 
 # A plain copy of the step's arithmetic as first written: a padded copy per
