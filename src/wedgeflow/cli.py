@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gas import GasModel, FlowState, WedgeError
+from .gas import GasModel, WedgeError
 from . import pattern as pattern_mod
 from .pattern import ProblemConfig, build
 from .shocks import critical_angle, deflection_solutions, shock_polar
@@ -91,8 +91,7 @@ class RunConfig:
         if self.epsilon <= 0.0:
             raise ConfigError(f"epsilon = {self.epsilon}: the elliptic solve needs epsilon > 0")
         return EllipticConfig(
-            n_sigma=self.lattice_n,
-            n_zeta=self.lattice_n,
+            lattice_n=self.lattice_n,
             tol_inner=self.tol_inner,
             tol_outer=self.tol_outer,
             omega_relax=self.omega_relax,
@@ -211,8 +210,8 @@ def _write_rows(path, header, rows):
 def cmd_polar(cfg: RunConfig, out: Path, strict: bool) -> int:
     if cfg.M_I is None or cfg.tau is None:
         raise ConfigError("polar needs M_I and tau_deg")
-    model = cfg.model()
-    upstream = FlowState.from_model(model, cfg.rho_I, (cfg.M_I * cfg.c_I, 0.0))
+    problem = cfg.problem()
+    model, upstream = problem.model, problem.upstream_original()
     samples = shock_polar(model, upstream, np.zeros(2), cfg.polar_n)
     _write_rows(
         out / "polar.csv",

@@ -650,7 +650,7 @@ class CompositeField:
             zy[mk] = v_c[1] - Y[mk]
         if np.any(inside):
             m = self.sol.mapping
-            fi, fj = sig[inside] / m.d_sig, zet[inside] / m.d_zet
+            fi, fj = sig[inside] / m.h, zet[inside] / m.h
             rho[inside] = bilinear(self._rho, fi, fj)
             zx[inside] = bilinear(self._zx, fi, fj)
             zy[inside] = bilinear(self._zy, fi, fj)
@@ -695,7 +695,7 @@ def make_test_battery(pattern: WavePattern):
     return out
 
 
-def weak_residual(composite: CompositeField, bumps=None, quad_n: int = 384):
+def weak_residual(composite: CompositeField, bumps=None, *, quad_n: int):
     """Weak-form residual of the composite field against a bump battery.
 
     For each bump theta the midpoint quadrature of

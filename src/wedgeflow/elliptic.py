@@ -101,26 +101,23 @@ class GridMapping:
     Level set sigma is the point-blend of the two arc circles at equal
     height: xi(sigma, eta) = b + u sqrt(1 - eta^2/R^2) with b, u, R linear
     blends of the arc centers and radii (arc_blend).  zeta rescales eta by
-    the shock height s(sigma).
+    the shock height s(sigma).  The lattice has lattice_n cells in each
+    direction, so sigma and zeta share one node array and one spacing h.
     """
 
-    def __init__(self, pattern: WavePattern, shock: ShockCurve, n_sigma: int, n_zeta: int):
+    def __init__(self, pattern: WavePattern, shock: ShockCurve, lattice_n: int):
         self.pattern = pattern
         self.shock = shock
-        self.n_sigma = n_sigma
-        self.n_zeta = n_zeta
+        self.lattice_n = lattice_n
         self.v_lx = float(pattern.state_L.v[0])
         self.r_l = pattern.arc_L.radius
         self.r_r = pattern.arc_R.radius
         # d(b, u, R)/dsigma of arc_blend, constant in sigma
         self.slopes = (-self.v_lx, self.r_r + self.r_l, self.r_r - self.r_l)
 
-        sig = np.linspace(0.0, 1.0, n_sigma + 1)
-        zet = np.linspace(0.0, 1.0, n_zeta + 1)
-        self.sig, self.zet = sig, zet
-        self.d_sig = sig[1] - sig[0]
-        self.d_zet = zet[1] - zet[0]
-        S, Z = np.meshgrid(sig, zet)  # [j, i]
+        self.nodes = np.linspace(0.0, 1.0, lattice_n + 1)
+        self.h = self.nodes[1] - self.nodes[0]
+        S, Z = np.meshgrid(self.nodes, self.nodes)  # [j, i]
         self.S, self.Z = S, Z
         self._build(S, Z)
 
@@ -208,7 +205,7 @@ class GridMapping:
     # lattice derivative helpers --------------------------------------------
 
     def d_sigma(self, u):
-        h = self.d_sig
+        h = self.h
         out = np.empty_like(u)
         out[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * h)
         out[:, 0] = (-3 * u[:, 0] + 4 * u[:, 1] - u[:, 2]) / (2 * h)
@@ -216,7 +213,7 @@ class GridMapping:
         return out
 
     def d_zeta(self, u):
-        h = self.d_zet
+        h = self.h
         out = np.empty_like(u)
         out[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * h)
         out[0, :] = (-3 * u[0, :] + 4 * u[1, :] - u[2, :]) / (2 * h)
@@ -232,17 +229,17 @@ class GridMapping:
 
     def hessian_terms(self, u):
         """Physical Hessian entries at interior nodes (edges meaningless)."""
-        hs, hz = self.d_sig, self.d_zet
+        h = self.h
         us = self.d_sigma(u)
         uz = self.d_zeta(u)
         uss = np.zeros_like(u)
         uzz = np.zeros_like(u)
         usz = np.zeros_like(u)
-        uss[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / hs**2
-        uzz[1:-1, :] = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / hz**2
+        uss[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h**2
+        uzz[1:-1, :] = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / h**2
         usz[1:-1, 1:-1] = (
             u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]
-        ) / (4 * hs * hz)
+        ) / (4 * h * h)
 
         def combine(c):
             c_ss, c_sz, c_zz, d_s, d_z = c
@@ -255,7 +252,7 @@ class GridMapping:
 
         Returns (sigma, zeta, inside).  Points outside the lens or above the
         shock get inside=False.  For points inside the lens, sigma solves
-        x_of(sigma, eta) = xi by _newton_sigma, started from the linear
+        x_of(sigma, eta) = xi by _sigma_by_newton, started from the linear
         interpolation between the two arcs; other points keep that start,
         clipped to [0, 1].
         """
@@ -269,13 +266,13 @@ class GridMapping:
         inside &= (xi >= x0) & (xi <= x1)
         sig = np.asarray(np.clip((xi - x0) / (x1 - x0), 0.0, 1.0))
         del eta_in, x0, x1  # lowers the peak memory of the Newton arrays
-        sig[inside] = self._newton_sigma(xi[inside], eta[inside], sig[inside])
+        sig[inside] = self._sigma_by_newton(xi[inside], eta[inside], sig[inside])
         s_here = self.shock.value(sig)
         zet = np.where(s_here > 0, eta / np.maximum(s_here, 1e-300), np.inf)
         inside &= zet <= 1.0
         return sig, zet, inside
 
-    def _newton_sigma(self, xi, eta, sig):
+    def _sigma_by_newton(self, xi, eta, sig):
         """sigma in [0, 1] with x_of(sigma, eta) = xi, from the start sig.
 
         Newton falls back to the midpoint of the bracket [lo, hi] whenever
@@ -312,11 +309,9 @@ class GridMapping:
         return np.array([self.xi[j, i], self.eta[j, i]])
 
 
-def build_mapping(
-    pattern: WavePattern, shock: ShockCurve, n_sigma: int = 64, n_zeta: int = 64
-) -> GridMapping:
+def build_mapping(pattern: WavePattern, shock: ShockCurve, lattice_n: int) -> GridMapping:
     """Construct and sanity-check the onion mapping for the given shock."""
-    m = GridMapping(pattern, shock, n_sigma, n_zeta)
+    m = GridMapping(pattern, shock, lattice_n)
     # wall maps exactly to zeta = 0
     if np.max(np.abs(m.eta[0, :])) != 0.0:
         raise MappingError("wall row does not sit at eta = 0")
@@ -326,7 +321,7 @@ def build_mapping(
     return m
 
 
-def chord_shock(pattern: WavePattern, n_sigma: int) -> ShockCurve:
+def chord_shock(pattern: WavePattern, lattice_n: int) -> ShockCurve:
     """Initial shock between the expected corners, in shock-height form.
 
     A cubic Hermite graph that leaves the corners tangent to the straight
@@ -335,10 +330,10 @@ def chord_shock(pattern: WavePattern, n_sigma: int) -> ShockCurve:
     upstream potential mismatch second order at the corners, so the blended
     initial guess stays pseudo-subsonic there.
     """
-    sig = np.linspace(0.0, 1.0, n_sigma + 1)
+    sig = np.linspace(0.0, 1.0, lattice_n + 1)
     a, b = pattern.xi_L_star, pattern.xi_R_star
     if abs(b[1] - a[1]) < 1e-14:
-        return ShockCurve(sigma=sig, s=np.full(n_sigma + 1, a[1]))
+        return ShockCurve(sigma=sig, s=np.full(lattice_n + 1, a[1]))
     v_lx = float(pattern.state_L.v[0])
     r_l, r_r = pattern.arc_L.radius, pattern.arc_R.radius
     xa, xb = float(a[0]), float(b[0])
@@ -353,9 +348,9 @@ def chord_shock(pattern: WavePattern, n_sigma: int) -> ShockCurve:
         h11 = t * t * (t - 1)
         return h00 * a[1] + h10 * dx * ma + h01 * b[1] + h11 * dx * mb
 
-    heights = np.empty(n_sigma + 1)
+    heights = np.empty(lattice_n + 1)
     heights[0], heights[-1] = a[1], b[1]
-    for k in range(1, n_sigma):
+    for k in range(1, lattice_n):
         bb, u, R = arc_blend(sig[k], v_lx, r_l, r_r)
 
         def f(x):
@@ -385,8 +380,7 @@ def initial_guess(pattern: WavePattern, mapping: GridMapping):
 
 @dataclass
 class EllipticConfig:
-    n_sigma: int = 64
-    n_zeta: int = 64
+    lattice_n: int = 64  # lattice cells per direction
     tol_inner: float = 1e-10
     tol_outer: float = 1e-6
     omega_relax: float = 0.5
@@ -611,8 +605,8 @@ def solve_fixed_boundary(
     if np.any(bad):
         j, i = np.unravel_index(int(np.argmin(ell[1:-1, 1:-1])), bad.shape)
         raise EllipticityLost(
-            f"frozen coefficients lost ellipticity at node (sigma={mapping.sig[i+1]:.3f}, "
-            f"zeta={mapping.zet[j+1]:.3f})"
+            f"frozen coefficients lost ellipticity at node (sigma={mapping.nodes[i+1]:.3f}, "
+            f"zeta={mapping.nodes[j+1]:.3f})"
         )
     return psi, lu
 
@@ -623,7 +617,7 @@ def update_shock(pattern: WavePattern, mapping: GridMapping, psi_hat: np.ndarray
     psi_I, a0 = constant_state_potential(model, pattern.state_I.rho, pattern.state_I.v)
     v_iy = float(pattern.state_I.v[1])
     s_new = (psi_hat[-1, :] - a0) / v_iy
-    return ShockCurve(sigma=mapping.sig.copy(), s=s_new)
+    return ShockCurve(sigma=mapping.nodes.copy(), s=s_new)
 
 
 def _true_residuals(pattern, mapping, psi):
@@ -658,8 +652,8 @@ def iterate(
     config = config or EllipticConfig()
     if pattern.epsilon <= 0.0:
         raise ValueError("the free-boundary solve needs epsilon > 0")
-    shock = shock0 or chord_shock(pattern, config.n_sigma)
-    mapping = build_mapping(pattern, shock, config.n_sigma, config.n_zeta)
+    shock = shock0 or chord_shock(pattern, config.lattice_n)
+    mapping = build_mapping(pattern, shock, config.lattice_n)
     psi = initial_guess(pattern, mapping)
     history = []
     converged = False
@@ -699,7 +693,7 @@ def iterate(
             break
 
         shock = ShockCurve(sigma=shock.sigma, s=s_relaxed)
-        mapping = build_mapping(pattern, shock, config.n_sigma, config.n_zeta)
+        mapping = build_mapping(pattern, shock, config.lattice_n)
         psi = psi_hat
 
     return EllipticSolution(

@@ -31,7 +31,8 @@ from .shocks import (
 )
 
 class GeometryError(WedgeError, ValueError):
-    """No shock in the family realizes the requested geometry."""
+    """No shock in the family realizes the requested geometry, or the
+    geometry has no original (wedge) picture."""
 
 
 class SupersonicityViolation(WedgeError, ValueError):
@@ -85,6 +86,12 @@ class ProblemConfig:
 
     def upstream(self) -> FlowState:
         return FlowState.from_model(self.model, self.rho_I, (0.0, self.miy * self.c_I))
+
+    def upstream_original(self) -> FlowState:
+        """The incoming state of the original picture: speed M_I c_I along the xi axis."""
+        if self.M_I is None or self.tau is None:
+            raise GeometryError("the original picture needs the wedge pair (M_I, tau)")
+        return FlowState.from_model(self.model, self.rho_I, (self.M_I * self.c_I, 0.0))
 
 
 @dataclass(frozen=True)
@@ -152,9 +159,17 @@ class WavePattern:
         vy = self.config.miy * self.config.c_I
         return math.hypot(self.wall_speed, vy) / self.config.c_I
 
-    @property
-    def tip(self) -> np.ndarray:
-        return np.array([-self.wall_speed, 0.0])
+    def to_original(self, w):
+        """Standard to original coordinates: the wedge tip (-wall_speed, 0)
+        to the origin, then the wall rotated up by tau, so that the incoming
+        stream is horizontal with speed M_I c_I.  Points and velocities map
+        alike (a shift of the similarity coordinate is a Galilean boost);
+        rho, c and pseudo-Mach data are invariant."""
+        w = np.asarray(w, dtype=float)
+        c, s = math.cos(self.tau), math.sin(self.tau)
+        x = w[..., 0] + self.wall_speed
+        y = w[..., 1]
+        return np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
 
 def _sonic_pair(model, sol, epsilon):
@@ -290,17 +305,22 @@ def _beta_from_tau(config):
     weak branch of the deflection pair.  Its angle above the incoming stream
     exceeds tau by exactly the tilt, and that tilt meets the tip-incidence
     relation eta_0(b) = M_I c_I cos(tau) tan(b) of the shock family to
-    rounding, so nothing is solved for here.
+    rounding, so only the weak root is solved for.  A tilt at rounding level
+    would put the tip at xi = -infinity and raises GeometryError.
     """
-    up_orig = FlowState.from_model(config.model, config.rho_I, (config.M_I * config.c_I, 0.0))
-    sols = deflection_solutions(config.model, up_orig, config.tau)
+    sols = deflection_solutions(config.model, config.upstream_original(), config.tau, strong=False)
     if sols is None:
         raise NoAttachedShock(
             f"tau = {config.tau} exceeds the critical angle for M_I = {config.M_I}"
         )
     t = sols.weak.tangent
     beta0 = math.atan2(abs(t[1]), abs(t[0])) - config.tau
-    return beta0 if beta0 > 1e-12 else 0.0
+    if beta0 <= 1e-12:
+        raise GeometryError(
+            f"tip-shock tilt {beta0:.3g} rad at M_I = {config.M_I}, tau = {config.tau}: "
+            "below rounding level, the wedge tip would lie at xi = -infinity"
+        )
+    return beta0
 
 
 def _dist_point_segment(p, a, b) -> float:
@@ -355,81 +375,3 @@ def eta_L_cross(config: ProblemConfig) -> float:
     if any(b < a - 1e-9 for a, b in zip(vals, vals[1:])):
         raise ArithmeticError("separation distance not monotone along bisection trace")
     return 0.5 * (lo + hi)
-
-
-# --- picture transforms ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrameMap:
-    """Isometry plus change of inertial frame: w -> reflect(R(rot)(w - shift)).
-
-    Points and velocities transform by the same formula (a shift of the
-    similarity coordinate is a Galilean boost); rho, c and pseudo-Mach data
-    are invariant.
-    """
-
-    shift: np.ndarray
-    rot: float
-    reflect_x: bool = False
-
-    def apply(self, w):
-        w = np.asarray(w, dtype=float)
-        c, s = math.cos(self.rot), math.sin(self.rot)
-        x = w[..., 0] - self.shift[0]
-        y = w[..., 1] - self.shift[1]
-        out = np.stack([c * x - s * y, s * x + c * y], axis=-1)
-        if self.reflect_x:
-            out[..., 0] = -out[..., 0]
-        return out
-
-    def invert(self, w):
-        w = np.asarray(w, dtype=float).copy()
-        if self.reflect_x:
-            w = w * np.array([-1.0, 1.0])
-        c, s = math.cos(-self.rot), math.sin(-self.rot)
-        return np.stack(
-            [
-                c * w[..., 0] - s * w[..., 1] + self.shift[0],
-                s * w[..., 0] + c * w[..., 1] + self.shift[1],
-            ],
-            axis=-1,
-        )
-
-    def direction(self, d):
-        """Transform a free direction vector (rotation/reflection only)."""
-        return self.apply(np.asarray(d, dtype=float) + self.shift)
-
-
-def picture_map(pattern: WavePattern, target: str) -> FrameMap:
-    """Frame map from standard coordinates to the requested picture."""
-    if target == "standard":
-        return FrameMap(shift=np.zeros(2), rot=0.0)
-    if target == "original":
-        # tip to the origin, wall rotated up by tau; the incoming stream
-        # becomes horizontal with speed M_I c_I
-        return FrameMap(shift=pattern.tip.copy(), rot=pattern.tau)
-    if target == "L_picture":
-        # velocities relative to the L state, L shock rotated to horizontal,
-        # then everything reflected across the vertical axis
-        return FrameMap(shift=pattern.state_L.v.copy(), rot=-pattern.beta, reflect_x=True)
-    raise ValueError(f"unknown picture {target!r}")
-
-
-def picture_transform(pattern: WavePattern, target: str):
-    """States/corners of the pattern in another picture."""
-    m = picture_map(pattern, target)
-    return {
-        "map": m,
-        "xi_L_star": m.apply(pattern.xi_L_star),
-        "xi_R_star": m.apply(pattern.xi_R_star),
-        "xi_BL": m.apply(pattern.xi_BL),
-        "xi_BR": m.apply(pattern.xi_BR),
-        "v_I": m.apply(pattern.state_I.v),
-        "v_L": m.apply(pattern.state_L.v),
-        "v_R": m.apply(pattern.state_R.v),
-        "shock_L_point": m.apply(pattern.shock_L.point),
-        "shock_L_dir": m.direction(pattern.shock_L.tangent),
-        "rho_L": pattern.state_L.rho,
-        "rho_R": pattern.state_R.rho,
-    }

@@ -372,7 +372,7 @@ class DeflectionSolutions:
     """Weak/strong attached-shock pair for a given flow deflection."""
 
     weak: ShockSolution
-    strong: ShockSolution
+    strong: ShockSolution | None
 
     @property
     def weak_supersonic(self) -> bool:
@@ -422,35 +422,41 @@ def critical_angle(model: GasModel, upstream: FlowState) -> float:
     return _max_deflection(model, upstream)[2]
 
 
-def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
+def deflection_solutions(model: GasModel, upstream: FlowState, tau: float, strong: bool = True):
     """Weak and strong steady-shock solutions turning the flow by tau.
 
     Returns None above the critical angle.  Downstream-sonic classification
     is available on the result.  The expansion branch is never returned.
+    With strong=False only the weak root is solved for and the strong member
+    is None: at gamma 1 or very large M_u the strong root lies within 1e-15
+    rad of the normal shock, where its bracket has no sign change.
     """
     if not 0.0 <= tau < 0.5 * math.pi:
         raise ValueError(f"deflection angle must lie in [0, pi/2), got {tau}")
     beta_max, beta_star, tau_star = _max_deflection(model, upstream)
     if tau > tau_star:
         return None
-    if tau == 0.0:
-        weak = _resolve_turned(model, upstream, -beta_max)
-        strong = _resolve_turned(model, upstream, -1e-14)
-        return DeflectionSolutions(weak=weak, strong=strong)
 
     def f(b):
         return _steady_deflection(model, upstream, b) - tau
 
-    if tau == tau_star or f(beta_star) <= 0.0:
+    if tau == 0.0:
+        b_weak, b_strong = -beta_max, -1e-14
+    elif tau == tau_star or f(beta_star) <= 0.0:
         b_weak = b_strong = beta_star
     else:
         b_weak = _bracketed_root(f, -beta_max, beta_star, xtol=1e-14)
-        # at very large M_u the strong root lies within 1e-15 of the normal
-        # shock, and this bracket has no sign change
-        b_strong = _bracketed_root(f, beta_star, -1e-15, xtol=1e-14)
+        b_strong = None
+        if strong:
+            try:
+                b_strong = _bracketed_root(f, beta_star, -1e-15, xtol=1e-14)
+            except ShockSolveError as exc:
+                raise ShockSolveError(
+                    f"no strong steady shock for M_u = {upstream.mach!r}, tau = {tau!r} rad: {exc}"
+                ) from exc
     return DeflectionSolutions(
         weak=_resolve_turned(model, upstream, b_weak),
-        strong=_resolve_turned(model, upstream, b_strong),
+        strong=_resolve_turned(model, upstream, b_strong) if strong else None,
     )
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gas import GasModel, FlowState, VacuumError, WedgeError, pi_of_rho
-from .pattern import ProblemConfig, WavePattern, build, picture_map
+from .pattern import ProblemConfig, WavePattern, build
 
 CFL_DEFAULT = 0.45
 RHO_FLOOR_FACTOR = 1e-10
@@ -496,13 +496,9 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
     what it keeps.
     """
     problem = config.problem
-    if problem.tau is None:
-        raise ValueError("unsteady run needs the original picture (M_I, tau)")
+    upstream_orig = problem.upstream_original()
     pattern = build(problem)
     model = problem.model
-    upstream_orig = FlowState.from_model(
-        model, problem.rho_I, (problem.M_I * problem.c_I, 0.0)
-    )
 
     x_min, x_max, y_max = config.box
     h = (x_max - x_min) / config.grid_n
@@ -555,11 +551,10 @@ def tip_shock_angle(result: UnsteadyResult) -> float:
     state, grid = result.final, result.grid
     rho_mid = 0.5 * (pattern.state_I.rho + pattern.state_L.rho)
 
-    to_orig = picture_map(pattern, "original")
-    corner = to_orig.apply(pattern.xi_L_star)
+    corner = pattern.to_original(pattern.xi_L_star)
     cols = np.linspace(0.25 * corner[0], 0.75 * corner[0], 60)
     tau = pattern.tau
-    theta_pred = tau + pattern.beta
+    theta_pred = predicted_tip_shock_angle(pattern)
     dxi = 0.5 * grid.spacing / state.t
 
     pts = []
@@ -611,11 +606,10 @@ def probe_stats(field: SelfSimilarField, center, halfwidth):
 
 def region_probes(pattern: WavePattern):
     """Probe centers (original xi coordinates) inside the I, L, R and elliptic regions."""
-    to_orig = picture_map(pattern, "original")
-    corner_L = to_orig.apply(pattern.xi_L_star)
-    arc_R_c = to_orig.apply(pattern.arc_R.center)
+    corner_L = pattern.to_original(pattern.xi_L_star)
+    arc_R_c = pattern.to_original(pattern.arc_R.center)
     r_R = pattern.arc_R.radius
-    tau, beta = pattern.tau, pattern.beta
+    tau = pattern.tau
     t_wall = np.array([math.cos(tau), math.sin(tau)])
     n_wall = np.array([-math.sin(tau), math.cos(tau)])
 
@@ -623,7 +617,7 @@ def region_probes(pattern: WavePattern):
     # both the smeared shock and the sonic circle
     x_L = 0.75 * corner_L[0]
     y_wedge = x_L * math.tan(tau)
-    y_shock = x_L * math.tan(tau + beta)
+    y_shock = x_L * math.tan(predicted_tip_shock_angle(pattern))
     probe_L = np.array([x_L, 0.58 * y_wedge + 0.42 * y_shock])
     # I probe: above the shock over the corner
     probe_I = np.array([corner_L[0], corner_L[1] + 0.8])

@@ -22,12 +22,10 @@ from wedgeflow.shocks import (
 from wedgeflow.elliptic import EllipticConfig, chord_shock, iterate
 from wedgeflow import diagnostics as diag
 from wedgeflow.unsteady import (
-    UnsteadyConfig,
     predicted_tip_shock_angle,
     probe_stats,
     region_probes,
     tip_shock_angle,
-    run as run_unsteady,
 )
 
 AIR = GasModel(gamma=1.4)
@@ -47,7 +45,7 @@ def desk_solutions():
     out = {}
     for eps in (0.04, 0.01, 0.0025):
         pat = build(ProblemConfig(epsilon=eps, **CASE12))
-        out[eps] = iterate(pat, EllipticConfig(n_sigma=64, n_zeta=64))
+        out[eps] = iterate(pat, EllipticConfig(lattice_n=64))
     return out
 
 
@@ -193,14 +191,13 @@ def test_criterion_corner_family_solver():
 
 
 @pytest.mark.slow
-def test_criterion_unsteady_run(desk_march):
+def test_criterion_unsteady_run(desk_march_100, desk_march_200, desk_march):
     t0 = time.perf_counter()
-    problem = ProblemConfig(epsilon=0.01, **CASE12)
-    defects = {}
-    for n in (100, 200):
-        defects[n] = run_unsteady(UnsteadyConfig(problem=problem, grid_n=n, t_final=1.0)).defect
-    res, march_s = desk_march  # the grid_n 400 run, timed by the fixture
-    defects[400] = res.defect
+    # the desk runs at grid_n 100, 200 and 400, each timed by its fixture
+    runs = {100: desk_march_100, 200: desk_march_200, 400: desk_march}
+    defects = {n: r.defect for n, (r, _) in runs.items()}
+    march_s = sum(s for _, s in runs.values())
+    res = desk_march[0]
     ang = tip_shock_angle(res)
     pred = predicted_tip_shock_angle(res.pattern)
     angle_ok = abs(ang - pred) < math.radians(2.0)
@@ -237,11 +234,41 @@ def test_criterion_unsteady_run(desk_march):
     )
 
 
+@pytest.mark.slow
+def test_tip_angle_refinement_study(desk_march_100, desk_march_200, desk_march):
+    """Grid refinement of the marched tip-shock angle (Roache, J. Fluids Eng.
+    116 (1994) 405-413): the error against the weak-shock angle falls at each
+    refinement with observed order at least 1, and the Richardson limit lies
+    within the grid-convergence band 1.25 |A_400 - A_lim| of the weak-shock
+    angle, with the strong-shock angle outside it."""
+    a100, a200, a400 = (tip_shock_angle(r) for r, _ in (desk_march_100, desk_march_200, desk_march))
+    pattern = desk_march[0].pattern
+    weak = predicted_tip_shock_angle(pattern)
+    cfg = pattern.config
+    t = deflection_solutions(cfg.model, cfg.upstream_original(), cfg.tau).strong.tangent
+    strong = math.atan2(abs(t[1]), abs(t[0]))
+    errors = [abs(a - weak) for a in (a100, a200, a400)]
+    ratio = (a100 - a200) / (a200 - a400)
+    order = math.log2(ratio) if ratio > 0.0 else math.nan
+    limit = a400 + (a400 - a200) / (2.0**order - 1.0)
+    band = 1.25 * abs(a400 - limit)
+    falls = errors[0] > errors[1] > errors[2]
+    ok = falls and order >= 1.0 and abs(limit - weak) <= band < abs(limit - strong)
+    report(
+        "tip-angle refinement study (grid_n 100, 200, 400)",
+        ok,
+        f"angles {math.degrees(a100):.3f}, {math.degrees(a200):.3f}, {math.degrees(a400):.3f}deg, "
+        f"error falls {falls}; order {order:.2f} >= 1; limit {math.degrees(limit):.3f}deg, "
+        f"band {math.degrees(band):.3f}deg around it holds weak {math.degrees(weak):.3f}deg, "
+        f"not strong {math.degrees(strong):.1f}deg",
+    )
+
+
 def test_criterion_elliptic_fixed_point(desk_solutions):
     # uniqueness echo: the straight-shock case returns from a 1% bump
     pat0 = build(ProblemConfig(model=ISO, MIy=-2.0, epsilon=0.04))
     bumped = chord_shock(pat0, 32).bumped(0.01 * pat0.state_R.c)
-    sol0 = iterate(pat0, EllipticConfig(n_sigma=32, n_zeta=32), shock0=bumped)
+    sol0 = iterate(pat0, EllipticConfig(lattice_n=32), shock0=bumped)
     recover = float(np.max(np.abs(sol0.shock.s - pat0.eta_R_star)))
     unpert_ok = sol0.converged and recover < 1e-6
 

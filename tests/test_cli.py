@@ -280,8 +280,10 @@ class TestErrorContract:
             # below the 4.19 degree critical angle: the pattern builds, though
             # its corner chord cuts the upstream sonic disc, and Newton diverges
             ("elliptic", "M_I = 1.2\ntau_deg = 3", "InnerSolveError"),
+            # the weak tip shock's tilt is below rounding level: no wedge tip
+            ("pattern", "M_I = 1e4", "GeometryError"),
             # the strong steady root lies within 1e-15 rad of the normal shock
-            ("pattern", "M_I = 1e4", "ShockSolveError"),
+            ("polar", "M_I = 1e4", "ShockSolveError"),
         ],
     )
     def test_solver_failure_exit_1(self, command, lines, name, tmp_path, capsys):
@@ -292,6 +294,22 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert name in err
+
+    def test_polar_strong_root_failure_names_mach_and_angle(self, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12 + "M_I = 1e4\n")
+        assert dispatch(["polar", "--config", str(f), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "M_u = 10000.0" in err and "tau = 0.174" in err
+
+    def test_pattern_at_gamma_1_needs_only_the_weak_root(self, tmp_path, capsys):
+        # at gamma 1 and M_I 10 the strong steady root lies within 1e-15 rad of
+        # the normal shock, out of reach of its bracket; the pattern never asks
+        # for it
+        f = tmp_path / "wedge.cfg"
+        f.write_text("gamma = 1.0\nM_I = 10\ntau_deg = 10\nepsilon = 0.01\n")
+        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 0
+        assert "M_L=" in capsys.readouterr().out
 
     def test_l_corner_above_r_shock_exit_1(self, tmp_path, capsys):
         f = tmp_path / "wedge.cfg"
@@ -331,18 +349,19 @@ def test_write_field_csv_matches_cell_loop(tmp_path):
 
 
 def test_write_solution_csv_matches_node_loop(tmp_path):
-    # a lattice with more sigma than zeta nodes pins the row-major node order
+    # the sigma and zeta columns pin the row-major node order (sigma fastest):
+    # a zeta-major writer would swap them on every off-diagonal row
     pat = pattern.build(parse_config(text=CASE12).problem())
-    sol = elliptic.iterate(pat, elliptic.EllipticConfig(n_sigma=16, n_zeta=12, max_outer=3))
+    sol = elliptic.iterate(pat, elliptic.EllipticConfig(lattice_n=16, max_outer=3))
     names = ("nodes", "shock", "history")
     cli.write_solution_csv(sol, *(tmp_path / f"{n}.csv" for n in names))
     m, f = sol.mapping, sol.fields()
     with open(tmp_path / "loop_nodes.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sigma", "zeta", "xi", "eta", "psi", "rho", "vx", "vy", "L2"])
-        for j in range(m.n_zeta + 1):
-            for i in range(m.n_sigma + 1):
-                w.writerow([m.sig[i], m.zet[j], m.xi[j, i], m.eta[j, i], sol.psi[j, i],
+        for j in range(m.lattice_n + 1):
+            for i in range(m.lattice_n + 1):
+                w.writerow([m.nodes[i], m.nodes[j], m.xi[j, i], m.eta[j, i], sol.psi[j, i],
                             f["rho"][j, i], f["vx"][j, i], f["vy"][j, i], f["L2"][j, i]])
     with open(tmp_path / "loop_shock.csv", "w", newline="") as fh:
         w = csv.writer(fh)

@@ -13,7 +13,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from wedgeflow.gas import GasModel
-from wedgeflow.pattern import ProblemConfig, build, picture_map
+from wedgeflow.pattern import ProblemConfig, build
 from wedgeflow.elliptic import EllipticConfig, iterate
 from wedgeflow.diagnostics import CompositeField
 
@@ -24,7 +24,7 @@ AIR = GasModel(gamma=1.4)
 def test_unsteady_and_elliptic_agree_in_the_lens(desk_march):
     prob = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
     res, _ = desk_march  # the same problem marched at grid_n 400 to t = 1
-    sol = iterate(build(prob), EllipticConfig(n_sigma=64, n_zeta=64))
+    sol = iterate(build(prob), EllipticConfig(lattice_n=64))
     assert sol.converged
 
     comp = CompositeField(sol)
@@ -39,7 +39,7 @@ def test_unsteady_and_elliptic_agree_in_the_lens(desk_march):
     rho_ell, _, _, region = comp.evaluate(pts_std[:, 0], pts_std[:, 1])
     assert np.all(region == 0)  # all probes inside the lens
 
-    pts_orig = picture_map(sol.pattern, "original").apply(pts_std)
+    pts_orig = sol.pattern.to_original(pts_std)
     f = res.sample_final
     interp = RegularGridInterpolator((f.xi_y, f.xi_x), f.rho, bounds_error=False)
     rho_uns = interp(np.stack([pts_orig[:, 1], pts_orig[:, 0]], axis=-1))

@@ -32,13 +32,13 @@ ISO = GasModel(gamma=1.0)
 @pytest.fixture(scope="module")
 def unpert_solution():
     p = build(ProblemConfig(model=ISO, MIy=-2.0, epsilon=0.04))
-    return iterate(p, EllipticConfig(n_sigma=32, n_zeta=32))
+    return iterate(p, EllipticConfig(lattice_n=32))
 
 
 @pytest.fixture(scope="module")
 def case12_solution():
     p = build(ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01))
-    return iterate(p, EllipticConfig(n_sigma=48, n_zeta=48))
+    return iterate(p, EllipticConfig(lattice_n=48))
 
 
 class TestEllipticity:
@@ -132,7 +132,7 @@ class TestArcProfile:
         cfg0 = ProblemConfig(model=ISO, MIy=-2.0, epsilon=eps)
         eta_R, _ = horizontal_downstream_shock(ISO, cfg0.upstream(), 0.0)
         p = build(ProblemConfig(model=ISO, MIy=-2.0, eta_L_star=0.6 * eta_R, epsilon=eps))
-        sol = iterate(p, EllipticConfig(n_sigma=40, n_zeta=40))
+        sol = iterate(p, EllipticConfig(lattice_n=40))
         assert sol.converged
         for side in ("L", "R"):
             profile, checks = arc_profile(sol, side)

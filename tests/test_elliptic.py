@@ -49,7 +49,7 @@ def case12_pattern():
 
 @pytest.fixture(scope="module")
 def case12_solution(case12_pattern):
-    return iterate(case12_pattern, EllipticConfig(n_sigma=48, n_zeta=48))
+    return iterate(case12_pattern, EllipticConfig(lattice_n=48))
 
 
 @pytest.fixture
@@ -68,24 +68,24 @@ def splu_calls(monkeypatch):
 
 class TestMapping:
     def test_wall_row_exactly_on_axis(self, case12_pattern):
-        m = build_mapping(case12_pattern, chord_shock(case12_pattern, 32), 32, 24)
+        m = build_mapping(case12_pattern, chord_shock(case12_pattern, 32), 32)
         assert np.max(np.abs(m.eta[0, :])) == 0.0
 
     def test_corners_of_chord_mapping(self, case12_pattern):
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 32), 32, 24)
+        m = build_mapping(p, chord_shock(p, 32), 32)
         assert np.allclose(m.corner("L"), p.xi_L_star, atol=1e-9)
         assert np.allclose(m.corner("R"), p.xi_R_star, atol=1e-9)
 
     def test_unperturbed_mapping_symmetric(self, unpert_pattern):
         p = unpert_pattern
-        m = build_mapping(p, chord_shock(p, 40), 40, 16)
+        m = build_mapping(p, chord_shock(p, 40), 40)
         # reflection sigma -> 1 - sigma flips xi for the symmetric pattern
         assert np.max(np.abs(m.xi + m.xi[:, ::-1])) < 1e-12
         assert np.max(np.abs(m.eta - m.eta[:, ::-1])) < 1e-12
 
     def test_jacobian_positive_case12_64(self, case12_pattern):
-        m = build_mapping(case12_pattern, chord_shock(case12_pattern, 64), 64, 64)
+        m = build_mapping(case12_pattern, chord_shock(case12_pattern, 64), 64)
         assert np.all(m.jac_det > 0.0)
 
     def test_hessian_transform_second_order(self, case12_pattern):
@@ -93,8 +93,8 @@ class TestMapping:
         # stencil truncation and must shrink at second order
         p = case12_pattern
 
-        def worst(n, nz):
-            m = build_mapping(p, chord_shock(p, n), n, nz)
+        def worst(n):
+            m = build_mapping(p, chord_shock(p, n), n)
             errs = []
             for f, exact in [
                 (m.xi**2, (2.0, 0.0, 0.0)),
@@ -107,22 +107,22 @@ class TestMapping:
                 errs.append(np.max(np.abs(hyy[1:-1, 1:-1] - exact[2])))
             return max(errs)
 
-        e48, e96 = worst(48, 40), worst(96, 80)
+        e48, e96 = worst(48), worst(96)
         assert e48 < 2e-2
         assert e96 < 0.35 * e48
 
     def test_gradient_second_order_for_linear(self, case12_pattern):
-        def worst(n, nz):
-            m = build_mapping(case12_pattern, chord_shock(case12_pattern, n), n, nz)
+        def worst(n):
+            m = build_mapping(case12_pattern, chord_shock(case12_pattern, n), n)
             gx, gy = m.gradient(0.4 * m.xi + 1.3 * m.eta)
             return max(np.max(np.abs(gx - 0.4)), np.max(np.abs(gy - 1.3)))
 
-        e32, e64 = worst(32, 24), worst(64, 48)
+        e32, e64 = worst(32), worst(64)
         assert e32 < 5e-3
         assert e64 < 0.35 * e32
 
     def test_invert_round_trip(self, case12_pattern):
-        m = build_mapping(case12_pattern, chord_shock(case12_pattern, 32), 32, 24)
+        m = build_mapping(case12_pattern, chord_shock(case12_pattern, 32), 32)
         sig, zet, inside = m.invert(m.xi[5:-5:4, 3:-3:4], m.eta[5:-5:4, 3:-3:4])
         assert np.all(inside)
         assert np.max(np.abs(sig - m.S[5:-5:4, 3:-3:4])) < 1e-9
@@ -130,9 +130,9 @@ class TestMapping:
 
     def test_invert_outside_the_lens(self, case12_pattern):
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 32), 32, 24)
+        m = build_mapping(p, chord_shock(p, 32), 32)
         d = 0.05 * p.state_R.c
-        j, i = 12, 16  # mid-height row, middle column
+        j, i = 16, 16  # mid-height row, middle column
         xi = np.array([
             m.xi[j, 0] - d,  # left of arc L
             m.xi[j, -1] + d,  # right of arc R
@@ -147,7 +147,7 @@ class TestMapping:
 
     def test_invert_matches_bisection(self, case12_pattern):
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 32), 32, 24)
+        m = build_mapping(p, chord_shock(p, 32), 32)
         # lattice nodes are exact roots
         sig, _, _ = m.invert(m.xi, m.eta)
         assert np.max(np.abs(sig - bisect_sigma(m, m.xi, m.eta))) <= 1e-13
@@ -165,7 +165,7 @@ class TestMapping:
         top = min(m.r_l, m.r_r)
         xi = np.concatenate([m.xi[-1, 1:-1], m.xi[1:-1, 0] - d, m.xi[1:-1, -1] + d, m.xi[0, 1:-1]])
         eta = np.concatenate([
-            m.eta[-1, 1:-1] + d, m.eta[1:-1, 0], m.eta[1:-1, -1], np.full(m.n_sigma - 1, 1.01 * top),
+            m.eta[-1, 1:-1] + d, m.eta[1:-1, 0], m.eta[1:-1, -1], np.full(m.lattice_n - 1, 1.01 * top),
         ])
         _, _, inside = m.invert(xi, eta)
         assert not np.any(inside)
@@ -174,7 +174,7 @@ class TestMapping:
         p = case12_pattern
         tall = chord_shock(p, 16).bumped(2.0 * p.arc_R.radius)
         with pytest.raises(MappingError):
-            build_mapping(p, tall, 16, 12)
+            build_mapping(p, tall, 16)
 
     def test_negative_shock_height_rejected(self):
         with pytest.raises(MappingError):
@@ -184,7 +184,7 @@ class TestMapping:
 class TestInitialGuess:
     def test_unperturbed_guess_is_exact(self, unpert_pattern):
         p = unpert_pattern
-        m = build_mapping(p, chord_shock(p, 24), 24, 20)
+        m = build_mapping(p, chord_shock(p, 24), 24)
         psi = initial_guess(p, m)
         _, a0 = constant_state_potential(ISO, p.state_R.rho, p.state_R.v)
         assert np.max(np.abs(psi - a0)) < 1e-13
@@ -194,19 +194,19 @@ class TestInitialGuess:
         # states have zero vertical velocity and sigma_eta = 0 on the wall);
         # the discrete stencil sees only its own O(h^2) truncation
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 32), 32, 24)
+        m = build_mapping(p, chord_shock(p, 32), 32)
         psi = initial_guess(p, m)
         _, gy = m.gradient(psi)
         assert np.max(np.abs(gy[0, :])) < 2e-5
         # for the unperturbed pattern the guess is constant: exactly zero
         p0 = unpert_pattern
-        m0 = build_mapping(p0, chord_shock(p0, 24), 24, 20)
+        m0 = build_mapping(p0, chord_shock(p0, 24), 24)
         _, gy0 = m0.gradient(initial_guess(p0, m0))
         assert np.max(np.abs(gy0[0, :])) < 1e-12
 
     def test_guess_subsonic_interior_case12(self, case12_pattern):
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 48), 48, 48)
+        m = build_mapping(p, chord_shock(p, 48), 48)
         psi = initial_guess(p, m)
         vx, vy = m.gradient(psi)
         chi = psi - 0.5 * (m.xi**2 + m.eta**2)
@@ -220,8 +220,8 @@ class TestInitialGuess:
 class TestInnerSolve:
     def test_unperturbed_is_fixed_point(self, unpert_pattern):
         p = unpert_pattern
-        cfg = EllipticConfig(n_sigma=32, n_zeta=32)
-        m = build_mapping(p, chord_shock(p, 32), 32, 32)
+        cfg = EllipticConfig(lattice_n=32)
+        m = build_mapping(p, chord_shock(p, 32), 32)
         psi0 = initial_guess(p, m)
         psi_hat, _ = solve_fixed_boundary(p, m, psi0, cfg)
         assert np.max(np.abs(psi_hat - psi0)) < 1e-8
@@ -229,8 +229,8 @@ class TestInnerSolve:
     def test_chord_newton_reuses_the_factorization(self, case12_pattern, splu_calls):
         # a first outer iteration, from the initial guess
         p = case12_pattern
-        cfg = EllipticConfig(n_sigma=24, n_zeta=24)
-        m = build_mapping(p, chord_shock(p, 24), 24, 24)
+        cfg = EllipticConfig(lattice_n=24)
+        m = build_mapping(p, chord_shock(p, 24), 24)
         psi0 = initial_guess(p, m)
         psi, _ = solve_fixed_boundary(p, m, psi0, cfg)
         assert 1 <= len(splu_calls) <= 2
@@ -242,12 +242,12 @@ class TestInnerSolve:
         # a factorization carried from the chord-shock mapping, used on a
         # mapping whose shock sits a few percent of r_R higher
         p = case12_pattern
-        cfg = EllipticConfig(n_sigma=24, n_zeta=24)
+        cfg = EllipticConfig(lattice_n=24)
         chord = chord_shock(p, 24)
-        m0 = build_mapping(p, chord, 24, 24)
+        m0 = build_mapping(p, chord, 24)
         _, lu = solve_fixed_boundary(p, m0, initial_guess(p, m0), cfg)
         assert lu is not None
-        m = build_mapping(p, chord.bumped(0.03 * p.arc_R.radius), 24, 24)
+        m = build_mapping(p, chord.bumped(0.03 * p.arc_R.radius), 24)
         psi0 = initial_guess(p, m)
         fresh, _ = solve_fixed_boundary(p, m, psi0, cfg)
         stale, _ = solve_fixed_boundary(p, m, psi0, cfg, lu)
@@ -257,7 +257,7 @@ class TestInnerSolve:
     def test_wall_rows_exact_in_discrete_stencil(self, case12_solution):
         sol = case12_solution
         m = sol.mapping
-        dz = m.d_zet
+        dz = m.h
         wall = (-3 * sol.psi[0, :] + 4 * sol.psi[1, :] - sol.psi[2, :]) / (2 * dz)
         # sigma_y = 0 on the wall, so the stencil value alone is the condition
         assert np.max(np.abs(wall[1:-1])) < 1e-9
@@ -268,13 +268,13 @@ class TestInnerSolve:
         p = case12_pattern
 
         def fine_residual(n):
-            sol = iterate(p, EllipticConfig(n_sigma=n, n_zeta=n))
+            sol = iterate(p, EllipticConfig(lattice_n=n))
             fine = build_mapping(p, ShockCurve(
                 sigma=np.linspace(0, 1, 97),
                 s=sol.shock.value(np.linspace(0, 1, 97)),
-            ), 96, 96)
-            sp = RectBivariateSpline(sol.mapping.zet, sol.mapping.sig, sol.psi, kx=3, ky=3)
-            psi_f = sp(fine.zet, fine.sig)
+            ), 96)
+            sp = RectBivariateSpline(sol.mapping.nodes, sol.mapping.nodes, sol.psi, kx=3, ky=3)
+            psi_f = sp(fine.nodes, fine.nodes)
             vx, vy = fine.gradient(psi_f)
             chi = psi_f - 0.5 * (fine.xi**2 + fine.eta**2)
             zx, zy = vx - fine.xi, vy - fine.eta
@@ -293,17 +293,17 @@ class TestInnerSolve:
 class TestShockUpdate:
     def test_unperturbed_shock_unchanged(self, unpert_pattern):
         p = unpert_pattern
-        cfg = EllipticConfig(n_sigma=24, n_zeta=24)
+        cfg = EllipticConfig(lattice_n=24)
         sh = chord_shock(p, 24)
-        m = build_mapping(p, sh, 24, 24)
+        m = build_mapping(p, sh, 24)
         psi_hat, _ = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
         s_new = update_shock(p, m, psi_hat)
         assert np.max(np.abs(s_new.s - sh.s)) < 1e-10
 
     def test_matching_relation_is_identity(self, case12_pattern):
         p = case12_pattern
-        cfg = EllipticConfig(n_sigma=24, n_zeta=24)
-        m = build_mapping(p, chord_shock(p, 24), 24, 24)
+        cfg = EllipticConfig(lattice_n=24)
+        m = build_mapping(p, chord_shock(p, 24), 24)
         psi_hat, _ = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
         s_new = update_shock(p, m, psi_hat)
         psi_I, a0 = constant_state_potential(AIR, p.state_I.rho, p.state_I.v)
@@ -322,14 +322,14 @@ class TestShockUpdate:
 class TestIterate:
     def test_unperturbed_recovery_from_bump(self, unpert_pattern):
         p = unpert_pattern
-        cfg = EllipticConfig(n_sigma=32, n_zeta=32)
+        cfg = EllipticConfig(lattice_n=32)
         bumped = chord_shock(p, 32).bumped(0.01 * p.state_R.c)
         sol = iterate(p, cfg, shock0=bumped)
         assert sol.converged
         assert np.max(np.abs(sol.shock.s - p.eta_R_star)) < 1e-6
 
     def test_factorization_carried_across_outer_iterations(self, case12_pattern, splu_calls):
-        sol = iterate(case12_pattern, EllipticConfig(n_sigma=48, n_zeta=48))
+        sol = iterate(case12_pattern, EllipticConfig(lattice_n=48))
         assert sol.converged
         assert len(splu_calls) <= 3
 
@@ -343,13 +343,13 @@ class TestIterate:
         assert np.hypot(*(sol.corner_R - p.xi_R_star)) < 3 * math.sqrt(eps) * c_r
         f = sol.fields()
         assert f["rho"].min() > p.state_I.rho
-        assert np.max(f["L2"][1:-1, 1:-1]) < 1.0 - eps + 10.0 / sol.config.n_sigma
+        assert np.max(f["L2"][1:-1, 1:-1]) < 1.0 - eps + 10.0 / sol.config.lattice_n
 
     def test_monatomic_desk_case_converges(self):
         # the solver is not tied to the two acceptance gammas
         model = GasModel(gamma=5 / 3)
         p = build(ProblemConfig(model=model, M_I=2.5, tau=math.radians(12.0), epsilon=0.02))
-        sol = iterate(p, EllipticConfig(n_sigma=40, n_zeta=40))
+        sol = iterate(p, EllipticConfig(lattice_n=40))
         assert sol.converged
         f = sol.fields()
         assert f["rho"].min() > p.state_I.rho
@@ -363,13 +363,13 @@ class TestIterate:
             validate_supersonic=False,
         )
         assert separation_check(p) < 0.0
-        sol = iterate(p, EllipticConfig(n_sigma=16, n_zeta=16, max_outer=2))
+        sol = iterate(p, EllipticConfig(lattice_n=16, max_outer=2))
         assert len(sol.residual_history) == 2
 
     def test_requires_positive_epsilon(self):
         p = build(ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.0))
         with pytest.raises(ValueError):
-            iterate(p, EllipticConfig(n_sigma=8, n_zeta=8))
+            iterate(p, EllipticConfig(lattice_n=8))
 
 
 def test_export_csv(tmp_path, case12_solution):
@@ -378,5 +378,5 @@ def test_export_csv(tmp_path, case12_solution):
     node, shock, hist = tmp_path / "n.csv", tmp_path / "s.csv", tmp_path / "h.csv"
     write_solution_csv(case12_solution, node, shock, hist)
     assert node.read_text().splitlines()[0].startswith("sigma,zeta,xi")
-    assert len(shock.read_text().splitlines()) == case12_solution.config.n_sigma + 2
+    assert len(shock.read_text().splitlines()) == case12_solution.config.lattice_n + 2
     assert "combined" in hist.read_text().splitlines()[0]

@@ -11,8 +11,6 @@ from wedgeflow.pattern import (
     _beta_from_tau,
     build,
     eta_L_cross,
-    picture_map,
-    picture_transform,
     separation_check,
 )
 from wedgeflow.shocks import critical_angle, cross2, horizontal_downstream_shock
@@ -162,47 +160,24 @@ class TestSeparation:
 
 
 class TestPictures:
-    def test_standard_is_identity(self):
-        p = build(CASE_12)
-        m = picture_map(p, "standard")
-        pt = np.array([0.3, 0.7])
-        assert np.allclose(m.apply(pt), pt)
-
-    def test_L_round_trip(self):
-        p = build(CASE_12)
-        m = picture_map(p, "L_picture")
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-2, 2, size=(40, 2))
-        back = m.invert(m.apply(pts))
-        assert np.max(np.abs(back - pts)) < 1e-12
-
-    def test_L_picture_structure(self):
-        p = build(CASE_12)
-        out = picture_transform(p, "L_picture")
-        assert np.allclose(out["v_L"], 0.0, atol=1e-12)
-        assert abs(out["shock_L_dir"][1]) < 1e-12  # horizontal shock
-        # rho, c invariant by construction (carried over)
-        assert out["rho_L"] == p.state_L.rho
-
     def test_original_picture_structure(self):
         p = build(CASE_12)
-        out = picture_transform(p, "original")
-        v_I = out["v_I"]
+        v_I = p.to_original(p.state_I.v)
         assert v_I[1] == pytest.approx(0.0, abs=1e-9)
         assert v_I[0] == pytest.approx(2.94, abs=1e-9)
-        m = out["map"]
-        assert np.allclose(m.apply(p.tip), 0.0, atol=1e-9)
-        # tip shock passes through the origin in the original picture
-        sp, sd = out["shock_L_point"], out["shock_L_dir"]
+        assert np.allclose(p.to_original([-p.wall_speed, 0.0]), 0.0, atol=1e-9)
+        # tip shock passes through the origin in the original picture; a
+        # direction maps as the difference of two mapped points
+        sp = p.to_original(p.shock_L.point)
+        sd = p.to_original(p.shock_L.point + p.shock_L.tangent) - sp
         assert abs(cross2(sp, sd)) < 1e-9
 
     def test_galilean_invariance_of_state_data(self):
         p = build(CASE_12)
-        m = picture_map(p, "L_picture")
         # |v - xi| is preserved by the combined shift of points and velocities
         xi = np.array([0.2, 0.4])
         z = p.state_I.v - xi
-        z2 = m.apply(p.state_I.v) - m.apply(xi)
+        z2 = p.to_original(p.state_I.v) - p.to_original(xi)
         assert np.hypot(*z) == pytest.approx(np.hypot(*z2), rel=1e-13)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from wedgeflow import unsteady
 from wedgeflow.gas import GasModel, FlowState, VacuumError, WedgeError, pi_of_rho
-from wedgeflow.pattern import ProblemConfig
+from wedgeflow.pattern import GeometryError, ProblemConfig
 from wedgeflow.shocks import resolve_oblique
 from wedgeflow.unsteady import (
     CFLviolation,
@@ -483,7 +483,7 @@ class TestSampling:
 
 @pytest.mark.slow
 class TestWedgeRunCoarse:
-    def test_structure_small_grid(self):
+    def test_structure_small_grid(self, desk_march_100):
         # 100-cell class run; the full 400-cell criteria live in the acceptance suite
         from wedgeflow.unsteady import (
             predicted_tip_shock_angle,
@@ -492,12 +492,7 @@ class TestWedgeRunCoarse:
             tip_shock_angle,
         )
 
-        cfg = UnsteadyConfig(
-            problem=ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01),
-            grid_n=100,
-            t_final=1.0,
-        )
-        res = run(cfg)
+        res, _ = desk_march_100
         ang = tip_shock_angle(res)
         assert ang == pytest.approx(predicted_tip_shock_angle(res.pattern), abs=math.radians(4))
         probes = region_probes(res.pattern)
@@ -507,3 +502,9 @@ class TestWedgeRunCoarse:
             st = probe_stats(res.sample_final, probes[name], 0.1)
             assert st["L_mean"] > 1.0
         assert res.defect < 0.05
+
+    def test_run_needs_the_wedge_pair(self):
+        # a standard-picture problem has no wedge to march
+        cfg = UnsteadyConfig(problem=ProblemConfig(model=AIR, MIy=-2.0), grid_n=20)
+        with pytest.raises(GeometryError, match="wedge pair"):
+            run(cfg)
