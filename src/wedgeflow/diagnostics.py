@@ -593,6 +593,22 @@ def corner_sensitivity_fd(pattern: WavePattern):
 # --- composite field and weak residual ----------------------------------------
 
 
+def _outer_region(pattern: WavePattern, X, Y):
+    """Region code of points outside the lens: 1 L, 2 R, 3 I.
+
+    The straight shocks delimit the constant regions only outside their
+    sonic corners; between the corners the free boundary of the lens is the
+    shock.  L lies below the L-shock line with xi <= xi_L*, R below the R
+    shock with xi >= xi_R*, and I is the rest.
+    """
+    p = pattern
+    below_L = (Y < p.shock_L.point[1] + (X - p.shock_L.point[0]) * math.tan(p.beta)) & (
+        X <= p.xi_L_star[0]
+    )
+    below_R = (Y < p.shock_R.point[1]) & (X >= p.xi_R_star[0])
+    return np.where(below_L, 1, np.where(below_R, 2, 3))
+
+
 class CompositeField:
     """The elliptic solution stitched into the constant regions over the
     exterior domain (standard coordinates)."""
@@ -604,10 +620,6 @@ class CompositeField:
         self._rho = f["rho"]
         self._zx = f["zx"]
         self._zy = f["zy"]
-        p = self.pattern
-        self.eta_shock_R = p.shock_R.point[1]
-        self.shock_L_pt = p.shock_L.point
-        self.tan_beta = math.tan(p.beta)
 
     def evaluate(self, X, Y):
         """(rho, z, region_code) at points of the upper half plane.
@@ -622,27 +634,12 @@ class CompositeField:
         rho = np.empty_like(X)
         zx = np.empty_like(X)
         zy = np.empty_like(X)
-        region = np.full(X.shape, 3, dtype=int)
-
-        # constant states by default
+        region = np.where(inside, 0, _outer_region(p, X, Y))
         states = {
             1: (p.state_L.rho, p.state_L.v),
             2: (p.state_R.rho, p.state_R.v),
             3: (p.state_I.rho, p.state_I.v),
         }
-        # straight shocks delimit the constant regions only outside their
-        # sonic corners; between the corners the free boundary of the lens
-        # is the shock
-        below_L_shock = (
-            (Y < self.shock_L_pt[1] + (X - self.shock_L_pt[0]) * self.tan_beta)
-            & (X <= p.xi_L_star[0])
-        )
-        below_R_shock = (Y < self.eta_shock_R) & (X >= p.xi_R_star[0])
-
-        region[~inside & below_L_shock] = 1
-        region[~inside & below_R_shock] = 2
-        region[inside] = 0
-
         for code, (rho_c, v_c) in states.items():
             mk = region == code
             rho[mk] = rho_c
@@ -695,42 +692,232 @@ def make_test_battery(pattern: WavePattern):
     return out
 
 
-def weak_residual(composite: CompositeField, bumps=None, *, quad_n: int):
+# Gauss-Legendre nodes across each bump's diameter: per direction in the
+# lattice cells the bump meets (at least 2 per cell) and along the lens
+# boundary; a straight interface gets them all on its chord of the disc
+GAUSS_NODES = 64
+
+
+# the integrals of theta_hat = exp(1 - 1/(1 - |x|^2)) (A0) and of
+# |grad theta_hat| (A1) over the unit disc, by 128-point Gauss-Legendre in
+# the radius, converged to rounding; tests/test_diagnostics.py recomputes
+# them.  Literals, so that importing the module runs no eigenvalue solve.
+BUMP_A0 = 1.268112161127588
+BUMP_A1 = 3.79158918658596
+
+
+def _bump(center, radius, X, Y):
+    """theta and grad theta of the bump at points; exactly 0 off its disc."""
+    dx, dy = X - center[0], Y - center[1]
+    q = 1.0 - (dx * dx + dy * dy) / radius**2
+    on = q > 0.0
+    q = np.where(on, q, 1.0)
+    theta = np.where(on, np.exp(1.0 - 1.0 / q), 0.0)
+    fac = -2.0 * theta / (radius**2 * q * q)
+    return theta, fac * dx, fac * dy
+
+
+def _gauss(edges, rule):
+    """Nodes and weights of a Gauss-Legendre rule (nodes and weights on
+    [-1, 1]) on every interval between consecutive edges, flattened."""
+    x, w = rule
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def _lens_edge(m, piece, t):
+    """(X, Y, n_x, n_y) on a piece of the lens boundary at parameters t in
+    [0, 1]: the point and the outward normal times ds/dt.  The shock ("S")
+    is zeta = 1 parameterized by sigma, so n ds = (-s', x_sigma + x_eta s')
+    dsigma; the arcs ("L", "R") are sigma = 0 and 1 parameterized by zeta."""
+    t = np.asarray(t, dtype=float)
+    if piece == "S":
+        Y, sp = m.shock.value(t), m.shock.deriv(t)
+        X, X_s, X_e = m._x_and_slope(t, Y)
+        return X, Y, -sp, X_s + X_e * sp
+    sig = np.full(t.shape, 0.0 if piece == "L" else 1.0)
+    s = m.shock.value(sig)
+    Y = t * s
+    X, _, X_e = m._x_and_slope(sig, Y)
+    sign = 1.0 if piece == "L" else -1.0
+    return X, Y, -sign * s, sign * X_e * s
+
+
+def _interfaces(pattern: WavePattern, m):
+    """Where the lens boundary is cut, and the straight interfaces.
+
+    Returns (breaks, straight).  breaks[piece] holds the lattice nodes of a
+    lens-boundary piece and its crossings with the cut lines xi = xi_L*,
+    xi_R* and the straight-shock lines, so that one region lies across each
+    interval between them.  straight lists (p0, d, lo, hi, n, a, b): the
+    interface p0 + t d, t in [lo, hi], between the constant states a and b
+    outside the lens, with n its normal from a to b.  The straight L shock
+    left of xi_L* and the R shock right of xi_R* lie outside the lens's
+    arcs; a cut line lies outside the lens only between the shock's
+    crossing of it and the straight shock, and not at all when the shock
+    does not cross it below the straight shock.
+    """
+    p = pattern
+    a, b = p.xi_L_star, p.xi_R_star
+    pt, tb = p.shock_L.point, math.tan(p.beta)
+    eta_R = p.shock_R.point[1]
+    lines = {
+        "cut_L": lambda X, Y: X - a[0],
+        "shock_L": lambda X, Y: Y - (pt[1] + (X - pt[0]) * tb),
+        "cut_R": lambda X, Y: X - b[0],
+        "shock_R": lambda X, Y: Y - eta_R,
+    }
+    breaks, cut_heights = {}, {}
+    for piece in "SLR":
+        X, Y, _, _ = _lens_edge(m, piece, m.nodes)
+        cuts = [m.nodes]
+        for name, line in lines.items():
+            f = line(X, Y)
+            # a node where f is 0 ends two intervals: _bracketed_root returns it
+            for i in np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:])):
+                t = _bracketed_root(
+                    lambda x: float(line(*_lens_edge(m, piece, x)[:2])),
+                    m.nodes[i],
+                    m.nodes[i + 1],
+                    xtol=1e-15,
+                )
+                cuts.append([t])
+                if piece == "S":
+                    cut_heights[name] = float(m.shock.value(t))
+        breaks[piece] = np.unique(np.concatenate(cuts))
+
+    L, R, I = p.state_L, p.state_R, p.state_I
+    up = np.array([0.0, 1.0])
+    d_L = np.array([math.cos(p.beta), math.sin(p.beta)])
+    straight = [
+        (a, d_L, -a[1] / d_L[1] if d_L[1] > 0.0 else -math.inf, 0.0, np.array([-d_L[1], d_L[0]]), L, I),
+        (b, np.array([1.0, 0.0]), 0.0, math.inf, up, R, I),
+    ]
+    for name, top, left, right in (("cut_L", a, L, I), ("cut_R", b, I, R)):
+        h = cut_heights.get(name)
+        if h is not None and h < top[1]:
+            straight.append((np.array([top[0], 0.0]), up, h, top[1], np.array([1.0, 0.0]), left, right))
+    return breaks, straight
+
+
+def _chord(p0, d, lo, hi, center, radius):
+    """The interval of t in [lo, hi] with p0 + t d inside the disc (d a unit
+    vector), or None."""
+    w = p0 - center
+    bb = float(w @ d)
+    disc = bb * bb - (float(w @ w) - radius**2)
+    if disc <= 0.0:
+        return None
+    t0, t1 = max(lo, -bb - math.sqrt(disc)), min(hi, -bb + math.sqrt(disc))
+    return (t0, t1) if t0 < t1 else None
+
+
+def weak_residual(sol: EllipticSolution, bumps=None):
     """Weak-form residual of the composite field against a bump battery.
 
-    For each bump theta the midpoint quadrature of
-    integral(rho grad chi . grad theta - 2 rho theta) is normalized by the
-    same quadrature of rho_R (c_R |grad theta| + 2 |theta|).  Returns the
-    per-bump values and their maximum.
+    For each bump theta the integral of rho grad chi . grad theta - 2 rho
+    theta over the composite field is normalized by the integral of rho_R
+    (c_R |grad theta| + 2 theta), which is rho_R (c_R r A1 + 2 r^2 A0) for
+    a bump of radius r.  Returns the per-bump values and their maximum.
+
+    In a constant state k, z_k = v_k - xi has div z_k = -2, so the
+    integrand there is exactly div(theta rho_k z_k).  With the R state as
+    the lens's reference, the integral is by the divergence theorem
+
+        integral over the lens of (I_lens - I_R)
+        + sum over interfaces of integral theta (rho_A z_A - rho_B z_B) . n_AB ds,
+
+    where the lens carries R and the regions outside it are those of
+    CompositeField.evaluate.  The wall adds nothing, since every bump's
+    support lies above it (make_test_battery).  The lens integral is taken
+    by Gauss-Legendre in (sigma, zeta) on the lattice cells the bump meets,
+    through the forward map, whose Jacobian is |x_sigma s|; rho and z are
+    bilinear in (sigma, zeta) on each cell.  The interface integrals are
+    1-D Gauss rules on pieces split at the lattice nodes and the crossings
+    (_interfaces).  No point is mapped back to (sigma, zeta).
     """
-    pattern = composite.pattern
+    pattern = sol.pattern
     if bumps is None:
         bumps = make_test_battery(pattern)
-    rho_s = pattern.state_R.rho
-    c_s = pattern.state_R.c
+    m = sol.mapping
+    f = sol.fields()
+    rho_R, c_R = pattern.state_R.rho, pattern.state_R.c
+    v_R = pattern.state_R.v
+    breaks, straight = _interfaces(pattern, m)
+    # the state across a lens-boundary point, by region code (0, the lens
+    # itself, is never across)
+    states = (pattern.state_R, pattern.state_L, pattern.state_R, pattern.state_I)
+    rho_k = np.array([st.rho for st in states])
+    mom_k = np.array([st.rho * st.v for st in states])
+    diag = np.maximum(
+        np.hypot(m.xi[1:, 1:] - m.xi[:-1, :-1], m.eta[1:, 1:] - m.eta[:-1, :-1]),
+        np.hypot(m.xi[1:, :-1] - m.xi[:-1, 1:], m.eta[1:, :-1] - m.eta[:-1, 1:]),
+    )
+
+    rules = {}
+
+    def rule(n):
+        if n not in rules:
+            rules[n] = np.polynomial.legendre.leggauss(n)
+        return rules[n]
+
     values = []
     for center, radius in bumps:
-        xs = np.linspace(center[0] - radius, center[0] + radius, quad_n, endpoint=False)
-        ys = np.linspace(center[1] - radius, center[1] + radius, quad_n, endpoint=False)
-        dx = xs[1] - xs[0]
-        dy = ys[1] - ys[0]
-        X, Y = np.meshgrid(xs + 0.5 * dx, ys + 0.5 * dy)
-        u = ((X - center[0]) ** 2 + (Y - center[1]) ** 2) / radius**2
-        # theta and grad theta vanish off the disc, so everything is computed
-        # on the disc only; both sums still run over the whole square, zeros
-        # off the disc, so that they add in the same order
-        disc = u < 1.0
-        X, Y, u = X[disc], Y[disc], u[disc]
-        rho, zx, zy, _ = composite.evaluate(X, Y)
-        theta = np.exp(1.0 - 1.0 / (1.0 - u))
-        fac = -2.0 * theta / (radius**2 * (1.0 - u) ** 2)
-        tx = fac * (X - center[0])
-        ty = fac * (Y - center[1])
-        integrand = np.zeros(disc.shape)
-        integrand[disc] = rho * (zx * tx + zy * ty) - 2.0 * rho * theta
-        weight = np.zeros(disc.shape)
-        weight[disc] = rho_s * (c_s * np.hypot(tx, ty) + 2.0 * theta)
-        raw = float(np.sum(integrand) * dx * dy)
-        norm = float(np.sum(weight) * dx * dy)
+        center = np.asarray(center, dtype=float)
+        raw = 0.0
+        # every cell that can meet the disc: a corner lies within the radius
+        # plus the cell's longer diagonal of the centre
+        d = np.hypot(m.xi - center[0], m.eta - center[1])
+        near = np.minimum.reduce([d[:-1, :-1], d[:-1, 1:], d[1:, :-1], d[1:, 1:]])
+        J, I = np.nonzero(near < radius + diag)
+        if J.size:
+            n_sig = max(2, math.ceil(GAUSS_NODES / (I.max() - I.min() + 1)))
+            n_zet = max(2, math.ceil(GAUSS_NODES / (J.max() - J.min() + 1)))
+            gs, ws = _gauss(np.array([0.0, 1.0]), rule(n_sig))
+            gz, wz = _gauss(np.array([0.0, 1.0]), rule(n_zet))
+            fi = I[:, None, None] + gs[None, None, :]
+            fj = J[:, None, None] + gz[None, :, None]
+            s = m.shock.value(fi * m.h)
+            fi, fj = np.broadcast_arrays(fi, fj)
+            Y = fj * m.h * s
+            X, X_s, _ = m._x_and_slope(fi * m.h, Y)
+            th, tx, ty = _bump(center, radius, X, Y)
+            rho = bilinear(f["rho"], fi, fj)
+            integrand = (
+                (rho * bilinear(f["zx"], fi, fj) - rho_R * (v_R[0] - X)) * tx
+                + (rho * bilinear(f["zy"], fi, fj) - rho_R * (v_R[1] - Y)) * ty
+                - 2.0 * (rho - rho_R) * th
+            )
+            weight = np.abs(X_s * s) * (m.h * m.h) * wz[None, :, None] * ws[None, None, :]
+            raw += float(np.sum(integrand * weight))
+
+            # the lens boundary against the region across it
+            for piece, n in (("S", n_sig), ("L", n_zet), ("R", n_zet)):
+                t, w = _gauss(breaks[piece], rule(n))
+                X, Y, nx, ny = _lens_edge(m, piece, t)
+                th, _, _ = _bump(center, radius, X, Y)
+                k = _outer_region(pattern, X, Y)
+                jump = (
+                    (rho_R * v_R[0] - mom_k[k, 0]) * nx
+                    + (rho_R * v_R[1] - mom_k[k, 1]) * ny
+                    - (rho_R - rho_k[k]) * (X * nx + Y * ny)
+                )
+                raw += float(np.sum(w * th * jump))
+
+        # the straight interfaces outside the lens
+        for p0, dvec, lo, hi, nvec, A, B in straight:
+            span = _chord(p0, dvec, lo, hi, center, radius)
+            if span is None:
+                continue
+            t, w = _gauss(np.array(span), rule(GAUSS_NODES))
+            X, Y = p0[0] + t * dvec[0], p0[1] + t * dvec[1]
+            th, _, _ = _bump(center, radius, X, Y)
+            jump = float((A.rho * A.v - B.rho * B.v) @ nvec) - (A.rho - B.rho) * (
+                X * nvec[0] + Y * nvec[1]
+            )
+            raw += float(np.sum(w * th * jump))
+
+        norm = rho_R * (c_R * radius * BUMP_A1 + 2.0 * radius**2 * BUMP_A0)
         values.append(abs(raw) / norm)
     return {"values": np.array(values), "max": float(np.max(values))}

@@ -280,7 +280,7 @@ class GridMapping:
         """
         lo, hi = np.zeros_like(sig), np.ones_like(sig)
         for _ in range(64):
-            f, fp = self._x_and_slope(sig, eta)
+            f, fp, _ = self._x_and_slope(sig, eta)
             f -= xi
             # f is exactly 0 at lattice nodes: the inclusive bracket keeps that
             # Newton point instead of restarting bisection
@@ -296,12 +296,12 @@ class GridMapping:
         raise MappingError("sigma inversion did not converge in 64 steps")
 
     def _x_and_slope(self, sig, eta):
-        """x_of(sig, eta) and its sigma derivative, from arc_blend and its
-        constant slopes (heights below the blended radius)."""
+        """x_of(sig, eta) and its sigma and eta derivatives, from arc_blend
+        and its constant slopes (heights below the blended radius)."""
         b, u, R = arc_blend(sig, self.v_lx, self.r_l, self.r_r)
         bp, up, Rp = self.slopes
         g = np.sqrt(1.0 - (eta / R) ** 2)
-        return b + u * g, bp + up * g + u * eta**2 * Rp / (R**3 * g)
+        return b + u * g, bp + up * g + u * eta**2 * Rp / (R**3 * g), -u * eta / (R**2 * g)
 
     def corner(self, side: str):
         j = -1

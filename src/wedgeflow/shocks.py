@@ -428,8 +428,8 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float, stron
     Returns None above the critical angle.  Downstream-sonic classification
     is available on the result.  The expansion branch is never returned.
     With strong=False only the weak root is solved for and the strong member
-    is None: at gamma 1 or very large M_u the strong root lies within 1e-15
-    rad of the normal shock, where its bracket has no sign change.
+    is None.  At gamma 1 or very large M_u the strong root lies within 1e-15
+    rad of the normal shock; its bracket ends at the normal shock itself.
     """
     if not 0.0 <= tau < 0.5 * math.pi:
         raise ValueError(f"deflection angle must lie in [0, pi/2), got {tau}")
@@ -446,14 +446,8 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float, stron
         b_weak = b_strong = beta_star
     else:
         b_weak = _bracketed_root(f, -beta_max, beta_star, xtol=1e-14)
-        b_strong = None
-        if strong:
-            try:
-                b_strong = _bracketed_root(f, beta_star, -1e-15, xtol=1e-14)
-            except ShockSolveError as exc:
-                raise ShockSolveError(
-                    f"no strong steady shock for M_u = {upstream.mach!r}, tau = {tau!r} rad: {exc}"
-                ) from exc
+        # the normal shock (b = 0) does not turn the flow, so f(0) = -tau < 0
+        b_strong = _bracketed_root(f, beta_star, 0.0, xtol=1e-14) if strong else None
     return DeflectionSolutions(
         weak=_resolve_turned(model, upstream, b_weak),
         strong=_resolve_turned(model, upstream, b_strong) if strong else None,

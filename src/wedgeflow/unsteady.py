@@ -253,6 +253,25 @@ class _Workspace:
         return first
 
 
+def _grid_shape(config: "UnsteadyConfig"):
+    """(h, nx, ny): the cell size and counts of the march's grid."""
+    x_min, x_max, y_max = config.box
+    h = (x_max - x_min) / config.grid_n
+    return h, config.grid_n, int(round(y_max / h))
+
+
+def march_bytes(config: "UnsteadyConfig") -> int:
+    """Bytes of the grid-sized arrays a march holds at its peak: the
+    workspace's buffers in the padded layout above, the first state, the
+    results of a step's two gas closures, and the boolean masks (solid,
+    fluid, wall ghosts, active rows)."""
+    _, nx, ny = _grid_shape(config)
+    S = nx + 2
+    padded, cells = (ny + 2) * S, ny * nx
+    floats = 7 * padded + 2 * (ny + 1) * S + 3 * ny * S + 9 * cells
+    return 8 * floats + padded + 4 * cells
+
+
 def _active_rows(grid: Grid, state: SimState, upstream: FlowState) -> int:
     """W: a step updates rows 0..W-1 and copies the rows above.
 
@@ -501,8 +520,7 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
     model = problem.model
 
     x_min, x_max, y_max = config.box
-    h = (x_max - x_min) / config.grid_n
-    ny = int(round(y_max / h))
+    h, _, ny = _grid_shape(config)
     grid = Grid(x0=x_min, y0=0.0, spacing=h, nx=config.grid_n, ny=ny, tau=problem.tau)
 
     state = init(model, upstream_orig, grid)

@@ -309,8 +309,7 @@ def test_criterion_weak_residual_scaling(desk_solutions):
     battery = diag.make_test_battery(desk_solutions[0.01].pattern)
     vals = []
     for eps in eps_list:
-        comp = diag.CompositeField(desk_solutions[eps])
-        wr = diag.weak_residual(comp, bumps=battery, quad_n=256)
+        wr = diag.weak_residual(desk_solutions[eps], bumps=battery)
         vals.append(wr["max"])
     slope = float(np.polyfit(np.log(eps_list), np.log(vals), 1)[0])
     ok = 0.3 <= slope <= 0.7

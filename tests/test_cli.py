@@ -261,6 +261,8 @@ class TestErrorContract:
             ("pattern", "tau = 0.17", "unknown key: tau"),
             # the upstream state comes from M_I_y or from the wedge pair, not both
             ("pattern", "M_I_y = -2.0", "M_I_y and the wedge pair (M_I, tau_deg)"),
+            # about 38 GB per field array: refused before any grid-sized allocation
+            ("simulate", "grid_n = 100000", "grid_n = 100000"),
         ],
     )
     def test_config_range_exit_2(self, command, lines, key, tmp_path, capsys):
@@ -282,8 +284,6 @@ class TestErrorContract:
             ("elliptic", "M_I = 1.2\ntau_deg = 3", "InnerSolveError"),
             # the weak tip shock's tilt is below rounding level: no wedge tip
             ("pattern", "M_I = 1e4", "GeometryError"),
-            # the strong steady root lies within 1e-15 rad of the normal shock
-            ("polar", "M_I = 1e4", "ShockSolveError"),
         ],
     )
     def test_solver_failure_exit_1(self, command, lines, name, tmp_path, capsys):
@@ -295,12 +295,23 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1
         assert name in err
 
-    def test_polar_strong_root_failure_names_mach_and_angle(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "M_I = 1e4",
+            "gamma = 1.0\nM_I = 10\ntau_deg = 10",
+            "gamma = 1.0\nM_I = 10\ntau_deg = 40",
+        ],
+    )
+    def test_polar_at_the_normal_shock_limit_exit_0(self, lines, tmp_path, capsys):
+        # the strong steady root lies within 1e-15 rad of the normal shock;
+        # its bracket ends at the normal shock, which does not turn the flow
         f = tmp_path / "wedge.cfg"
-        f.write_text(CASE12 + "M_I = 1e4\n")
-        assert dispatch(["polar", "--config", str(f), "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "M_u = 10000.0" in err and "tau = 0.174" in err
+        f.write_text(CASE12 + lines + "\n")
+        assert dispatch(["polar", "--config", str(f), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "strong M_d=0.0000 (subsonic)" in out
+        assert (tmp_path / "polar_summary.txt").read_text() == out
 
     def test_pattern_at_gamma_1_needs_only_the_weak_root(self, tmp_path, capsys):
         # at gamma 1 and M_I 10 the strong steady root lies within 1e-15 rad of

@@ -23,6 +23,7 @@ from wedgeflow.diagnostics import (
     weak_residual,
     _local_minima,
 )
+from wedgeflow import diagnostics
 from wedgeflow.cli import dispatch
 
 AIR = GasModel(gamma=1.4)
@@ -183,28 +184,85 @@ class TestCornerSensitivity:
             assert math.pi < cs.theta_minus < 1.5 * math.pi - cs.sigma_theta * cs.phi_bar
 
 
+def _midpoint_weak_residual(comp, bumps, quad_n):
+    """The midpoint rule the weak residual used before the divergence form:
+    quad_n x quad_n cells on each bump's square, the composite field sampled
+    through CompositeField.evaluate, normalized by the same rule applied to
+    rho_R (c_R |grad theta| + 2 theta)."""
+    p = comp.pattern
+    rho_s, c_s = p.state_R.rho, p.state_R.c
+    values = []
+    for center, radius in bumps:
+        xs = np.linspace(center[0] - radius, center[0] + radius, quad_n, endpoint=False)
+        ys = np.linspace(center[1] - radius, center[1] + radius, quad_n, endpoint=False)
+        dx, dy = xs[1] - xs[0], ys[1] - ys[0]
+        X, Y = np.meshgrid(xs + 0.5 * dx, ys + 0.5 * dy)
+        u = ((X - center[0]) ** 2 + (Y - center[1]) ** 2) / radius**2
+        disc = u < 1.0
+        X, Y, u = X[disc], Y[disc], u[disc]
+        rho, zx, zy, _ = comp.evaluate(X, Y)
+        theta = np.exp(1.0 - 1.0 / (1.0 - u))
+        fac = -2.0 * theta / (radius**2 * (1.0 - u) ** 2)
+        tx, ty = fac * (X - center[0]), fac * (Y - center[1])
+        raw = np.sum(rho * (zx * tx + zy * ty) - 2.0 * rho * theta) * dx * dy
+        norm = np.sum(rho_s * (c_s * np.hypot(tx, ty) + 2.0 * theta)) * dx * dy
+        values.append(abs(raw) / norm)
+    return np.array(values)
+
+
 class TestWeakResidual:
     def test_constant_region_bump_quadrature_only(self, unpert_solution):
-        comp = CompositeField(unpert_solution)
+        # a bump wholly inside the upstream region meets no interface and no
+        # lattice cell: the divergence form gives exactly 0
         p = unpert_solution.pattern
-        # bump wholly inside the upstream region
         center = np.array([0.0, p.eta_R_star + 1.3 * p.state_R.c])
-        out = weak_residual(comp, bumps=[(center, 0.3 * p.state_R.c)], quad_n=256)
-        assert out["max"] < 1e-6
+        out = weak_residual(unpert_solution, bumps=[(center, 0.3 * p.state_R.c)])
+        assert out["max"] == 0.0
 
     def test_straight_shock_bump(self, unpert_solution):
-        comp = CompositeField(unpert_solution)
+        # straddle the horizontal shock right of the lens: only the
+        # Rankine-Hugoniot residual of the pattern is left
         p = unpert_solution.pattern
-        # straddle the horizontal shock right of the lens
         center = np.array([p.xi_R_star[0] + 1.0 * p.state_R.c, p.eta_R_star])
-        out = weak_residual(comp, bumps=[(center, 0.25 * p.state_R.c)], quad_n=256)
-        assert out["max"] < 1e-6
+        out = weak_residual(unpert_solution, bumps=[(center, 0.25 * p.state_R.c)])
+        assert out["max"] <= 1e-12
+
+    def test_battery_constant_and_straight_shock_bumps(self, case12_solution):
+        # the desk battery's last four bumps: the straight L and R shocks and
+        # two constant-region interiors
+        out = weak_residual(case12_solution)
+        assert np.all(out["values"][8:10] <= 1e-12)
+        assert np.all(out["values"][10:] == 0.0)
+
+    def test_converged_in_the_node_count(self, case12_solution, monkeypatch):
+        base = weak_residual(case12_solution)
+        monkeypatch.setattr(diagnostics, "GAUSS_NODES", 2 * diagnostics.GAUSS_NODES)
+        fine = weak_residual(case12_solution)
+        assert abs(fine["max"] / base["max"] - 1.0) < 1e-3
+        assert np.max(np.abs(fine["values"] - base["values"])) < 0.01 * base["max"]
+
+    def test_matches_the_midpoint_rule_on_the_arcs(self, case12_solution):
+        # at quad_n 768 the midpoint rule's arc-bump values move by 2.4 %
+        # between quad_n 512 and 1024: 3 % is its own spread
+        battery = make_test_battery(case12_solution.pattern)[:6]
+        ref = _midpoint_weak_residual(CompositeField(case12_solution), battery, 768)
+        new = weak_residual(case12_solution, bumps=battery)["values"]
+        assert np.all(np.abs(new / ref - 1.0) < 0.03)
+
+    def test_unit_bump_integrals(self):
+        # over the unit disc, by Gauss-Legendre in the radius: A0 the integral
+        # of theta_hat, A1 that of |grad theta_hat|, which by parts in the
+        # radius is 2 pi times the integral of theta_hat from 0 to 1
+        x, w = np.polynomial.legendre.leggauss(128)
+        r, w = 0.5 * (x + 1.0), 0.5 * w
+        theta = np.exp(1.0 - 1.0 / (1.0 - r * r))
+        assert diagnostics.BUMP_A0 == pytest.approx(2.0 * math.pi * np.sum(w * theta * r), rel=1e-14)
+        assert diagnostics.BUMP_A1 == pytest.approx(2.0 * math.pi * np.sum(w * theta), rel=1e-14)
 
     def test_deterministic(self, case12_solution):
-        comp = CompositeField(case12_solution)
         battery = make_test_battery(case12_solution.pattern)
-        a = weak_residual(comp, bumps=battery, quad_n=128)
-        b = weak_residual(comp, bumps=battery, quad_n=128)
+        a = weak_residual(case12_solution, bumps=battery)
+        b = weak_residual(case12_solution, bumps=battery)
         assert np.array_equal(a["values"], b["values"])
 
     def test_battery_stays_above_wall(self, case12_solution):
