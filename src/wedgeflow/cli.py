@@ -159,6 +159,10 @@ def parse_config(path=None, text=None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"malformed value for {key}: {val!r}") from exc
 
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{'tau_deg' if f.name == 'tau' else f.name} = {v} is not finite")
     for name, (lo, hi) in _RANGES.items():
         v = getattr(cfg, name)
         if v is not None and not lo <= v <= hi:

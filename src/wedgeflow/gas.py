@@ -75,6 +75,10 @@ def _is_array(rho) -> bool:
 
 def _check_density(rho):
     """rho unchanged; VacuumError naming the first value that is not positive and finite."""
+    if isinstance(rho, float):  # one comparison; a NaN fails it too
+        if not 0.0 < rho < math.inf:
+            raise VacuumError(f"density must be positive and finite, got {rho}")
+        return rho
     arr = np.asarray(rho)
     if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):  # a NaN minimum fails too
         if arr.ndim == 0:

@@ -25,6 +25,7 @@ from .shocks import (
     ShockSolution,
     ShockSolveError,
     _bracketed_root,
+    _family_jump,
     deflection_solutions,
     horizontal_downstream_shock,
     sonic_points,
@@ -274,6 +275,16 @@ def build(
     return pattern
 
 
+def _sonic_height(config, upstream, beta):
+    """Height of the tip-side sonic point of the family member with tilt beta,
+    c_d (L_dn cos b - sqrt(1 - eps - L_dn^2) sin b), from the member's normal
+    jump alone: the point of _eta_L_of_beta without the shock it lies on."""
+    cos_b = math.cos(beta)
+    _, ldn, c_ratio = _family_jump(config.model.gamma, -float(upstream.v[1]) / (upstream.c * cos_b))
+    half = math.sqrt(1.0 - config.epsilon - ldn * ldn)
+    return upstream.c * c_ratio * (ldn * cos_b - half * math.sin(beta))
+
+
 def _beta_from_eta_L(config, upstream, target, shock_R, beta_hint=None):
     """Tilt angle whose tip-side sonic point sits at the target height.
 
@@ -281,12 +292,13 @@ def _beta_from_eta_L(config, upstream, target, shock_R, beta_hint=None):
     and L_dn falls from the R shock's as b grows, so the height is <= 0 from
     tan b = L_dn / sqrt(1 - eps - L_dn^2) of the R shock on: the bracket's
     top.  A hint narrows it to [0.8, 1.25] hint where that holds the root.
+    The solve evaluates that height in closed form (_sonic_height).
     """
     if target >= shock_R.point[1]:  # eta_R_star
         return 0.0
 
     def f(beta):
-        return float(_eta_L_of_beta(config, upstream, beta)[0][1]) - target
+        return _sonic_height(config, upstream, beta) - target
 
     ldn = shock_R.ldn
     top = math.atan2(ldn, math.sqrt(1.0 - config.epsilon - ldn * ldn))

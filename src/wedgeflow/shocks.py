@@ -16,6 +16,16 @@ together with the jump ratios
 
 Normals point downstream (z_un, z_dn > 0); a shock is admissible iff
 L_un >= 1, equivalently rho_d >= rho_u.
+
+In the log density ratio u = log(rho_d/rho_u) the relations are explicit.
+With E(u) = expm1((gamma-1) u)/(gamma-1) (E(u) = u at gamma = 1), in units
+of c_u:
+
+    L_un^2 = 2 E(u) / (1 - e^(-2u)),   L_dn = L_un e^(-(gamma+1) u/2),
+    c_d / c_u = e^((gamma-1) u/2),     (L_un - L_dn c_d/c_u)^2 = 2 E(u) tanh(u/2).
+
+The shock family of the corner problem, fixed by its normal velocity jump,
+is solved for in u (_family_jump).
 """
 
 from __future__ import annotations
@@ -204,6 +214,31 @@ def jump_state(model: GasModel, rho_u: float, c_u: float, lun: float, *, require
     return _jump_ratios(model.gamma, rho_u, c_u, lun, downstream_normal_mach(model.gamma, lun))
 
 
+def _family_jump(gamma: float, jump: float):
+    """(L_un, L_dn, c_d/c_u) of the shock with normal velocity jump
+    z_un - z_dn = jump c_u > 0: the one root u of 2 E(u) tanh(u/2) = jump^2
+    (see the module docstring).
+
+    The bracket's top solves 2 E(u) = l_max^2: l_max = 1 + (gamma+1) jump/2
+    bounds L_un (the jump rises with L_un at a slope above 2/(gamma+1)), and
+    L_un^2 >= 2 E(u).  u -> 0 for weak shocks, so only the relative term
+    stops the solve.
+    """
+    gm1 = gamma - 1.0
+    iso = gm1 < ISOTHERMAL_EPS
+    l_max = 1.0 + 0.5 * (gamma + 1.0) * jump
+    top = 0.5 * l_max * l_max if iso else math.log1p(0.5 * gm1 * l_max * l_max) / gm1
+
+    def energy(u):  # E(u)
+        return u if iso else math.expm1(gm1 * u) / gm1
+
+    u = _bracketed_root(
+        lambda u: 2.0 * energy(u) * math.tanh(0.5 * u) - jump * jump, 0.0, top, xtol=0.0
+    )
+    lun = math.sqrt(2.0 * energy(u) / -math.expm1(-2.0 * u))
+    return lun, lun * math.exp(-0.5 * (gamma + 1.0) * u), math.exp(0.5 * gm1 * u)
+
+
 def _jump_ratios(gamma: float, rho_u: float, c_u: float, lun: float, ldn: float):
     """(rho_d, c_d) from the normal pseudo-Mach numbers on both sides."""
     ratio = lun / ldn
@@ -222,8 +257,10 @@ class ShockSensitivities:
     dvdn_dsigma: derivative of v_dn w.r.t. shock speed at fixed normal and
                upstream velocity; equals 1 - dzdn_dzun > 2/(gamma+1).
     drho_d_dsigma: same variation for rho_d, in units of rho_u/c_u (negative).
+    ldn: the downstream normal pseudo-Mach number they are taken at.
     """
 
+    ldn: float
     dldn_dlun: float
     dzdn_dzun: float
     dvdn_dsigma: float
@@ -246,6 +283,7 @@ def sensitivities(gamma: float, lun: float) -> ShockSensitivities:
         * (1.0 / lun - dldn / ldn)
     )
     return ShockSensitivities(
+        ldn=ldn,
         dldn_dlun=dldn,
         dzdn_dzun=dzdn,
         dvdn_dsigma=1.0 - dzdn,
@@ -408,9 +446,9 @@ def _max_deflection(model: GasModel, upstream: FlowState):
         lun, ms = mach * math.cos(b), mach * math.sin(b)
         if lun <= 1.0:
             return 4.0 / (gamma + 1.0) * math.sin(b) ** 2
-        ldn = downstream_normal_mach(gamma, lun)
-        z_dn = ldn * _jump_ratios(gamma, 1.0, 1.0, lun, ldn)[1]
-        slope = sensitivities(gamma, lun).dzdn_dzun
+        sens = sensitivities(gamma, lun)
+        z_dn = sens.ldn * _jump_ratios(gamma, 1.0, 1.0, lun, sens.ldn)[1]
+        slope = sens.dzdn_dzun
         return 1.0 - mach * (z_dn * math.cos(b) + ms * math.sin(b) * slope) / (z_dn**2 + ms**2)
 
     beta_star = _bracketed_root(dtau, -beta_max, 0.0, xtol=1e-13)
@@ -467,18 +505,9 @@ def horizontal_downstream_shock(model: GasModel, upstream: FlowState, beta: floa
         raise ValueError("upstream vertical velocity must be negative")
     if not -0.5 * math.pi < beta < 0.5 * math.pi:
         raise ValueError(f"beta must lie in (-pi/2, pi/2), got {beta}")
-    # v_d^y = 0 is the normal velocity jump z_un - z_dn = -v_uy / cos(b); in
-    # units of c_u, L_un - L_dn c_d / c_u = J.  The left side rises from 0 at
-    # L_un = 1 with slope above 2/(gamma+1) (ShockSensitivities), so the root
-    # lies in [1, 1 + (gamma+1) J / 2]
+    # v_d^y = 0 is the normal velocity jump z_un - z_dn = -v_uy / cos(b)
     cos_b = math.cos(beta)
-    jump = -vuy / (upstream.c * cos_b)
-
-    def excess(lun):
-        ldn = downstream_normal_mach(model.gamma, lun)
-        return lun - ldn * _jump_ratios(model.gamma, 1.0, 1.0, lun, ldn)[1] - jump
-
-    lun = _bracketed_root(excess, 1.0, 1.0 + 0.5 * (model.gamma + 1.0) * jump, xtol=1e-15)
+    lun = _family_jump(model.gamma, -vuy / (upstream.c * cos_b))[0]
     eta0 = vuy + lun * upstream.c / cos_b
     n = np.array([math.sin(beta), -cos_b])
     return eta0, resolve_oblique(model, upstream, np.array([0.0, eta0]), n)

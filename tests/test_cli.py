@@ -263,6 +263,17 @@ class TestErrorContract:
             ("pattern", "M_I_y = -2.0", "M_I_y and the wedge pair (M_I, tau_deg)"),
             # about 38 GB per field array: refused before any grid-sized allocation
             ("simulate", "grid_n = 100000", "grid_n = 100000"),
+            # every float value must be finite: an infinite t_final never ends
+            # the march, a NaN box height has no row count, and a NaN or infinite
+            # upstream state reaches the shock solves
+            ("simulate", "t_final = inf", "t_final = inf is not finite"),
+            ("pattern", "box_y_max = nan", "box_y_max = nan is not finite"),
+            ("pattern", "box_y_max = inf", "box_y_max = inf is not finite"),
+            ("pattern", "M_I = nan", "M_I = nan is not finite"),
+            ("pattern", "M_I = inf", "M_I = inf is not finite"),
+            ("pattern", "c_I = inf", "c_I = inf is not finite"),
+            ("pattern", "rho_I = inf", "rho_I = inf is not finite"),
+            ("pattern", "tau_deg = nan", "tau_deg = nan is not finite"),
         ],
     )
     def test_config_range_exit_2(self, command, lines, key, tmp_path, capsys):
@@ -273,6 +284,14 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert key in err
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_wall_normal_mach_exit_2(self, value, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(UNPERT + f"M_I_y = {value}\n")
+        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: M_I_y = {value} is not finite"]
 
     @pytest.mark.parametrize(
         "command, lines, name",

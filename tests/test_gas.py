@@ -62,6 +62,18 @@ def test_array_density_error_is_one_line_naming_the_cell(closure, bad):
     assert "(3, 7)" in msg and repr(bad) in msg
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "closure", [AIR.sound_speed, ISO.sound_speed, lambda rho: pi_of_rho(AIR, rho)],
+    ids=["sound_speed", "isothermal_sound_speed", "pi_of_rho"],
+)
+@pytest.mark.parametrize("kind", [float, np.float64, np.array], ids=["float", "float64", "0-d"])
+def test_scalar_density_error_names_the_value(closure, bad, kind):
+    with pytest.raises(VacuumError) as info:
+        closure(kind(bad))
+    assert str(info.value) == f"density must be positive and finite, got {kind(bad)}"
+
+
 def test_pi_inverse_at_reference():
     for model in (AIR, ISO, GasModel(gamma=5 / 3, rho0=2.0, c0=0.5)):
         assert pi_inverse(model, 0.0) == pytest.approx(model.rho0, rel=1e-15)

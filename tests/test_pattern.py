@@ -9,6 +9,8 @@ from wedgeflow.pattern import (
     ProblemConfig,
     WavePattern,
     _beta_from_tau,
+    _eta_L_of_beta,
+    _sonic_height,
     build,
     eta_L_cross,
     separation_check,
@@ -96,6 +98,18 @@ class TestBuild:
             assert p.eta_L_star == pytest.approx(eta, abs=1e-9)
             betas.append(p.beta)
         assert np.all(np.diff(betas) < 0)  # tilt decreases toward the straight shock
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 5.0 / 3.0, 3.0])
+    @pytest.mark.parametrize("miy", [-2.0, -1.2])
+    def test_closed_form_sonic_height_meets_the_built_member(self, gamma, miy):
+        # the tilt solve's objective against the sonic point of the resolved shock
+        model = GasModel(gamma=gamma)
+        cfg = ProblemConfig(model=model, MIy=miy, epsilon=0.01)
+        eta_R, shock_R = horizontal_downstream_shock(model, cfg.upstream(), 0.0)
+        top = math.atan2(shock_R.ldn, math.sqrt(1.0 - 0.01 - shock_R.ldn**2))
+        for beta in np.linspace(0.0, top, 50):
+            point = _eta_L_of_beta(cfg, cfg.upstream(), float(beta))[0]
+            assert abs(_sonic_height(cfg, cfg.upstream(), float(beta)) - point[1]) <= 1e-14 * eta_R
 
     def test_slow_wedge_pair_builds(self):
         # below the 4.19 degree critical angle of M_I = 1.2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from wedgeflow.gas import (
@@ -22,6 +22,7 @@ from wedgeflow.shocks import (
     ShockSolveError,
     WrongSideError,
     _bracketed_root,
+    _family_jump,
     _steady_deflection,
     critical_angle,
     deflection_solutions,
@@ -479,6 +480,33 @@ class TestHorizontalDownstreamShock:
         betas = np.linspace(0.0, 1.2, 25)
         etas = [horizontal_downstream_shock(AIR, up, b)[0] for b in betas]
         assert np.all(np.diff(etas) > 0)
+
+
+    def test_isothermal_member_near_underflow(self):
+        # u = log(rho_d/rho_u) is about 700 and L_dn about 1e-303; the nested
+        # solve of L_un saw L_dn underflow at its bracket's top and raised
+        up = FlowState.from_model(ISO, 1.0, (0.0, -10.0))
+        eta0, sol = horizontal_downstream_shock(ISO, up, 1.3)
+        assert abs(sol.downstream.v[1]) < 1e-10
+        assert 0.0 < sol.ldn < 1e-300
+
+
+class TestFamilyJump:
+    @given(gamma=st.sampled_from(GAMMAS), jump=st.floats(1e-6, 50.0))
+    def test_explicit_relations_in_the_log_density_ratio(self, gamma, jump):
+        # at gamma = 1, L_dn ~ L_un exp(-jump^2 / 2) underflows past jump ~ 38
+        assume(gamma > 1.0 or jump <= 35.0)
+        lun, ldn, c_ratio = _family_jump(gamma, jump)
+        # the difference cancels to jump from terms of size L_un
+        assert abs(lun - ldn * c_ratio - jump) <= 1e-13 * lun
+        assert c_ratio == pytest.approx((lun / ldn) ** ((gamma - 1.0) / (gamma + 1.0)), rel=1e-13)
+        # L_dn(L_un) amplifies a rounding of L_un by its condition number (L_un^2
+        # at gamma = 1), and the Newton solve of downstream_normal_mach, which
+        # stops at a residual of 4e-15 of its target, keeps about
+        # 1e-16 / (L_un - 1) of L_dn on the flat g just outside its series window
+        cond = abs(sensitivities(gamma, lun).dldn_dlun) * lun / ldn
+        tol = 1e-13 * max(1.0, cond) + (4e-16 / (lun - 1.0) if lun - 1.0 >= SONIC_WINDOW else 0.0)
+        assert ldn == pytest.approx(downstream_normal_mach(gamma, lun), rel=tol)
 
 
 class TestSonicPoints:
