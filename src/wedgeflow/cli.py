@@ -496,6 +496,10 @@ def dispatch(argv=None) -> int:
     except WedgeError as exc:
         print(f"solver failure ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # an allocation no preflight estimate caught
+        print(f"solver failure (MemoryError): {_one_line(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def _one_line(exc) -> str:

@@ -25,12 +25,22 @@ residual settles:
 
 At a fixed point the four conditions hold with chi_hat = chi_old, which is
 the self-similar potential flow problem with L^2 = 1 - eps on the arcs.
+
+Step 1 is chord Newton on the exact Jacobian of the split residual: the
+residual kernel (_conditions) also yields per-node coefficients of the
+fixed lattice operators, and the Jacobian sum_op diag(K_op) D_op is
+assembled on stencils built once per iterate call.  Its sparse LU, ordered
+by minimum degree on A^T + A with diagonal pivots, carries over from one
+outer iteration to the next.  Each inner solve stops at INNER_FORCING times
+the previous shock update, never below tol_inner (the forcing term of
+inexact Newton, Eisenstat and Walker, SIAM J. Sci. Comput. 17 (1996)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -68,7 +78,11 @@ class ShockCurve:
     def __post_init__(self):
         if np.any(self.s[1:-1] <= 0.0):
             raise MappingError("shock height must stay positive over the wall")
-        self._spline = CubicSpline(self.sigma, self.s, bc_type="not-a-knot")
+
+    @cached_property
+    def _spline(self):
+        # built on first use: the shock update's target curve only lends its heights
+        return CubicSpline(self.sigma, self.s, bc_type="not-a-knot")
 
     def value(self, sig):
         return self._spline(sig)
@@ -419,15 +433,25 @@ class EllipticSolution:
         return self.mapping.corner("R")
 
 
-def _conditions(model, pattern, mapping, chi_coef, psi):
+def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
     """The four conditions at psi, block by block, each made dimensionless.
 
     chi_coef is the chi that sets the coefficients: the frozen chi_old of the
     split problem, or chi of psi itself for the unsplit conditions.  Returns
-    (interior, arc, wall, shock, z2, c2): the interior operator at the
+    (interior, arc, wall, shock, z2, c2, K): the interior operator at the
     interior nodes, the arc condition at every node (its sigma = 0 and 1
     columns are the arc rows), the wall and shock rows without their corner
-    nodes, and |z|^2 and c^2 = c0^2 + (1-g)(chi_coef + |z|^2/2) at every node.
+    nodes, |z|^2 and c^2 = c0^2 + (1-g)(chi_coef + |z|^2/2) at every node,
+    and K, None unless linearize is set.
+
+    With linearize, K holds the derivative of the split residual (_residual)
+    with respect to psi, chi_coef frozen, as per-node coefficient fields of
+    the lattice operators d_s, d_z, d_ss, d_sz, d_zz and the identity, in
+    that order (shape (6,) + psi.shape): the residual row at a node changes
+    by sum_op K_op D_op(delta psi) there.  Interior rows carry A : H plus the
+    derivative of A = c^2 I - z z^T through grad psi; arc rows z . grad;
+    wall rows d/dy; shock rows the derivatives of rho, of the unit normal
+    and of the mass flux.  d_ss, d_sz and d_zz are read at interior rows only.
     """
     gamma = model.gamma
     eps = pattern.epsilon
@@ -463,22 +487,71 @@ def _conditions(model, pattern, mapping, chi_coef, psi):
     # shock: normal mass flux against the upstream state
     top = (-1, slice(1, -1))
     chi = psi[top] - 0.5 * (xi[top] ** 2 + eta[top] ** 2)
-    arg = -chi - 0.5 * z2[top]
+    raw = -chi - 0.5 * z2[top]
+    arg = raw
     if not model.isothermal:
-        arg = np.maximum(arg, -model.c0**2 / (gamma - 1.0) * 0.999999)
+        arg = np.maximum(raw, -model.c0**2 / (gamma - 1.0) * 0.999999)
     rho = pi_inverse(model, arg)
     dx, dy = v_I[0] - vx[top], v_I[1] - vy[top]
     dn = np.maximum(np.hypot(dx, dy), 1e-14 * c_r)
-    shock = (
-        (rho * zx[top] - rho_I * (v_I[0] - xi[top])) * (dx / dn)
-        + (rho * zy[top] - rho_I * (v_I[1] - eta[top])) * (dy / dn)
-    ) / (rho_I * c_r)
-    return interior, arc, wall, shock, z2, c2
+    nx, ny = dx / dn, dy / dn
+    mx = rho * zx[top] - rho_I * (v_I[0] - xi[top])
+    my = rho * zy[top] - rho_I * (v_I[1] - eta[top])
+    shock = (mx * nx + my * ny) / (rho_I * c_r)
+    if not linearize:
+        return interior, arc, wall, shock, z2, c2, None
+
+    K = np.zeros((6,) + psi.shape)
+    K_s, K_z, K_ss, K_sz, K_zz, K_id = K
+    sig_x, sig_y, zet_x, zet_y = mapping.sig_x, mapping.sig_y, mapping.zet_x, mapping.zet_y
+
+    def grad_rows(gx, gy):
+        # coefficients of d_s and d_z for the row gx d/dx + gy d/dy
+        return gx * sig_x + gy * sig_y, gx * zet_x + gy * zet_y
+
+    # interior: A : H(delta psi), then dA through dz = grad delta psi
+    # (dc^2 = (1-g) z . dz)
+    for A, coef in ((Axx, mapping.hxx), (2.0 * Axy, mapping.hxy), (Ayy, mapping.hyy)):
+        for k, c in zip((2, 3, 4, 0, 1), coef):  # c_ss, c_sz, c_zz, d_s, d_z
+            K[k] += A * c
+    trace = (1.0 - gamma) * (hxx + hyy)
+    dA_s, dA_z = grad_rows(
+        trace * zx - 2.0 * (hxx * zx + hxy * zy), trace * zy - 2.0 * (hxy * zx + hyy * zy)
+    )
+    K_s += dA_s
+    K_z += dA_z
+    K[:5] /= c_r**2
+
+    # arcs: z . grad
+    arc_s, arc_z = grad_rows(zx / c_r**2, zy / c_r**2)
+    for col in (0, -1):
+        K_s[:, col], K_z[:, col] = arc_s[:, col], arc_z[:, col]
+
+    # wall: d/dy
+    K_s[0, 1:-1] = sig_y[0, 1:-1] / c_r
+    K_z[0, 1:-1] = zet_y[0, 1:-1] / c_r
+
+    # shock: d(rho) = rho/c^2 d(arg) off the vacuum clamp, d(arg) = -d psi - z . dz,
+    # d(normal) = -(I - n n^T) dz / dn, and the flux's own rho dz
+    c2_top = model.c0**2 if model.isothermal else model.c0**2 + (gamma - 1.0) * arg
+    drho = np.where(arg == raw, rho / c2_top, 0.0)
+    zn = zx[top] * nx + zy[top] * ny
+    mn = mx * nx + my * ny
+    scale = rho_I * c_r
+    px = (-drho * zn * zx[top] + rho * nx - (mx - mn * nx) / dn) / scale
+    py = (-drho * zn * zy[top] + rho * ny - (my - mn * ny) / dn) / scale
+    K_s[top] = px * sig_x[top] + py * sig_y[top]
+    K_z[top] = px * zet_x[top] + py * zet_y[top]
+    K_id[top] = -drho * zn / scale
+    return interior, arc, wall, shock, z2, c2, K
 
 
 def _residual(model, pattern, mapping, chi_old, psi):
-    """Residual of the split problem: coefficients and arc term frozen at chi_old."""
-    interior, arc, wall, shock, _, _ = _conditions(model, pattern, mapping, chi_old, psi)
+    """Residual of the split problem: coefficients and arc term frozen at chi_old.
+
+    Returns (F, z2, c2), with |z|^2 and the frozen-coefficient c^2 at every node.
+    """
+    interior, arc, wall, shock, z2, c2, _ = _conditions(model, pattern, mapping, chi_old, psi)
     F = np.empty_like(psi)
     F[1:-1, 1:-1] = interior
     # corner rows carry the arc condition; the shock side is enforced
@@ -488,46 +561,73 @@ def _residual(model, pattern, mapping, chi_old, psi):
     F[:, -1] = arc[:, -1]
     F[0, 1:-1] = wall
     F[-1, 1:-1] = shock
-    return F
+    return F, z2, c2
 
 
-def _jacobian(resid, psi, F, delta_fd):
-    """Sparse finite-difference Jacobian of resid at psi (F = resid(psi)).
+def _lattice_operators(lattice_n):
+    """COO stencils of d_s, d_z, d_ss, d_sz, d_zz and the identity on the lattice.
 
-    Grouped differences over a 5x5 node coloring: the perturbed nodes of one
-    color are 5 apart in each direction and every stencil, the one-sided
-    boundary stencils included, reaches at most 2 nodes, so each row sees
-    at most one perturbed node.
+    Nodes are numbered as psi.ravel() ([zeta, sigma], sigma fastest).  The
+    first differences are GridMapping.d_sigma and d_zeta, one-sided at the
+    edges; the second differences are those of hessian_terms, at the
+    interior nodes only, and the identity is kept at the shock rows, the
+    only ones that read it.  Returns (rows, cols, vals, field): field indexes
+    each entry's coefficient in the flattened (6,) + psi.shape stack that
+    _conditions returns with linearize.
     """
-    nz, ns = psi.shape
-    rows, cols, vals = [], [], []
-    for ci in range(5):
-        for cj in range(5):
-            mask = np.zeros_like(psi, dtype=bool)
-            mask[cj::5, ci::5] = True
-            Fp = resid(psi + delta_fd * mask)
-            dF = (Fp - F) / delta_fd
-            rj, ri = np.nonzero(np.abs(dF) > 0.0)
-            # unique perturbed node within distance 2 of each row
-            off_i = (ci - ri) % 5
-            off_i = np.where(off_i > 2, off_i - 5, off_i)
-            off_j = (cj - rj) % 5
-            off_j = np.where(off_j > 2, off_j - 5, off_j)
-            src_i = ri + off_i
-            src_j = rj + off_j
-            ok = (src_i >= 0) & (src_i < ns) & (src_j >= 0) & (src_j < nz)
-            rows.append(rj[ok] * ns + ri[ok])
-            cols.append(src_j[ok] * ns + src_i[ok])
-            vals.append(dF[rj[ok], ri[ok]])
-    return coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nz * ns, nz * ns),
-    ).tocsc()
+    N = lattice_n + 1
+    h = np.linspace(0.0, 1.0, N)[1]
+    node = np.arange(N * N, dtype=np.int32)
+    j, i = np.divmod(node, N)
+    inner = (0 < i) & (i < lattice_n) & (0 < j) & (j < lattice_n)
+    shock = (j == lattice_n) & (0 < i) & (i < lattice_n)
+
+    def first(t, step):
+        lo, mid, hi = t == 0, (0 < t) & (t < lattice_n), t == lattice_n
+        c = 1.0 / (2 * h)
+        return [
+            (mid, step, c), (mid, -step, -c),
+            (lo, 0, -3 * c), (lo, step, 4 * c), (lo, 2 * step, -c),
+            (hi, 0, 3 * c), (hi, -step, -4 * c), (hi, -2 * step, c),
+        ]
+
+    def second(step):
+        c = 1.0 / h**2
+        return [(inner, step, c), (inner, 0, -2 * c), (inner, -step, c)]
+
+    c = 1.0 / (4 * h * h)
+    cross = [(inner, N + 1, c), (inner, N - 1, -c), (inner, 1 - N, -c), (inner, -1 - N, c)]
+    ops = (first(i, 1), first(j, N), second(1), cross, second(N), [(shock, 0, 1.0)])
+    rows, cols, vals, field = [], [], [], []
+    for k, taps in enumerate(ops):
+        for sel, offset, w in taps:
+            r = node[sel]
+            rows.append(r)
+            cols.append(r + offset)
+            vals.append(np.full(r.size, w))
+            field.append(k * N * N + r)
+    return tuple(np.concatenate(a) for a in (rows, cols, vals, field))
+
+
+def _jacobian(model, pattern, mapping, chi_old, psi, operators):
+    """Exact sparse Jacobian of _residual at psi: sum_op diag(K_op) D_op,
+    with the coefficient fields of _conditions and the stencils of
+    _lattice_operators; entries that vanish are left out."""
+    rows, cols, vals, field = operators
+    *_, K = _conditions(model, pattern, mapping, chi_old, psi, linearize=True)
+    w = K.ravel()[field]
+    w *= vals
+    keep = w != 0.0
+    return coo_matrix((w[keep], (rows[keep], cols[keep])), shape=(psi.size, psi.size)).tocsc()
 
 
 # the chord iteration refactors once a step shrinks by less than this factor
 # against the step before it made with the same factorization
 CHORD_CONTRACTION = 4.0
+# an outer iteration solves its fixed-boundary problem only to this fraction
+# of the shock update the previous one made (the forcing term of inexact
+# Newton), never below tol_inner
+INNER_FORCING = 0.01
 MAX_NEWTON = 20  # Newton steps per fixed-boundary solve
 CORNER_MARGIN = 0.995  # a corner above this fraction of its arc radius has escaped
 
@@ -538,49 +638,59 @@ def solve_fixed_boundary(
     psi_old: np.ndarray,
     config: EllipticConfig,
     lu=None,
+    tol: float | None = None,
+    operators=None,
 ):
     """Chord-Newton solve of the split problem with coefficients frozen at psi_old.
 
     Newton starts from psi_old.  Its steps reuse one factorization of the
     Jacobian (the chord method): lu when given, such as the one an earlier
-    call returned on a nearby mapping, else one of the grouped
-    finite-difference Jacobian (_jacobian).  That is refactored at the
-    current iterate when a step shrinks by less than CHORD_CONTRACTION
-    against the previous step of this call made with the same factorization.
-    The solve stops when a step falls below tol_inner relative to the
-    potential scale; a residual above 4x its best value on 5 consecutive
-    steps, or above 1e3 tol_inner after MAX_NEWTON steps, raises
-    InnerSolveError.  The returned state must keep the frozen coefficients
-    elliptic at every interior node (EllipticityLost otherwise).  Returns
-    (psi, lu), with lu None when the last step asked for a refresh.
+    call returned on a nearby mapping, else one of the exact Jacobian
+    (_jacobian) on the lattice stencils operators (built here when not
+    given).  That is refactored at the current iterate when a step shrinks
+    by less than CHORD_CONTRACTION against the previous step of this call
+    made with the same factorization.  The solve stops when a step falls
+    below tol (default tol_inner) relative to the potential scale; a
+    residual above 4x its best value on 5 consecutive steps, or above
+    1e3 tol after MAX_NEWTON steps, raises InnerSolveError.  The returned
+    state must keep the frozen coefficients elliptic at every interior node
+    (EllipticityLost otherwise), checked on the last residual evaluation.
+    Returns (psi, lu), with lu None when the last step asked for a refresh.
     """
     model = pattern.config.model
     chi_old = psi_old - 0.5 * (mapping.xi**2 + mapping.eta**2)
+    tol = config.tol_inner if tol is None else tol
+    if operators is None:
+        operators = _lattice_operators(mapping.lattice_n)
 
     psi = psi_old.copy()
     scale = pattern.state_R.c * max(1.0, np.max(np.abs(psi)))
-    delta_fd = 1e-7 * scale
 
-    def resid(p):
-        return _residual(model, pattern, mapping, chi_old, p)
-
-    F = resid(psi)
+    F, z2, c2_mix = _residual(model, pattern, mapping, chi_old, psi)
     best = np.max(np.abs(F))
     growth = 0
     upd_prev = math.inf
     for _ in range(MAX_NEWTON):
         if lu is None:
+            J = _jacobian(model, pattern, mapping, chi_old, psi, operators)
             try:
-                lu = splu(_jacobian(resid, psi, F, delta_fd))
+                # the 9-point stencils make J structurally symmetric but for
+                # the one-sided edge rows: order on A^T + A, pivot on the diagonal
+                lu = splu(
+                    J,
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
             except RuntimeError as exc:
                 raise InnerSolveError(f"singular Newton matrix: {exc}") from exc
             upd_prev = math.inf
         step = lu.solve(-F.ravel()).reshape(psi.shape)
         psi = psi + step
-        F = resid(psi)
+        F, z2, c2_mix = _residual(model, pattern, mapping, chi_old, psi)
         res_norm = np.max(np.abs(F))
         upd = np.max(np.abs(step)) / scale
-        if upd < config.tol_inner:
+        if upd < tol:
             break
         if res_norm > 4.0 * best:
             growth += 1
@@ -593,13 +703,12 @@ def solve_fixed_boundary(
             lu = None
         upd_prev = upd
     else:
-        if np.max(np.abs(F)) > 1e3 * config.tol_inner:
+        if np.max(np.abs(F)) > 1e3 * tol:
             raise InnerSolveError(
                 f"Newton did not converge: residual {np.max(np.abs(F))}"
             )
 
     # frozen-coefficient ellipticity check at the returned state
-    *_, z2, c2_mix = _conditions(model, pattern, mapping, chi_old, psi)
     ell = c2_mix - z2
     bad = ell[1:-1, 1:-1] <= 0.0
     if np.any(bad):
@@ -627,7 +736,9 @@ def _true_residuals(pattern, mapping, psi):
     the arc condition, measured as L^2 - (1 - eps), takes precedence.
     """
     chi = psi - 0.5 * (mapping.xi**2 + mapping.eta**2)
-    interior, _, wall, shock, z2, c2 = _conditions(pattern.config.model, pattern, mapping, chi, psi)
+    interior, _, wall, shock, z2, c2, _ = _conditions(
+        pattern.config.model, pattern, mapping, chi, psi
+    )
     L2 = z2 / c2
     target = 1.0 - pattern.epsilon
     return {
@@ -647,7 +758,11 @@ def iterate(
     """Alternate fixed-boundary solves and shock updates until residuals settle.
 
     The mapping changes little between outer iterations, so each solve
-    starts from the factorization the previous one returned.
+    starts from the factorization the previous one returned, and all share
+    one set of lattice stencils.  The first solve runs to tol_inner; each
+    later one to INNER_FORCING times the shock update of the iteration
+    before it, never below tol_inner, since a tighter inner solve is lost
+    on a shock that is still that far off.
     """
     config = config or EllipticConfig()
     if pattern.epsilon <= 0.0:
@@ -659,9 +774,11 @@ def iterate(
     converged = False
     r_r = pattern.arc_R.radius
     lu = None
+    operators = _lattice_operators(config.lattice_n)
+    tol = config.tol_inner
 
     for outer in range(config.max_outer):
-        psi_hat, lu = solve_fixed_boundary(pattern, mapping, psi, config, lu)
+        psi_hat, lu = solve_fixed_boundary(pattern, mapping, psi, config, lu, tol, operators)
         s_target = update_shock(pattern, mapping, psi_hat)
         ds = s_target.s - shock.s
         s_relaxed = shock.s + config.omega_relax * ds
@@ -677,6 +794,7 @@ def iterate(
             + rec["r_shock_update"]
         )
         history.append(rec)
+        tol = max(config.tol_inner, INNER_FORCING * rec["r_shock_update"])
 
         # corner escape checks against the (extended) arcs
         for side, idx, radius in (("L", 0, pattern.arc_L.radius), ("R", -1, pattern.arc_R.radius)):

@@ -1,0 +1,39 @@
+"""Independent checks of the elliptic solver's linear algebra."""
+
+import numpy as np
+from scipy.sparse import coo_matrix
+
+
+def fd_jacobian(resid, psi, F, delta_fd):
+    """Sparse finite-difference Jacobian of resid at psi (F = resid(psi)).
+
+    Grouped differences over a 5x5 node coloring: the perturbed nodes of one
+    color are 5 apart in each direction and every stencil, the one-sided
+    boundary stencils included, reaches at most 2 nodes, so each row sees
+    at most one perturbed node.  Entries whose difference is exactly 0 are
+    left out.
+    """
+    nz, ns = psi.shape
+    rows, cols, vals = [], [], []
+    for ci in range(5):
+        for cj in range(5):
+            mask = np.zeros_like(psi, dtype=bool)
+            mask[cj::5, ci::5] = True
+            Fp = resid(psi + delta_fd * mask)
+            dF = (Fp - F) / delta_fd
+            rj, ri = np.nonzero(np.abs(dF) > 0.0)
+            # unique perturbed node within distance 2 of each row
+            off_i = (ci - ri) % 5
+            off_i = np.where(off_i > 2, off_i - 5, off_i)
+            off_j = (cj - rj) % 5
+            off_j = np.where(off_j > 2, off_j - 5, off_j)
+            src_i = ri + off_i
+            src_j = rj + off_j
+            ok = (src_i >= 0) & (src_i < ns) & (src_j >= 0) & (src_j < nz)
+            rows.append(rj[ok] * ns + ri[ok])
+            cols.append(src_j[ok] * ns + src_i[ok])
+            vals.append(dF[rj[ok], ri[ok]])
+    return coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nz * ns, nz * ns),
+    ).tocsc()

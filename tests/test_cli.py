@@ -349,6 +349,28 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1
         assert "GeometryError" in err
 
+    @pytest.mark.parametrize("miy", ["-8", "-10"])
+    def test_unresolved_r_shock_height_exit_1(self, miy, tmp_path, capsys):
+        # at gamma 1 the R shock all but stops a flow this fast: its height
+        # v_I^y + L_un c_I cancels to round-off (1e-13 at -8) or to 0 (-10)
+        f = tmp_path / "wedge.cfg"
+        f.write_text(f"gamma = 1\nM_I_y = {miy}\nepsilon = 0.01\n")
+        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1
+        assert "GeometryError" in err and "M_I_y" in err
+        assert "inf" not in out
+
+    def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, out, strict):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.COMMANDS, "pattern", exhausted)
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12)
+        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["solver failure (MemoryError): out of memory"]
+
     def test_grid_n_zero_exit_2(self, tmp_path, capsys):
         f = tmp_path / "wedge.cfg"
         f.write_text(CASE12 + "grid_n = 0\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
+from elliptic_oracles import fd_jacobian
 from wedgeflow import elliptic
 from wedgeflow.gas import GasModel, constant_state_potential
 from wedgeflow.pattern import ProblemConfig, build, separation_check
@@ -58,9 +59,9 @@ def splu_calls(monkeypatch):
     calls = []
     real_splu = elliptic.splu
 
-    def counting_splu(*args):
+    def counting_splu(*args, **kwargs):
         calls.append(1)
-        return real_splu(*args)
+        return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(elliptic, "splu", counting_splu)
     return calls
@@ -235,7 +236,7 @@ class TestInnerSolve:
         psi, _ = solve_fixed_boundary(p, m, psi0, cfg)
         assert 1 <= len(splu_calls) <= 2
         chi_old = psi0 - 0.5 * (m.xi**2 + m.eta**2)
-        F = elliptic._residual(p.config.model, p, m, chi_old, psi)
+        F, _, _ = elliptic._residual(p.config.model, p, m, chi_old, psi)
         assert np.max(np.abs(F)) < cfg.tol_inner
 
     def test_stale_factorization_converges_to_the_fresh_solution(self, case12_pattern):
@@ -288,6 +289,32 @@ class TestInnerSolve:
 
         r24, r48 = fine_residual(24), fine_residual(48)
         assert r48 < 0.5 * r24
+
+
+class TestExactJacobian:
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_matches_finite_differences(self, case12_pattern, n):
+        # off the fixed point: coefficients frozen at the initial guess, psi
+        # a smooth perturbation of it that vanishes on no boundary row
+        p = case12_pattern
+        model = p.config.model
+        m = build_mapping(p, chord_shock(p, n), n)
+        psi_old = initial_guess(p, m)
+        chi_old = psi_old - 0.5 * (m.xi**2 + m.eta**2)
+        psi = psi_old + 0.01 * p.state_R.c * (m.Z + m.S * m.Z + 0.5 * m.S**2)
+
+        def resid(q):
+            return elliptic._residual(model, p, m, chi_old, q)[0]
+
+        scale = p.state_R.c * max(1.0, np.max(np.abs(psi)))
+        fd = fd_jacobian(resid, psi, resid(psi), 1e-7 * scale).tocsr()
+        ops = elliptic._lattice_operators(n)
+        exact = elliptic._jacobian(model, p, m, chi_old, psi, ops).tocsr()
+        assert ((exact != 0) != (fd != 0)).nnz == 0
+        # forward differences carry an O(delta) truncation error
+        row_scale = abs(exact).max(axis=1).toarray().ravel()
+        row_diff = abs(exact - fd).max(axis=1).toarray().ravel()
+        assert np.max(row_diff / row_scale) <= 1e-4
 
 
 class TestShockUpdate:
