@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -203,8 +204,8 @@ def parse_config(path=None, text=None) -> RunConfig:
 
 
 def _write_rows(path, header, rows):
-    """Every CSV file but the field and snapshot files, in csv.writer's
-    default dialect (repr of each float, CRLF line ends)."""
+    """Every CSV file but the field, snapshot and elliptic node files, in
+    csv.writer's default dialect (repr of each float, CRLF line ends)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -258,10 +259,14 @@ def cmd_pattern(cfg: RunConfig, out: Path, strict: bool) -> int:
     rows.append(("wall", *pat.xi_BL, *pat.xi_BR, ""))
     _write_rows(out / "pattern.csv", ["entity", "a", "b", "c", "d", "e"], rows)
     sep = pattern_mod.separation_check(pat)
+    # the tip-frame Mach numbers need an original picture: an unperturbed
+    # pattern (M_I_y without eta_L_star) has its tip at -infinity
+    machs = (
+        f"M_L={pat.mach_L:.4f} M_R={pat.mach_R:.4f} " if math.isfinite(pat.wall_speed) else ""
+    )
     print(
         f"pattern: eta_R*={pat.eta_R_star:.6f} eta_L*={pat.eta_L_star:.6f} "
-        f"beta={pat.beta:.6f} M_L={pat.mach_L:.4f} M_R={pat.mach_R:.4f} "
-        f"separation={sep:.6f}"
+        f"beta={pat.beta:.6f} {machs}separation={sep:.6f}"
     )
     return 0
 
@@ -346,14 +351,17 @@ def write_field_raw(grid, state, path):
 
 def write_solution_csv(sol, node_path, shock_path, history_path):
     """Per-node (row-major over the lattice), shock-curve and residual-history
-    files of an elliptic solution."""
+    files of an elliptic solution, in csv.writer's format.  The node file is
+    written one lattice row at a time; the reprs of the lattice coordinates
+    sigma and zeta are formed once and reused on every row."""
     m, f = sol.mapping, sol.fields()
-    nodes = (m.S, m.Z, m.xi, m.eta, sol.psi, f["rho"], f["vx"], f["vy"], f["L2"])
-    _write_rows(
-        node_path,
-        ["sigma", "zeta", "xi", "eta", "psi", "rho", "vx", "vy", "L2"],
-        zip(*(a.ravel().tolist() for a in nodes)),
-    )
+    coords = [repr(v) for v in m.nodes.tolist()]
+    values = [a.tolist() for a in (m.xi, m.eta, sol.psi, f["rho"], f["vx"], f["vy"], f["L2"])]
+    with open(node_path, "w", newline="") as fh:
+        fh.write("sigma,zeta,xi,eta,psi,rho,vx,vy,L2\r\n")
+        for j, zeta in enumerate(coords):
+            cols = (map(repr, a[j]) for a in values)
+            fh.writelines(",".join(row) + "\r\n" for row in zip(coords, repeat(zeta), *cols))
     xs, ss = m.xi[-1, :], m.eta[-1, :]
     normal = [math.atan2(sl, 1.0) - 0.5 * math.pi for sl in np.gradient(ss, xs).tolist()]
     _write_rows(shock_path, ["xi", "s", "normal_angle"], zip(xs.tolist(), ss.tolist(), normal))
@@ -440,7 +448,13 @@ def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     max_workers = min(len(jobs), int(os.environ.get("WEDGE_THREADS", os.cpu_count() or 1)))
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_sweep_job, jobs))
+            # largest lattice first, so that no worker ends the sweep alone on
+            # a long job; results are collected in job order
+            futures = {
+                k: pool.submit(_sweep_job, jobs[k])
+                for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][2])
+            }
+            results = [futures[k].result() for k in range(len(jobs))]
     else:
         results = [_sweep_job(j) for j in jobs]
     _write_rows(

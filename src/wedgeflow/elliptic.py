@@ -21,7 +21,10 @@ residual settles:
        wall:      psi_hat_eta = 0
 
 2. a shock update from the potential-matching condition
-   s(sigma) = (psi_hat(sigma, 1) - psi_I(0)) / v_I^y, under-relaxed.
+   s_target(sigma) = (psi_hat(sigma, 1) - psi_I(0)) / v_I^y.  The pair
+   (s, psi) moves by Anderson mixing (Walker and Ni, SIAM J. Numer. Anal.
+   49 (2011)) of its last few updates (s_target - s, psi_hat - psi) with
+   weight omega_relax, which is plain under-relaxation without a history.
 
 At a fixed point the four conditions hold with chi_hat = chi_old, which is
 the self-similar potential flow problem with L^2 = 1 - eps on the arcs.
@@ -39,6 +42,7 @@ inexact Newton, Eisenstat and Walker, SIAM J. Sci. Comput. 17 (1996)).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -630,6 +634,9 @@ CHORD_CONTRACTION = 4.0
 INNER_FORCING = 0.01
 MAX_NEWTON = 20  # Newton steps per fixed-boundary solve
 CORNER_MARGIN = 0.995  # a corner above this fraction of its arc radius has escaped
+# the outer iteration mixes the last this many iterate differences (Anderson
+# mixing, Walker and Ni, SIAM J. Numer. Anal. 49 (2011)); 0 is plain relaxation
+ANDERSON_DEPTH = 3
 
 
 def solve_fixed_boundary(
@@ -757,6 +764,15 @@ def iterate(
 ) -> EllipticSolution:
     """Alternate fixed-boundary solves and shock updates until residuals settle.
 
+    The outer iterate is x = (shock heights s, psi / c_R) and its residual
+    f = (s_target - s, (psi_hat - psi) / c_R), with s_target from the
+    matching condition on the solve's psi_hat.  The next iterate is the
+    Anderson mixture of the last ANDERSON_DEPTH + 1 iterates with mixing
+    weight omega_relax (with no history, the relaxed step x + omega_relax f).
+    A mixture whose corner heights leave the arcs is dropped with the
+    history for that relaxed step, and CornerEscapeError is raised only when
+    the relaxed step leaves them too.
+
     The mapping changes little between outer iterations, so each solve
     starts from the factorization the previous one returned, and all share
     one set of lattice stencils.  The first solve runs to tol_inner; each
@@ -772,16 +788,18 @@ def iterate(
     psi = initial_guess(pattern, mapping)
     history = []
     converged = False
-    r_r = pattern.arc_R.radius
+    r_r, c_r = pattern.arc_R.radius, pattern.state_R.c
+    n_s = shock.s.size
     lu = None
     operators = _lattice_operators(config.lattice_n)
     tol = config.tol_inner
+    dx_hist, df_hist = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
+    x_prev = f_prev = None
 
     for outer in range(config.max_outer):
         psi_hat, lu = solve_fixed_boundary(pattern, mapping, psi, config, lu, tol, operators)
         s_target = update_shock(pattern, mapping, psi_hat)
         ds = s_target.s - shock.s
-        s_relaxed = shock.s + config.omega_relax * ds
         rec = _true_residuals(pattern, mapping, psi_hat)
         rec["iter"] = outer
         rec["r_shock_update"] = float(np.max(np.abs(ds))) / r_r
@@ -796,23 +814,34 @@ def iterate(
         history.append(rec)
         tol = max(config.tol_inner, INNER_FORCING * rec["r_shock_update"])
 
+        x = np.concatenate([shock.s, psi.ravel() / c_r])
+        f = np.concatenate([ds, (psi_hat - psi).ravel() / c_r])
+        if x_prev is not None:
+            dx_hist.append(x - x_prev)
+            df_hist.append(f - f_prev)
+        x_prev, f_prev = x, f
+        x_new = x + config.omega_relax * f
+        if dx_hist:
+            x_mixed = _anderson_mix(x_new, f, dx_hist, df_hist, config.omega_relax)
+            if _corner_escape(pattern, x_mixed[:n_s]) is None:
+                x_new = x_mixed
+            else:
+                dx_hist.clear()
+                df_hist.clear()
+
         # corner escape checks against the (extended) arcs
-        for side, idx, radius in (("L", 0, pattern.arc_L.radius), ("R", -1, pattern.arc_R.radius)):
-            if s_relaxed[idx] >= CORNER_MARGIN * radius:
-                target = pattern.xi_L_star if side == "L" else pattern.xi_R_star
-                raise CornerEscapeError(
-                    f"{side} corner left the extended arc: height {s_relaxed[idx]:.4f} "
-                    f"vs radius {radius:.4f}; expected height {target[1]:.4f}"
-                )
+        escape = _corner_escape(pattern, x_new[:n_s])
+        if escape is not None:
+            raise CornerEscapeError(escape)
 
         if rec["combined"] < config.tol_outer:
             psi = psi_hat
             converged = True
             break
 
-        shock = ShockCurve(sigma=shock.sigma, s=s_relaxed)
+        shock = ShockCurve(sigma=shock.sigma, s=x_new[:n_s])
         mapping = build_mapping(pattern, shock, config.lattice_n)
-        psi = psi_hat
+        psi = c_r * x_new[n_s:].reshape(psi.shape)
 
     return EllipticSolution(
         pattern=pattern,
@@ -823,3 +852,26 @@ def iterate(
         converged=converged,
         residual_history=history,
     )
+
+
+def _anderson_mix(x_relaxed, f, dx_hist, df_hist, omega):
+    """The Anderson mixture x + omega f - (dX + omega dF) gamma of Walker and
+    Ni, given the relaxed step x + omega f, with gamma the least-squares fit
+    of f by the columns of dF.  The columns of dX and dF are the differences
+    of successive iterates and of their residuals."""
+    dF = np.stack(df_hist, axis=1)
+    gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+    return x_relaxed - (np.stack(dx_hist, axis=1) + omega * dF) @ gamma
+
+
+def _corner_escape(pattern, s):
+    """The message for a corner height s[0] or s[-1] at or above
+    CORNER_MARGIN of its arc radius, else None."""
+    for side, idx, radius in (("L", 0, pattern.arc_L.radius), ("R", -1, pattern.arc_R.radius)):
+        if s[idx] >= CORNER_MARGIN * radius:
+            target = pattern.xi_L_star if side == "L" else pattern.xi_R_star
+            return (
+                f"{side} corner left the extended arc: height {s[idx]:.4f} "
+                f"vs radius {radius:.4f}; expected height {target[1]:.4f}"
+            )
+    return None

@@ -143,6 +143,18 @@ class TestDispatch:
         assert (tmp_path / "pattern.csv").exists()
         assert "separation" in capsys.readouterr().out
 
+    def test_pattern_unperturbed_prints_no_inf(self, tmp_path, capsys):
+        # an M_I_y pattern without eta_L_star has its tip at -infinity and
+        # no tip-frame Mach numbers
+        cfgtext = "gamma = 1.4\nM_I_y = -2\nepsilon = 0.04\n"
+        code = dispatch(
+            ["pattern", "--config", self._cfg_file(tmp_path, cfgtext), "--out", str(tmp_path)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "separation" in out
+        assert "inf" not in out
+
     def test_elliptic_above_critical_exit_1(self, tmp_path, capsys):
         # the potential-flow critical angle at M_I = 2.94 is about 56.1 degrees
         cfgtext = "gamma = 1.4\nM_I = 2.94\ntau_deg = 60\nepsilon = 0.01\nlattice_n = 16\n"
@@ -161,6 +173,22 @@ class TestDispatch:
         outtxt = capsys.readouterr().out
         assert "FAIL" not in outtxt
         assert (tmp_path / "verify_report.csv").exists()
+
+    def test_verify_slow_contraction_case_all_pass(self, tmp_path, capsys):
+        # plain relaxation at omega_relax 0.5 drifts here until max_outer and
+        # exits 1; the Anderson-mixed outer iteration converges
+        cfgtext = "gamma = 1.4\nM_I = 2.2\ntau_deg = 5\nepsilon = 0.04\nlattice_n = 48\n"
+        code = dispatch(
+            ["verify", "--config", self._cfg_file(tmp_path, cfgtext), "--out", str(tmp_path),
+             "--strict"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        checks = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+        assert checks and all(ln.startswith("PASS") for ln in checks)
+        with open(tmp_path / "verify_report.csv", newline="") as fh:
+            verdicts = [row["verdict"] for row in csv.DictReader(fh)]
+        assert len(verdicts) == len(checks) and set(verdicts) == {"PASS"}
 
     def test_elliptic_unperturbed(self, tmp_path, capsys):
         code = dispatch(
@@ -196,6 +224,27 @@ class TestDispatch:
         lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 3
         assert "slope" in capsys.readouterr().out
+
+
+    def test_sweep_two_workers_match_one(self, tmp_path, monkeypatch):
+        # the pool takes the larger lattice first; the files and the summary
+        # rows (eps_list x lattice_list order) do not depend on the workers
+        cfgfile = self._cfg_file(
+            tmp_path, UNPERT + "eps_list = 0.04, 0.02\nlattice_list = 16, 24\nquad_n = 64\n"
+        )
+        outs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WEDGE_THREADS", threads)
+            outs[threads] = tmp_path / f"threads{threads}"
+            assert dispatch(["sweep", "--config", cfgfile, "--out", str(outs[threads])]) == 0
+        names = sorted(p.name for p in outs["1"].iterdir())
+        assert len(names) == 4 * 3 + 1
+        assert names == sorted(p.name for p in outs["2"].iterdir())
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+        with open(outs["2"] / "sweep_summary.csv", newline="") as fh:
+            keys = [(row["epsilon"], row["lattice"]) for row in csv.DictReader(fh)]
+        assert keys == [("0.04", "16"), ("0.04", "24"), ("0.02", "16"), ("0.02", "24")]
 
 
 class TestErrorContract:
@@ -429,6 +478,22 @@ def test_write_solution_csv_matches_node_loop(tmp_path):
             w.writerow([rec[k] for k in keys])
     for n in names:
         assert (tmp_path / f"{n}.csv").read_bytes() == (tmp_path / f"loop_{n}.csv").read_bytes(), n
+
+
+def test_node_writer_matches_write_rows(tmp_path):
+    # the node file, written without csv.writer, against _write_rows on the
+    # same lattice-16 solution
+    pat = pattern.build(parse_config(text=CASE12).problem())
+    sol = elliptic.iterate(pat, elliptic.EllipticConfig(lattice_n=16))
+    cli.write_solution_csv(sol, *(tmp_path / f"{n}.csv" for n in ("nodes", "shock", "history")))
+    m, f = sol.mapping, sol.fields()
+    nodes = (m.S, m.Z, m.xi, m.eta, sol.psi, f["rho"], f["vx"], f["vy"], f["L2"])
+    cli._write_rows(
+        tmp_path / "oracle.csv",
+        ["sigma", "zeta", "xi", "eta", "psi", "rho", "vx", "vy", "L2"],
+        zip(*(a.ravel().tolist() for a in nodes)),
+    )
+    assert (tmp_path / "nodes.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.slow

@@ -372,6 +372,43 @@ class TestIterate:
         assert f["rho"].min() > p.state_I.rho
         assert np.max(f["L2"][1:-1, 1:-1]) < 1.0 - eps + 10.0 / sol.config.lattice_n
 
+    @pytest.mark.parametrize("eps", [0.04, 0.01, 0.0025])
+    def test_desk_case_outer_iterations(self, eps):
+        # Anderson-mixed outer iteration: 9 per eps at lattice 48, where
+        # plain relaxation at omega_relax 0.5 took 14
+        p = build(ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=eps))
+        cfg = EllipticConfig(lattice_n=48)
+        sol = iterate(p, cfg)
+        assert sol.converged
+        assert len(sol.residual_history) <= 10
+        assert sol.residual_history[-1]["combined"] < cfg.tol_outer
+
+    def test_rejected_mixtures_fall_back_to_relaxation(self, case12_pattern, monkeypatch):
+        # a mixture whose corner leaves its arc gives way to the relaxed step
+        # and the history is dropped: rejecting every mixture reproduces
+        # depth 0, plain relaxation, to the last bit
+        cfg = EllipticConfig(lattice_n=24)
+        monkeypatch.setattr(elliptic, "ANDERSON_DEPTH", 0)
+        plain = iterate(case12_pattern, cfg)
+        monkeypatch.undo()
+
+        def escaping(x_relaxed, *args):
+            x = x_relaxed.copy()
+            x[0] = 2.0 * case12_pattern.arc_L.radius
+            return x
+
+        monkeypatch.setattr(elliptic, "_anderson_mix", escaping)
+        rejected = iterate(case12_pattern, cfg)
+        assert plain.converged and rejected.converged
+        assert rejected.residual_history == plain.residual_history
+        assert np.array_equal(rejected.psi, plain.psi)
+
+    def test_escaping_relaxed_step_raises(self, case12_pattern, monkeypatch):
+        # every corner sits above a tenth of its arc radius
+        monkeypatch.setattr(elliptic, "CORNER_MARGIN", 0.1)
+        with pytest.raises(elliptic.CornerEscapeError, match="left the extended arc"):
+            iterate(case12_pattern, EllipticConfig(lattice_n=16))
+
     def test_monatomic_desk_case_converges(self):
         # the solver is not tied to the two acceptance gammas
         model = GasModel(gamma=5 / 3)
