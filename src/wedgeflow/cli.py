@@ -265,7 +265,7 @@ def cmd_pattern(cfg: RunConfig, out: Path, strict: bool) -> int:
         f"M_L={pat.mach_L:.4f} M_R={pat.mach_R:.4f} " if math.isfinite(pat.wall_speed) else ""
     )
     print(
-        f"pattern: eta_R*={pat.eta_R_star:.6f} eta_L*={pat.eta_L_star:.6f} "
+        f"pattern: eta_R*={pat.eta_R_star:.6g} eta_L*={pat.eta_L_star:.6g} "
         f"beta={pat.beta:.6f} {machs}separation={sep:.6f}"
     )
     return 0

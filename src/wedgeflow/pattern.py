@@ -31,15 +31,9 @@ from .shocks import (
     sonic_points,
 )
 
-# eta_R* = v_I^y + L_un c_I cancels as the R shock brings the flow to rest:
-# a height below this fraction of |v_I^y| has lost half its digits
-HEIGHT_RESOLUTION = math.sqrt(np.finfo(float).eps)
-
-
 class GeometryError(WedgeError, ValueError):
-    """No shock in the family realizes the requested geometry, the geometry
-    has no original (wedge) picture, or the R shock's height is lost in
-    round-off."""
+    """No shock in the family realizes the requested geometry, or the
+    geometry has no original (wedge) picture."""
 
 
 class SupersonicityViolation(WedgeError, ValueError):
@@ -210,12 +204,6 @@ def build(
     upstream = config.upstream()
 
     eta_R_star, shock_R = horizontal_downstream_shock(model, upstream, 0.0)
-    speed = abs(float(upstream.v[1]))
-    if not eta_R_star > HEIGHT_RESOLUTION * speed:
-        raise GeometryError(
-            f"M_I_y = {config.miy}: the R shock height {eta_R_star:.3g} is not resolved "
-            f"above the round-off of |v_I^y| = {speed:.3g} at gamma = {model.gamma}"
-        )
     if shock_R.ldn**2 >= 1.0 - config.epsilon:
         raise GeometryError(
             f"R shock has L_dn = {shock_R.ldn}; needs < sqrt(1-eps) for sonic corners"

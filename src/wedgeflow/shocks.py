@@ -2,14 +2,13 @@
 
 Across a shock the potential is continuous and the normal mass flux
 rho * z_n jumps to zero, where z = v - xi is the pseudo-velocity.  With the
-normal pseudo-Mach numbers L_n = z_n / c these conditions collapse, for a
-polytropic gas, to a single scalar relation
+normal pseudo-Mach numbers L_n = z_n / c these conditions leave both sides
+of a polytropic shock on one level set of the invariant
 
-    g(L_un) = g(L_dn),
     g(x) = (x^2 + 2/(gamma-1)) * x^(2(1-gamma)/(gamma+1))   (gamma > 1)
-    g(x) = x^2 - 2 log x                                    (gamma = 1)
+    g(x) = x^2 - 2 log x                                    (gamma = 1),
 
-together with the jump ratios
+g(L_un) = g(L_dn), with the jump ratios
 
     rho_u/rho_d = (L_dn/L_un)^(2/(gamma+1)),
     c_u / c_d   = (L_dn/L_un)^((gamma-1)/(gamma+1)).
@@ -24,8 +23,8 @@ of c_u:
     L_un^2 = 2 E(u) / (1 - e^(-2u)),   L_dn = L_un e^(-(gamma+1) u/2),
     c_d / c_u = e^((gamma-1) u/2),     (L_un - L_dn c_d/c_u)^2 = 2 E(u) tanh(u/2).
 
-The shock family of the corner problem, fixed by its normal velocity jump,
-is solved for in u (_family_jump).
+Every shock is solved for in u: the normal shock from the first relation
+(downstream_normal_mach), the corner problem's family from the last (_family_jump).
 """
 
 from __future__ import annotations
@@ -37,11 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gas import ISOTHERMAL_EPS, GasModel, FlowState, WedgeError
-
-# width of the near-sonic window in which the series branch replaces the
-# root solve: g is quadratically flat at 1, so the g-equality loses half the
-# working digits for |L_un - 1| below ~1e-5
-SONIC_WINDOW = 1e-5
 
 
 class InadmissibleShock(WedgeError, ValueError):
@@ -112,98 +106,49 @@ def cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def _g_shifted(gamma: float, s, xp=math):
-    """h(s) = g(e^s) - 2/(gamma-1) (g itself at gamma = 1) and dh/ds.
-
-    The constant 2/(gamma-1) of g diverges as gamma -> 1; h leaves it out
-    and is written with expm1, as gas.pi_of_rho is, so h and the root of
-    h(s) = h(s_u) keep their digits there.  h is convex with its minimum
-    h(0) = 1 at the sonic point.  xp is math for scalars, numpy for arrays.
-    """
-    if gamma - 1.0 < ISOTHERMAL_EPS:
-        p = xp.exp(2.0 * s)
-        return p - 2.0 * s, 2.0 * (p - 1.0)
-    k = 2.0 * (gamma - 1.0) / (gamma + 1.0)
-    p = xp.exp((2.0 - k) * s)
-    q = xp.expm1(-k * s)
-    return p + 2.0 / (gamma - 1.0) * q, (2.0 - k) * (p - 1.0 - q)
+def _energy(gamma: float, u: float) -> float:
+    """E(u) = expm1((gamma-1) u)/(gamma-1), u at gamma = 1 (see the module docstring)."""
+    gm1 = gamma - 1.0
+    return u if gm1 < ISOTHERMAL_EPS else math.expm1(gm1 * u) / gm1
 
 
-def g_value(gamma: float, x):
-    """The shock invariant g; both sides of a shock share its value."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("normal pseudo-Mach number must be positive")
-    out = _g_shifted(gamma, np.log(x), np)[0]
-    if gamma - 1.0 >= ISOTHERMAL_EPS:
-        out = out + 2.0 / (gamma - 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def g_prime(gamma: float, x):
-    """dg/dx = 4/(gamma+1) (x - 1/x) x^(-2(gamma-1)/(gamma+1))."""
-    x = np.asarray(x, dtype=float)
-    out = _g_shifted(gamma, np.log(x), np)[1] / x
-    return float(out) if out.ndim == 0 else out
+def _normal_mach(gamma: float, u: float) -> float:
+    """L_un(u) = sqrt(2 E(u) / (1 - e^(-2u))) of the shock with log density
+    ratio u (see the module docstring); 1 at u = 0."""
+    if u == 0.0:
+        return 1.0
+    return math.sqrt(2.0 * _energy(gamma, u) / -math.expm1(-2.0 * u))
 
 
 def downstream_normal_mach(gamma: float, lun: float) -> float:
-    """Nontrivial branch of g(L_dn) = g(L_un).
-
-    Strictly decreasing, self-inverse; maps (1, inf) onto (0, 1) and back.
-    Newton on h(s) = h(log L_un) in s = log L_dn (see _g_shifted), started
-    beyond the root so that convexity brings it in from one side; the
-    inclusive bracket [lo, hi] takes the midpoint whenever round-off throws
-    a Newton point out of it.
+    """L_dn across the shock with upstream normal pseudo-Mach number lun, the
+    other point of its level set of g: strictly decreasing, self-inverse.
+    For lun > 1, lun e^(-(gamma+1) u/2) at the root u > 0 of L_un(u) = lun;
+    for lun <= 1, by self-inversion, L_un(u) where L_dn(u) = lun (compared
+    unsquared: a fed-back L_dn may be near underflow; u = 0 at lun = 1).
     """
     if lun <= 0.0:
         raise ValueError("normal pseudo-Mach number must be positive")
-    if abs(lun - 1.0) < SONIC_WINDOW:
-        # tangent slope -1 at the sonic point plus the quadratic term of the
-        # nontrivial branch: L_dn = 1 - d + (5g-3)/(3(g+1)) d^2 + O(d^3)
-        d = lun - 1.0
-        return 1.0 - d + (5.0 * gamma - 3.0) / (3.0 * (gamma + 1.0)) * d * d
-
+    gm1, gp1 = gamma - 1.0, gamma + 1.0
     try:
-        target = _g_shifted(gamma, math.log(lun))[0]
+        if lun > 1.0:
+            # L_un^2 >= 1 + (gamma+1) u/2 (L_un^2 is convex in u) and L_un^2 >= 2 E(u),
+            # so at top L_un^2 >= 2 lun^2 - 1 > lun^2 and f changes sign
+            l2 = math.pow(lun, 2.0)  # raises OverflowError where lun * lun is inf
+            top = min(4.0 * (l2 - 1.0) / gp1, l2 if gm1 < ISOTHERMAL_EPS else math.log1p(gm1 * l2) / gm1)
+            u = _bracketed_root(lambda u: _normal_mach(gamma, u) - lun, 0.0, top, xtol=0.0)
+            ldn = lun * math.exp(-0.5 * gp1 * u)
+        else:
+            # L_dn(u) <= sqrt(1 + 2u) e^(-u), below lun from u = 2 - 2 log lun on
+            top = 2.0 - 2.0 * math.log(lun)
+            u = _bracketed_root(
+                lambda u: _normal_mach(gamma, u) * math.exp(-0.5 * gp1 * u) - lun, 0.0, top, xtol=0.0
+            )
+            ldn = _normal_mach(gamma, u)
     except OverflowError as exc:
-        raise ShockSolveError(f"g overflows at L_un = {lun}, gamma = {gamma}") from exc
-    if lun > 1.0:
-        # root s < 0, above lo since h >= 2/(gamma-1) expm1(-k s) (-2s at
-        # gamma = 1); the map is convex with slope -1 at the sonic point, so
-        # L_dn >= 2 - L_un starts Newton closer
-        if gamma - 1.0 < ISOTHERMAL_EPS:
-            lo = -0.5 * target
-        else:
-            lo = -math.log1p(0.5 * (gamma - 1.0) * target) * (gamma + 1.0) / (2.0 * (gamma - 1.0))
-        hi = 0.0
-        s = max(lo, math.log(2.0 - lun)) if lun < 2.0 else lo
-    else:
-        # root s > 0, below hi since h >= exp(m s) - m s with m = 4/(gamma+1);
-        # h >= 1 + (m s)^2 / 2 starts Newton closer
-        m = 4.0 / (gamma + 1.0)
-        lo, hi = 0.0, math.log(2.0 * target) / m
-        s = min(hi, math.sqrt(2.0 * (target - 1.0)) / m)
-    for _ in range(64):
-        h, dh = _g_shifted(gamma, s)
-        f = h - target
-        if (f > 0.0) == (lun > 1.0):
-            lo = s
-        else:
-            hi = s
-        new = s - f / dh
-        if not lo <= new <= hi:
-            new = 0.5 * (lo + hi)
-        # a residual of a few ulps of the target is round-off: take that
-        # last step and stop
-        if abs(f) <= 4e-15 * target or abs(new - s) <= 4e-16 * abs(s):
-            break
-        s = new
-    else:
-        raise ShockSolveError(f"normal-shock solve at L_un = {lun} did not converge in 64 steps")
-    ldn = math.exp(new)
+        raise ShockSolveError(f"normal shock at L_un = {lun}, gamma = {gamma} overflows") from exc
     if ldn < sys.float_info.min:
-        raise ShockSolveError(f"L_dn = exp({new}) underflows at L_un = {lun}, gamma = {gamma}")
+        raise ShockSolveError(f"L_dn underflows at L_un = {lun}, gamma = {gamma}")
     return ldn
 
 
@@ -225,17 +170,12 @@ def _family_jump(gamma: float, jump: float):
     stops the solve.
     """
     gm1 = gamma - 1.0
-    iso = gm1 < ISOTHERMAL_EPS
     l_max = 1.0 + 0.5 * (gamma + 1.0) * jump
-    top = 0.5 * l_max * l_max if iso else math.log1p(0.5 * gm1 * l_max * l_max) / gm1
-
-    def energy(u):  # E(u)
-        return u if iso else math.expm1(gm1 * u) / gm1
-
+    top = 0.5 * l_max * l_max if gm1 < ISOTHERMAL_EPS else math.log1p(0.5 * gm1 * l_max * l_max) / gm1
     u = _bracketed_root(
-        lambda u: 2.0 * energy(u) * math.tanh(0.5 * u) - jump * jump, 0.0, top, xtol=0.0
+        lambda u: 2.0 * _energy(gamma, u) * math.tanh(0.5 * u) - jump * jump, 0.0, top, xtol=0.0
     )
-    lun = math.sqrt(2.0 * energy(u) / -math.expm1(-2.0 * u))
+    lun = _normal_mach(gamma, u)
     return lun, lun * math.exp(-0.5 * (gamma + 1.0) * u), math.exp(0.5 * gm1 * u)
 
 
@@ -327,24 +267,27 @@ def resolve_oblique(model: GasModel, upstream: FlowState, xi, n) -> ShockSolutio
     """Downstream state across a shock through xi with downstream normal n.
 
     The tangential pseudo-velocity carries over; the normal component jumps
-    per the g relation.  Inadmissible (expansion) data is resolved but
-    flagged, never raised.
+    per the normal-shock relation.  Inadmissible (expansion) data is
+    resolved but flagged, never raised.
     """
     xi = np.asarray(xi, dtype=float)
     n = np.asarray(n, dtype=float)
     n = n / np.hypot(*n)
-    z_u = upstream.v - xi
-    z_un = float(z_u @ n)
+    z_un = float((upstream.v - xi) @ n)
     if z_un <= 0.0:
         raise WrongSideError(f"z_u . n = {z_un} <= 0; normal must point downstream")
-    t = perp(n)
-    z_t = float(z_u @ t)
     lun = z_un / upstream.c
     ldn = downstream_normal_mach(model.gamma, lun)
     rho_d, c_d = _jump_ratios(model.gamma, upstream.rho, upstream.c, lun, ldn)
-    z_d = z_t * t + ldn * c_d * n
-    v_d = z_d + xi
-    beta = math.atan2(cross2(z_u, n), z_un)
+    return _assemble(upstream, xi, n, lun, ldn, rho_d, c_d)
+
+
+def _assemble(upstream: FlowState, xi, n, lun: float, ldn: float, rho_d: float, c_d: float):
+    """The shock through xi with unit downstream normal n and the given jump."""
+    z_u = upstream.v - xi
+    t = perp(n)
+    z_t = float(z_u @ t)
+    v_d = z_t * t + ldn * c_d * n + xi
     return ShockSolution(
         point=xi,
         n=n,
@@ -353,7 +296,7 @@ def resolve_oblique(model: GasModel, upstream: FlowState, xi, n) -> ShockSolutio
         z_t=z_t,
         lun=lun,
         ldn=ldn,
-        beta=beta,
+        beta=math.atan2(cross2(z_u, n), float(z_u @ n)),
     )
 
 
@@ -495,8 +438,10 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float, stron
 def horizontal_downstream_shock(model: GasModel, upstream: FlowState, beta: float):
     """Shock through (0, eta) with downstream normal (sin b, -cos b) and v_d^y = 0.
 
-    Upstream velocity must be (0, v_uy) with v_uy < 0.  Returns the unique
-    height eta_0 = v_uy + L_un c_u / cos(b) and the resolved shock there.
+    Upstream velocity must be (0, v_uy) with v_uy < 0.  v_d^y = 0 fixes the
+    normal velocity jump at -v_uy / cos(b): the member of _family_jump, built
+    from its (L_un, L_dn, c_d/c_u).  Returns the unique height eta_0 = c_d L_dn
+    / cos(b) - v_uy tan^2(b), two terms >= 0 that cannot cancel, and the shock.
     """
     if abs(upstream.v[0]) > 1e-14 * max(1.0, abs(upstream.v[1])):
         raise ValueError("upstream velocity must be vertical, (0, v_uy)")
@@ -505,12 +450,13 @@ def horizontal_downstream_shock(model: GasModel, upstream: FlowState, beta: floa
         raise ValueError("upstream vertical velocity must be negative")
     if not -0.5 * math.pi < beta < 0.5 * math.pi:
         raise ValueError(f"beta must lie in (-pi/2, pi/2), got {beta}")
-    # v_d^y = 0 is the normal velocity jump z_un - z_dn = -v_uy / cos(b)
     cos_b = math.cos(beta)
-    lun = _family_jump(model.gamma, -vuy / (upstream.c * cos_b))[0]
-    eta0 = vuy + lun * upstream.c / cos_b
+    lun, ldn, c_ratio = _family_jump(model.gamma, -vuy / (upstream.c * cos_b))
+    c_d = upstream.c * c_ratio
+    eta0 = c_d * ldn / cos_b - vuy * math.tan(beta) ** 2
+    rho_d = upstream.rho * lun / (ldn * c_ratio)  # rho L_n c is the same on both sides
     n = np.array([math.sin(beta), -cos_b])
-    return eta0, resolve_oblique(model, upstream, np.array([0.0, eta0]), n)
+    return eta0, _assemble(upstream, np.array([0.0, eta0]), n, lun, ldn, rho_d, c_d)
 
 
 def sonic_points(model: GasModel, s: ShockSolution, epsilon: float):

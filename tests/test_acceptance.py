@@ -7,13 +7,13 @@ import time
 import numpy as np
 import pytest
 
+from shock_oracles import g_value
 from wedgeflow.gas import GasModel, FlowState
 from wedgeflow.pattern import ProblemConfig, build
 from wedgeflow.shocks import (
     critical_angle,
     deflection_solutions,
     downstream_normal_mach,
-    g_value,
     horizontal_downstream_shock,
     jump_state,
     sensitivities,

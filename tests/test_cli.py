@@ -398,17 +398,20 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1
         assert "GeometryError" in err
 
-    @pytest.mark.parametrize("miy", ["-8", "-10"])
-    def test_unresolved_r_shock_height_exit_1(self, miy, tmp_path, capsys):
+    @pytest.mark.parametrize("miy", ["-7", "-8", "-10"])
+    def test_fast_isothermal_r_shock_height_exit_0(self, miy, tmp_path, capsys):
         # at gamma 1 the R shock all but stops a flow this fast: its height
-        # v_I^y + L_un c_I cancels to round-off (1e-13 at -8) or to 0 (-10)
+        # c_d L_dn is 1.6e-10 at -7 and 1.9e-21 at -10 of c_I
         f = tmp_path / "wedge.cfg"
         f.write_text(f"gamma = 1\nM_I_y = {miy}\nepsilon = 0.01\n")
-        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 1
-        out, err = capsys.readouterr()
-        assert len(err.splitlines()) == 1
-        assert "GeometryError" in err and "M_I_y" in err
+        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
         assert "inf" not in out
+        assert float(out.split("eta_R*=")[1].split()[0]) > 0.0
+        with open(tmp_path / "pattern.csv", newline="") as fh:
+            row = next(r for r in csv.reader(fh) if r[0] == "shock_R")
+        _, ldn, c_ratio = shocks._family_jump(1.0, -float(miy))
+        assert float(row[2]) == pytest.approx(c_ratio * ldn, rel=1e-13)
 
     def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg, out, strict):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
+from shock_oracles import g_prime, g_value, mp_downstream_normal_mach, mp_horizontal_height
 from wedgeflow.gas import (
     GasModel,
     WedgeError,
@@ -14,7 +15,6 @@ from wedgeflow.gas import (
     density_sound_pseudo_mach,
 )
 from wedgeflow.shocks import (
-    SONIC_WINDOW,
     InadmissibleShock,
     NoAttachedShock,
     NoPolarError,
@@ -27,8 +27,6 @@ from wedgeflow.shocks import (
     critical_angle,
     deflection_solutions,
     downstream_normal_mach,
-    g_prime,
-    g_value,
     horizontal_downstream_shock,
     jump_state,
     polar_beta_max,
@@ -159,18 +157,28 @@ class TestDownstreamNormalMach:
 
     @pytest.mark.parametrize("lun", [41.0, 1e200])
     def test_unrepresentable_root_is_typed(self, lun):
-        # on the isothermal branch L_dn underflows at 41, g overflows at 1e200
+        # on the isothermal branch L_dn underflows at 41, L_un^2 overflows at 1e200
         assert issubclass(ShockSolveError, ArithmeticError)
         with pytest.raises(ShockSolveError):
             downstream_normal_mach(1.0, lun)
 
-    @pytest.mark.parametrize("gamma", [1.0, 1.4, 3.0])
-    def test_continuous_across_sonic_window(self, gamma):
-        # the series branch inside the window against the root solve outside
-        for side in (1.0, -1.0):
-            inside = downstream_normal_mach(gamma, 1.0 + side * SONIC_WINDOW * (1.0 - 1e-9))
-            outside = downstream_normal_mach(gamma, 1.0 + side * SONIC_WINDOW * (1.0 + 1e-9))
-            assert abs(inside - outside) <= 4e-11
+
+# near sonic (to 1e-12 from it, and on both sides of 1 +- 1e-5), on both
+# branches, and out to strong shocks and their fed-back expansions
+REFERENCE_LUN = [1.0 + 1e-12, 1.0 + 1.1e-5, 1.0 + 1e-4, 1.0 + 1e-3, 1.1, 1.5, 2.0, 3.0, 10.0, 30.0]
+REFERENCE_LUN += [1.0 + sign * d for sign in (1.0, -1.0) for d in (1e-8, 1e-6, 3e-5)]
+REFERENCE_LUN += [1.0 + sign * 1e-5 * (1.0 + side * 1e-9) for sign in (1.0, -1.0) for side in (1.0, -1.0)]
+REFERENCE_LUN += [0.9, 0.5, 0.2, 0.01]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_matches_high_precision_reference(gamma):
+    # within 1e-14 relative of a 40-digit root of the g level set, scaled by
+    # the map's condition number L_un |dL_dn/dL_un| / L_dn where it exceeds 1
+    for lun in REFERENCE_LUN:
+        ref, cond = mp_downstream_normal_mach(gamma, lun)
+        err = float(abs(downstream_normal_mach(gamma, lun) / ref - 1))
+        assert err <= 1e-14 * max(1.0, float(cond)), (lun, err, float(cond))
 
 
 GAMMA_RANGE = st.floats(1.0, 10.0)
@@ -490,6 +498,18 @@ class TestHorizontalDownstreamShock:
         assert abs(sol.downstream.v[1]) < 1e-10
         assert 0.0 < sol.ldn < 1e-300
 
+    @pytest.mark.parametrize("gamma", [1.0, 1.4])
+    @pytest.mark.parametrize("miy", [-1.5, -2.0, -4.0, -8.0])
+    def test_height_matches_high_precision_reference(self, gamma, miy):
+        # at gamma 1 and M_I_y -8 the height is 1e-13 of |v_uy|: the sum
+        # v_uy + L_un c_u / cos(b) cancels all but three of its digits
+        model = GasModel(gamma=gamma)
+        up = FlowState.from_model(model, 1.0, (0.0, miy))
+        for beta in (0.0, 0.3, 0.9):
+            eta0, sol = horizontal_downstream_shock(model, up, beta)
+            ref = mp_horizontal_height(gamma, miy, beta, sol.lun)
+            assert float(abs(eta0 / ref - 1)) <= 1e-13, (beta, eta0, float(ref))
+
 
 class TestFamilyJump:
     @given(gamma=st.sampled_from(GAMMAS), jump=st.floats(1e-6, 50.0))
@@ -501,11 +521,9 @@ class TestFamilyJump:
         assert abs(lun - ldn * c_ratio - jump) <= 1e-13 * lun
         assert c_ratio == pytest.approx((lun / ldn) ** ((gamma - 1.0) / (gamma + 1.0)), rel=1e-13)
         # L_dn(L_un) amplifies a rounding of L_un by its condition number (L_un^2
-        # at gamma = 1), and the Newton solve of downstream_normal_mach, which
-        # stops at a residual of 4e-15 of its target, keeps about
-        # 1e-16 / (L_un - 1) of L_dn on the flat g just outside its series window
+        # at gamma = 1)
         cond = abs(sensitivities(gamma, lun).dldn_dlun) * lun / ldn
-        tol = 1e-13 * max(1.0, cond) + (4e-16 / (lun - 1.0) if lun - 1.0 >= SONIC_WINDOW else 0.0)
+        tol = 1e-13 * max(1.0, cond)
         assert ldn == pytest.approx(downstream_normal_mach(gamma, lun), rel=tol)
 
 
