@@ -87,10 +87,11 @@ class RunConfig:
         )
 
     def elliptic(self):
-        from .elliptic import EllipticConfig  # loads scipy: imported where used
+        from .elliptic import EllipticConfig, lattice_bytes  # loads scipy: imported where used
 
         if self.epsilon <= 0.0:
             raise ConfigError(f"epsilon = {self.epsilon}: the elliptic solve needs epsilon > 0")
+        _check_memory(f"lattice_n = {self.lattice_n}", lattice_bytes(self.lattice_n), "the solve")
         return EllipticConfig(
             lattice_n=self.lattice_n,
             tol_inner=self.tol_inner,
@@ -120,6 +121,16 @@ _RANGES = {
     "polar_n": (2, math.inf),
     "snapshot_every": (0, math.inf),
 }
+
+
+def _check_memory(setting: str, need: int, what: str):
+    """ConfigError naming the setting when need bytes exceed physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"{setting}: {what} needs {need / 1e9:.3g} GB, "
+            f"more than the {have / 1e9:.3g} GB of physical memory"
+        )
 
 
 def parse_config(path=None, text=None) -> RunConfig:
@@ -283,13 +294,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
         sample_nx=cfg.sample_nx,
         snapshot_every=cfg.snapshot_every,
     )
-    need = unsteady_mod.march_bytes(ucfg)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(
-            f"grid_n = {cfg.grid_n}: the march needs {need / 1e9:.3g} GB, "
-            f"more than the {have / 1e9:.3g} GB of physical memory"
-        )
+    _check_memory(f"grid_n = {cfg.grid_n}", unsteady_mod.march_bytes(ucfg), "the march")
     counter = {"k": 0}
 
     def snap(grid, state):
@@ -355,7 +360,7 @@ def write_solution_csv(sol, node_path, shock_path, history_path):
     written one lattice row at a time; the reprs of the lattice coordinates
     sigma and zeta are formed once and reused on every row."""
     m, f = sol.mapping, sol.fields()
-    coords = [repr(v) for v in m.nodes.tolist()]
+    coords = [repr(v) for v in m.lattice.nodes.tolist()]
     values = [a.tolist() for a in (m.xi, m.eta, sol.psi, f["rho"], f["vx"], f["vy"], f["L2"])]
     with open(node_path, "w", newline="") as fh:
         fh.write("sigma,zeta,xi,eta,psi,rho,vx,vy,L2\r\n")
@@ -440,6 +445,8 @@ def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     # loaded before the pool starts, so that forked workers inherit them
     from . import diagnostics, elliptic  # noqa: F401
 
+    for n in cfg.lattice_list:
+        _check_memory(f"lattice_list entry {n}", elliptic.lattice_bytes(n), "the solve")
     jobs = [
         (asdict(cfg), eps, lattice, str(out))
         for eps in sorted(cfg.eps_list, reverse=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .gas import ISOTHERMAL_EPS, WedgeError
 from .pattern import WavePattern
 from .shocks import _bracketed_root, resolve_oblique
-from .elliptic import EllipticSolution
+from .elliptic import EllipticSolution, level_arc
 from .unsteady import bilinear
 
 # acceptance constants
@@ -647,7 +647,7 @@ class CompositeField:
             zy[mk] = v_c[1] - Y[mk]
         if np.any(inside):
             m = self.sol.mapping
-            fi, fj = sig[inside] / m.h, zet[inside] / m.h
+            fi, fj = sig[inside] / m.lattice.h, zet[inside] / m.lattice.h
             rho[inside] = bilinear(self._rho, fi, fj)
             zx[inside] = bilinear(self._zx, fi, fj)
             zy[inside] = bilinear(self._zy, fi, fj)
@@ -734,12 +734,12 @@ def _lens_edge(m, piece, t):
     t = np.asarray(t, dtype=float)
     if piece == "S":
         Y, sp = m.shock.value(t), m.shock.deriv(t)
-        X, X_s, X_e = m._x_and_slope(t, Y)
+        X, X_s, X_e = level_arc(m.pattern, t, Y)
         return X, Y, -sp, X_s + X_e * sp
     sig = np.full(t.shape, 0.0 if piece == "L" else 1.0)
     s = m.shock.value(sig)
     Y = t * s
-    X, _, X_e = m._x_and_slope(sig, Y)
+    X, _, X_e = level_arc(m.pattern, sig, Y)
     sign = 1.0 if piece == "L" else -1.0
     return X, Y, -sign * s, sign * X_e * s
 
@@ -770,16 +770,16 @@ def _interfaces(pattern: WavePattern, m):
     }
     breaks, cut_heights = {}, {}
     for piece in "SLR":
-        X, Y, _, _ = _lens_edge(m, piece, m.nodes)
-        cuts = [m.nodes]
+        X, Y, _, _ = _lens_edge(m, piece, m.lattice.nodes)
+        cuts = [m.lattice.nodes]
         for name, line in lines.items():
             f = line(X, Y)
             # a node where f is 0 ends two intervals: _bracketed_root returns it
             for i in np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:])):
                 t = _bracketed_root(
                     lambda x: float(line(*_lens_edge(m, piece, x)[:2])),
-                    m.nodes[i],
-                    m.nodes[i + 1],
+                    m.lattice.nodes[i],
+                    m.lattice.nodes[i + 1],
                     xtol=1e-15,
                 )
                 cuts.append([t])
@@ -841,6 +841,7 @@ def weak_residual(sol: EllipticSolution, bumps=None):
     if bumps is None:
         bumps = make_test_battery(pattern)
     m = sol.mapping
+    h = m.lattice.h
     f = sol.fields()
     rho_R, c_R = pattern.state_R.rho, pattern.state_R.c
     v_R = pattern.state_R.v
@@ -878,10 +879,10 @@ def weak_residual(sol: EllipticSolution, bumps=None):
             gz, wz = _gauss(np.array([0.0, 1.0]), rule(n_zet))
             fi = I[:, None, None] + gs[None, None, :]
             fj = J[:, None, None] + gz[None, :, None]
-            s = m.shock.value(fi * m.h)
+            s = m.shock.value(fi * h)
             fi, fj = np.broadcast_arrays(fi, fj)
-            Y = fj * m.h * s
-            X, X_s, _ = m._x_and_slope(fi * m.h, Y)
+            Y = fj * h * s
+            X, X_s, _ = level_arc(m.pattern, fi * h, Y)
             th, tx, ty = _bump(center, radius, X, Y)
             rho = bilinear(f["rho"], fi, fj)
             integrand = (
@@ -889,7 +890,7 @@ def weak_residual(sol: EllipticSolution, bumps=None):
                 + (rho * bilinear(f["zy"], fi, fj) - rho_R * (v_R[1] - Y)) * ty
                 - 2.0 * (rho - rho_R) * th
             )
-            weight = np.abs(X_s * s) * (m.h * m.h) * wz[None, :, None] * ws[None, None, :]
+            weight = np.abs(X_s * s) * (h * h) * wz[None, :, None] * ws[None, None, :]
             raw += float(np.sum(integrand * weight))
 
             # the lens boundary against the region across it

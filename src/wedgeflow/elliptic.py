@@ -29,14 +29,16 @@ residual settles:
 At a fixed point the four conditions hold with chi_hat = chi_old, which is
 the self-similar potential flow problem with L^2 = 1 - eps on the arcs.
 
-Step 1 is chord Newton on the exact Jacobian of the split residual: the
-residual kernel (_conditions) also yields per-node coefficients of the
-fixed lattice operators, and the Jacobian sum_op diag(K_op) D_op is
-assembled on stencils built once per iterate call.  Its sparse LU, ordered
-by minimum degree on A^T + A with diagonal pivots, carries over from one
-outer iteration to the next.  Each inner solve stops at INNER_FORCING times
-the previous shock update, never below tol_inner (the forcing term of
-inexact Newton, Eisenstat and Walker, SIAM J. Sci. Comput. 17 (1996)).
+Each solve builds one Lattice, whose sparse matrix D stacks every
+difference stencil, and shares it among its mappings.  Step 1 is chord
+Newton on the exact Jacobian of the split residual: the residual kernel
+(_conditions) reads its derivatives from D psi and also yields per-node
+coefficients W of the same stencils, so the Jacobian is W D.  Its sparse
+LU, ordered by minimum degree on A^T + A with diagonal pivots, carries over
+from one outer iteration to the next.  Each inner solve stops at
+INNER_FORCING times the previous shock update, never below tol_inner (the
+forcing term of inexact Newton, Eisenstat and Walker, SIAM J. Sci. Comput.
+17 (1996)).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from .gas import WedgeError, constant_state_potential, pi_inverse
@@ -98,77 +100,129 @@ class ShockCurve:
         return ShockCurve(sigma=self.sigma.copy(), s=self.s + amount)
 
 
-def arc_blend(sig, v_lx, r_l, r_r):
-    """(b, u, R) of the level-sigma arc xi = b + u sqrt(1 - eta^2/R^2).
+class Lattice:
+    """The unit square of lattice_n cells per direction, and its stencils.
+
+    sigma and zeta share the node array nodes and the spacing h; S and Z are
+    the node grids, indexed [zeta, sigma] like psi.  D stacks the operators
+    d_s, d_z, d_ss, d_sz, d_zz and the identity, in that order, each acting
+    on psi.ravel() (sigma fastest) with integer weights, to be divided by
+    its entry of scale.  The first differences are central inside and
+    one-sided of second order at the edges.  The second differences act at
+    the interior nodes and the identity at the shock rows, the only rows
+    whose conditions read them; their other rows are empty.
+    """
+
+    def __init__(self, lattice_n: int):
+        N = lattice_n + 1
+        self.nodes = np.linspace(0.0, 1.0, N)
+        h = self.h = self.nodes[1]
+        self.S, self.Z = np.meshgrid(self.nodes, self.nodes)
+        self.scale = np.array([2 * h, 2 * h, h**2, 4 * h * h, h**2, 1.0])
+        node = np.arange(N * N)
+        j, i = np.divmod(node, N)
+        inner = (0 < i) & (i < lattice_n) & (0 < j) & (j < lattice_n)
+        shock = (j == lattice_n) & (0 < i) & (i < lattice_n)
+
+        def first(t, step):
+            lo, mid, hi = t == 0, (0 < t) & (t < lattice_n), t == lattice_n
+            return [
+                (mid, step, 1), (mid, -step, -1),
+                (lo, 0, -3), (lo, step, 4), (lo, 2 * step, -1),
+                (hi, 0, 3), (hi, -step, -4), (hi, -2 * step, 1),
+            ]
+
+        def second(step):
+            return [(inner, step, 1), (inner, 0, -2), (inner, -step, 1)]
+
+        cross = [(inner, N + 1, 1), (inner, N - 1, -1), (inner, 1 - N, -1), (inner, -1 - N, 1)]
+        ops = (first(i, 1), first(j, N), second(1), cross, second(N), [(shock, 0, 1)])
+        # row-major over (node, tap): each row keeps its taps in the order above,
+        # so that D u adds them up as the written differences do
+        data, cols, counts = [], [], []
+        for taps in ops:
+            sels, offsets, weights = zip(*taps)
+            sel = np.stack(sels, axis=1)
+            data.append(np.broadcast_to(np.array(weights, dtype=float), sel.shape)[sel])
+            cols.append((node[:, None] + offsets)[sel])
+            counts.append(sel.sum(axis=1))
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        data, cols = np.concatenate(data), np.concatenate(cols)
+        self.D = csr_matrix((data, cols, indptr), shape=(6 * N * N, N * N))
+
+    def derivatives(self, u):
+        """(u_s, u_z, u_ss, u_sz, u_zz, u at the shock rows), each shaped like u."""
+        return (self.D @ u.ravel()).reshape((6,) + u.shape) / self.scale[:, None, None]
+
+
+def lattice_bytes(lattice_n: int) -> int:
+    """Bytes of the lattice-sized arrays of one solve: the node grids of
+    the Lattice, the 22 per-node fields of a GridMapping, the 6 coefficient
+    fields K of the Jacobian, and the stencil matrix D (8-byte values and
+    4-byte column indices of its taps, 4-byte row pointers).  A lower bound:
+    the Jacobian, its LU fill and the solve's temporaries are not counted."""
+    N = lattice_n + 1
+    taps = 4 * N * N + 10 * (N - 2) ** 2
+    return 8 * (2 + 22 + 6) * N * N + 12 * taps + 4 * 6 * N * N
+
+
+def arc_blend(pattern: WavePattern, sig):
+    """(b, u, R) of the level-sigma arc xi = b + u sqrt(1 - eta^2/R^2), and
+    their sigma slopes (b', u', R').
 
     Linear in sigma between arc L (sigma = 0: center v_lx, radius r_l, left
     branch) and arc R (sigma = 1: center 0, radius r_r, right branch), so
-    the slopes db/dsigma = -v_lx, du/dsigma = r_r + r_l and
-    dR/dsigma = r_r - r_l are constants.  The nonzero slope of u keeps the
-    mapping Jacobian nondegenerate at the arc columns.
+    the slopes -v_lx, r_r + r_l and r_r - r_l are constants.  The nonzero
+    slope of u keeps the mapping Jacobian nondegenerate at the arc columns.
     """
-    b = (1.0 - sig) * v_lx
-    u = sig * r_r - (1.0 - sig) * r_l
-    R = (1.0 - sig) * r_l + sig * r_r
-    return b, u, R
+    v_lx = float(pattern.state_L.v[0])
+    r_l, r_r = pattern.arc_L.radius, pattern.arc_R.radius
+    blend = ((1.0 - sig) * v_lx, sig * r_r - (1.0 - sig) * r_l, (1.0 - sig) * r_l + sig * r_r)
+    return blend, (-v_lx, r_r + r_l, r_r - r_l)
+
+
+def level_arc(pattern: WavePattern, sig, eta):
+    """(X, X_sigma, X_eta) of the level-sigma arc X = b + u g, with
+    g = sqrt(1 - eta^2/R^2) and (b, u, R) of arc_blend, at heights below R."""
+    (b, u, R), (bp, up, Rp) = arc_blend(pattern, sig)
+    g = np.sqrt(1.0 - (eta / R) ** 2)
+    return b + u * g, bp + up * g + u * (eta**2 * Rp / (R**3 * g)), u * (-eta / (R**2 * g))
 
 
 class GridMapping:
     """Closed-form onion map of the unit square onto the lens.
 
     Level set sigma is the point-blend of the two arc circles at equal
-    height: xi(sigma, eta) = b + u sqrt(1 - eta^2/R^2) with b, u, R linear
-    blends of the arc centers and radii (arc_blend).  zeta rescales eta by
-    the shock height s(sigma).  The lattice has lattice_n cells in each
-    direction, so sigma and zeta share one node array and one spacing h.
+    height, xi(sigma, eta) = X(sigma, eta) of level_arc.  zeta rescales eta
+    by the shock height s(sigma).  The mapping lives on the nodes of its
+    lattice, which every mapping of a solve shares.
     """
 
-    def __init__(self, pattern: WavePattern, shock: ShockCurve, lattice_n: int):
+    def __init__(self, pattern: WavePattern, shock: ShockCurve, lattice: Lattice):
         self.pattern = pattern
         self.shock = shock
-        self.lattice_n = lattice_n
-        self.v_lx = float(pattern.state_L.v[0])
+        self.lattice = lattice
         self.r_l = pattern.arc_L.radius
         self.r_r = pattern.arc_R.radius
-        # d(b, u, R)/dsigma of arc_blend, constant in sigma
-        self.slopes = (-self.v_lx, self.r_r + self.r_l, self.r_r - self.r_l)
-
-        self.nodes = np.linspace(0.0, 1.0, lattice_n + 1)
-        self.h = self.nodes[1] - self.nodes[0]
-        S, Z = np.meshgrid(self.nodes, self.nodes)  # [j, i]
-        self.S, self.Z = S, Z
-        self._build(S, Z)
-
-    def x_of(self, sig, eta):
-        """Closed-form xi(sigma, eta) for scalars or arrays."""
-        b, u, R = arc_blend(np.asarray(sig, dtype=float), self.v_lx, self.r_l, self.r_r)
-        g2 = 1.0 - (np.asarray(eta) / R) ** 2
-        if np.any(g2 <= 0.0):
-            raise MappingError("height exceeds the blended arc radius")
-        return b + u * np.sqrt(g2)
-
-    def _build(self, S, Z):
-        shock = self.shock
+        S, Z = lattice.S, lattice.Z
         s_v = shock.value(S)
         sp = shock.deriv(S, 1)
         spp = shock.deriv(S, 2)
         eta = Z * s_v
 
-        b, u, R = arc_blend(S, self.v_lx, self.r_l, self.r_r)
-        bp, up, Rp = self.slopes
-
+        (b, u, R), (bp, up, Rp) = arc_blend(pattern, S)
         g2 = 1.0 - (eta / R) ** 2
         if np.any(g2 <= 1e-12):
             raise MappingError("shock reaches the top of a blended arc")
+        X, X_s, X_e = level_arc(pattern, S, eta)
+
+        # second order, through g = sqrt(1 - eta^2/R^2) and its first derivatives
         g = np.sqrt(g2)
         g_e = -eta / (R**2 * g)
         g_s = eta**2 * Rp / (R**3 * g)
         g_ee = -1.0 / (R**2 * g) - eta**2 / (R**4 * g**3)
         g_se = eta * Rp * (2.0 * R**2 - eta**2) / (R**5 * g**3)
         g_ss = -3.0 * eta**2 * (Rp * Rp) / (R**4 * g) - eta**4 * (Rp * Rp) / (R**6 * g**3)
-
-        X_s = bp + up * g + u * g_s
-        X_e = u * g_e
         X_ss = 2.0 * up * g_s + u * g_ss
         X_se = up * g_e + u * g_se
         X_ee = u * g_ee
@@ -192,7 +246,7 @@ class GridMapping:
         sig_y = -xi_z / det
         zet_x = -eta_s / det
         zet_y = xi_s / det
-        self.xi = b + u * g
+        self.xi = X
         self.eta = eta
         self.sig_x, self.sig_y = sig_x, sig_y
         self.zet_x, self.zet_y = zet_x, zet_y
@@ -220,59 +274,30 @@ class GridMapping:
         self.hxy = hess_coeffs(qx, qy)
         self.hyy = hess_coeffs(qy, qy)
 
-    # lattice derivative helpers --------------------------------------------
-
-    def d_sigma(self, u):
-        h = self.h
-        out = np.empty_like(u)
-        out[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * h)
-        out[:, 0] = (-3 * u[:, 0] + 4 * u[:, 1] - u[:, 2]) / (2 * h)
-        out[:, -1] = (3 * u[:, -1] - 4 * u[:, -2] + u[:, -3]) / (2 * h)
-        return out
-
-    def d_zeta(self, u):
-        h = self.h
-        out = np.empty_like(u)
-        out[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * h)
-        out[0, :] = (-3 * u[0, :] + 4 * u[1, :] - u[2, :]) / (2 * h)
-        out[-1, :] = (3 * u[-1, :] - 4 * u[-2, :] + u[-3, :]) / (2 * h)
-        return out
-
     def gradient(self, u):
-        us = self.d_sigma(u)
-        uz = self.d_zeta(u)
-        ux = self.sig_x * us + self.zet_x * uz
-        uy = self.sig_y * us + self.zet_y * uz
-        return ux, uy
+        us, uz = self.lattice.derivatives(u)[:2]
+        return self.sig_x * us + self.zet_x * uz, self.sig_y * us + self.zet_y * uz
 
     def hessian_terms(self, u):
-        """Physical Hessian entries at interior nodes (edges meaningless)."""
-        h = self.h
-        us = self.d_sigma(u)
-        uz = self.d_zeta(u)
-        uss = np.zeros_like(u)
-        uzz = np.zeros_like(u)
-        usz = np.zeros_like(u)
-        uss[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h**2
-        uzz[1:-1, :] = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / h**2
-        usz[1:-1, 1:-1] = (
-            u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]
-        ) / (4 * h * h)
+        """(u_x, u_y, u_xx, u_xy, u_yy) from one product D u: the gradient at
+        every node, the Hessian entries at the interior nodes (edges meaningless)."""
+        us, uz, uss, usz, uzz, _ = self.lattice.derivatives(u)
 
         def combine(c):
             c_ss, c_sz, c_zz, d_s, d_z = c
             return c_ss * uss + c_sz * usz + c_zz * uzz + d_s * us + d_z * uz
 
-        return combine(self.hxx), combine(self.hxy), combine(self.hyy)
+        ux, uy = self.sig_x * us + self.zet_x * uz, self.sig_y * us + self.zet_y * uz
+        return ux, uy, combine(self.hxx), combine(self.hxy), combine(self.hyy)
 
     def invert(self, xi, eta):
         """(sigma, zeta) of physical points, by bracketed Newton on the sigma blend.
 
         Returns (sigma, zeta, inside).  Points outside the lens or above the
         shock get inside=False.  For points inside the lens, sigma solves
-        x_of(sigma, eta) = xi by _sigma_by_newton, started from the linear
-        interpolation between the two arcs; other points keep that start,
-        clipped to [0, 1].
+        X(sigma, eta) = xi (level_arc) by _sigma_by_newton, started from the
+        linear interpolation between the two arcs; other points keep that
+        start, clipped to [0, 1].
         """
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
@@ -280,7 +305,7 @@ class GridMapping:
         # heights outside [0, min radius) are tested at eta = 0 and stay outside
         inside = (eta >= 0.0) & (eta < min(self.r_l, self.r_r))
         eta_in = np.where(inside, eta, 0.0)
-        x0, x1 = self.x_of(0.0, eta_in), self.x_of(1.0, eta_in)
+        x0, x1 = (level_arc(self.pattern, sig, eta_in)[0] for sig in (0.0, 1.0))
         inside &= (xi >= x0) & (xi <= x1)
         sig = np.asarray(np.clip((xi - x0) / (x1 - x0), 0.0, 1.0))
         del eta_in, x0, x1  # lowers the peak memory of the Newton arrays
@@ -291,14 +316,14 @@ class GridMapping:
         return sig, zet, inside
 
     def _sigma_by_newton(self, xi, eta, sig):
-        """sigma in [0, 1] with x_of(sigma, eta) = xi, from the start sig.
+        """sigma in [0, 1] with X(sigma, eta) = xi, from the start sig.
 
         Newton falls back to the midpoint of the bracket [lo, hi] whenever
         its point leaves it, and stops when every step is at most 1e-14.
         """
         lo, hi = np.zeros_like(sig), np.ones_like(sig)
         for _ in range(64):
-            f, fp, _ = self._x_and_slope(sig, eta)
+            f, fp, _ = level_arc(self.pattern, sig, eta)
             f -= xi
             # f is exactly 0 at lattice nodes: the inclusive bracket keeps that
             # Newton point instead of restarting bisection
@@ -313,23 +338,15 @@ class GridMapping:
                 return sig
         raise MappingError("sigma inversion did not converge in 64 steps")
 
-    def _x_and_slope(self, sig, eta):
-        """x_of(sig, eta) and its sigma and eta derivatives, from arc_blend
-        and its constant slopes (heights below the blended radius)."""
-        b, u, R = arc_blend(sig, self.v_lx, self.r_l, self.r_r)
-        bp, up, Rp = self.slopes
-        g = np.sqrt(1.0 - (eta / R) ** 2)
-        return b + u * g, bp + up * g + u * eta**2 * Rp / (R**3 * g), -u * eta / (R**2 * g)
-
     def corner(self, side: str):
         j = -1
         i = 0 if side == "L" else -1
         return np.array([self.xi[j, i], self.eta[j, i]])
 
 
-def build_mapping(pattern: WavePattern, shock: ShockCurve, lattice_n: int) -> GridMapping:
+def build_mapping(pattern: WavePattern, shock: ShockCurve, lattice: Lattice) -> GridMapping:
     """Construct and sanity-check the onion mapping for the given shock."""
-    m = GridMapping(pattern, shock, lattice_n)
+    m = GridMapping(pattern, shock, lattice)
     # wall maps exactly to zeta = 0
     if np.max(np.abs(m.eta[0, :])) != 0.0:
         raise MappingError("wall row does not sit at eta = 0")
@@ -339,21 +356,20 @@ def build_mapping(pattern: WavePattern, shock: ShockCurve, lattice_n: int) -> Gr
     return m
 
 
-def chord_shock(pattern: WavePattern, lattice_n: int) -> ShockCurve:
+def chord_shock(pattern: WavePattern, lattice: Lattice) -> ShockCurve:
     """Initial shock between the expected corners, in shock-height form.
 
     A cubic Hermite graph that leaves the corners tangent to the straight
     L and R shocks (slopes tan(beta) and 0); for the straight-shock pattern
     it degenerates to the chord itself.  Matching the end slopes keeps the
     upstream potential mismatch second order at the corners, so the blended
-    initial guess stays pseudo-subsonic there.
+    initial guess stays pseudo-subsonic there.  A height above the level
+    arc is clamped to its top.
     """
-    sig = np.linspace(0.0, 1.0, lattice_n + 1)
+    sig = lattice.nodes
     a, b = pattern.xi_L_star, pattern.xi_R_star
     if abs(b[1] - a[1]) < 1e-14:
-        return ShockCurve(sigma=sig, s=np.full(lattice_n + 1, a[1]))
-    v_lx = float(pattern.state_L.v[0])
-    r_l, r_r = pattern.arc_L.radius, pattern.arc_R.radius
+        return ShockCurve(sigma=sig, s=np.full(sig.size, a[1]))
     xa, xb = float(a[0]), float(b[0])
     ma, mb = math.tan(pattern.beta), 0.0
     dx = xb - xa
@@ -366,15 +382,17 @@ def chord_shock(pattern: WavePattern, lattice_n: int) -> ShockCurve:
         h11 = t * t * (t - 1)
         return h00 * a[1] + h10 * dx * ma + h01 * b[1] + h11 * dx * mb
 
-    heights = np.empty(lattice_n + 1)
+    heights = np.empty(sig.size)
     heights[0], heights[-1] = a[1], b[1]
-    for k in range(1, lattice_n):
-        bb, u, R = arc_blend(sig[k], v_lx, r_l, r_r)
+    # the clamped top, g = 0, gives infinite slopes that f does not read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, sig.size - 1):
+            R = arc_blend(pattern, sig[k])[0][2]  # the top of level arc k
 
-        def f(x):
-            return bb + u * math.sqrt(max(1.0 - (hermite(x) / R) ** 2, 0.0)) - x
+            def f(x):
+                return level_arc(pattern, sig[k], min(hermite(x), R))[0] - x
 
-        heights[k] = hermite(_bracketed_root(f, xa, xb, xtol=1e-15))
+            heights[k] = hermite(_bracketed_root(f, xa, xb, xtol=1e-15))
     return ShockCurve(sigma=sig, s=heights)
 
 
@@ -390,15 +408,16 @@ def initial_guess(pattern: WavePattern, mapping: GridMapping):
     psi_R, _ = constant_state_potential(model, pattern.state_R.rho, pattern.state_R.v)
     psi_I, _ = constant_state_potential(model, pattern.state_I.rho, pattern.state_I.v)
     pts = np.stack([mapping.xi, mapping.eta], axis=-1)
-    W = mapping.S**2 * (3.0 - 2.0 * mapping.S)
+    S, Z = mapping.lattice.S, mapping.lattice.Z
+    W = S**2 * (3.0 - 2.0 * S)
     base = (1.0 - W) * psi_L(pts) + W * psi_R(pts)
     mism = psi_I(pts[-1, :, :]) - base[-1, :]
-    return base + mism[None, :] * mapping.Z**2
+    return base + mism[None, :] * Z**2
 
 
 @dataclass
 class EllipticConfig:
-    lattice_n: int = 64  # lattice cells per direction
+    lattice_n: int  # lattice cells per direction
     tol_inner: float = 1e-10
     tol_outer: float = 1e-6
     omega_relax: float = 0.5
@@ -450,12 +469,12 @@ def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
 
     With linearize, K holds the derivative of the split residual (_residual)
     with respect to psi, chi_coef frozen, as per-node coefficient fields of
-    the lattice operators d_s, d_z, d_ss, d_sz, d_zz and the identity, in
-    that order (shape (6,) + psi.shape): the residual row at a node changes
-    by sum_op K_op D_op(delta psi) there.  Interior rows carry A : H plus the
+    the six operators stacked in Lattice.D, in their order (shape (6,) +
+    psi.shape): the residual row at a node changes by sum_op K_op
+    D_op(delta psi) there.  Interior rows carry A : H plus the
     derivative of A = c^2 I - z z^T through grad psi; arc rows z . grad;
     wall rows d/dy; shock rows the derivatives of rho, of the unit normal
-    and of the mass flux.  d_ss, d_sz and d_zz are read at interior rows only.
+    and of the mass flux.
     """
     gamma = model.gamma
     eps = pattern.epsilon
@@ -463,13 +482,12 @@ def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
     rho_I = pattern.state_I.rho
     v_I = pattern.state_I.v
 
-    vx, vy = mapping.gradient(psi)
+    vx, vy, hxx, hxy, hyy = mapping.hessian_terms(psi)
     xi, eta = mapping.xi, mapping.eta
     zx, zy = vx - xi, vy - eta
     z2 = zx**2 + zy**2
     c2 = model.c0**2 + (1.0 - gamma) * (chi_coef + 0.5 * z2)
 
-    hxx, hxy, hyy = mapping.hessian_terms(psi)
     Axx = c2 - zx * zx
     Axy = -zx * zy
     Ayy = c2 - zy * zy
@@ -568,61 +586,20 @@ def _residual(model, pattern, mapping, chi_old, psi):
     return F, z2, c2
 
 
-def _lattice_operators(lattice_n):
-    """COO stencils of d_s, d_z, d_ss, d_sz, d_zz and the identity on the lattice.
-
-    Nodes are numbered as psi.ravel() ([zeta, sigma], sigma fastest).  The
-    first differences are GridMapping.d_sigma and d_zeta, one-sided at the
-    edges; the second differences are those of hessian_terms, at the
-    interior nodes only, and the identity is kept at the shock rows, the
-    only ones that read it.  Returns (rows, cols, vals, field): field indexes
-    each entry's coefficient in the flattened (6,) + psi.shape stack that
-    _conditions returns with linearize.
-    """
-    N = lattice_n + 1
-    h = np.linspace(0.0, 1.0, N)[1]
-    node = np.arange(N * N, dtype=np.int32)
-    j, i = np.divmod(node, N)
-    inner = (0 < i) & (i < lattice_n) & (0 < j) & (j < lattice_n)
-    shock = (j == lattice_n) & (0 < i) & (i < lattice_n)
-
-    def first(t, step):
-        lo, mid, hi = t == 0, (0 < t) & (t < lattice_n), t == lattice_n
-        c = 1.0 / (2 * h)
-        return [
-            (mid, step, c), (mid, -step, -c),
-            (lo, 0, -3 * c), (lo, step, 4 * c), (lo, 2 * step, -c),
-            (hi, 0, 3 * c), (hi, -step, -4 * c), (hi, -2 * step, c),
-        ]
-
-    def second(step):
-        c = 1.0 / h**2
-        return [(inner, step, c), (inner, 0, -2 * c), (inner, -step, c)]
-
-    c = 1.0 / (4 * h * h)
-    cross = [(inner, N + 1, c), (inner, N - 1, -c), (inner, 1 - N, -c), (inner, -1 - N, c)]
-    ops = (first(i, 1), first(j, N), second(1), cross, second(N), [(shock, 0, 1.0)])
-    rows, cols, vals, field = [], [], [], []
-    for k, taps in enumerate(ops):
-        for sel, offset, w in taps:
-            r = node[sel]
-            rows.append(r)
-            cols.append(r + offset)
-            vals.append(np.full(r.size, w))
-            field.append(k * N * N + r)
-    return tuple(np.concatenate(a) for a in (rows, cols, vals, field))
-
-
-def _jacobian(model, pattern, mapping, chi_old, psi, operators):
-    """Exact sparse Jacobian of _residual at psi: sum_op diag(K_op) D_op,
-    with the coefficient fields of _conditions and the stencils of
-    _lattice_operators; entries that vanish are left out."""
-    rows, cols, vals, field = operators
+def _jacobian(model, pattern, mapping, chi_old, psi):
+    """Exact sparse Jacobian of _residual at psi: W D, with W = [diag(K_op /
+    scale_op)] the coefficient fields of _conditions side by side and D,
+    scale the stencils of the mapping's lattice; entries that vanish are
+    left out."""
     *_, K = _conditions(model, pattern, mapping, chi_old, psi, linearize=True)
-    w = K.ravel()[field]
-    w *= vals
-    keep = w != 0.0
-    return coo_matrix((w[keep], (rows[keep], cols[keep])), shape=(psi.size, psi.size)).tocsc()
+    n = psi.size
+    # row r of W holds K_op / scale_op at node r in column op n + r
+    w = (K.reshape(6, n) * (1.0 / mapping.lattice.scale)[:, None]).T.ravel()
+    col = np.arange(6 * n).reshape(6, n).T.ravel()
+    W = csr_matrix((w, col, np.arange(0, 6 * n + 1, 6)), shape=(n, 6 * n))
+    J = W @ mapping.lattice.D
+    J.eliminate_zeros()
+    return J.tocsc()
 
 
 # the chord iteration refactors once a step shrinks by less than this factor
@@ -646,15 +623,13 @@ def solve_fixed_boundary(
     config: EllipticConfig,
     lu=None,
     tol: float | None = None,
-    operators=None,
 ):
     """Chord-Newton solve of the split problem with coefficients frozen at psi_old.
 
     Newton starts from psi_old.  Its steps reuse one factorization of the
     Jacobian (the chord method): lu when given, such as the one an earlier
     call returned on a nearby mapping, else one of the exact Jacobian
-    (_jacobian) on the lattice stencils operators (built here when not
-    given).  That is refactored at the current iterate when a step shrinks
+    (_jacobian).  That is refactored at the current iterate when a step shrinks
     by less than CHORD_CONTRACTION against the previous step of this call
     made with the same factorization.  The solve stops when a step falls
     below tol (default tol_inner) relative to the potential scale; a
@@ -667,8 +642,6 @@ def solve_fixed_boundary(
     model = pattern.config.model
     chi_old = psi_old - 0.5 * (mapping.xi**2 + mapping.eta**2)
     tol = config.tol_inner if tol is None else tol
-    if operators is None:
-        operators = _lattice_operators(mapping.lattice_n)
 
     psi = psi_old.copy()
     scale = pattern.state_R.c * max(1.0, np.max(np.abs(psi)))
@@ -679,7 +652,7 @@ def solve_fixed_boundary(
     upd_prev = math.inf
     for _ in range(MAX_NEWTON):
         if lu is None:
-            J = _jacobian(model, pattern, mapping, chi_old, psi, operators)
+            J = _jacobian(model, pattern, mapping, chi_old, psi)
             try:
                 # the 9-point stencils make J structurally symmetric but for
                 # the one-sided edge rows: order on A^T + A, pivot on the diagonal
@@ -720,9 +693,10 @@ def solve_fixed_boundary(
     bad = ell[1:-1, 1:-1] <= 0.0
     if np.any(bad):
         j, i = np.unravel_index(int(np.argmin(ell[1:-1, 1:-1])), bad.shape)
+        nodes = mapping.lattice.nodes
         raise EllipticityLost(
-            f"frozen coefficients lost ellipticity at node (sigma={mapping.nodes[i+1]:.3f}, "
-            f"zeta={mapping.nodes[j+1]:.3f})"
+            f"frozen coefficients lost ellipticity at node (sigma={nodes[i+1]:.3f}, "
+            f"zeta={nodes[j+1]:.3f})"
         )
     return psi, lu
 
@@ -733,7 +707,7 @@ def update_shock(pattern: WavePattern, mapping: GridMapping, psi_hat: np.ndarray
     psi_I, a0 = constant_state_potential(model, pattern.state_I.rho, pattern.state_I.v)
     v_iy = float(pattern.state_I.v[1])
     s_new = (psi_hat[-1, :] - a0) / v_iy
-    return ShockCurve(sigma=mapping.nodes.copy(), s=s_new)
+    return ShockCurve(sigma=mapping.lattice.nodes, s=s_new)
 
 
 def _true_residuals(pattern, mapping, psi):
@@ -759,7 +733,7 @@ def _true_residuals(pattern, mapping, psi):
 
 def iterate(
     pattern: WavePattern,
-    config: EllipticConfig | None = None,
+    config: EllipticConfig,
     shock0: ShockCurve | None = None,
 ) -> EllipticSolution:
     """Alternate fixed-boundary solves and shock updates until residuals settle.
@@ -775,29 +749,28 @@ def iterate(
 
     The mapping changes little between outer iterations, so each solve
     starts from the factorization the previous one returned, and all share
-    one set of lattice stencils.  The first solve runs to tol_inner; each
+    one Lattice.  The first solve runs to tol_inner; each
     later one to INNER_FORCING times the shock update of the iteration
     before it, never below tol_inner, since a tighter inner solve is lost
     on a shock that is still that far off.
     """
-    config = config or EllipticConfig()
     if pattern.epsilon <= 0.0:
         raise ValueError("the free-boundary solve needs epsilon > 0")
-    shock = shock0 or chord_shock(pattern, config.lattice_n)
-    mapping = build_mapping(pattern, shock, config.lattice_n)
+    lattice = Lattice(config.lattice_n)
+    shock = shock0 or chord_shock(pattern, lattice)
+    mapping = build_mapping(pattern, shock, lattice)
     psi = initial_guess(pattern, mapping)
     history = []
     converged = False
     r_r, c_r = pattern.arc_R.radius, pattern.state_R.c
     n_s = shock.s.size
     lu = None
-    operators = _lattice_operators(config.lattice_n)
     tol = config.tol_inner
     dx_hist, df_hist = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
     x_prev = f_prev = None
 
     for outer in range(config.max_outer):
-        psi_hat, lu = solve_fixed_boundary(pattern, mapping, psi, config, lu, tol, operators)
+        psi_hat, lu = solve_fixed_boundary(pattern, mapping, psi, config, lu, tol)
         s_target = update_shock(pattern, mapping, psi_hat)
         ds = s_target.s - shock.s
         rec = _true_residuals(pattern, mapping, psi_hat)
@@ -840,7 +813,7 @@ def iterate(
             break
 
         shock = ShockCurve(sigma=shock.sigma, s=x_new[:n_s])
-        mapping = build_mapping(pattern, shock, config.lattice_n)
+        mapping = build_mapping(pattern, shock, lattice)
         psi = c_r * x_new[n_s:].reshape(psi.shape)
 
     return EllipticSolution(

@@ -19,7 +19,7 @@ from wedgeflow.shocks import (
     sensitivities,
     shock_polar,
 )
-from wedgeflow.elliptic import EllipticConfig, chord_shock, iterate
+from wedgeflow.elliptic import EllipticConfig, Lattice, chord_shock, iterate
 from wedgeflow import diagnostics as diag
 from wedgeflow.unsteady import (
     predicted_tip_shock_angle,
@@ -267,7 +267,7 @@ def test_tip_angle_refinement_study(desk_march_100, desk_march_200, desk_march):
 def test_criterion_elliptic_fixed_point(desk_solutions):
     # uniqueness echo: the straight-shock case returns from a 1% bump
     pat0 = build(ProblemConfig(model=ISO, MIy=-2.0, epsilon=0.04))
-    bumped = chord_shock(pat0, 32).bumped(0.01 * pat0.state_R.c)
+    bumped = chord_shock(pat0, Lattice(32)).bumped(0.01 * pat0.state_R.c)
     sol0 = iterate(pat0, EllipticConfig(lattice_n=32), shock0=bumped)
     recover = float(np.max(np.abs(sol0.shock.s - pat0.eta_R_star)))
     unpert_ok = sol0.converged and recover < 1e-6

@@ -312,6 +312,9 @@ class TestErrorContract:
             ("pattern", "M_I_y = -2.0", "M_I_y and the wedge pair (M_I, tau_deg)"),
             # about 38 GB per field array: refused before any grid-sized allocation
             ("simulate", "grid_n = 100000", "grid_n = 100000"),
+            # terabytes of lattice arrays (elliptic.lattice_bytes): refused before the solve
+            ("elliptic", "lattice_n = 100000", "lattice_n"),
+            ("sweep", "lattice_list = 48, 100000", "lattice_list"),
             # every float value must be finite: an infinite t_final never ends
             # the march, a NaN box height has no row count, and a NaN or infinite
             # upstream state reaches the shock solves
@@ -463,9 +466,10 @@ def test_write_solution_csv_matches_node_loop(tmp_path):
     with open(tmp_path / "loop_nodes.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sigma", "zeta", "xi", "eta", "psi", "rho", "vx", "vy", "L2"])
-        for j in range(m.lattice_n + 1):
-            for i in range(m.lattice_n + 1):
-                w.writerow([m.nodes[i], m.nodes[j], m.xi[j, i], m.eta[j, i], sol.psi[j, i],
+        nodes = m.lattice.nodes
+        for j in range(nodes.size):
+            for i in range(nodes.size):
+                w.writerow([nodes[i], nodes[j], m.xi[j, i], m.eta[j, i], sol.psi[j, i],
                             f["rho"][j, i], f["vx"][j, i], f["vy"][j, i], f["L2"][j, i]])
     with open(tmp_path / "loop_shock.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -490,7 +494,7 @@ def test_node_writer_matches_write_rows(tmp_path):
     sol = elliptic.iterate(pat, elliptic.EllipticConfig(lattice_n=16))
     cli.write_solution_csv(sol, *(tmp_path / f"{n}.csv" for n in ("nodes", "shock", "history")))
     m, f = sol.mapping, sol.fields()
-    nodes = (m.S, m.Z, m.xi, m.eta, sol.psi, f["rho"], f["vx"], f["vy"], f["L2"])
+    nodes = (m.lattice.S, m.lattice.Z, m.xi, m.eta, sol.psi, f["rho"], f["vx"], f["vy"], f["L2"])
     cli._write_rows(
         tmp_path / "oracle.csv",
         ["sigma", "zeta", "xi", "eta", "psi", "rho", "vx", "vy", "L2"],

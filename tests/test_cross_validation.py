@@ -14,7 +14,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from wedgeflow.gas import GasModel
 from wedgeflow.pattern import ProblemConfig, build
-from wedgeflow.elliptic import EllipticConfig, iterate
+from wedgeflow.elliptic import EllipticConfig, iterate, level_arc
 from wedgeflow.diagnostics import CompositeField
 from wedgeflow.unsteady import bilinear
 
@@ -25,14 +25,13 @@ DESK = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
 def lens_probes(sol):
     """400 probes inside the lens (seed 11, sigma and zeta in [0.15, 0.85]):
     their (sigma, zeta) and their standard-coordinate points."""
-    m = sol.mapping
     rng = np.random.default_rng(11)
     lattice, pts_std = [], []
     for _ in range(400):
         sig, zet = rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85)
         eta = zet * sol.shock.value(sig)
         lattice.append([sig, zet])
-        pts_std.append([m.x_of(sig, eta), eta])
+        pts_std.append([level_arc(sol.pattern, sig, eta)[0], eta])
     return np.array(lattice), np.array(pts_std)
 
 
@@ -75,7 +74,7 @@ def test_lens_gap_converges_under_march_refinement(desk_march_100, desk_march_20
     assert sol.converged
     # the elliptic density read bilinearly at the probes' own (sigma, zeta)
     lattice, pts_std = lens_probes(sol)
-    h = sol.mapping.h
+    h = sol.mapping.lattice.h
     rho_ell = bilinear(sol.fields()["rho"], lattice[:, 0] / h, lattice[:, 1] / h)
     gaps = []
     for res, _ in (desk_march_100, desk_march_200, desk_march):

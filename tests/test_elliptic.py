@@ -11,6 +11,7 @@ from wedgeflow.pattern import ProblemConfig, build, separation_check
 from wedgeflow.elliptic import (
     EllipticConfig,
     GridMapping,
+    Lattice,
     MappingError,
     ShockCurve,
     build_mapping,
@@ -28,12 +29,18 @@ UNPERT = ProblemConfig(model=ISO, MIy=-2.0, epsilon=0.04)
 CASE_12 = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.04)
 
 
+def chord_mapping(p, n):
+    """The mapping of the chord shock on a lattice of n cells per direction."""
+    lattice = Lattice(n)
+    return build_mapping(p, chord_shock(p, lattice), lattice)
+
+
 def bisect_sigma(m, xi, eta, steps=60):
-    """Reference inverse of the onion map: plain bisection on x_of."""
+    """Reference inverse of the onion map: plain bisection on level_arc."""
     lo, hi = np.zeros_like(xi), np.ones_like(xi)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        take = m.x_of(mid, eta) < xi
+        take = elliptic.level_arc(m.pattern, mid, eta)[0] < xi
         lo, hi = np.where(take, mid, lo), np.where(take, hi, mid)
     return 0.5 * (lo + hi)
 
@@ -67,26 +74,66 @@ def splu_calls(monkeypatch):
     return calls
 
 
+class TestLattice:
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_stencils_exact_on_quadratics(self, n):
+        lattice = Lattice(n)
+        S, Z = lattice.S, lattice.Z
+        a, b, c, d, e, f = 0.3, -1.2, 0.7, 2.1, -0.9, 1.6
+        u = a + b * S + c * Z + d * S**2 + e * S * Z + f * Z**2
+        u_s, u_z, u_ss, u_sz, u_zz, u_shock = lattice.derivatives(u)
+        # first differences: central inside, one-sided of second order at the edges
+        assert np.max(np.abs(u_s - (b + 2 * d * S + e * Z))) <= 1e-9
+        assert np.max(np.abs(u_z - (c + e * S + 2 * f * Z))) <= 1e-9
+        # second differences at the interior nodes, empty rows elsewhere
+        interior = np.zeros(u.shape, dtype=bool)
+        interior[1:-1, 1:-1] = True
+        for got, exact in ((u_ss, 2 * d), (u_sz, e), (u_zz, 2 * f)):
+            assert np.max(np.abs(got[interior] - exact)) <= 1e-9
+            assert np.all(got[~interior] == 0.0)
+        # the identity at the shock rows only
+        shock = np.zeros(u.shape, dtype=bool)
+        shock[-1, 1:-1] = True
+        assert np.array_equal(u_shock[shock], u[shock])
+        assert np.all(u_shock[~shock] == 0.0)
+
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_lattice_bytes_is_a_close_lower_bound(self, case12_pattern, n):
+        m = chord_mapping(case12_pattern, n)
+        D = m.lattice.D
+        fields = [m.xi, m.eta, m.jac_det, m.sig_x, m.sig_y, m.zet_x, m.zet_y, *m.hxx, *m.hxy, *m.hyy]
+        held = (
+            m.lattice.S.nbytes + m.lattice.Z.nbytes + sum(a.nbytes for a in fields)
+            + 6 * m.xi.nbytes  # K of the Jacobian
+            + D.data.nbytes + D.indices.nbytes + D.indptr.nbytes
+        )
+        assert elliptic.lattice_bytes(n) <= held <= 1.02 * elliptic.lattice_bytes(n)
+
+    def test_lattice_bytes_of_a_huge_lattice(self):
+        # no array is allocated: 100001^2 nodes need terabytes
+        assert elliptic.lattice_bytes(100000) > 2e12
+
+
 class TestMapping:
     def test_wall_row_exactly_on_axis(self, case12_pattern):
-        m = build_mapping(case12_pattern, chord_shock(case12_pattern, 32), 32)
+        m = chord_mapping(case12_pattern, 32)
         assert np.max(np.abs(m.eta[0, :])) == 0.0
 
     def test_corners_of_chord_mapping(self, case12_pattern):
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 32), 32)
+        m = chord_mapping(p, 32)
         assert np.allclose(m.corner("L"), p.xi_L_star, atol=1e-9)
         assert np.allclose(m.corner("R"), p.xi_R_star, atol=1e-9)
 
     def test_unperturbed_mapping_symmetric(self, unpert_pattern):
         p = unpert_pattern
-        m = build_mapping(p, chord_shock(p, 40), 40)
+        m = chord_mapping(p, 40)
         # reflection sigma -> 1 - sigma flips xi for the symmetric pattern
         assert np.max(np.abs(m.xi + m.xi[:, ::-1])) < 1e-12
         assert np.max(np.abs(m.eta - m.eta[:, ::-1])) < 1e-12
 
     def test_jacobian_positive_case12_64(self, case12_pattern):
-        m = build_mapping(case12_pattern, chord_shock(case12_pattern, 64), 64)
+        m = chord_mapping(case12_pattern, 64)
         assert np.all(m.jac_det > 0.0)
 
     def test_hessian_transform_second_order(self, case12_pattern):
@@ -95,14 +142,14 @@ class TestMapping:
         p = case12_pattern
 
         def worst(n):
-            m = build_mapping(p, chord_shock(p, n), n)
+            m = chord_mapping(p, n)
             errs = []
             for f, exact in [
                 (m.xi**2, (2.0, 0.0, 0.0)),
                 (m.xi * m.eta, (0.0, 1.0, 0.0)),
                 (m.eta**2, (0.0, 0.0, 2.0)),
             ]:
-                hxx, hxy, hyy = m.hessian_terms(f)
+                _, _, hxx, hxy, hyy = m.hessian_terms(f)
                 errs.append(np.max(np.abs(hxx[1:-1, 1:-1] - exact[0])))
                 errs.append(np.max(np.abs(hxy[1:-1, 1:-1] - exact[1])))
                 errs.append(np.max(np.abs(hyy[1:-1, 1:-1] - exact[2])))
@@ -114,7 +161,7 @@ class TestMapping:
 
     def test_gradient_second_order_for_linear(self, case12_pattern):
         def worst(n):
-            m = build_mapping(case12_pattern, chord_shock(case12_pattern, n), n)
+            m = chord_mapping(case12_pattern, n)
             gx, gy = m.gradient(0.4 * m.xi + 1.3 * m.eta)
             return max(np.max(np.abs(gx - 0.4)), np.max(np.abs(gy - 1.3)))
 
@@ -123,15 +170,15 @@ class TestMapping:
         assert e64 < 0.35 * e32
 
     def test_invert_round_trip(self, case12_pattern):
-        m = build_mapping(case12_pattern, chord_shock(case12_pattern, 32), 32)
+        m = chord_mapping(case12_pattern, 32)
         sig, zet, inside = m.invert(m.xi[5:-5:4, 3:-3:4], m.eta[5:-5:4, 3:-3:4])
         assert np.all(inside)
-        assert np.max(np.abs(sig - m.S[5:-5:4, 3:-3:4])) < 1e-9
-        assert np.max(np.abs(zet - m.Z[5:-5:4, 3:-3:4])) < 1e-9
+        assert np.max(np.abs(sig - m.lattice.S[5:-5:4, 3:-3:4])) < 1e-9
+        assert np.max(np.abs(zet - m.lattice.Z[5:-5:4, 3:-3:4])) < 1e-9
 
     def test_invert_outside_the_lens(self, case12_pattern):
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 32), 32)
+        m = chord_mapping(p, 32)
         d = 0.05 * p.state_R.c
         j, i = 16, 16  # mid-height row, middle column
         xi = np.array([
@@ -148,16 +195,16 @@ class TestMapping:
 
     def test_invert_matches_bisection(self, case12_pattern):
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 32), 32)
+        m = chord_mapping(p, 32)
         # lattice nodes are exact roots
         sig, _, _ = m.invert(m.xi, m.eta)
         assert np.max(np.abs(sig - bisect_sigma(m, m.xi, m.eta))) <= 1e-13
         sig, _, inside = m.invert(float(m.xi[5, 5]), float(m.eta[5, 5]))
-        assert inside and abs(sig - m.S[5, 5]) <= 1e-13
+        assert inside and abs(sig - m.lattice.S[5, 5]) <= 1e-13
         # 1e-12 inside each arc, at every node height of that arc
         for k, side in ((0, 1.0), (-1, -1.0)):
             eta = m.eta[:, k]
-            xi = m.x_of(float(k == -1), eta) + side * 1e-12
+            xi = elliptic.level_arc(p, float(k == -1), eta)[0] + side * 1e-12
             sig, _, inside = m.invert(xi, eta)
             assert np.all(inside[:-1])
             assert np.max(np.abs(sig - bisect_sigma(m, xi, eta))) <= 1e-13
@@ -166,16 +213,17 @@ class TestMapping:
         top = min(m.r_l, m.r_r)
         xi = np.concatenate([m.xi[-1, 1:-1], m.xi[1:-1, 0] - d, m.xi[1:-1, -1] + d, m.xi[0, 1:-1]])
         eta = np.concatenate([
-            m.eta[-1, 1:-1] + d, m.eta[1:-1, 0], m.eta[1:-1, -1], np.full(m.lattice_n - 1, 1.01 * top),
+            m.eta[-1, 1:-1] + d, m.eta[1:-1, 0], m.eta[1:-1, -1], np.full(m.lattice.nodes.size - 2, 1.01 * top),
         ])
         _, _, inside = m.invert(xi, eta)
         assert not np.any(inside)
 
     def test_shock_above_arc_top_rejected(self, case12_pattern):
         p = case12_pattern
-        tall = chord_shock(p, 16).bumped(2.0 * p.arc_R.radius)
+        lattice = Lattice(16)
+        tall = chord_shock(p, lattice).bumped(2.0 * p.arc_R.radius)
         with pytest.raises(MappingError):
-            build_mapping(p, tall, 16)
+            build_mapping(p, tall, lattice)
 
     def test_negative_shock_height_rejected(self):
         with pytest.raises(MappingError):
@@ -185,7 +233,7 @@ class TestMapping:
 class TestInitialGuess:
     def test_unperturbed_guess_is_exact(self, unpert_pattern):
         p = unpert_pattern
-        m = build_mapping(p, chord_shock(p, 24), 24)
+        m = chord_mapping(p, 24)
         psi = initial_guess(p, m)
         _, a0 = constant_state_potential(ISO, p.state_R.rho, p.state_R.v)
         assert np.max(np.abs(psi - a0)) < 1e-13
@@ -195,19 +243,19 @@ class TestInitialGuess:
         # states have zero vertical velocity and sigma_eta = 0 on the wall);
         # the discrete stencil sees only its own O(h^2) truncation
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 32), 32)
+        m = chord_mapping(p, 32)
         psi = initial_guess(p, m)
         _, gy = m.gradient(psi)
         assert np.max(np.abs(gy[0, :])) < 2e-5
         # for the unperturbed pattern the guess is constant: exactly zero
         p0 = unpert_pattern
-        m0 = build_mapping(p0, chord_shock(p0, 24), 24)
+        m0 = chord_mapping(p0, 24)
         _, gy0 = m0.gradient(initial_guess(p0, m0))
         assert np.max(np.abs(gy0[0, :])) < 1e-12
 
     def test_guess_subsonic_interior_case12(self, case12_pattern):
         p = case12_pattern
-        m = build_mapping(p, chord_shock(p, 48), 48)
+        m = chord_mapping(p, 48)
         psi = initial_guess(p, m)
         vx, vy = m.gradient(psi)
         chi = psi - 0.5 * (m.xi**2 + m.eta**2)
@@ -222,7 +270,7 @@ class TestInnerSolve:
     def test_unperturbed_is_fixed_point(self, unpert_pattern):
         p = unpert_pattern
         cfg = EllipticConfig(lattice_n=32)
-        m = build_mapping(p, chord_shock(p, 32), 32)
+        m = chord_mapping(p, 32)
         psi0 = initial_guess(p, m)
         psi_hat, _ = solve_fixed_boundary(p, m, psi0, cfg)
         assert np.max(np.abs(psi_hat - psi0)) < 1e-8
@@ -231,7 +279,7 @@ class TestInnerSolve:
         # a first outer iteration, from the initial guess
         p = case12_pattern
         cfg = EllipticConfig(lattice_n=24)
-        m = build_mapping(p, chord_shock(p, 24), 24)
+        m = chord_mapping(p, 24)
         psi0 = initial_guess(p, m)
         psi, _ = solve_fixed_boundary(p, m, psi0, cfg)
         assert 1 <= len(splu_calls) <= 2
@@ -244,11 +292,12 @@ class TestInnerSolve:
         # mapping whose shock sits a few percent of r_R higher
         p = case12_pattern
         cfg = EllipticConfig(lattice_n=24)
-        chord = chord_shock(p, 24)
-        m0 = build_mapping(p, chord, 24)
+        lattice = Lattice(24)
+        chord = chord_shock(p, lattice)
+        m0 = build_mapping(p, chord, lattice)
         _, lu = solve_fixed_boundary(p, m0, initial_guess(p, m0), cfg)
         assert lu is not None
-        m = build_mapping(p, chord.bumped(0.03 * p.arc_R.radius), 24)
+        m = build_mapping(p, chord.bumped(0.03 * p.arc_R.radius), lattice)
         psi0 = initial_guess(p, m)
         fresh, _ = solve_fixed_boundary(p, m, psi0, cfg)
         stale, _ = solve_fixed_boundary(p, m, psi0, cfg, lu)
@@ -258,7 +307,7 @@ class TestInnerSolve:
     def test_wall_rows_exact_in_discrete_stencil(self, case12_solution):
         sol = case12_solution
         m = sol.mapping
-        dz = m.h
+        dz = m.lattice.h
         wall = (-3 * sol.psi[0, :] + 4 * sol.psi[1, :] - sol.psi[2, :]) / (2 * dz)
         # sigma_y = 0 on the wall, so the stencil value alone is the condition
         assert np.max(np.abs(wall[1:-1])) < 1e-9
@@ -273,15 +322,14 @@ class TestInnerSolve:
             fine = build_mapping(p, ShockCurve(
                 sigma=np.linspace(0, 1, 97),
                 s=sol.shock.value(np.linspace(0, 1, 97)),
-            ), 96)
-            sp = RectBivariateSpline(sol.mapping.nodes, sol.mapping.nodes, sol.psi, kx=3, ky=3)
-            psi_f = sp(fine.nodes, fine.nodes)
-            vx, vy = fine.gradient(psi_f)
+            ), Lattice(96))
+            sp = RectBivariateSpline(sol.mapping.lattice.nodes, sol.mapping.lattice.nodes, sol.psi, kx=3, ky=3)
+            psi_f = sp(fine.lattice.nodes, fine.lattice.nodes)
+            vx, vy, hxx, hxy, hyy = fine.hessian_terms(psi_f)
             chi = psi_f - 0.5 * (fine.xi**2 + fine.eta**2)
             zx, zy = vx - fine.xi, vy - fine.eta
             arg = -chi - 0.5 * (zx**2 + zy**2)
             c2 = p.config.model.c0**2 + (p.config.model.gamma - 1) * arg
-            hxx, hxy, hyy = fine.hessian_terms(psi_f)
             res = (
                 (c2 - zx**2) * hxx + 2 * (-zx * zy) * hxy + (c2 - zy**2) * hyy
             )
@@ -298,18 +346,18 @@ class TestExactJacobian:
         # a smooth perturbation of it that vanishes on no boundary row
         p = case12_pattern
         model = p.config.model
-        m = build_mapping(p, chord_shock(p, n), n)
+        m = chord_mapping(p, n)
         psi_old = initial_guess(p, m)
         chi_old = psi_old - 0.5 * (m.xi**2 + m.eta**2)
-        psi = psi_old + 0.01 * p.state_R.c * (m.Z + m.S * m.Z + 0.5 * m.S**2)
+        S, Z = m.lattice.S, m.lattice.Z
+        psi = psi_old + 0.01 * p.state_R.c * (Z + S * Z + 0.5 * S**2)
 
         def resid(q):
             return elliptic._residual(model, p, m, chi_old, q)[0]
 
         scale = p.state_R.c * max(1.0, np.max(np.abs(psi)))
         fd = fd_jacobian(resid, psi, resid(psi), 1e-7 * scale).tocsr()
-        ops = elliptic._lattice_operators(n)
-        exact = elliptic._jacobian(model, p, m, chi_old, psi, ops).tocsr()
+        exact = elliptic._jacobian(model, p, m, chi_old, psi).tocsr()
         assert ((exact != 0) != (fd != 0)).nnz == 0
         # forward differences carry an O(delta) truncation error
         row_scale = abs(exact).max(axis=1).toarray().ravel()
@@ -321,8 +369,9 @@ class TestShockUpdate:
     def test_unperturbed_shock_unchanged(self, unpert_pattern):
         p = unpert_pattern
         cfg = EllipticConfig(lattice_n=24)
-        sh = chord_shock(p, 24)
-        m = build_mapping(p, sh, 24)
+        lattice = Lattice(24)
+        sh = chord_shock(p, lattice)
+        m = build_mapping(p, sh, lattice)
         psi_hat, _ = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
         s_new = update_shock(p, m, psi_hat)
         assert np.max(np.abs(s_new.s - sh.s)) < 1e-10
@@ -330,7 +379,7 @@ class TestShockUpdate:
     def test_matching_relation_is_identity(self, case12_pattern):
         p = case12_pattern
         cfg = EllipticConfig(lattice_n=24)
-        m = build_mapping(p, chord_shock(p, 24), 24)
+        m = chord_mapping(p, 24)
         psi_hat, _ = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
         s_new = update_shock(p, m, psi_hat)
         psi_I, a0 = constant_state_potential(AIR, p.state_I.rho, p.state_I.v)
@@ -350,7 +399,7 @@ class TestIterate:
     def test_unperturbed_recovery_from_bump(self, unpert_pattern):
         p = unpert_pattern
         cfg = EllipticConfig(lattice_n=32)
-        bumped = chord_shock(p, 32).bumped(0.01 * p.state_R.c)
+        bumped = chord_shock(p, Lattice(32)).bumped(0.01 * p.state_R.c)
         sol = iterate(p, cfg, shock0=bumped)
         assert sol.converged
         assert np.max(np.abs(sol.shock.s - p.eta_R_star)) < 1e-6
