@@ -17,7 +17,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -442,6 +441,8 @@ def _sweep_job(args):
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
+    from concurrent.futures import ProcessPoolExecutor
+
     # loaded before the pool starts, so that forked workers inherit them
     from . import diagnostics, elliptic  # noqa: F401
 

@@ -5,11 +5,12 @@ the R shock is horizontal at height eta_R_star with downstream velocity 0,
 the wall is the xi axis, and the incoming state moves straight down,
 v_I = (0, v_I^y) with v_I^y = M_I^y c_I < 0.
 
-The tilted shock family of the corner problem is parameterized by the
-downstream-normal angle b: the shock through (0, eta_0(b)) with normal
-(sin b, -cos b) and horizontal downstream velocity.  Picking the height
-eta_L_star of its near-origin sqrt(1-eps)-sonic point selects the L shock;
-eta_L_star = eta_R_star degenerates to the straight-shock pattern.
+The tilted shock family of the corner problem is the set of shocks through
+(0, eta_0) with normal (sin b, -cos b) and horizontal downstream velocity.
+Its members are solved for by their log density ratio u, which fixes the
+jump and with it the tilt b.  Picking the height eta_L_star of its
+near-origin sqrt(1-eps)-sonic point selects the L shock; eta_L_star =
+eta_R_star degenerates to the straight-shock pattern.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ from .gas import GasModel, FlowState, WedgeError
 from .shocks import (
     NoAttachedShock,
     ShockSolution,
-    ShockSolveError,
+    _SteadyPolar,
     _bracketed_root,
-    _family_jump,
-    deflection_solutions,
+    _energy_inverse,
+    _family_ratio,
+    _family_spread,
+    _horizontal_member,
+    _ratios,
     horizontal_downstream_shock,
     sonic_points,
 )
@@ -179,31 +183,27 @@ def _sonic_pair(model, sol, epsilon):
     return (a, b) if a[0] <= b[0] else (b, a)
 
 
-def _eta_L_of_beta(config, upstream, beta):
-    """(tip-side sonic point, eta_0, shock) of the family member with tilt beta;
-    the point's height is eta_L_star."""
-    eta0, sol = horizontal_downstream_shock(config.model, upstream, beta)
-    left, _ = _sonic_pair(config.model, sol, config.epsilon)
-    return left, eta0, sol
-
-
 def build(
     config: ProblemConfig, *, validate_supersonic: bool = True, beta_hint: float | None = None
 ) -> WavePattern:
     """Construct the pattern for the given config.
 
-    The R shock comes from the horizontal member of the shock family.  For a
-    wedge pair (M_I, tau) the tilt of the L shock is read off the weak steady
-    tip shock; for a requested height eta_L_star it is solved for, so that the
-    tip-side sonic point sits there.  Tilt is monotone in that height, so the
-    solve brackets cleanly.  validate_supersonic=False skips the tip-frame
-    Mach check (used by geometric sweeps over the whole parameter range);
-    beta_hint narrows the tilt bracket when sweeping nearby heights.
+    The R shock is the horizontal member of the shock family.  The L shock
+    is the member whose log density ratio u comes from one root: for a wedge
+    pair (M_I, tau) the weak steady tip shock's (_tip_tilt), for a requested
+    height eta_L_star the u that puts the tip-side sonic point there
+    (_tilt_from_eta_L).  Each gives the tilt in closed form, and the member
+    is assembled from u with no second family solve.  validate_supersonic=False
+    skips the tip-frame Mach check (used by geometric sweeps over the whole
+    parameter range).  beta_hint, the tilt of a nearby member, is accepted
+    and not read: the eta_L_star root starts from a closed-form bracket, and
+    turning a tilt into a bracket in u would cost a family root per end.
     """
     model = config.model
     upstream = config.upstream()
 
-    eta_R_star, shock_R = horizontal_downstream_shock(model, upstream, 0.0)
+    u_R = _family_ratio(model.gamma, -config.miy)
+    eta_R_star, shock_R = _horizontal_member(upstream, model.gamma, u_R, 1.0, 0.0)
     if shock_R.ldn**2 >= 1.0 - config.epsilon:
         raise GeometryError(
             f"R shock has L_dn = {shock_R.ldn}; needs < sqrt(1-eps) for sonic corners"
@@ -211,15 +211,17 @@ def build(
     _, xi_R_star = _sonic_pair(model, shock_R, config.epsilon)
 
     if config.tau is not None and config.eta_L_star is None:
-        beta = _beta_from_tau(config)
+        u, cos_b, sin_b = _tip_tilt(config)
     else:
         target = config.eta_L_star if config.eta_L_star is not None else eta_R_star
         if not 0.0 < target <= eta_R_star:
             raise GeometryError(
                 f"eta_L_star must lie in (0, eta_R_star = {eta_R_star}], got {target}"
             )
-        beta = _beta_from_eta_L(config, upstream, target, shock_R, beta_hint)
-    xi_L_star, eta0_L, shock_L = _eta_L_of_beta(config, upstream, beta)
+        u, cos_b, sin_b = _tilt_from_eta_L(config, upstream, u_R, target, shock_R)
+    beta = math.atan2(sin_b, cos_b)
+    eta0_L, shock_L = _horizontal_member(upstream, model.gamma, u, cos_b, sin_b)
+    xi_L_star, _ = _sonic_pair(model, shock_L, config.epsilon)
     eta_L_star = float(xi_L_star[1])
     if eta_L_star <= 0.0:
         raise SupersonicityViolation(
@@ -275,64 +277,79 @@ def build(
     return pattern
 
 
-def _sonic_height(config, upstream, beta):
-    """Height of the tip-side sonic point of the family member with tilt beta,
-    c_d (L_dn cos b - sqrt(1 - eps - L_dn^2) sin b), from the member's normal
-    jump alone: the point of _eta_L_of_beta without the shock it lies on."""
-    cos_b = math.cos(beta)
-    _, ldn, c_ratio = _family_jump(config.model.gamma, -float(upstream.v[1]) / (upstream.c * cos_b))
+def _sonic_height(config, upstream, u_R, t):
+    """(height, u, cos b, sin b) of the family member with log density ratio
+    u = u_R + t^2, u_R the R shock's; the height is its tip-side sonic
+    point's, c_d (L_dn cos b - sqrt(1 - eps - L_dn^2) sin b).
+
+    The member's jump j fixes the tilt, cos b = m / j with m = -M_I^y, and
+    j^2 - m^2 = j^2 sin^2 b is the family's spread from u_R
+    (shocks._family_spread), exact to rounding as b -> 0.  In t the height
+    is regular at b = 0, where it falls like t.
+    """
+    d = t * t
+    u = u_R + d
+    m = -config.miy
+    spread = _family_spread(config.model.gamma, u_R, d)
+    jump = math.sqrt(m * m + spread)
+    cos_b, sin_b = m / jump, math.sqrt(spread) / jump
+    _, ldn, c_ratio = _ratios(config.model.gamma, u)
     half = math.sqrt(1.0 - config.epsilon - ldn * ldn)
-    return upstream.c * c_ratio * (ldn * cos_b - half * math.sin(beta))
+    return upstream.c * c_ratio * (ldn * cos_b - half * sin_b), u, cos_b, sin_b
 
 
-def _beta_from_eta_L(config, upstream, target, shock_R, beta_hint=None):
-    """Tilt angle whose tip-side sonic point sits at the target height.
+def _tilt_from_eta_L(config, upstream, u_R, target, shock_R):
+    """(u, cos b, sin b) of the member whose tip-side sonic point sits at the
+    target height: one root in t = sqrt(u - u_R) of _sonic_height.
 
-    That point lies at height c_d (L_dn cos b - sqrt(1 - eps - L_dn^2) sin b)
-    and L_dn falls from the R shock's as b grows, so the height is <= 0 from
-    tan b = L_dn / sqrt(1 - eps - L_dn^2) of the R shock on: the bracket's
-    top.  A hint narrows it to [0.8, 1.25] hint where that holds the root.
-    The solve evaluates that height in closed form (_sonic_height).
+    L_dn falls from the R shock's as u grows, so the height is < 0 once
+    tan b >= L_dn / sqrt(1 - eps - L_dn^2) of the R shock, where the spread
+    is m^2 L_dn^2 / (1 - eps - L_dn^2).  The spread's second term alone,
+    2 e^((gamma-1) u_R) E(d) tanh(u_R/2), reaches that at a closed-form d:
+    the bracket's top.
     """
     if target >= shock_R.point[1]:  # eta_R_star
-        return 0.0
-
-    def f(beta):
-        return _sonic_height(config, upstream, beta) - target
-
-    ldn = shock_R.ldn
-    top = math.atan2(ldn, math.sqrt(1.0 - config.epsilon - ldn * ldn))
-    if beta_hint is not None and beta_hint > 1e-12:
-        try:
-            return _bracketed_root(f, 0.8 * beta_hint, min(1.25 * beta_hint, top), xtol=1e-14)
-        except ShockSolveError:
-            pass
-    return _bracketed_root(f, 0.0, top, xtol=1e-14)
+        return u_R, 1.0, 0.0
+    gamma = config.model.gamma
+    ldn2 = shock_R.ldn * shock_R.ldn
+    spread_top = config.miy**2 * ldn2 / (1.0 - config.epsilon - ldn2)
+    d_top = _energy_inverse(
+        gamma, spread_top / (2.0 * math.exp((gamma - 1.0) * u_R) * math.tanh(0.5 * u_R))
+    )
+    t = _bracketed_root(
+        lambda t: _sonic_height(config, upstream, u_R, t)[0] - target, 0.0, math.sqrt(d_top), xtol=0.0
+    )
+    return _sonic_height(config, upstream, u_R, t)[1:]
 
 
-def _beta_from_tau(config):
-    """Tilt angle of the tip shock for the original wedge pair (M_I, tau).
+def _tip_tilt(config):
+    """(u, cos b, sin b) of the tip shock for the original wedge pair (M_I, tau).
 
     The tip shock is steady through the wedge tip with deflection tau: the
-    weak branch of the deflection pair.  Its angle above the incoming stream
-    exceeds tau by exactly the tilt, and that tilt meets the tip-incidence
+    weak root of the steady polar.  Its angle above the incoming stream
+    exceeds tau by the tilt b, the angle between the shock and the
+    downstream velocity: tan b = e^-u / tan phi with phi the normal's angle
+    to the stream.  The L member at that u and tilt meets the tip-incidence
     relation eta_0(b) = M_I c_I cos(tau) tan(b) of the shock family to
-    rounding, so only the weak root is solved for.  A tilt at rounding level
-    would put the tip at xi = -infinity and raises GeometryError.
+    rounding.  A tilt at rounding level would put the tip at xi = -infinity
+    and raises GeometryError.
     """
-    sols = deflection_solutions(config.model, config.upstream_original(), config.tau, strong=False)
-    if sols is None:
+    polar = _SteadyPolar(config.model.gamma, config.M_I)
+    r_weak, _ = polar.roots(config.tau, strong=False)
+    if r_weak is None:
         raise NoAttachedShock(
             f"tau = {config.tau} exceeds the critical angle for M_I = {config.M_I}"
         )
-    t = sols.weak.tangent
-    beta0 = math.atan2(abs(t[1]), abs(t[0])) - config.tau
+    u, tan_phi, _ = polar.point(r_weak)
+    w = math.exp(-u)
+    beta0 = math.atan2(w, tan_phi)
     if beta0 <= 1e-12:
         raise GeometryError(
             f"tip-shock tilt {beta0:.3g} rad at M_I = {config.M_I}, tau = {config.tau}: "
             "below rounding level, the wedge tip would lie at xi = -infinity"
         )
-    return beta0
+    scale = math.hypot(w, tan_phi)
+    return u, tan_phi / scale, w / scale
 
 
 def _dist_point_segment(p, a, b) -> float:

@@ -23,8 +23,19 @@ of c_u:
     L_un^2 = 2 E(u) / (1 - e^(-2u)),   L_dn = L_un e^(-(gamma+1) u/2),
     c_d / c_u = e^((gamma-1) u/2),     (L_un - L_dn c_d/c_u)^2 = 2 E(u) tanh(u/2).
 
+A steady shock of a stream with Mach number M keeps the tangential velocity
+s c_u, s^2 = M^2 - L_un^2, and divides the normal one by e^u (z_dn = z_un e^-u),
+so it turns the stream by tau with
+
+    tan tau(u) = s L_un expm1(u) / (L_un^2 + s^2 e^u),
+
+which rises from 0 at the Mach angle (u = 0) to the critical angle and falls
+to 0 at the normal shock (u = u_n, L_un(u_n) = M); the shock lies tau + b
+above the stream with tan b = L_un e^-u / s.
+
 Every shock is solved for in u: the normal shock from the first relation
-(downstream_normal_mach), the corner problem's family from the last (_family_jump).
+(downstream_normal_mach), the corner problem's family from the last
+(_family_ratio), the steady pair from tan tau(u) (deflection_solutions).
 """
 
 from __future__ import annotations
@@ -112,12 +123,45 @@ def _energy(gamma: float, u: float) -> float:
     return u if gm1 < ISOTHERMAL_EPS else math.expm1(gm1 * u) / gm1
 
 
+def _energy_inverse(gamma: float, y: float) -> float:
+    """The u with E(u) = y."""
+    gm1 = gamma - 1.0
+    return y if gm1 < ISOTHERMAL_EPS else math.log1p(gm1 * y) / gm1
+
+
 def _normal_mach(gamma: float, u: float) -> float:
     """L_un(u) = sqrt(2 E(u) / (1 - e^(-2u))) of the shock with log density
     ratio u (see the module docstring); 1 at u = 0."""
     if u == 0.0:
         return 1.0
     return math.sqrt(2.0 * _energy(gamma, u) / -math.expm1(-2.0 * u))
+
+
+def _ratios(gamma: float, u: float):
+    """(L_un, L_dn, c_d/c_u) of the shock with log density ratio u."""
+    lun = _normal_mach(gamma, u)
+    return lun, lun * math.exp(-0.5 * (gamma + 1.0) * u), math.exp(0.5 * (gamma - 1.0) * u)
+
+
+def _normal_ratio(gamma: float, lun: float) -> float:
+    """The normal shock's log density ratio: the root u > 0 of L_un(u) = lun > 1.
+
+    L_un^2 >= 1 + (gamma+1) u/2 (L_un^2 is convex in u) and L_un^2 > 2 E(u),
+    so u0 = 2 (lun^2 - 1)/(gamma+1) and E^-1(lun^2/2) both bound the root from
+    above; the bracket ends at the smaller.  Where rounding takes the sign
+    change away there, twice that end has the margin L_un^2 >= 2 lun^2 - 1.
+    Raises OverflowError where lun * lun is inf.
+    """
+    l2 = math.pow(lun, 2.0)
+    top = min(2.0 * (l2 - 1.0) / (gamma + 1.0), _energy_inverse(gamma, 0.5 * l2))
+
+    def f(u):
+        return _normal_mach(gamma, u) - lun
+
+    try:
+        return _bracketed_root(f, 0.0, top, xtol=0.0)
+    except ShockSolveError:
+        return _bracketed_root(f, 0.0, 2.0 * top, xtol=0.0)
 
 
 def downstream_normal_mach(gamma: float, lun: float) -> float:
@@ -129,15 +173,10 @@ def downstream_normal_mach(gamma: float, lun: float) -> float:
     """
     if lun <= 0.0:
         raise ValueError("normal pseudo-Mach number must be positive")
-    gm1, gp1 = gamma - 1.0, gamma + 1.0
+    gp1 = gamma + 1.0
     try:
         if lun > 1.0:
-            # L_un^2 >= 1 + (gamma+1) u/2 (L_un^2 is convex in u) and L_un^2 >= 2 E(u),
-            # so at top L_un^2 >= 2 lun^2 - 1 > lun^2 and f changes sign
-            l2 = math.pow(lun, 2.0)  # raises OverflowError where lun * lun is inf
-            top = min(4.0 * (l2 - 1.0) / gp1, l2 if gm1 < ISOTHERMAL_EPS else math.log1p(gm1 * l2) / gm1)
-            u = _bracketed_root(lambda u: _normal_mach(gamma, u) - lun, 0.0, top, xtol=0.0)
-            ldn = lun * math.exp(-0.5 * gp1 * u)
+            ldn = lun * math.exp(-0.5 * gp1 * _normal_ratio(gamma, lun))
         else:
             # L_dn(u) <= sqrt(1 + 2u) e^(-u), below lun from u = 2 - 2 log lun on
             top = 2.0 - 2.0 * math.log(lun)
@@ -159,8 +198,8 @@ def jump_state(model: GasModel, rho_u: float, c_u: float, lun: float, *, require
     return _jump_ratios(model.gamma, rho_u, c_u, lun, downstream_normal_mach(model.gamma, lun))
 
 
-def _family_jump(gamma: float, jump: float):
-    """(L_un, L_dn, c_d/c_u) of the shock with normal velocity jump
+def _family_ratio(gamma: float, jump: float) -> float:
+    """Log density ratio of the shock with normal velocity jump
     z_un - z_dn = jump c_u > 0: the one root u of 2 E(u) tanh(u/2) = jump^2
     (see the module docstring).
 
@@ -169,14 +208,23 @@ def _family_jump(gamma: float, jump: float):
     L_un^2 >= 2 E(u).  u -> 0 for weak shocks, so only the relative term
     stops the solve.
     """
-    gm1 = gamma - 1.0
     l_max = 1.0 + 0.5 * (gamma + 1.0) * jump
-    top = 0.5 * l_max * l_max if gm1 < ISOTHERMAL_EPS else math.log1p(0.5 * gm1 * l_max * l_max) / gm1
-    u = _bracketed_root(
+    top = _energy_inverse(gamma, 0.5 * l_max * l_max)
+    return _bracketed_root(
         lambda u: 2.0 * _energy(gamma, u) * math.tanh(0.5 * u) - jump * jump, 0.0, top, xtol=0.0
     )
-    lun = _normal_mach(gamma, u)
-    return lun, lun * math.exp(-0.5 * (gamma + 1.0) * u), math.exp(0.5 * gm1 * u)
+
+
+def _family_spread(gamma: float, u0: float, d: float) -> float:
+    """j(u0 + d)^2 - j(u0)^2 for the squared jump j(u)^2 = 2 E(u) tanh(u/2) of
+    the family, d >= 0: E(u0 + d) - E(u0) = e^((gamma-1) u0) E(d) and
+    tanh(u/2) - tanh(u0/2) = sinh(d/2) / (cosh(u/2) cosh(u0/2)) leave a sum of
+    non-negative terms, exact to rounding however small d is."""
+    u = u0 + d
+    rise = math.sinh(0.5 * d) / (math.cosh(0.5 * u) * math.cosh(0.5 * u0))
+    return 2.0 * (
+        _energy(gamma, u) * rise + math.exp((gamma - 1.0) * u0) * _energy(gamma, d) * math.tanh(0.5 * u0)
+    )
 
 
 def _jump_ratios(gamma: float, rho_u: float, c_u: float, lun: float, ldn: float):
@@ -185,51 +233,6 @@ def _jump_ratios(gamma: float, rho_u: float, c_u: float, lun: float, ldn: float)
     rho_d = rho_u * ratio ** (2.0 / (gamma + 1.0))
     c_d = c_u * ratio ** ((gamma - 1.0) / (gamma + 1.0))
     return rho_d, c_d
-
-
-@dataclass(frozen=True)
-class ShockSensitivities:
-    """Closed-form derivatives along the normal-shock branch (L_un > 1 fixed side).
-
-    dldn_dlun: derivative of the downstream normal pseudo-Mach (negative).
-    dzdn_dzun: derivative of z_dn w.r.t. z_un at fixed (rho_u, c_u);
-               bounded above by (gamma-1)/(gamma+1).
-    dvdn_dsigma: derivative of v_dn w.r.t. shock speed at fixed normal and
-               upstream velocity; equals 1 - dzdn_dzun > 2/(gamma+1).
-    drho_d_dsigma: same variation for rho_d, in units of rho_u/c_u (negative).
-    ldn: the downstream normal pseudo-Mach number they are taken at.
-    """
-
-    ldn: float
-    dldn_dlun: float
-    dzdn_dzun: float
-    dvdn_dsigma: float
-    dvdn_dsigma_lower_bound: float
-    drho_d_dsigma: float
-
-
-def sensitivities(gamma: float, lun: float) -> ShockSensitivities:
-    if lun <= 1.0:
-        raise ValueError("sensitivities need L_un > 1; the derivative degenerates at 1")
-    ldn = downstream_normal_mach(gamma, lun)
-    ratio = lun / ldn
-    dldn = (lun - 1.0 / lun) / (ldn - 1.0 / ldn) * ratio ** (-2.0 * (gamma - 1.0) / (gamma + 1.0))
-    dzdn = ratio ** (-2.0 / (gamma + 1.0)) * (
-        2.0 / (gamma + 1.0) * ratio * dldn + (gamma - 1.0) / (gamma + 1.0)
-    )
-    drho_dlun = (
-        (2.0 / (gamma + 1.0))
-        * ratio ** (2.0 / (gamma + 1.0))
-        * (1.0 / lun - dldn / ldn)
-    )
-    return ShockSensitivities(
-        ldn=ldn,
-        dldn_dlun=dldn,
-        dzdn_dzun=dzdn,
-        dvdn_dsigma=1.0 - dzdn,
-        dvdn_dsigma_lower_bound=2.0 / (gamma + 1.0),
-        drho_d_dsigma=-drho_dlun,
-    )
 
 
 @dataclass(frozen=True)
@@ -300,6 +303,15 @@ def _assemble(upstream: FlowState, xi, n, lun: float, ldn: float, rho_d: float, 
     )
 
 
+def _assemble_jump(upstream: FlowState, xi, n, lun: float, ldn: float, c_ratio: float):
+    """The shock through xi with unit downstream normal n and the jump
+    (L_un, L_dn, c_d/c_u) of _ratios."""
+    if ldn < sys.float_info.min:
+        raise ShockSolveError(f"L_dn underflows at L_un = {lun}")
+    rho_d = upstream.rho * lun / (ldn * c_ratio)  # rho L_n c is the same on both sides
+    return _assemble(upstream, xi, n, lun, ldn, rho_d, upstream.c * c_ratio)
+
+
 @dataclass(frozen=True)
 class PolarSample:
     beta: float
@@ -317,24 +329,18 @@ def polar_beta_max(model: GasModel, upstream: FlowState, xi) -> float:
     return math.acos(upstream.c / zmag)
 
 
-def _resolve_turned(model: GasModel, upstream: FlowState, beta: float, xi=(0.0, 0.0)):
-    """The shock through xi whose normal is z_u = v_u - xi turned by beta."""
-    xi = np.asarray(xi, dtype=float)
-    z_u = upstream.v - xi
-    zhat = z_u / np.hypot(*z_u)
-    cb, sb = math.cos(beta), math.sin(beta)
-    n = np.array([cb * zhat[0] - sb * zhat[1], sb * zhat[0] + cb * zhat[1]])
-    return resolve_oblique(model, upstream, xi, n)
-
-
 def shock_polar(model: GasModel, upstream: FlowState, xi, n: int) -> list[PolarSample]:
     """Downstream states at n shock normals evenly spread over the admissible
-    range [-beta_max, beta_max] at xi."""
+    range [-beta_max, beta_max] at xi: z_u = v_u - xi turned by beta."""
     xi = np.asarray(xi, dtype=float)
     beta_max = polar_beta_max(model, upstream, xi)
+    z_u = upstream.v - xi
+    zhat = z_u / np.hypot(*z_u)
     samples = []
     for b in np.linspace(-beta_max, beta_max, n):
-        sol = _resolve_turned(model, upstream, b, xi)
+        cb, sb = math.cos(b), math.sin(b)
+        normal = np.array([cb * zhat[0] - sb * zhat[1], sb * zhat[0] + cb * zhat[1]])
+        sol = resolve_oblique(model, upstream, xi, normal)
         z_d = sol.downstream.v - xi
         samples.append(
             PolarSample(
@@ -364,43 +370,132 @@ class DeflectionSolutions:
         return self.strong.downstream_mach > 1.0
 
 
-def _steady_deflection(model: GasModel, upstream: FlowState, beta: float) -> float:
-    """Counterclockwise turning angle of the velocity across a steady shock."""
-    v_d = _resolve_turned(model, upstream, beta).downstream.v
-    return math.atan2(cross2(upstream.v, v_d), float(upstream.v @ v_d))
+def _split_root(f, lo: float, split: float, hi: float) -> float:
+    """Root of an f that rises through 0 once on [lo, hi], solved for on the
+    side of split that holds it: a split at the root's own scale spares the
+    bisections from the scale of [lo, hi] down to it."""
+    split = min(split, hi)
+    if f(split) > 0.0:
+        return _bracketed_root(f, lo, split, xtol=0.0)
+    return _bracketed_root(f, split, hi, xtol=0.0)
 
 
-def _max_deflection(model: GasModel, upstream: FlowState):
-    """(beta_max, beta_star, tau_star): the polar edge, and the normal angle
-    and value of the largest steady deflection.
+class _SteadyPolar:
+    """The steady shocks of a stream with Mach number mach > 1, parameterized
+    by r = sqrt(u_n - u) in [0, r_top]: r = 0 is the normal shock, r_top the
+    Mach angle (u = 0).
 
-    tau(b) = b - atan(q sin b / z_dn) with q = |v_u| and z_dn a function of
-    z_un = q cos b, so dtau/db = 1 - q (z_dn cos b + q sin^2 b F') / (z_dn^2
-    + q^2 sin^2 b), F' = dz_dn/dz_un: negative at b = 0, sin^2 b (1 - F') > 0
-    at the polar edge, where F' = (gamma - 3)/(gamma + 1).  beta_star is its
-    root.
+    Near the normal shock s^2 = M^2 - L_un(u)^2 loses every digit to
+    cancellation in u (at gamma 1, M 10 the largest deflection sits at
+    s ~ 1e-10 and u_n - u ~ 1e-20), so s^2 is written as L_un(u_n)^2 -
+    L_un(u)^2 in d = u_n - u, a difference without cancellation:
+
+        s^2 = 2 d (e^((gamma-1) u) E(d)/d - (1 - e^(-2d))/d E(u)/expm1(2u)) / (1 - e^(-2 u_n)),
+
+    which takes M as L_un(u_n), one rounding away.  In r the shocks at both
+    ends are regular: tan tau grows like r from the normal shock and like
+    r_top - r from the Mach angle.  At r, t = tan phi = s/L_un with phi the
+    normal's angle to the stream, computed as r times a ratio so that it
+    does not underflow with d, and with w = e^-u
+
+        tan tau = (1 - w) t / (w + t^2).
     """
-    if upstream.mach <= 1.0:
-        raise NoAttachedShock(f"M_u = {upstream.mach} <= 1")
-    beta_max = polar_beta_max(model, upstream, np.zeros(2))
-    gamma, mach = model.gamma, upstream.mach
 
-    def dtau(b):  # z_dn in units of c_u
-        lun, ms = mach * math.cos(b), mach * math.sin(b)
-        if lun <= 1.0:
-            return 4.0 / (gamma + 1.0) * math.sin(b) ** 2
-        sens = sensitivities(gamma, lun)
-        z_dn = sens.ldn * _jump_ratios(gamma, 1.0, 1.0, lun, sens.ldn)[1]
-        slope = sens.dzdn_dzun
-        return 1.0 - mach * (z_dn * math.cos(b) + ms * math.sin(b) * slope) / (z_dn**2 + ms**2)
+    def __init__(self, gamma: float, mach: float):
+        if mach <= 1.0:
+            raise NoAttachedShock(f"M_u = {mach} <= 1")
+        self.gamma = gamma
+        try:
+            self.u_n = _normal_ratio(gamma, mach)
+        except OverflowError as exc:
+            raise ShockSolveError(f"normal shock at M = {mach}, gamma = {gamma} overflows") from exc
+        if mach * math.exp(-0.5 * (gamma + 1.0) * self.u_n) < sys.float_info.min:
+            raise ShockSolveError(f"L_dn underflows at the normal shock of M = {mach}, gamma = {gamma}")
+        self.scale = 2.0 / -math.expm1(-2.0 * self.u_n)
+        r_top = math.sqrt(self.u_n)
+        self.r_top = r_top if r_top * r_top >= self.u_n else math.nextafter(r_top, math.inf)
+        self.w_n, self.lam_n = math.exp(-self.u_n), self.point(0.0)[2]
 
-    beta_star = _bracketed_root(dtau, -beta_max, 0.0, xtol=1e-13)
-    return beta_max, beta_star, _steady_deflection(model, upstream, beta_star)
+    def point(self, r: float):
+        """(u, t, lam) at r, t = tan phi, lam = d log L_un^2/du."""
+        gamma = self.gamma
+        d = r * r
+        u = self.u_n - d
+        if u <= 0.0:  # the Mach angle: L_un = 1, s^2 = L_un(u_n)^2 - 1
+            s2 = self.scale * (_energy(gamma, self.u_n) + 0.5 * math.expm1(-2.0 * self.u_n))
+            return 0.0, math.sqrt(s2), 0.5 * (gamma + 1.0)
+        e_u = _energy(gamma, u)
+        q2 = -math.expm1(-2.0 * u)
+        k = e_u * math.exp(-2.0 * u) / q2  # E(u)/expm1(2u)
+        grow = math.exp((gamma - 1.0) * u)
+        e_d, q_d = (_energy(gamma, d) / d, -math.expm1(-2.0 * d) / d) if d > 0.0 else (1.0, 2.0)
+        s2_d = self.scale * (grow * e_d - k * q_d)  # s^2 / d
+        return u, r * math.sqrt(s2_d * q2 / (2.0 * e_u)), (grow - 2.0 * k) / e_u
+
+    @staticmethod
+    def tan_deflection(u: float, t: float) -> float:
+        return -math.expm1(-u) * t / (math.exp(-u) + t * t)
+
+    def slope(self, r: float) -> float:
+        """d log tan tau/du times 2 s^2 (1 - w)/L_un^2, with b = t^2: negative
+        at the normal shock (-(1 - w) lam), positive at the Mach angle (2 b),
+        one root."""
+        u, t, lam = self.point(r)
+        b = t * t
+        w = math.exp(-u)
+        x = -math.expm1(-u)
+        return x * (2.0 * (lam + (1.0 - lam) * w) * b / (w + b) - lam * (1.0 - b)) + 2.0 * b * w
+
+    def critical(self):
+        """(r_star, tan tau_star) of the largest deflection.
+
+        Next to the normal shock the slope is about lam (b - w)/(b + w) with
+        b = t^2 about lam r^2, so a largest deflection there sits near
+        r = sqrt(w_n/lam_n): at gamma 1, M 30 that is 1e-98 of r_top.  Twice
+        that r splits the bracket (_split_root).
+        """
+        r_star = _split_root(self.slope, 0.0, 2.0 * math.sqrt(self.w_n / self.lam_n), self.r_top)
+        return r_star, self.tan_deflection(*self.point(r_star)[:2])
+
+    def roots(self, tau: float, strong: bool):
+        """(r_weak, r_strong) of the deflection tau; both None above the
+        critical angle, r_strong None with strong=False."""
+        r_star, tan_star = self.critical()
+        tau_star = math.atan(tan_star)
+        if tau > tau_star:
+            return None, None
+        tan_tau = math.tan(tau)
+
+        def f(r):
+            return self.tan_deflection(*self.point(r)[:2]) - tan_tau
+
+        if tau == 0.0:
+            r_weak, r_strong = self.r_top, 0.0
+        elif tau == tau_star or f(r_star) <= 0.0:
+            r_weak = r_strong = r_star
+        else:
+            r_weak = _bracketed_root(f, r_star, self.r_top, xtol=0.0)
+            r_strong = None
+            if strong:
+                # the normal shock (r = 0) does not turn the flow, so f(0) = -tan tau
+                # < 0; next to it tan tau ~ sqrt(lam_n) r / w_n
+                r_strong = _split_root(f, 0.0, 2.0 * self.w_n * tan_tau / math.sqrt(self.lam_n), r_star)
+        return r_weak, r_strong
+
+    def shock(self, upstream: FlowState, r: float) -> ShockSolution:
+        """The steady shock at r through the origin, its normal turned
+        clockwise by phi from the stream."""
+        u, t, _ = self.point(r)
+        cos_p = 1.0 / math.sqrt(1.0 + t * t)
+        sin_p = t * cos_p
+        zhat = upstream.v / np.hypot(*upstream.v)
+        n = np.array([cos_p * zhat[0] + sin_p * zhat[1], cos_p * zhat[1] - sin_p * zhat[0]])
+        return _assemble_jump(upstream, np.zeros(2), n, *_ratios(self.gamma, u))
 
 
 def critical_angle(model: GasModel, upstream: FlowState) -> float:
     """Largest deflection with an attached steady shock (weak = strong there)."""
-    return _max_deflection(model, upstream)[2]
+    return math.atan(_SteadyPolar(model.gamma, upstream.mach).critical()[1])
 
 
 def deflection_solutions(model: GasModel, upstream: FlowState, tau: float, strong: bool = True):
@@ -414,34 +509,33 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float, stron
     """
     if not 0.0 <= tau < 0.5 * math.pi:
         raise ValueError(f"deflection angle must lie in [0, pi/2), got {tau}")
-    beta_max, beta_star, tau_star = _max_deflection(model, upstream)
-    if tau > tau_star:
+    polar = _SteadyPolar(model.gamma, upstream.mach)
+    r_weak, r_strong = polar.roots(tau, strong)
+    if r_weak is None:
         return None
-
-    def f(b):
-        return _steady_deflection(model, upstream, b) - tau
-
-    if tau == 0.0:
-        b_weak, b_strong = -beta_max, -1e-14
-    elif tau == tau_star or f(beta_star) <= 0.0:
-        b_weak = b_strong = beta_star
-    else:
-        b_weak = _bracketed_root(f, -beta_max, beta_star, xtol=1e-14)
-        # the normal shock (b = 0) does not turn the flow, so f(0) = -tau < 0
-        b_strong = _bracketed_root(f, beta_star, 0.0, xtol=1e-14) if strong else None
     return DeflectionSolutions(
-        weak=_resolve_turned(model, upstream, b_weak),
-        strong=_resolve_turned(model, upstream, b_strong) if strong else None,
+        weak=polar.shock(upstream, r_weak),
+        strong=polar.shock(upstream, r_strong) if strong else None,
     )
+
+
+def _horizontal_member(upstream: FlowState, gamma: float, u: float, cos_b: float, sin_b: float):
+    """(eta_0, shock) of the family member with log density ratio u and
+    downstream normal (sin b, -cos b) through (0, eta_0), for a jump u that
+    makes v_d^y = 0: eta_0 = c_d L_dn / cos b - v_uy tan^2 b, two terms >= 0
+    that cannot cancel."""
+    lun, ldn, c_ratio = _ratios(gamma, u)
+    eta0 = upstream.c * c_ratio * ldn / cos_b - float(upstream.v[1]) * (sin_b / cos_b) ** 2
+    return eta0, _assemble_jump(upstream, np.array([0.0, eta0]), np.array([sin_b, -cos_b]), lun, ldn, c_ratio)
 
 
 def horizontal_downstream_shock(model: GasModel, upstream: FlowState, beta: float):
     """Shock through (0, eta) with downstream normal (sin b, -cos b) and v_d^y = 0.
 
     Upstream velocity must be (0, v_uy) with v_uy < 0.  v_d^y = 0 fixes the
-    normal velocity jump at -v_uy / cos(b): the member of _family_jump, built
-    from its (L_un, L_dn, c_d/c_u).  Returns the unique height eta_0 = c_d L_dn
-    / cos(b) - v_uy tan^2(b), two terms >= 0 that cannot cancel, and the shock.
+    normal velocity jump at -v_uy / cos(b): the member of _family_ratio.
+    Returns the unique height eta_0 = c_d L_dn / cos(b) - v_uy tan^2(b) and
+    the shock.
     """
     if abs(upstream.v[0]) > 1e-14 * max(1.0, abs(upstream.v[1])):
         raise ValueError("upstream velocity must be vertical, (0, v_uy)")
@@ -451,12 +545,8 @@ def horizontal_downstream_shock(model: GasModel, upstream: FlowState, beta: floa
     if not -0.5 * math.pi < beta < 0.5 * math.pi:
         raise ValueError(f"beta must lie in (-pi/2, pi/2), got {beta}")
     cos_b = math.cos(beta)
-    lun, ldn, c_ratio = _family_jump(model.gamma, -vuy / (upstream.c * cos_b))
-    c_d = upstream.c * c_ratio
-    eta0 = c_d * ldn / cos_b - vuy * math.tan(beta) ** 2
-    rho_d = upstream.rho * lun / (ldn * c_ratio)  # rho L_n c is the same on both sides
-    n = np.array([math.sin(beta), -cos_b])
-    return eta0, _assemble(upstream, np.array([0.0, eta0]), n, lun, ldn, rho_d, c_d)
+    u = _family_ratio(model.gamma, -vuy / (upstream.c * cos_b))
+    return _horizontal_member(upstream, model.gamma, u, cos_b, math.sin(beta))
 
 
 def sonic_points(model: GasModel, s: ShockSolution, epsilon: float):

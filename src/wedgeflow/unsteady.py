@@ -462,7 +462,7 @@ def sample_self_similar(
     rho = bilinear(state.rho, fi, fj)
     vx = bilinear(state.vx, fi, fj)
     vy = bilinear(state.vy, fi, fj)
-    solid = bilinear(grid._solid.astype(float), fi, fj) > 1e-12
+    solid = bilinear(grid._solid, fi, fj) > 1e-12  # bool times float64 is float64, no copy
     XiX, XiY = np.meshgrid(xi_x, xi_y)
     c = np.asarray(model.sound_speed(np.maximum(rho, 1e-300)))
     L = np.hypot(vx - XiX, vy - XiY) / c

@@ -1,12 +1,16 @@
-"""Independent checks of the shock algebra: the invariant g, and 40-digit
-references that solve its level sets by plain bisection."""
+"""Independent checks of the shock algebra: the invariant g, 40-digit
+references that solve its level sets by plain bisection, high-precision
+references of the steady polar, the closed-form normal-shock sensitivities,
+and the steady deflection resolved by the normal-shock solve."""
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
 from wedgeflow.gas import ISOTHERMAL_EPS
+from wedgeflow.shocks import cross2, downstream_normal_mach, resolve_oblique
 
 DIGITS = 40
 
@@ -114,3 +118,143 @@ def mp_horizontal_height(gamma: float, v_uy: float, beta: float, lun0: float):
 
         lun = mp.findroot(f, (mp.mpf(lun0), mp.mpf(lun0) * (1 + mp.mpf(1e-9))))
         return v_uy + lun / mp.cos(beta)
+
+
+@dataclass(frozen=True)
+class ShockSensitivities:
+    """Closed-form derivatives along the normal-shock branch (L_un > 1 fixed side).
+
+    dldn_dlun: derivative of the downstream normal pseudo-Mach (negative).
+    dzdn_dzun: derivative of z_dn w.r.t. z_un at fixed (rho_u, c_u);
+               bounded above by (gamma-1)/(gamma+1).
+    dvdn_dsigma: derivative of v_dn w.r.t. shock speed at fixed normal and
+               upstream velocity; equals 1 - dzdn_dzun > 2/(gamma+1).
+    drho_d_dsigma: same variation for rho_d, in units of rho_u/c_u (negative).
+    ldn: the downstream normal pseudo-Mach number they are taken at.
+    """
+
+    ldn: float
+    dldn_dlun: float
+    dzdn_dzun: float
+    dvdn_dsigma: float
+    dvdn_dsigma_lower_bound: float
+    drho_d_dsigma: float
+
+
+def sensitivities(gamma: float, lun: float) -> ShockSensitivities:
+    if lun <= 1.0:
+        raise ValueError("sensitivities need L_un > 1; the derivative degenerates at 1")
+    ldn = downstream_normal_mach(gamma, lun)
+    ratio = lun / ldn
+    dldn = (lun - 1.0 / lun) / (ldn - 1.0 / ldn) * ratio ** (-2.0 * (gamma - 1.0) / (gamma + 1.0))
+    dzdn = ratio ** (-2.0 / (gamma + 1.0)) * (
+        2.0 / (gamma + 1.0) * ratio * dldn + (gamma - 1.0) / (gamma + 1.0)
+    )
+    drho_dlun = (
+        (2.0 / (gamma + 1.0))
+        * ratio ** (2.0 / (gamma + 1.0))
+        * (1.0 / lun - dldn / ldn)
+    )
+    return ShockSensitivities(
+        ldn=ldn,
+        dldn_dlun=dldn,
+        dzdn_dzun=dzdn,
+        dvdn_dsigma=1.0 - dzdn,
+        dvdn_dsigma_lower_bound=2.0 / (gamma + 1.0),
+        drho_d_dsigma=-drho_dlun,
+    )
+
+
+def steady_deflection(model, upstream, beta: float) -> float:
+    """Counterclockwise turning angle of the velocity across the steady shock
+    through the origin whose normal is the stream turned by beta, resolved
+    by the normal-shock solve."""
+    zhat = upstream.v / np.hypot(*upstream.v)
+    cb, sb = math.cos(beta), math.sin(beta)
+    n = np.array([cb * zhat[0] - sb * zhat[1], sb * zhat[0] + cb * zhat[1]])
+    v_d = resolve_oblique(model, upstream, np.zeros(2), n).downstream.v
+    return math.atan2(cross2(upstream.v, v_d), float(upstream.v @ v_d))
+
+
+def _mp_steady(gamma, mach):
+    """tan tau(u) of the steady shocks of a stream at Mach number mach, and
+    the normal shock's u_n, at the working precision: L_un^2 = 2 E(u)/(1 -
+    e^(-2u)) and s^2 = M^2 - L_un^2, with no rewriting for cancellation."""
+
+    def energy(u):
+        return u if gamma == 1 else mp.expm1((gamma - 1) * u) / (gamma - 1)
+
+    def lun2(u):
+        return 2 * energy(u) / -mp.expm1(-2 * u)
+
+    def tan_tau(u):
+        if u <= 0:
+            return mp.mpf(0)
+        p = lun2(u)
+        s2 = mach * mach - p
+        if s2 <= 0:
+            return mp.mpf(0)
+        return mp.sqrt(s2 * p) * mp.expm1(u) / (p + s2 * mp.exp(u))
+
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    while lun2(hi) < mach * mach:
+        hi *= 2
+    for _ in range(mp.mp.prec + 20):
+        mid = (lo + hi) / 2
+        if lun2(mid) < mach * mach:
+            lo = mid
+        else:
+            hi = mid
+    return tan_tau, lo
+
+
+def _mp_golden_max(f, a, b, steps):
+    """(x, f(x)) at the maximum of a unimodal f on [a, b] by golden-section
+    search, which narrows [a, b] by 0.618 a step."""
+    k = (mp.sqrt(5) - 1) / 2
+    c, d = b - k * (b - a), a + k * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - k * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + k * (b - a)
+            fd = f(d)
+    return (c, fc) if fc > fd else (d, fd)
+
+
+def mp_critical_angle(gamma: float, mach: float):
+    """Largest steady deflection at 50 digits: the golden-section maximum of
+    tan tau(u) over [0, u_n].  At gamma 1, M 10 it sits 1e-20 below u_n =
+    50, where s^2 = M^2 - L_un^2 keeps 28 of its digits at this precision,
+    and 160 steps narrow [0, u_n] to 1e-32."""
+    with mp.workdps(50):
+        tan_tau, u_n = _mp_steady(mp.mpf(gamma), mp.mpf(mach))
+        return mp.atan(_mp_golden_max(tan_tau, mp.mpf(0), u_n, 160)[1])
+
+
+def mp_weak_tilt(gamma: float, mach: float, tau: float):
+    """Tilt b of the weak steady shock turning the stream by tau (the shock's
+    angle above the stream minus tau) at 40 digits: bisection of tan tau(u)
+    on [0, u_top], then tan b = L_un e^-u / s.  Any u_top that turns the
+    stream by more than tau ends the weak branch's bracket, so a short
+    golden-section search finds one."""
+    with mp.workdps(DIGITS):
+        gamma, mach, tau = mp.mpf(gamma), mp.mpf(mach), mp.mpf(tau)
+        tan_tau, u_n = _mp_steady(gamma, mach)
+        u_star, top = _mp_golden_max(tan_tau, mp.mpf(0), u_n, 60)
+        if mp.tan(tau) > top:
+            raise ValueError("tau above the critical angle")
+        lo, hi = mp.mpf(0), u_star
+        for _ in range(mp.mp.prec + 20):
+            mid = (lo + hi) / 2
+            if tan_tau(mid) < mp.tan(tau):
+                lo = mid
+            else:
+                hi = mid
+        u = lo
+        p = 2 * (u if gamma == 1 else mp.expm1((gamma - 1) * u) / (gamma - 1)) / -mp.expm1(-2 * u)
+        return mp.atan(mp.sqrt(p) * mp.exp(-u) / mp.sqrt(mach * mach - p))

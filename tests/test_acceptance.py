@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from shock_oracles import g_value
+from shock_oracles import g_value, sensitivities
 from wedgeflow.gas import GasModel, FlowState
 from wedgeflow.pattern import ProblemConfig, build
 from wedgeflow.shocks import (
@@ -16,7 +16,6 @@ from wedgeflow.shocks import (
     downstream_normal_mach,
     horizontal_downstream_shock,
     jump_state,
-    sensitivities,
     shock_polar,
 )
 from wedgeflow.elliptic import EllipticConfig, Lattice, chord_shock, iterate

@@ -372,6 +372,8 @@ class TestErrorContract:
             "M_I = 1e4",
             "gamma = 1.0\nM_I = 10\ntau_deg = 10",
             "gamma = 1.0\nM_I = 10\ntau_deg = 40",
+            # 6.5e-197 rad from the normal shock
+            "gamma = 1.0\nM_I = 30\ntau_deg = 10",
         ],
     )
     def test_polar_at_the_normal_shock_limit_exit_0(self, lines, tmp_path, capsys):
@@ -401,6 +403,15 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1
         assert "GeometryError" in err
 
+    def test_isothermal_r_shock_underflow_exit_1(self, tmp_path, capsys):
+        # at gamma 1 and M_I_y -40 the R shock's L_dn, about 40 e^-800, underflows
+        f = tmp_path / "wedge.cfg"
+        f.write_text("gamma = 1\nM_I_y = -40\nepsilon = 0.01\n")
+        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "ShockSolveError" in err
+
     @pytest.mark.parametrize("miy", ["-7", "-8", "-10"])
     def test_fast_isothermal_r_shock_height_exit_0(self, miy, tmp_path, capsys):
         # at gamma 1 the R shock all but stops a flow this fast: its height
@@ -413,7 +424,7 @@ class TestErrorContract:
         assert float(out.split("eta_R*=")[1].split()[0]) > 0.0
         with open(tmp_path / "pattern.csv", newline="") as fh:
             row = next(r for r in csv.reader(fh) if r[0] == "shock_R")
-        _, ldn, c_ratio = shocks._family_jump(1.0, -float(miy))
+        _, ldn, c_ratio = shocks._ratios(1.0, shocks._family_ratio(1.0, -float(miy)))
         assert float(row[2]) == pytest.approx(c_ratio * ldn, rel=1e-13)
 
     def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch):

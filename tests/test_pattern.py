@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from shock_oracles import mp_weak_tilt
+from wedgeflow import pattern, shocks
 from wedgeflow.gas import FlowState, GasModel
 from wedgeflow.pattern import (
     GeometryError,
     ProblemConfig,
     WavePattern,
-    _beta_from_tau,
-    _eta_L_of_beta,
     _sonic_height,
+    _sonic_pair,
+    _tip_tilt,
     build,
     eta_L_cross,
     separation_check,
 )
-from wedgeflow.shocks import critical_angle, cross2, horizontal_downstream_shock
+from wedgeflow.shocks import _family_ratio, critical_angle, cross2, horizontal_downstream_shock
 from wedgeflow.cli import dispatch
 
 AIR = GasModel(gamma=1.4)
@@ -102,14 +104,22 @@ class TestBuild:
     @pytest.mark.parametrize("gamma", [1.0, 1.4, 5.0 / 3.0, 3.0])
     @pytest.mark.parametrize("miy", [-2.0, -1.2])
     def test_closed_form_sonic_height_meets_the_built_member(self, gamma, miy):
-        # the tilt solve's objective against the sonic point of the resolved shock
+        # the tilt solve's objective in u against the sonic point of the shock
+        # that the family solve resolves at the same tilt
         model = GasModel(gamma=gamma)
         cfg = ProblemConfig(model=model, MIy=miy, epsilon=0.01)
-        eta_R, shock_R = horizontal_downstream_shock(model, cfg.upstream(), 0.0)
+        up = cfg.upstream()
+        u_R = _family_ratio(gamma, -miy)
+        eta_R, shock_R = horizontal_downstream_shock(model, up, 0.0)
         top = math.atan2(shock_R.ldn, math.sqrt(1.0 - 0.01 - shock_R.ldn**2))
-        for beta in np.linspace(0.0, top, 50):
-            point = _eta_L_of_beta(cfg, cfg.upstream(), float(beta))[0]
-            assert abs(_sonic_height(cfg, cfg.upstream(), float(beta)) - point[1]) <= 1e-14 * eta_R
+        for t in np.linspace(0.0, 1.5, 50):
+            height, _, cos_b, sin_b = _sonic_height(cfg, up, u_R, float(t))
+            beta = math.atan2(sin_b, cos_b)
+            if beta > top:
+                break
+            point = _sonic_pair(model, horizontal_downstream_shock(model, up, beta)[1], 0.01)[0]
+            assert abs(height - point[1]) <= 1e-14 * eta_R
+        assert beta > top  # the grid of t spans the tilt bracket
 
     def test_slow_wedge_pair_builds(self):
         # below the 4.19 degree critical angle of M_I = 1.2
@@ -125,11 +135,71 @@ class TestBuild:
             tau_star = critical_angle(model, FlowState.from_model(model, 1.0, (mach, 0.0)))
             for frac in np.linspace(0.02, 0.98, 25):
                 cfg = ProblemConfig(model=model, M_I=mach, tau=float(frac * tau_star), epsilon=0.01)
-                beta = _beta_from_tau(cfg)
+                _, cos_b, sin_b = _tip_tilt(cfg)
+                beta = math.atan2(sin_b, cos_b)
                 assert beta > 0.0
                 eta0, _ = horizontal_downstream_shock(model, cfg.upstream(), beta)
                 gap = eta0 - mach * math.cos(cfg.tau) * math.tan(beta)
                 assert abs(gap) <= 1e-12 * mach, (mach, frac)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 5.0 / 3.0, 3.0])
+    @pytest.mark.parametrize("mach", [1.05, 1.5, 2.94, 5.0, 10.0])
+    def test_tip_tilt_matches_high_precision_reference(self, gamma, mach):
+        # at half the critical angle; at gamma 1, M_I 10 the tilt is 1.4e-11 rad
+        model = GasModel(gamma=gamma)
+        tau = 0.5 * critical_angle(model, FlowState.from_model(model, 1.0, (mach, 0.0)))
+        _, cos_b, sin_b = _tip_tilt(ProblemConfig(model=model, M_I=mach, tau=tau, epsilon=0.01))
+        assert float(abs(math.atan2(sin_b, cos_b) / mp_weak_tilt(gamma, mach, tau) - 1)) <= 4e-15
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 5.0 / 3.0, 3.0])
+    @pytest.mark.parametrize("miy", [-0.3, -1.2, -2.0, -4.0, -8.0])
+    def test_eta_L_star_on_target(self, gamma, miy):
+        # both ends of the tilt range: 1e-6 eta_R above the wall, and 1e-12
+        # eta_R below the straight shock, where the tilt is ~1e-12 rad; at
+        # gamma 1, M_I_y -8 eta_R is 1e-13 c_I
+        model = GasModel(gamma=gamma)
+        eta_R, _ = horizontal_downstream_shock(model, ProblemConfig(model=model, MIy=miy).upstream(), 0.0)
+        ends = [1e-6, 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+        for frac in np.concatenate([ends, np.linspace(0.01, 0.99, 50)]):
+            cfg = ProblemConfig(model=model, MIy=miy, eta_L_star=float(frac * eta_R), epsilon=0.01)
+            p = build(cfg, validate_supersonic=False)
+            assert abs(p.eta_L_star - frac * eta_R) <= 1e-14 * eta_R, frac
+
+    def test_one_root_per_build(self, monkeypatch):
+        # every root of a build and the objective evaluations it takes: an
+        # eta_L_star build solves the R member and the tilt (2 roots, 18.2
+        # evaluations on average here), a wedge build also the steady polar's
+        # normal shock, largest deflection and weak root (4 roots, 35.4, and
+        # one slope evaluation that splits the largest deflection's bracket);
+        # with the tilt as an outer root over nested shock solves, about 92
+        # and 205
+        count = {"roots": 0, "evals": 0}
+        solve = shocks._bracketed_root
+
+        def counted(f, a, b, xtol):
+            count["roots"] += 1
+
+            def g(x):
+                count["evals"] += 1
+                return f(x)
+
+            return solve(g, a, b, xtol)
+
+        monkeypatch.setattr(shocks, "_bracketed_root", counted)
+        monkeypatch.setattr(pattern, "_bracketed_root", counted)
+        eta_R, _ = horizontal_downstream_shock(AIR, ProblemConfig(model=AIR, MIy=-2.0).upstream(), 0.0)
+        count.update(roots=0, evals=0)
+        targets = np.linspace(0.001, 0.999, 200) * eta_R
+        for eta in targets:
+            build(ProblemConfig(model=AIR, MIy=-2.0, eta_L_star=float(eta), epsilon=0.01), validate_supersonic=False)
+        assert count["roots"] == 2 * len(targets)
+        assert count["evals"] <= 19 * len(targets)
+        count.update(roots=0, evals=0)
+        taus = np.arange(2, 81) * 0.5
+        for tau in taus:
+            build(ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(tau), epsilon=0.01))
+        assert count["roots"] == 4 * len(taus)
+        assert count["evals"] <= 36 * len(taus)
 
     def test_invalid_eta_rejected(self):
         with pytest.raises(GeometryError):

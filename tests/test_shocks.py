@@ -5,7 +5,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from shock_oracles import g_prime, g_value, mp_downstream_normal_mach, mp_horizontal_height
+from shock_oracles import (
+    g_prime,
+    g_value,
+    mp_critical_angle,
+    mp_downstream_normal_mach,
+    mp_horizontal_height,
+    sensitivities,
+    steady_deflection,
+)
 from wedgeflow.gas import (
     GasModel,
     WedgeError,
@@ -14,6 +22,7 @@ from wedgeflow.gas import (
     constant_state_potential,
     density_sound_pseudo_mach,
 )
+from wedgeflow import shocks
 from wedgeflow.shocks import (
     InadmissibleShock,
     NoAttachedShock,
@@ -22,16 +31,16 @@ from wedgeflow.shocks import (
     ShockSolveError,
     WrongSideError,
     _bracketed_root,
-    _family_jump,
-    _steady_deflection,
+    _family_ratio,
+    _ratios,
     critical_angle,
+    cross2,
     deflection_solutions,
     downstream_normal_mach,
     horizontal_downstream_shock,
     jump_state,
     polar_beta_max,
     resolve_oblique,
-    sensitivities,
     shock_polar,
     sonic_points,
 )
@@ -179,6 +188,18 @@ def test_matches_high_precision_reference(gamma):
         ref, cond = mp_downstream_normal_mach(gamma, lun)
         err = float(abs(downstream_normal_mach(gamma, lun) / ref - 1))
         assert err <= 1e-14 * max(1.0, float(cond)), (lun, err, float(cond))
+
+
+def test_normal_shock_root_evaluations(monkeypatch):
+    # the bracket ends at the convexity bound 2 (L_un^2 - 1)/(gamma+1) on the
+    # root: 57 evaluations of L_un(u) over this grid at gamma 1.4, where the
+    # bracket of twice that bound took 66 (5, 6, 6, 8, 7, 7, 9, 9, 9)
+    calls = []
+    normal_mach = shocks._normal_mach
+    monkeypatch.setattr(shocks, "_normal_mach", lambda g, u: calls.append(u) or normal_mach(g, u))
+    for lun in (1.0001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0):
+        downstream_normal_mach(1.4, lun)
+    assert len(calls) <= 57
 
 
 GAMMA_RANGE = st.floats(1.0, 10.0)
@@ -458,6 +479,27 @@ class TestDeflection:
         up = FlowState.from_model(AIR, 1.0, (1.001, 0.0))
         assert critical_angle(AIR, up) < 0.01
 
+    @pytest.mark.parametrize("mach", [10.0, 20.0, 30.0, 35.0])
+    def test_isothermal_strong_root_next_to_the_normal_shock(self, mach):
+        # at gamma 1 the strong root lies 3.4e-23 rad (M 10) to 1.7e-267 rad
+        # (M 35) from the normal shock, and both roots still turn the flow by tau
+        up = FlowState.from_model(ISO, 1.0, (mach, 0.0))
+        for tau in (10.0, 40.0, 80.0):
+            sols = deflection_solutions(ISO, up, math.radians(tau))
+            for s in (sols.weak, sols.strong):
+                v = s.downstream.v
+                assert abs(math.atan2(cross2(up.v, v), float(up.v @ v)) - math.radians(tau)) <= 4e-15
+            assert 0.0 < -sols.strong.beta < 1e-20
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("mach", [1.05, 1.5, 2.94, 5.0, 10.0])
+    def test_critical_angle_matches_high_precision_reference(self, gamma, mach):
+        # at gamma 1, M 10 the largest deflection sits 1e-20 below the normal
+        # shock's u, where M^2 - L_un^2 has no digit left in double precision
+        model = GasModel(gamma=gamma)
+        up = FlowState.from_model(model, 1.0, (mach, 0.0))
+        assert abs(critical_angle(model, up) - float(mp_critical_angle(gamma, mach))) <= 4.4e-16
+
 
 class TestHorizontalDownstreamShock:
     def test_isothermal_reference_value(self):
@@ -516,7 +558,7 @@ class TestFamilyJump:
     def test_explicit_relations_in_the_log_density_ratio(self, gamma, jump):
         # at gamma = 1, L_dn ~ L_un exp(-jump^2 / 2) underflows past jump ~ 38
         assume(gamma > 1.0 or jump <= 35.0)
-        lun, ldn, c_ratio = _family_jump(gamma, jump)
+        lun, ldn, c_ratio = _ratios(gamma, _family_ratio(gamma, jump))
         # the difference cancels to jump from terms of size L_un
         assert abs(lun - ldn * c_ratio - jump) <= 1e-13 * lun
         assert c_ratio == pytest.approx((lun / ldn) ** ((gamma - 1.0) / (gamma + 1.0)), rel=1e-13)
@@ -606,7 +648,7 @@ class TestBracketedRoot:
         up = FlowState.from_model(AIR, 1.0, (mach, 0.0))
         beta_max = polar_beta_max(AIR, up, np.zeros(2))
         top = minimize_scalar(
-            lambda b: -_steady_deflection(AIR, up, b),
+            lambda b: -steady_deflection(AIR, up, b),
             bounds=(-beta_max, 0.0),
             method="bounded",
             options={"xatol": 1e-13},
