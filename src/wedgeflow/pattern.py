@@ -334,6 +334,8 @@ def _tip_tilt(config):
     rounding.  A tilt at rounding level would put the tip at xi = -infinity
     and raises GeometryError.
     """
+    if config.M_I is None:
+        raise GeometryError("the tip shock needs the wedge pair (M_I, tau)")
     polar = _SteadyPolar(config.model.gamma, config.M_I)
     r_weak, _ = polar.roots(config.tau, strong=False)
     if r_weak is None:

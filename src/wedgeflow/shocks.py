@@ -359,7 +359,7 @@ class DeflectionSolutions:
     """Weak/strong attached-shock pair for a given flow deflection."""
 
     weak: ShockSolution
-    strong: ShockSolution | None
+    strong: ShockSolution
 
     @property
     def weak_supersonic(self) -> bool:
@@ -498,25 +498,21 @@ def critical_angle(model: GasModel, upstream: FlowState) -> float:
     return math.atan(_SteadyPolar(model.gamma, upstream.mach).critical()[1])
 
 
-def deflection_solutions(model: GasModel, upstream: FlowState, tau: float, strong: bool = True):
+def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
     """Weak and strong steady-shock solutions turning the flow by tau.
 
     Returns None above the critical angle.  Downstream-sonic classification
     is available on the result.  The expansion branch is never returned.
-    With strong=False only the weak root is solved for and the strong member
-    is None.  At gamma 1 or very large M_u the strong root lies within 1e-15
+    At gamma 1 or very large M_u the strong root lies within 1e-15
     rad of the normal shock; its bracket ends at the normal shock itself.
     """
     if not 0.0 <= tau < 0.5 * math.pi:
         raise ValueError(f"deflection angle must lie in [0, pi/2), got {tau}")
     polar = _SteadyPolar(model.gamma, upstream.mach)
-    r_weak, r_strong = polar.roots(tau, strong)
+    r_weak, r_strong = polar.roots(tau, True)
     if r_weak is None:
         return None
-    return DeflectionSolutions(
-        weak=polar.shock(upstream, r_weak),
-        strong=polar.shock(upstream, r_strong) if strong else None,
-    )
+    return DeflectionSolutions(weak=polar.shock(upstream, r_weak), strong=polar.shock(upstream, r_strong))
 
 
 def _horizontal_member(upstream: FlowState, gamma: float, u: float, cos_b: float, sin_b: float):

@@ -17,7 +17,15 @@ from wedgeflow.pattern import (
     eta_L_cross,
     separation_check,
 )
-from wedgeflow.shocks import _family_ratio, critical_angle, cross2, horizontal_downstream_shock
+from wedgeflow.shocks import (
+    _bracketed_root,
+    _energy_inverse,
+    _family_ratio,
+    _family_spread,
+    critical_angle,
+    cross2,
+    horizontal_downstream_shock,
+)
 from wedgeflow.cli import dispatch
 
 AIR = GasModel(gamma=1.4)
@@ -105,21 +113,32 @@ class TestBuild:
     @pytest.mark.parametrize("miy", [-2.0, -1.2])
     def test_closed_form_sonic_height_meets_the_built_member(self, gamma, miy):
         # the tilt solve's objective in u against the sonic point of the shock
-        # that the family solve resolves at the same tilt
+        # that the family solve resolves at the same tilt: 50 tilts evenly
+        # over [0, top], each reached at the t whose family spread is
+        # m^2 tan^2 b, and the bracket's end t_top = sqrt(d_top), past top
         model = GasModel(gamma=gamma)
         cfg = ProblemConfig(model=model, MIy=miy, epsilon=0.01)
         up = cfg.upstream()
         u_R = _family_ratio(gamma, -miy)
         eta_R, shock_R = horizontal_downstream_shock(model, up, 0.0)
-        top = math.atan2(shock_R.ldn, math.sqrt(1.0 - 0.01 - shock_R.ldn**2))
-        for t in np.linspace(0.0, 1.5, 50):
+        ldn2 = shock_R.ldn**2
+        top = math.atan2(shock_R.ldn, math.sqrt(1.0 - 0.01 - ldn2))
+        spread_top = miy**2 * ldn2 / (1.0 - 0.01 - ldn2)
+        t_top = math.sqrt(
+            _energy_inverse(gamma, spread_top / (2.0 * math.exp((gamma - 1.0) * u_R) * math.tanh(0.5 * u_R)))
+        )
+        ts = [
+            _bracketed_root(
+                lambda t, b=b: _family_spread(gamma, u_R, t * t) - (miy * math.tan(b)) ** 2, 0.0, t_top, xtol=0.0
+            )
+            for b in np.linspace(0.0, top, 50)
+        ]
+        for t in [*ts, t_top]:
             height, _, cos_b, sin_b = _sonic_height(cfg, up, u_R, float(t))
             beta = math.atan2(sin_b, cos_b)
-            if beta > top:
-                break
             point = _sonic_pair(model, horizontal_downstream_shock(model, up, beta)[1], 0.01)[0]
             assert abs(height - point[1]) <= 1e-14 * eta_R
-        assert beta > top  # the grid of t spans the tilt bracket
+        assert beta > top  # the tilt bracket spans [0, top]
 
     def test_slow_wedge_pair_builds(self):
         # below the 4.19 degree critical angle of M_I = 1.2
@@ -200,6 +219,11 @@ class TestBuild:
             build(ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(tau), epsilon=0.01))
         assert count["roots"] == 4 * len(taus)
         assert count["evals"] <= 36 * len(taus)
+
+    def test_wedge_pair_needs_the_mach_number(self):
+        # M_I_y with tau alone is a valid config, but the tip shock needs M_I
+        with pytest.raises(GeometryError):
+            build(ProblemConfig(model=AIR, MIy=-2.0, tau=0.1))
 
     def test_invalid_eta_rejected(self):
         with pytest.raises(GeometryError):
