@@ -11,13 +11,12 @@ Library layout:
 - ``cli``         the ``wedge`` command line front end
 """
 
-from .gas import GasModel, FlowState, SelfSimilarPoint, VacuumError, WedgeError
+from .gas import GasModel, FlowState, VacuumError, WedgeError
 from .shocks import ShockSolution
 
 __all__ = [
     "GasModel",
     "FlowState",
-    "SelfSimilarPoint",
     "VacuumError",
     "WedgeError",
     "ShockSolution",

@@ -26,7 +26,7 @@ import numpy as np
 from .gas import GasModel, WedgeError
 from . import pattern as pattern_mod
 from .pattern import ProblemConfig, build
-from .shocks import critical_angle, deflection_solutions, shock_polar
+from .shocks import critical_angle, deflection_solutions, polar_bytes, shock_polar
 from . import unsteady as unsteady_mod
 from .unsteady import UnsteadyConfig
 
@@ -227,11 +227,12 @@ def cmd_polar(cfg: RunConfig, out: Path, strict: bool) -> int:
         raise ConfigError("polar needs M_I and tau_deg")
     problem = cfg.problem()
     model, upstream = problem.model, problem.upstream_original()
+    _check_memory(f"polar_n = {cfg.polar_n}", polar_bytes(cfg.polar_n), "the polar")
     samples = shock_polar(model, upstream, np.zeros(2), cfg.polar_n)
     _write_rows(
         out / "polar.csv",
         ["beta", "vx_d", "vy_d", "rho_d", "c_d", "L_d"],
-        [(s.beta, s.downstream_v[0], s.downstream_v[1], s.rho_d, s.c_d, s.L_d) for s in samples],
+        ((s.beta, s.downstream_v[0], s.downstream_v[1], s.rho_d, s.c_d, s.L_d) for s in samples),
     )
     tau_star = critical_angle(model, upstream)
     sols = deflection_solutions(model, upstream, cfg.tau)
@@ -294,6 +295,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
         snapshot_every=cfg.snapshot_every,
     )
     _check_memory(f"grid_n = {cfg.grid_n}", unsteady_mod.march_bytes(ucfg), "the march")
+    _check_memory(f"sample_nx = {cfg.sample_nx}", unsteady_mod.sample_bytes(ucfg), "the sampling")
     counter = {"k": 0}
 
     def snap(grid, state):

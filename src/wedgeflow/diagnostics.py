@@ -4,8 +4,9 @@ Every check is a pure function of its inputs producing CheckResult records
 (name, PASS/FAIL, value, tolerance, location); grid-scaled tolerances are
 reported next to each verdict, never hidden.  The checks cover interior
 ellipticity, density extremum structure, velocity and shock-normal windows,
-the arc ODE system with its sector exclusion, corner sensitivities against
-finite differences, and the weak-form residual of the composite flow.
+the arc ODE system with its sector exclusion, and the weak-form residual of
+the composite flow.  The corner-slide sensitivities and their finite
+differences, which only the tests check, live in tests/shock_oracles.py.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .gas import ISOTHERMAL_EPS, WedgeError
 from .pattern import WavePattern
-from .shocks import _bracketed_root, resolve_oblique
+from .shocks import _bracketed_root
 from .elliptic import EllipticSolution, level_arc
 from .unsteady import bilinear
 
@@ -466,128 +467,6 @@ def arc_profile(sol: EllipticSolution, side: str):
         )
     )
     return profile, checks
-
-
-# --- corner sensitivities ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CornerSensitivity:
-    eta: float
-    p_omega: float
-    k_omega: float
-    dvdy_domega: float
-    dzdy_domega: float
-    bound_rhs: float
-    bound_check: bool
-    dvdy_positive: bool
-    theta_plus: float
-    theta_minus: float
-    sigma_theta: float | None
-    phi_bar: float
-
-
-def corner_sensitivity(pattern: WavePattern) -> CornerSensitivity:
-    """Closed-form derivatives of the right-corner data as the corner slides
-    along its arc, evaluated at the expected height eta_R_star (O(eps) terms
-    dropped)."""
-    model = pattern.config.model
-    gamma = model.gamma
-    eps = pattern.epsilon
-    c_u = pattern.config.c_I
-    v_uy = float(pattern.state_I.v[1])
-    c_r = pattern.state_R.c
-    r = math.sqrt(1.0 - eps) * c_r
-    eta = pattern.eta_R_star
-    if not 0.0 < eta < r:
-        raise ValueError(f"corner height {eta} outside the arc range (0, {r})")
-    xi_x = math.sqrt(r**2 - eta**2)
-
-    lun = (eta - v_uy) / c_u
-    sig = eta / c_u
-    c_d2 = (1.0 + 0.5 * (gamma - 1.0) * (lun**2 - sig**2)) * c_u**2
-
-    dvdy = 2.0 * v_uy * (eta * (v_uy - eta) / c_d2 - 1.0) / ((gamma + 1.0) * (2.0 * eta - v_uy))
-    p_om = (
-        (2.0 + lun * ((gamma + 1.0) * sig + (gamma - 1.0) * lun))
-        / (lun + sig)
-        * (-v_uy * c_u)
-        / ((gamma + 1.0) * xi_x)
-    )
-    k_om = math.sqrt((gamma - 1.0) / (gamma + 1.0)) * (-v_uy)
-    bound_rhs = -c_r * v_uy / xi_x
-
-    _, _, _, _, sigma_theta = arc_ode_constants(gamma, eps, r)
-    phi_bar = math.asin(min(eta / r, 1.0))
-    theta_plus = math.atan2(k_om, p_om)
-    theta_minus = theta_plus + math.pi
-    return CornerSensitivity(
-        eta=eta,
-        p_omega=p_om,
-        k_omega=k_om,
-        dvdy_domega=dvdy,
-        dzdy_domega=dvdy - 1.0,
-        bound_rhs=bound_rhs,
-        bound_check=math.hypot(p_om, k_om) < bound_rhs,
-        dvdy_positive=dvdy > 0.0,
-        theta_plus=theta_plus,
-        theta_minus=theta_minus,
-        sigma_theta=sigma_theta,
-        phi_bar=phi_bar,
-    )
-
-
-def corner_state_direct(pattern: WavePattern, eta: float):
-    """Independent corner parameterization: the shock through the arc point
-    at height eta whose downstream pseudo-Mach equals sqrt(1-eps) there.
-
-    Solved for the normal angle with a bracketed root; returns the profile
-    variables (p, h) and the downstream velocity for finite differencing.
-    """
-    target = math.sqrt(1.0 - pattern.epsilon)
-    r = target * pattern.state_R.c
-    xi_pt = np.array([math.sqrt(r**2 - eta**2), eta])
-
-    def downstream(angle):
-        n = np.array([math.cos(angle), math.sin(angle)])
-        sol = resolve_oblique(pattern.config.model, pattern.state_I, xi_pt, n)
-        return sol.downstream, sol.downstream.v - xi_pt
-
-    def L_d(angle):
-        state, z_d = downstream(angle)
-        return float(np.hypot(*z_d)) / state.c - target
-
-    state, z_d = downstream(_bracketed_root(L_d, -0.5 * math.pi - 0.6, -0.5 * math.pi + 0.35, xtol=1e-15))
-    return {
-        "p": float(xi_pt[0] * z_d[1] - xi_pt[1] * z_d[0]),
-        "h": state.c**2,
-        "v_dy": float(state.v[1]),
-        "z_dy": float(z_d[1]),
-    }
-
-
-def corner_sensitivity_fd(pattern: WavePattern):
-    """Central finite differences of the direct corner parameterization at
-    the expected height eta_R_star, with step 1e-6 c_R."""
-    model = pattern.config.model
-    gamma = model.gamma
-    eps = pattern.epsilon
-    c_r = pattern.state_R.c
-    r = math.sqrt(1.0 - eps) * c_r
-    eta = pattern.eta_R_star
-    step = 1e-6 * c_r
-    a = corner_state_direct(pattern, eta - step)
-    b = corner_state_direct(pattern, eta + step)
-    out = {
-        "p_omega": (b["p"] - a["p"]) / (2 * step),
-        "dvdy_domega": (b["v_dy"] - a["v_dy"]) / (2 * step),
-        "dzdy_domega": (b["z_dy"] - a["z_dy"]) / (2 * step),
-    }
-    if not model.isothermal:
-        _, sigma_g, sigma_f, _, _ = arc_ode_constants(gamma, eps, r)
-        pref = math.sqrt(-sigma_f / sigma_g)
-        out["k_omega"] = pref * (b["h"] - a["h"]) / (2 * step)
-    return out
 
 
 # --- composite field and weak residual ----------------------------------------

@@ -96,9 +96,6 @@ class ShockCurve:
     def deriv(self, sig, k=1):
         return self._spline(sig, k)
 
-    def bumped(self, amount) -> "ShockCurve":
-        return ShockCurve(sigma=self.sigma.copy(), s=self.s + amount)
-
 
 class Lattice:
     """The unit square of lattice_n cells per direction, and its stencils.

@@ -50,10 +50,6 @@ class GasModel:
     def isothermal(self) -> bool:
         return self.gamma - 1.0 < ISOTHERMAL_EPS
 
-    def pressure(self, rho):
-        rho = _check_density(rho)
-        return self.c0**2 * self.rho0 / self.gamma * (rho / self.rho0) ** self.gamma
-
     def sound_speed(self, rho):
         """c(rho) = sqrt(p_rho) = c0 * (rho/rho0)^((gamma-1)/2)."""
         rho = _check_density(rho)
@@ -155,47 +151,6 @@ class FlowState:
     @property
     def mach(self) -> float:
         return float(np.hypot(*self.v)) / self.c
-
-
-@dataclass(frozen=True)
-class SelfSimilarPoint:
-    """Point data in similarity coordinates xi = x/t.
-
-    chi is the shifted potential, z = grad(chi) the pseudo-velocity.  The
-    potential psi and physical velocity v are derived, never stored:
-    psi = chi + |xi|^2/2, v = z + xi.
-    """
-
-    xi: np.ndarray
-    chi: float
-    z: np.ndarray
-
-    def __init__(self, xi, chi, z):
-        object.__setattr__(self, "xi", np.asarray(xi, dtype=float))
-        object.__setattr__(self, "chi", float(chi))
-        object.__setattr__(self, "z", np.asarray(z, dtype=float))
-
-    @property
-    def psi(self) -> float:
-        return self.chi + 0.5 * float(self.xi @ self.xi)
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.z + self.xi
-
-
-def density_sound_pseudo_mach(model: GasModel, p: SelfSimilarPoint):
-    """Local (rho, c, L) from a self-similar point.
-
-    rho = pi^-1(-chi - |z|^2/2),  c^2 = c0^2 + (gamma-1)(-chi - |z|^2/2),
-    L = |z|/c.
-    """
-    zz = float(p.z @ p.z)
-    a = -p.chi - 0.5 * zz
-    rho = pi_inverse(model, a)
-    c2 = model.c0**2 + (model.gamma - 1.0) * a
-    c = math.sqrt(c2)
-    return rho, c, math.sqrt(zz) / c
 
 
 def constant_state_potential(model: GasModel, rho: float, v):

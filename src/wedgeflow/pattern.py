@@ -16,7 +16,7 @@ eta_R_star degenerates to the straight-shock pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .shocks import (
     _family_spread,
     _horizontal_member,
     _ratios,
-    horizontal_downstream_shock,
     sonic_points,
 )
 
@@ -371,38 +370,3 @@ def separation_check(pattern: WavePattern) -> float:
     return (
         _dist_point_segment(v_I, pattern.xi_L_star, pattern.xi_R_star) - pattern.config.c_I
     )
-
-
-def eta_L_cross(config: ProblemConfig) -> float:
-    """Largest eta_L_star at which the corner chord touches the upstream disk.
-
-    Returns 0 when the separation condition holds for every
-    eta_L_star in (0, eta_R_star].  The distance decreases as eta_L_star
-    decreases, which the bisection verifies on its trace.
-    """
-    base = replace(config, eta_L_star=None, M_I=None, tau=None, MIy=config.miy)
-    upstream = base.upstream()
-    eta_R_star, _ = horizontal_downstream_shock(base.model, upstream, 0.0)
-
-    def sep(eta):
-        return separation_check(build(replace(base, eta_L_star=eta), validate_supersonic=False))
-
-    floor = 1e-7 * eta_R_star
-    if sep(floor) > 0.0:
-        return 0.0
-    lo, hi = floor, eta_R_star
-    trace = []
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        s = sep(mid)
-        trace.append((mid, s))
-        if s > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    # monotone claim along the trace: larger eta_L_star, larger distance
-    pts = sorted(trace)
-    vals = [s for _, s in pts]
-    if any(b < a - 1e-9 for a, b in zip(vals, vals[1:])):
-        raise ArithmeticError("separation distance not monotone along bisection trace")
-    return 0.5 * (lo + hi)

@@ -48,10 +48,6 @@ CFL_DEFAULT = 0.45
 RHO_FLOOR_FACTOR = 1e-10
 
 
-class CFLviolation(WedgeError, ValueError):
-    pass
-
-
 class ShockFitError(WedgeError, ArithmeticError):
     """Too few shock-front crossings to fit the tip-shock angle."""
 
@@ -108,10 +104,6 @@ def init(model: GasModel, upstream: FlowState, grid: Grid) -> SimState:
     )
 
 
-def total_mass(grid: Grid, state: SimState) -> float:
-    return float(np.sum(state.rho[~grid._solid])) * grid.spacing**2
-
-
 def _fill_border(p, left, top, bottom_mirror_sign):
     """The outer ghost layer of a padded array with its interior filled: Dirichlet
     left, zero-gradient right, mirror bottom; top = None copies the edge (outflow)."""
@@ -123,18 +115,6 @@ def _fill_border(p, left, top, bottom_mirror_sign):
     p[0, -1] = p[1, -1]
     p[-1, 0] = p[-1, 1]
     p[-1, -1] = p[-1, -2]
-
-
-def stable_dt(model: GasModel, grid: Grid, state: SimState, cfl=CFL_DEFAULT) -> float:
-    """cfl * h / (max(|vx| + c) + max(|vy| + c)), maxima over the fluid cells."""
-    c = np.asarray(model.sound_speed(state.rho))
-    speeds = _max_speeds(np.abs(state.vx) + c, np.abs(state.vy) + c, ~grid._solid)
-    return cfl * grid.spacing / speeds
-
-
-def _max_speeds(sx, sy, fluid):
-    """max(sx) + max(sy) over the fluid cells."""
-    return sum(float(np.max(s, where=fluid, initial=-np.inf)) for s in (sx, sy))
 
 
 class _WallGhosts:
@@ -306,15 +286,15 @@ def step(
     grid: Grid,
     state: SimState,
     upstream: FlowState,
-    dt: float | None = None,
     cfl: float = CFL_DEFAULT,
     top_bc: str = "inflow",
     t_stop: float = math.inf,
     workspace: _Workspace | None = None,
 ):
-    """One explicit finite-volume update.  dt=None chooses the CFL step,
+    """One explicit finite-volume update by the CFL step
+    cfl * h / (max(|vx| + c) + max(|vy| + c)), maxima over the fluid cells,
     shortened so that the step ends no later than t_stop; a wave speed that is
-    not finite then raises VacuumError naming its cell and the start time.
+    not finite raises VacuumError naming its cell and the start time.
 
     The left boundary is upstream inflow; top_bc is "inflow" too (the
     wedge-problem default) or "outflow" (zero gradient, for quasi-1D test strips).
@@ -357,20 +337,17 @@ def step(
         np.abs(v, out=s)
         s += c
 
-    # the stable_dt bound from the same wave speeds on the fluid cells
+    # the CFL step from the same wave speeds on the fluid cells
     rows = slice(S, (W + 1) * S)
-    speeds = _max_speeds(sx[rows], sy[rows], ws.fluid_p[rows])
-    if dt is None:
-        if not math.isfinite(speeds):  # a NaN or infinite velocity
-            sx_in, sy_in = sx.reshape(W + 2, S)[inner], sy.reshape(W + 2, S)[inner]
-            bad = fluid & ~np.isfinite(sx_in + sy_in)
-            j, i = np.unravel_index(int(np.argmax(bad)), fluid.shape)
-            raise VacuumError(
-                f"wave speed {sx_in[j, i] + sy_in[j, i]} at cell (i={i}, j={j}), t = {state.t}"
-            )
-        dt = min(cfl * h / speeds, t_stop - state.t)
-    elif dt > h / speeds * (1.0 + 1e-12):
-        raise CFLviolation(f"dt = {dt} exceeds the stable bound {h / speeds}")
+    speeds = sum(float(np.max(s[rows], where=ws.fluid_p[rows], initial=-np.inf)) for s in (sx, sy))
+    if not math.isfinite(speeds):  # a NaN or infinite velocity
+        sx_in, sy_in = sx.reshape(W + 2, S)[inner], sy.reshape(W + 2, S)[inner]
+        bad = fluid & ~np.isfinite(sx_in + sy_in)
+        j, i = np.unravel_index(int(np.argmax(bad)), fluid.shape)
+        raise VacuumError(
+            f"wave speed {sx_in[j, i] + sy_in[j, i]} at cell (i={i}, j={j}), t = {state.t}"
+        )
+    dt = min(cfl * h / speeds, t_stop - state.t)
 
     # old - lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid, summed in the
     # flat layout: entry q of a sum is the padded cell S + 1 + q, whose x faces
@@ -407,14 +384,6 @@ def step(
         )
 
     return SimState(t=state.t + dt, rho=rho_new, vx=vx_new, vy=vy_new)
-
-
-def discrete_curl(grid: Grid, state: SimState):
-    """Centered-difference curl of v on interior cells."""
-    h = grid.spacing
-    dvy_dx = (state.vy[1:-1, 2:] - state.vy[1:-1, :-2]) / (2 * h)
-    dvx_dy = (state.vx[2:, 1:-1] - state.vx[:-2, 1:-1]) / (2 * h)
-    return dvy_dx - dvx_dy
 
 
 @dataclass
@@ -507,6 +476,20 @@ class UnsteadyResult:
     steps: int
 
 
+def _sample_rows(config: UnsteadyConfig) -> int:
+    """Rows of the xi grid that run samples on; it has sample_nx columns."""
+    x_min, x_max, y_max = config.box
+    return max(8, int(config.sample_nx * y_max / (x_max - x_min)))
+
+
+def sample_bytes(config: UnsteadyConfig) -> int:
+    """Bytes of run's two samplings at their peak, per xi point: the first
+    field's rho, v and L and its valid flag, and the second sampling's
+    temporaries, 14 float and 2 flag arrays (tracemalloc reads 147 bytes per
+    point)."""
+    return config.sample_nx * _sample_rows(config) * (8 * (4 + 14) + 1 + 2)
+
+
 def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
     """March the wedge problem to t_final and sample at t_final/2 and t_final.
 
@@ -527,7 +510,7 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
     t_half = 0.5 * config.t_final
     margin = 1.5 * h / t_half
     xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)
-    xi_y = np.linspace(margin, y_max - margin, max(8, int(config.sample_nx * y_max / (x_max - x_min))))
+    xi_y = np.linspace(margin, y_max - margin, _sample_rows(config))
     workspace = _Workspace(grid)
     steps, samples = 0, []
     for target in (t_half, config.t_final):

@@ -1,7 +1,15 @@
-"""Independent checks of the elliptic solver's linear algebra."""
+"""Independent checks of the elliptic solver's linear algebra, and the
+shifted shock curves the tests start the solver from."""
 
 import numpy as np
 from scipy.sparse import coo_matrix
+
+from wedgeflow.elliptic import ShockCurve
+
+
+def bumped(shock: ShockCurve, amount) -> ShockCurve:
+    """The shock curve with every height raised by amount."""
+    return ShockCurve(sigma=shock.sigma.copy(), s=shock.s + amount)
 
 
 def fd_jacobian(resid, psi, F, delta_fd):

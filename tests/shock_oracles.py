@@ -1,7 +1,9 @@
 """Independent checks of the shock algebra: the invariant g, 40-digit
 references that solve its level sets by plain bisection, high-precision
 references of the steady polar, the closed-form normal-shock sensitivities,
-and the steady deflection resolved by the normal-shock solve."""
+the steady deflection resolved by the normal-shock solve, the jump across a
+normal shock, the closed-form corner-slide sensitivities with their finite
+differences, and the Bernoulli closure at a self-similar point."""
 
 import math
 from dataclasses import dataclass
@@ -9,8 +11,15 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from wedgeflow.gas import ISOTHERMAL_EPS
-from wedgeflow.shocks import cross2, downstream_normal_mach, resolve_oblique
+from wedgeflow.diagnostics import arc_ode_constants
+from wedgeflow.gas import ISOTHERMAL_EPS, GasModel, WedgeError, pi_inverse
+from wedgeflow.shocks import (
+    _bracketed_root,
+    _jump_ratios,
+    cross2,
+    downstream_normal_mach,
+    resolve_oblique,
+)
 
 DIGITS = 40
 
@@ -258,3 +267,148 @@ def mp_weak_tilt(gamma: float, mach: float, tau: float):
         u = lo
         p = 2 * (u if gamma == 1 else mp.expm1((gamma - 1) * u) / (gamma - 1)) / -mp.expm1(-2 * u)
         return mp.atan(mp.sqrt(p) * mp.exp(-u) / mp.sqrt(mach * mach - p))
+
+
+class InadmissibleShock(WedgeError, ValueError):
+    """Expansion branch requested where an admissible shock is required."""
+
+
+def jump_state(model: GasModel, rho_u: float, c_u: float, lun: float, *, require_admissible=True):
+    """Downstream (rho_d, c_d) across a shock with upstream normal pseudo-Mach lun."""
+    if lun < 1.0 and require_admissible:
+        raise InadmissibleShock(f"L_un = {lun} < 1 is an entropy-violating expansion")
+    return _jump_ratios(model.gamma, rho_u, c_u, lun, downstream_normal_mach(model.gamma, lun))
+
+
+def density_sound_pseudo_mach(model: GasModel, chi: float, z):
+    """Local (rho, c, L) at a self-similar point with shifted potential chi
+    and pseudo-velocity z = grad(chi):
+
+    rho = pi^-1(-chi - |z|^2/2),  c^2 = c0^2 + (gamma-1)(-chi - |z|^2/2),
+    L = |z|/c.
+    """
+    z = np.asarray(z, dtype=float)
+    zz = float(z @ z)
+    a = -float(chi) - 0.5 * zz
+    rho = pi_inverse(model, a)
+    c = math.sqrt(model.c0**2 + (model.gamma - 1.0) * a)
+    return rho, c, math.sqrt(zz) / c
+
+
+@dataclass(frozen=True)
+class CornerSensitivity:
+    eta: float
+    p_omega: float
+    k_omega: float
+    dvdy_domega: float
+    dzdy_domega: float
+    bound_rhs: float
+    bound_check: bool
+    dvdy_positive: bool
+    theta_plus: float
+    theta_minus: float
+    sigma_theta: float | None
+    phi_bar: float
+
+
+def corner_sensitivity(pattern) -> CornerSensitivity:
+    """Closed-form derivatives of the right-corner data as the corner slides
+    along its arc, evaluated at the expected height eta_R_star (O(eps) terms
+    dropped)."""
+    model = pattern.config.model
+    gamma = model.gamma
+    eps = pattern.epsilon
+    c_u = pattern.config.c_I
+    v_uy = float(pattern.state_I.v[1])
+    c_r = pattern.state_R.c
+    r = math.sqrt(1.0 - eps) * c_r
+    eta = pattern.eta_R_star
+    if not 0.0 < eta < r:
+        raise ValueError(f"corner height {eta} outside the arc range (0, {r})")
+    xi_x = math.sqrt(r**2 - eta**2)
+
+    lun = (eta - v_uy) / c_u
+    sig = eta / c_u
+    c_d2 = (1.0 + 0.5 * (gamma - 1.0) * (lun**2 - sig**2)) * c_u**2
+
+    dvdy = 2.0 * v_uy * (eta * (v_uy - eta) / c_d2 - 1.0) / ((gamma + 1.0) * (2.0 * eta - v_uy))
+    p_om = (
+        (2.0 + lun * ((gamma + 1.0) * sig + (gamma - 1.0) * lun))
+        / (lun + sig)
+        * (-v_uy * c_u)
+        / ((gamma + 1.0) * xi_x)
+    )
+    k_om = math.sqrt((gamma - 1.0) / (gamma + 1.0)) * (-v_uy)
+    bound_rhs = -c_r * v_uy / xi_x
+
+    _, _, _, _, sigma_theta = arc_ode_constants(gamma, eps, r)
+    phi_bar = math.asin(min(eta / r, 1.0))
+    theta_plus = math.atan2(k_om, p_om)
+    theta_minus = theta_plus + math.pi
+    return CornerSensitivity(
+        eta=eta,
+        p_omega=p_om,
+        k_omega=k_om,
+        dvdy_domega=dvdy,
+        dzdy_domega=dvdy - 1.0,
+        bound_rhs=bound_rhs,
+        bound_check=math.hypot(p_om, k_om) < bound_rhs,
+        dvdy_positive=dvdy > 0.0,
+        theta_plus=theta_plus,
+        theta_minus=theta_minus,
+        sigma_theta=sigma_theta,
+        phi_bar=phi_bar,
+    )
+
+
+def corner_state_direct(pattern, eta: float):
+    """Independent corner parameterization: the shock through the arc point
+    at height eta whose downstream pseudo-Mach equals sqrt(1-eps) there.
+
+    Solved for the normal angle with a bracketed root; returns the profile
+    variables (p, h) and the downstream velocity for finite differencing.
+    """
+    target = math.sqrt(1.0 - pattern.epsilon)
+    r = target * pattern.state_R.c
+    xi_pt = np.array([math.sqrt(r**2 - eta**2), eta])
+
+    def downstream(angle):
+        n = np.array([math.cos(angle), math.sin(angle)])
+        sol = resolve_oblique(pattern.config.model, pattern.state_I, xi_pt, n)
+        return sol.downstream, sol.downstream.v - xi_pt
+
+    def L_d(angle):
+        state, z_d = downstream(angle)
+        return float(np.hypot(*z_d)) / state.c - target
+
+    state, z_d = downstream(_bracketed_root(L_d, -0.5 * math.pi - 0.6, -0.5 * math.pi + 0.35, xtol=1e-15))
+    return {
+        "p": float(xi_pt[0] * z_d[1] - xi_pt[1] * z_d[0]),
+        "h": state.c**2,
+        "v_dy": float(state.v[1]),
+        "z_dy": float(z_d[1]),
+    }
+
+
+def corner_sensitivity_fd(pattern):
+    """Central finite differences of the direct corner parameterization at
+    the expected height eta_R_star, with step 1e-6 c_R."""
+    model = pattern.config.model
+    gamma = model.gamma
+    eps = pattern.epsilon
+    c_r = pattern.state_R.c
+    r = math.sqrt(1.0 - eps) * c_r
+    eta = pattern.eta_R_star
+    step = 1e-6 * c_r
+    a = corner_state_direct(pattern, eta - step)
+    b = corner_state_direct(pattern, eta + step)
+    out = {
+        "p_omega": (b["p"] - a["p"]) / (2 * step),
+        "dvdy_domega": (b["v_dy"] - a["v_dy"]) / (2 * step),
+        "dzdy_domega": (b["z_dy"] - a["z_dy"]) / (2 * step),
+    }
+    if not model.isothermal:
+        _, sigma_g, sigma_f, _, _ = arc_ode_constants(gamma, eps, r)
+        pref = math.sqrt(-sigma_f / sigma_g)
+        out["k_omega"] = pref * (b["h"] - a["h"]) / (2 * step)
+    return out

@@ -7,7 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from shock_oracles import g_value, sensitivities
+from elliptic_oracles import bumped
+from shock_oracles import (
+    corner_sensitivity,
+    corner_sensitivity_fd,
+    g_value,
+    jump_state,
+    sensitivities,
+)
 from wedgeflow.gas import GasModel, FlowState
 from wedgeflow.pattern import ProblemConfig, build
 from wedgeflow.shocks import (
@@ -15,7 +22,6 @@ from wedgeflow.shocks import (
     deflection_solutions,
     downstream_normal_mach,
     horizontal_downstream_shock,
-    jump_state,
     shock_polar,
 )
 from wedgeflow.elliptic import EllipticConfig, Lattice, chord_shock, iterate
@@ -106,8 +112,8 @@ def test_criterion_sensitivity_formulas():
     worst_corner = 0.0
     for gamma, miy in corner_states:
         pat = build(ProblemConfig(model=GasModel(gamma=gamma), MIy=miy, epsilon=1e-6))
-        cs = diag.corner_sensitivity(pat)
-        fd = diag.corner_sensitivity_fd(pat)
+        cs = corner_sensitivity(pat)
+        fd = corner_sensitivity_fd(pat)
         worst_corner = max(
             worst_corner,
             abs(cs.dvdy_domega / fd["dvdy_domega"] - 1.0),
@@ -266,8 +272,8 @@ def test_tip_angle_refinement_study(desk_march_100, desk_march_200, desk_march):
 def test_criterion_elliptic_fixed_point(desk_solutions):
     # uniqueness echo: the straight-shock case returns from a 1% bump
     pat0 = build(ProblemConfig(model=ISO, MIy=-2.0, epsilon=0.04))
-    bumped = chord_shock(pat0, Lattice(32)).bumped(0.01 * pat0.state_R.c)
-    sol0 = iterate(pat0, EllipticConfig(lattice_n=32), shock0=bumped)
+    shock0 = bumped(chord_shock(pat0, Lattice(32)), 0.01 * pat0.state_R.c)
+    sol0 = iterate(pat0, EllipticConfig(lattice_n=32), shock0=shock0)
     recover = float(np.max(np.abs(sol0.shock.s - pat0.eta_R_star)))
     unpert_ok = sol0.converged and recover < 1e-6
 

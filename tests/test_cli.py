@@ -249,7 +249,7 @@ class TestDispatch:
 
 class TestErrorContract:
     def test_every_package_error_derives_from_wedge_error(self):
-        assert len(PACKAGE_ERRORS) == 18
+        assert len(PACKAGE_ERRORS) == 16
         for exc_type in PACKAGE_ERRORS:
             assert issubclass(exc_type, wedgeflow.WedgeError)
 
@@ -336,6 +336,30 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert key in err
+
+    @pytest.mark.parametrize(
+        "command, line, key",
+        [
+            # about 71 TB of samples (unsteady.sample_bytes)
+            ("simulate", "sample_nx = 1000000", "sample_nx = 1000000"),
+            # about 360 TB of polar samples (shocks.polar_bytes)
+            ("polar", "polar_n = 1000000000000", "polar_n = 1000000000000"),
+        ],
+    )
+    def test_memory_preflight_exit_2_before_any_work(
+        self, command, line, key, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran past its memory preflight")
+
+        monkeypatch.setattr(unsteady, "run", refuse)
+        monkeypatch.setattr(cli, "shock_polar", refuse)
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12 + line + "\n")
+        assert dispatch([command, "--config", str(f), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert key in err and "physical memory" in err
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_wall_normal_mach_exit_2(self, value, tmp_path, capsys):

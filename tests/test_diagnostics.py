@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from shock_oracles import corner_sensitivity, corner_sensitivity_fd
 from wedgeflow.gas import GasModel
 from wedgeflow.pattern import ProblemConfig, build
 from wedgeflow.elliptic import EllipticConfig, iterate
@@ -14,8 +15,6 @@ from wedgeflow.diagnostics import (
     arc_ode_constants,
     arc_profile,
     arc_rhs_f,
-    corner_sensitivity,
-    corner_sensitivity_fd,
     density_extrema,
     ellipticity_report,
     make_test_battery,

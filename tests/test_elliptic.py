@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
-from elliptic_oracles import fd_jacobian
+from elliptic_oracles import bumped, fd_jacobian
 from wedgeflow import elliptic
 from wedgeflow.gas import GasModel, constant_state_potential
 from wedgeflow.pattern import ProblemConfig, build, separation_check
@@ -221,7 +221,7 @@ class TestMapping:
     def test_shock_above_arc_top_rejected(self, case12_pattern):
         p = case12_pattern
         lattice = Lattice(16)
-        tall = chord_shock(p, lattice).bumped(2.0 * p.arc_R.radius)
+        tall = bumped(chord_shock(p, lattice), 2.0 * p.arc_R.radius)
         with pytest.raises(MappingError):
             build_mapping(p, tall, lattice)
 
@@ -297,7 +297,7 @@ class TestInnerSolve:
         m0 = build_mapping(p, chord, lattice)
         _, lu = solve_fixed_boundary(p, m0, initial_guess(p, m0), cfg)
         assert lu is not None
-        m = build_mapping(p, chord.bumped(0.03 * p.arc_R.radius), lattice)
+        m = build_mapping(p, bumped(chord, 0.03 * p.arc_R.radius), lattice)
         psi0 = initial_guess(p, m)
         fresh, _ = solve_fixed_boundary(p, m, psi0, cfg)
         stale, _ = solve_fixed_boundary(p, m, psi0, cfg, lu)
@@ -399,8 +399,8 @@ class TestIterate:
     def test_unperturbed_recovery_from_bump(self, unpert_pattern):
         p = unpert_pattern
         cfg = EllipticConfig(lattice_n=32)
-        bumped = chord_shock(p, Lattice(32)).bumped(0.01 * p.state_R.c)
-        sol = iterate(p, cfg, shock0=bumped)
+        shock0 = bumped(chord_shock(p, Lattice(32)), 0.01 * p.state_R.c)
+        sol = iterate(p, cfg, shock0=shock0)
         assert sol.converged
         assert np.max(np.abs(sol.shock.s - p.eta_R_star)) < 1e-6
 

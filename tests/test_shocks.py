@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import assume, given, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from shock_oracles import (
+    InadmissibleShock,
+    density_sound_pseudo_mach,
     g_prime,
     g_value,
+    jump_state,
     mp_critical_angle,
     mp_downstream_normal_mach,
     mp_horizontal_height,
@@ -18,13 +22,10 @@ from wedgeflow.gas import (
     GasModel,
     WedgeError,
     FlowState,
-    SelfSimilarPoint,
     constant_state_potential,
-    density_sound_pseudo_mach,
 )
 from wedgeflow import shocks
 from wedgeflow.shocks import (
-    InadmissibleShock,
     NoAttachedShock,
     NoPolarError,
     NoSonicIntersection,
@@ -38,7 +39,6 @@ from wedgeflow.shocks import (
     deflection_solutions,
     downstream_normal_mach,
     horizontal_downstream_shock,
-    jump_state,
     polar_beta_max,
     resolve_oblique,
     shock_polar,
@@ -416,11 +416,31 @@ class TestShockPolar:
         assert np.argmax(rho) == len(samples) // 2
 
     def test_endpoints_vanish(self):
-        up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
-        samples = shock_polar(AIR, up, np.zeros(2), 5)
-        for s in (samples[0], samples[-1]):
-            assert s.rho_d == pytest.approx(1.0, abs=1e-9)
-            assert np.allclose(s.downstream_v, up.v, atol=1e-9)
+        # the edge samples sit at L_un = 1 to rounding, at or below it in 64 of
+        # these 76: the branch of downstream_normal_mach for L_un <= 1, which
+        # wedge polar reaches
+        for gamma in GAMMAS:
+            model = GasModel(gamma=gamma)
+            for mach in (1.0001, 1.5, 2.94, 30.0) + ((1e4,) if gamma > 1.0 else ()):
+                for angle in (0.0, 2.5):
+                    v = (mach * math.cos(angle), mach * math.sin(angle))
+                    up = FlowState.from_model(model, 1.0, v)
+                    samples = shock_polar(model, up, np.zeros(2), 5)
+                    for s in (samples[0], samples[-1]):
+                        assert s.rho_d == pytest.approx(1.0, abs=1e-9)
+                        assert np.allclose(s.downstream_v, up.v, rtol=0.0, atol=1e-9 * mach)
+
+    def test_polar_bytes_matches_the_samples(self):
+        # the estimate behind the polar_n preflight, against tracemalloc's peak
+        up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
+        tracemalloc.start()
+        try:
+            samples = shock_polar(AIR, up, np.zeros(2), 401)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 401
+        assert peak == pytest.approx(shocks.polar_bytes(401), rel=0.05)
 
     def test_zdx_increasing_in_abs_beta(self):
         up = FlowState.from_model(AIR, 1.0, (3.0, 0.0))
@@ -588,9 +608,7 @@ class TestSonicPoints:
         psi_d, _ = constant_state_potential(AIR, sol.downstream.rho, sol.downstream.v)
         for pt in (a, b):
             chi = psi_d(pt) - 0.5 * pt @ pt
-            _, _, L = density_sound_pseudo_mach(
-                AIR, SelfSimilarPoint(xi=pt, chi=chi, z=sol.downstream.v - pt)
-            )
+            _, _, L = density_sound_pseudo_mach(AIR, chi, sol.downstream.v - pt)
             assert L == pytest.approx(math.sqrt(1.0 - eps), abs=1e-10)
 
     def test_upstream_circle_misses_shock(self):
