@@ -210,6 +210,12 @@ def parse_config(path=None, text=None) -> RunConfig:
         raise ConfigError("M_I given without tau_deg")
     if cfg.M_I_y is not None and (cfg.M_I is not None or cfg.tau is not None):
         raise ConfigError("M_I_y and the wedge pair (M_I, tau_deg) both given; give one or the other")
+    # eta_L_star picks the L shock of an M_I_y pattern; a wedge pair fixes it
+    # as the tip shock.  Its upper end eta_R* is computed by the build.
+    if cfg.eta_L_star is not None and cfg.eta_L_star <= 0.0:
+        raise ConfigError(f"eta_L_star = {cfg.eta_L_star} must be positive")
+    if cfg.eta_L_star is not None and (cfg.M_I is not None or cfg.tau is not None):
+        raise ConfigError("eta_L_star and the wedge pair (M_I, tau_deg) both given; eta_L_star goes with M_I_y")
     return cfg
 
 
@@ -228,7 +234,7 @@ def cmd_polar(cfg: RunConfig, out: Path, strict: bool) -> int:
     problem = cfg.problem()
     model, upstream = problem.model, problem.upstream_original()
     _check_memory(f"polar_n = {cfg.polar_n}", polar_bytes(cfg.polar_n), "the polar")
-    samples = shock_polar(model, upstream, np.zeros(2), cfg.polar_n)
+    samples = shock_polar(model, upstream, cfg.polar_n)
     _write_rows(
         out / "polar.csv",
         ["beta", "vx_d", "vy_d", "rho_d", "c_d", "L_d"],

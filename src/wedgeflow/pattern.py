@@ -48,8 +48,9 @@ class ProblemConfig:
     """Upstream data plus the two pattern parameters.
 
     Either MIy (wall-normal upstream Mach, negative) or the original-picture
-    pair (M_I, tau) must be given; eta_L_star defaults to the R-shock height
-    (straight-shock pattern).
+    pair (M_I, tau) must be given.  eta_L_star goes with MIy and defaults to
+    the R-shock height (straight-shock pattern); the wedge pair fixes the L
+    shock as its tip shock.
     """
 
     model: GasModel
@@ -74,6 +75,8 @@ class ProblemConfig:
             raise ValueError(f"tau must lie in (0, pi/2), got {self.tau}")
         if self.M_I is not None and self.M_I <= 1.0:
             raise ValueError(f"M_I must exceed 1, got {self.M_I}")
+        if self.eta_L_star is not None and (self.M_I is not None or self.tau is not None):
+            raise ValueError("eta_L_star and the wedge pair (M_I, tau) both given; eta_L_star goes with MIy")
         c_model = float(self.model.sound_speed(self.rho_I))
         if abs(c_model - self.c_I) > 1e-12 * self.c_I:
             raise ValueError(
@@ -209,7 +212,7 @@ def build(
         )
     _, xi_R_star = _sonic_pair(model, shock_R, config.epsilon)
 
-    if config.tau is not None and config.eta_L_star is None:
+    if config.tau is not None:
         u, cos_b, sin_b = _tip_tilt(config)
     else:
         target = config.eta_L_star if config.eta_L_star is not None else eta_R_star

@@ -1,27 +1,20 @@
 """Exact shock relations of self-similar potential flow.
 
 Across a shock the potential is continuous and the normal mass flux
-rho * z_n jumps to zero, where z = v - xi is the pseudo-velocity.  With the
-normal pseudo-Mach numbers L_n = z_n / c these conditions leave both sides
-of a polytropic shock on one level set of the invariant
-
-    g(x) = (x^2 + 2/(gamma-1)) * x^(2(1-gamma)/(gamma+1))   (gamma > 1)
-    g(x) = x^2 - 2 log x                                    (gamma = 1),
-
-g(L_un) = g(L_dn), with the jump ratios
-
-    rho_u/rho_d = (L_dn/L_un)^(2/(gamma+1)),
-    c_u / c_d   = (L_dn/L_un)^((gamma-1)/(gamma+1)).
-
-Normals point downstream (z_un, z_dn > 0); a shock is admissible iff
-L_un >= 1, equivalently rho_d >= rho_u.
+rho * z_n = rho L_n c is the same on both sides, where z = v - xi is the
+pseudo-velocity and L_n = z_n / c the normal pseudo-Mach number.  Normals
+point downstream (z_un, z_dn > 0); a shock is admissible iff L_un >= 1,
+equivalently rho_d >= rho_u.
 
 In the log density ratio u = log(rho_d/rho_u) the relations are explicit.
 With E(u) = expm1((gamma-1) u)/(gamma-1) (E(u) = u at gamma = 1), in units
 of c_u:
 
     L_un^2 = 2 E(u) / (1 - e^(-2u)),   L_dn = L_un e^(-(gamma+1) u/2),
-    c_d / c_u = e^((gamma-1) u/2),     (L_un - L_dn c_d/c_u)^2 = 2 E(u) tanh(u/2).
+    c_d / c_u = e^((gamma-1) u/2),     (L_un - L_dn c_d/c_u)^2 = 2 E(u) tanh(u/2),
+
+and rho_d = rho_u L_un / (L_dn c_d/c_u) conserves the mass flux
+(_assemble_jump, the one jump formula).
 
 A steady shock of a stream with Mach number M keeps the tangential velocity
 s c_u, s^2 = M^2 - L_un^2, and divides the normal one by e^u (z_dn = z_un e^-u),
@@ -33,8 +26,9 @@ which rises from 0 at the Mach angle (u = 0) to the critical angle and falls
 to 0 at the normal shock (u = u_n, L_un(u_n) = M); the shock lies tau + b
 above the stream with tan b = L_un e^-u / s.
 
-Every shock is solved for in u: the normal shock from the first relation
-(downstream_normal_mach), the corner problem's family from the last
+Every shock is solved for in u: a normal shock from the first relation
+(_normal_ratio, the one normal-shock root; the polar's samples at L_un =
+M cos beta use it too), the corner problem's family from the last
 (_family_ratio), the steady pair from tan tau(u) (deflection_solutions).
 """
 
@@ -47,14 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gas import ISOTHERMAL_EPS, GasModel, FlowState, WedgeError
-
-
-class WrongSideError(WedgeError, ValueError):
-    """Upstream pseudo-velocity does not cross the shock in the normal direction."""
-
-
-class NoPolarError(WedgeError, ValueError):
-    """Pseudo-subsonic upstream state has no shock polar."""
 
 
 class NoAttachedShock(WedgeError, ValueError):
@@ -113,11 +99,6 @@ def perp(w):
     return np.array([-w[1], w[0]])
 
 
-def cross2(a, b) -> float:
-    """Scalar cross product of plane vectors."""
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
 def _energy(gamma: float, u: float) -> float:
     """E(u) = expm1((gamma-1) u)/(gamma-1), u at gamma = 1 (see the module docstring)."""
     gm1 = gamma - 1.0
@@ -165,33 +146,6 @@ def _normal_ratio(gamma: float, lun: float) -> float:
         return _bracketed_root(f, 0.0, 2.0 * top, xtol=0.0)
 
 
-def downstream_normal_mach(gamma: float, lun: float) -> float:
-    """L_dn across the shock with upstream normal pseudo-Mach number lun, the
-    other point of its level set of g: strictly decreasing, self-inverse.
-    For lun > 1, lun e^(-(gamma+1) u/2) at the root u > 0 of L_un(u) = lun;
-    for lun <= 1, by self-inversion, L_un(u) where L_dn(u) = lun (compared
-    unsquared: a fed-back L_dn may be near underflow; u = 0 at lun = 1).
-    """
-    if lun <= 0.0:
-        raise ValueError("normal pseudo-Mach number must be positive")
-    gp1 = gamma + 1.0
-    try:
-        if lun > 1.0:
-            ldn = lun * math.exp(-0.5 * gp1 * _normal_ratio(gamma, lun))
-        else:
-            # L_dn(u) <= sqrt(1 + 2u) e^(-u), below lun from u = 2 - 2 log lun on
-            top = 2.0 - 2.0 * math.log(lun)
-            u = _bracketed_root(
-                lambda u: _normal_mach(gamma, u) * math.exp(-0.5 * gp1 * u) - lun, 0.0, top, xtol=0.0
-            )
-            ldn = _normal_mach(gamma, u)
-    except OverflowError as exc:
-        raise ShockSolveError(f"normal shock at L_un = {lun}, gamma = {gamma} overflows") from exc
-    if ldn < sys.float_info.min:
-        raise ShockSolveError(f"L_dn underflows at L_un = {lun}, gamma = {gamma}")
-    return ldn
-
-
 def _family_ratio(gamma: float, jump: float) -> float:
     """Log density ratio of the shock with normal velocity jump
     z_un - z_dn = jump c_u > 0: the one root u of 2 E(u) tanh(u/2) = jump^2
@@ -200,10 +154,13 @@ def _family_ratio(gamma: float, jump: float) -> float:
     The bracket's top solves 2 E(u) = l_max^2: l_max = 1 + (gamma+1) jump/2
     bounds L_un (the jump rises with L_un at a slope above 2/(gamma+1)), and
     L_un^2 >= 2 E(u).  u -> 0 for weak shocks, so only the relative term
-    stops the solve.
+    stops the solve.  Raises ShockSolveError where jump^2 or the top
+    overflows.
     """
     l_max = 1.0 + 0.5 * (gamma + 1.0) * jump
     top = _energy_inverse(gamma, 0.5 * l_max * l_max)
+    if math.isinf(top) or math.isinf(jump * jump):
+        raise ShockSolveError(f"shock family member with normal jump {jump} c_u, gamma = {gamma} overflows")
     return _bracketed_root(
         lambda u: 2.0 * _energy(gamma, u) * math.tanh(0.5 * u) - jump * jump, 0.0, top, xtol=0.0
     )
@@ -221,14 +178,6 @@ def _family_spread(gamma: float, u0: float, d: float) -> float:
     )
 
 
-def _jump_ratios(gamma: float, rho_u: float, c_u: float, lun: float, ldn: float):
-    """(rho_d, c_d) from the normal pseudo-Mach numbers on both sides."""
-    ratio = lun / ldn
-    rho_d = rho_u * ratio ** (2.0 / (gamma + 1.0))
-    c_d = c_u * ratio ** ((gamma - 1.0) / (gamma + 1.0))
-    return rho_d, c_d
-
-
 @dataclass(frozen=True)
 class ShockSolution:
     """One resolved shock point: upstream/downstream states and normal data."""
@@ -237,18 +186,12 @@ class ShockSolution:
     n: np.ndarray
     upstream: FlowState
     downstream: FlowState
-    z_t: float
     lun: float
     ldn: float
-    beta: float
 
     @property
     def tangent(self) -> np.ndarray:
         return perp(self.n)
-
-    @property
-    def admissible(self) -> bool:
-        return self.lun >= 1.0
 
     @property
     def downstream_mach(self) -> float:
@@ -260,99 +203,19 @@ class ShockSolution:
         return self.point + (t @ (self.downstream.v - self.point)) * t
 
 
-def resolve_oblique(model: GasModel, upstream: FlowState, xi, n) -> ShockSolution:
-    """Downstream state across a shock through xi with downstream normal n.
-
-    The tangential pseudo-velocity carries over; the normal component jumps
-    per the normal-shock relation.  Inadmissible (expansion) data is
-    resolved but flagged, never raised.
-    """
-    xi = np.asarray(xi, dtype=float)
-    n = np.asarray(n, dtype=float)
-    n = n / np.hypot(*n)
-    z_un = float((upstream.v - xi) @ n)
-    if z_un <= 0.0:
-        raise WrongSideError(f"z_u . n = {z_un} <= 0; normal must point downstream")
-    lun = z_un / upstream.c
-    ldn = downstream_normal_mach(model.gamma, lun)
-    rho_d, c_d = _jump_ratios(model.gamma, upstream.rho, upstream.c, lun, ldn)
-    return _assemble(upstream, xi, n, lun, ldn, rho_d, c_d)
-
-
-def _assemble(upstream: FlowState, xi, n, lun: float, ldn: float, rho_d: float, c_d: float):
-    """The shock through xi with unit downstream normal n and the given jump."""
-    z_u = upstream.v - xi
-    t = perp(n)
-    z_t = float(z_u @ t)
-    v_d = z_t * t + ldn * c_d * n + xi
-    return ShockSolution(
-        point=xi,
-        n=n,
-        upstream=upstream,
-        downstream=FlowState(rho=rho_d, v=v_d, c=c_d),
-        z_t=z_t,
-        lun=lun,
-        ldn=ldn,
-        beta=math.atan2(cross2(z_u, n), float(z_u @ n)),
-    )
-
-
 def _assemble_jump(upstream: FlowState, xi, n, lun: float, ldn: float, c_ratio: float):
     """The shock through xi with unit downstream normal n and the jump
-    (L_un, L_dn, c_d/c_u) of _ratios."""
+    (L_un, L_dn, c_d/c_u) of _ratios: the tangential pseudo-velocity carries
+    over, the normal one becomes L_dn c_d."""
     if ldn < sys.float_info.min:
         raise ShockSolveError(f"L_dn underflows at L_un = {lun}")
     rho_d = upstream.rho * lun / (ldn * c_ratio)  # rho L_n c is the same on both sides
-    return _assemble(upstream, xi, n, lun, ldn, rho_d, upstream.c * c_ratio)
-
-
-@dataclass(frozen=True)
-class PolarSample:
-    beta: float
-    downstream_v: np.ndarray
-    rho_d: float
-    c_d: float
-    L_d: float
-
-
-def polar_beta_max(model: GasModel, upstream: FlowState, xi) -> float:
-    """Largest |beta| with an admissible shock: L_un(beta) = 1, acos(c_u / |z_u|)."""
-    zmag = float(np.hypot(*(upstream.v - np.asarray(xi, dtype=float))))
-    if zmag <= upstream.c:
-        raise NoPolarError(f"|z_u| = {zmag} <= c_u = {upstream.c}: no polar at this point")
-    return math.acos(upstream.c / zmag)
-
-
-def shock_polar(model: GasModel, upstream: FlowState, xi, n: int) -> list[PolarSample]:
-    """Downstream states at n shock normals evenly spread over the admissible
-    range [-beta_max, beta_max] at xi: z_u = v_u - xi turned by beta."""
-    xi = np.asarray(xi, dtype=float)
-    beta_max = polar_beta_max(model, upstream, xi)
-    z_u = upstream.v - xi
-    zhat = z_u / np.hypot(*z_u)
-    samples = []
-    for b in np.linspace(-beta_max, beta_max, n):
-        cb, sb = math.cos(b), math.sin(b)
-        normal = np.array([cb * zhat[0] - sb * zhat[1], sb * zhat[0] + cb * zhat[1]])
-        sol = resolve_oblique(model, upstream, xi, normal)
-        z_d = sol.downstream.v - xi
-        samples.append(
-            PolarSample(
-                beta=float(b),
-                downstream_v=sol.downstream.v,
-                rho_d=sol.downstream.rho,
-                c_d=sol.downstream.c,
-                L_d=float(np.hypot(*z_d)) / sol.downstream.c,
-            )
-        )
-    return samples
-
-
-def polar_bytes(n: int) -> int:
-    """Bytes of the n samples shock_polar returns, each a PolarSample with
-    its velocity array and floats: tracemalloc reads about 345 bytes per
-    sample kept, and a peak of 352 to 360."""
-    return 360 * n
+    c_d = upstream.c * c_ratio
+    t = perp(n)
+    v_d = float((upstream.v - xi) @ t) * t + ldn * c_d * n + xi
+    return ShockSolution(
+        point=xi, n=n, upstream=upstream, downstream=FlowState(rho=rho_d, v=v_d, c=c_d), lun=lun, ldn=ldn
+    )
 
 
 @dataclass(frozen=True)
@@ -514,6 +377,57 @@ def deflection_solutions(model: GasModel, upstream: FlowState, tau: float):
     if r_weak is None:
         return None
     return DeflectionSolutions(weak=polar.shock(upstream, r_weak), strong=polar.shock(upstream, r_strong))
+
+
+@dataclass(frozen=True)
+class PolarSample:
+    beta: float
+    downstream_v: np.ndarray
+    rho_d: float
+    c_d: float
+    L_d: float
+
+
+def shock_polar(model: GasModel, upstream: FlowState, n: int) -> list[PolarSample]:
+    """Downstream states of the steady shocks through the origin at n normals,
+    the stream direction turned by beta, evenly spread over the admissible
+    range [-beta_max, beta_max], cos beta_max = c_u / |v_u|.
+
+    The sample at beta is the jump of log density ratio u = _normal_ratio(M
+    cos beta), u = 0 where rounding puts M cos beta at or below 1 (the edges),
+    so the one at beta = 0 is the normal shock of deflection_solutions.  The
+    steady polar of M is built first for its typed errors: M <= 1, and the
+    normal shock's overflow or L_dn underflow, which bound every sample's.
+    """
+    gamma, mach = model.gamma, upstream.mach
+    _SteadyPolar(gamma, mach)
+    speed = float(np.hypot(*upstream.v))
+    beta_max = math.acos(upstream.c / speed)
+    zhat = upstream.v / speed
+    samples = []
+    for b in np.linspace(-beta_max, beta_max, n):
+        cb, sb = math.cos(b), math.sin(b)
+        normal = np.array([cb * zhat[0] - sb * zhat[1], sb * zhat[0] + cb * zhat[1]])
+        lun = mach * cb
+        u = _normal_ratio(gamma, lun) if lun > 1.0 else 0.0
+        sol = _assemble_jump(upstream, np.zeros(2), normal, *_ratios(gamma, u))
+        samples.append(
+            PolarSample(
+                beta=float(b),
+                downstream_v=sol.downstream.v,
+                rho_d=sol.downstream.rho,
+                c_d=sol.downstream.c,
+                L_d=float(np.hypot(*sol.downstream.v)) / sol.downstream.c,
+            )
+        )
+    return samples
+
+
+def polar_bytes(n: int) -> int:
+    """Bytes of the n samples shock_polar returns, each a PolarSample with
+    its velocity array and floats: tracemalloc reads about 345 bytes per
+    sample kept, and a peak of 352 to 360."""
+    return 360 * n
 
 
 def _horizontal_member(upstream: FlowState, gamma: float, u: float, cos_b: float, sin_b: float):

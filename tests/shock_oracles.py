@@ -1,27 +1,99 @@
 """Independent checks of the shock algebra: the invariant g, 40-digit
 references that solve its level sets by plain bisection, high-precision
-references of the steady polar, the closed-form normal-shock sensitivities,
-the steady deflection resolved by the normal-shock solve, the jump across a
-normal shock, the closed-form corner-slide sensitivities with their finite
-differences, and the Bernoulli closure at a self-similar point."""
+references of the steady polar, a second normal-shock formulation (the
+self-inverse map L_un -> L_dn of g's level sets, the power-law jump ratios
+and the oblique resolution built on them), the closed-form normal-shock
+sensitivities, the steady deflection resolved by that formulation, the jump
+across a normal shock, the closed-form corner-slide sensitivities with their
+finite differences, and the Bernoulli closure at a self-similar point."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
 from wedgeflow.diagnostics import arc_ode_constants
-from wedgeflow.gas import ISOTHERMAL_EPS, GasModel, WedgeError, pi_inverse
+from wedgeflow.gas import ISOTHERMAL_EPS, FlowState, GasModel, WedgeError, pi_inverse
 from wedgeflow.shocks import (
+    ShockSolution,
+    ShockSolveError,
     _bracketed_root,
-    _jump_ratios,
-    cross2,
-    downstream_normal_mach,
-    resolve_oblique,
+    _normal_mach,
+    _normal_ratio,
+    perp,
 )
 
 DIGITS = 40
+
+
+class WrongSideError(WedgeError, ValueError):
+    """Upstream pseudo-velocity does not cross the shock in the normal direction."""
+
+
+def cross2(a, b) -> float:
+    """Scalar cross product of plane vectors."""
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
+def downstream_normal_mach(gamma: float, lun: float) -> float:
+    """L_dn across the shock with upstream normal pseudo-Mach number lun, the
+    other point of its level set of g: strictly decreasing, self-inverse.
+    For lun > 1, lun e^(-(gamma+1) u/2) at the root u > 0 of L_un(u) = lun;
+    for lun <= 1, by self-inversion, L_un(u) where L_dn(u) = lun (compared
+    unsquared: a fed-back L_dn may be near underflow; u = 0 at lun = 1).
+    """
+    if lun <= 0.0:
+        raise ValueError("normal pseudo-Mach number must be positive")
+    gp1 = gamma + 1.0
+    try:
+        if lun > 1.0:
+            ldn = lun * math.exp(-0.5 * gp1 * _normal_ratio(gamma, lun))
+        else:
+            # L_dn(u) <= sqrt(1 + 2u) e^(-u), below lun from u = 2 - 2 log lun on
+            top = 2.0 - 2.0 * math.log(lun)
+            u = _bracketed_root(
+                lambda u: _normal_mach(gamma, u) * math.exp(-0.5 * gp1 * u) - lun, 0.0, top, xtol=0.0
+            )
+            ldn = _normal_mach(gamma, u)
+    except OverflowError as exc:
+        raise ShockSolveError(f"normal shock at L_un = {lun}, gamma = {gamma} overflows") from exc
+    if ldn < sys.float_info.min:
+        raise ShockSolveError(f"L_dn underflows at L_un = {lun}, gamma = {gamma}")
+    return ldn
+
+
+def _jump_ratios(gamma: float, rho_u: float, c_u: float, lun: float, ldn: float):
+    """(rho_d, c_d) from the normal pseudo-Mach numbers on both sides:
+    rho_u/rho_d = (L_dn/L_un)^(2/(gamma+1)), c_u/c_d = (L_dn/L_un)^((gamma-1)/(gamma+1))."""
+    ratio = lun / ldn
+    rho_d = rho_u * ratio ** (2.0 / (gamma + 1.0))
+    c_d = c_u * ratio ** ((gamma - 1.0) / (gamma + 1.0))
+    return rho_d, c_d
+
+
+def resolve_oblique(model: GasModel, upstream: FlowState, xi, n) -> ShockSolution:
+    """Downstream state across a shock through xi with downstream normal n.
+
+    The tangential pseudo-velocity carries over; the normal component jumps
+    per the normal-shock relation.  Inadmissible (expansion) data is
+    resolved (L_un < 1), never raised.
+    """
+    xi = np.asarray(xi, dtype=float)
+    n = np.asarray(n, dtype=float)
+    n = n / np.hypot(*n)
+    z_un = float((upstream.v - xi) @ n)
+    if z_un <= 0.0:
+        raise WrongSideError(f"z_u . n = {z_un} <= 0; normal must point downstream")
+    lun = z_un / upstream.c
+    ldn = downstream_normal_mach(model.gamma, lun)
+    rho_d, c_d = _jump_ratios(model.gamma, upstream.rho, upstream.c, lun, ldn)
+    t = perp(n)
+    v_d = float((upstream.v - xi) @ t) * t + ldn * c_d * n + xi
+    return ShockSolution(
+        point=xi, n=n, upstream=upstream, downstream=FlowState(rho=rho_d, v=v_d, c=c_d), lun=lun, ldn=ldn
+    )
 
 
 def _g_shifted(gamma: float, s, xp=math):

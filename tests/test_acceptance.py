@@ -11,6 +11,7 @@ from elliptic_oracles import bumped
 from shock_oracles import (
     corner_sensitivity,
     corner_sensitivity_fd,
+    downstream_normal_mach,
     g_value,
     jump_state,
     sensitivities,
@@ -20,7 +21,6 @@ from wedgeflow.pattern import ProblemConfig, build
 from wedgeflow.shocks import (
     critical_angle,
     deflection_solutions,
-    downstream_normal_mach,
     horizontal_downstream_shock,
     shock_polar,
 )
@@ -134,7 +134,7 @@ def test_criterion_sensitivity_formulas():
 
 def test_criterion_polar_structure():
     up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-    samples = shock_polar(AIR, up, np.zeros(2), 10001)
+    samples = shock_polar(AIR, up, 10001)
     betas = np.array([s.beta for s in samples])
     rho = np.array([s.rho_d for s in samples])
     L = np.array([s.L_d for s in samples])

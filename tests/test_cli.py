@@ -249,7 +249,7 @@ class TestDispatch:
 
 class TestErrorContract:
     def test_every_package_error_derives_from_wedge_error(self):
-        assert len(PACKAGE_ERRORS) == 16
+        assert len(PACKAGE_ERRORS) == 14
         for exc_type in PACKAGE_ERRORS:
             assert issubclass(exc_type, wedgeflow.WedgeError)
 
@@ -310,6 +310,9 @@ class TestErrorContract:
             ("pattern", "tau = 0.17", "unknown key: tau"),
             # the upstream state comes from M_I_y or from the wedge pair, not both
             ("pattern", "M_I_y = -2.0", "M_I_y and the wedge pair (M_I, tau_deg)"),
+            # eta_L_star must be positive; its upper end eta_R* is computed (exit 1)
+            ("pattern", "eta_L_star = 0", "eta_L_star = 0.0 must be positive"),
+            ("pattern", "eta_L_star = -0.1", "eta_L_star = -0.1 must be positive"),
             # about 38 GB per field array: refused before any grid-sized allocation
             ("simulate", "grid_n = 100000", "grid_n = 100000"),
             # terabytes of lattice arrays (elliptic.lattice_bytes): refused before the solve
@@ -360,6 +363,43 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert key in err and "physical memory" in err
+
+    @pytest.mark.parametrize("command", ["pattern", "simulate"])
+    def test_eta_L_star_with_the_wedge_pair_exit_2_before_any_work(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # the wedge pair fixes the L shock as its tip shock; eta_L_star would
+        # pick another member and so another wedge
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran past its config check")
+
+        monkeypatch.setattr(cli, "build", refuse)
+        monkeypatch.setattr(unsteady, "run", refuse)
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12 + "eta_L_star = 0.1\n")
+        assert dispatch([command, "--config", str(f), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: eta_L_star and the wedge pair (M_I, tau_deg) both given; eta_L_star goes with M_I_y"
+        ]
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            # the R shock's jump^2 overflows in the family root
+            ("pattern", "gamma = 1.4\nM_I_y = -1e200\n"),
+            ("pattern", "gamma = 1.4\nM_I = 1e200\ntau_deg = 10\n"),
+            # the steady polar's normal shock overflows before any sample
+            ("polar", "gamma = 1.4\nM_I = 1e200\ntau_deg = 10\npolar_n = 3\n"),
+        ],
+    )
+    def test_shock_overflow_exit_1(self, command, text, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(text)
+        assert dispatch([command, "--config", str(f), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "ShockSolveError" in err[0] and "overflows" in err[0]
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_wall_normal_mach_exit_2(self, value, tmp_path, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shock_oracles import mp_weak_tilt
+from shock_oracles import cross2, mp_weak_tilt
 from wedgeflow import pattern, shocks
 from wedgeflow.gas import FlowState, GasModel
 from wedgeflow.pattern import (
@@ -23,7 +23,6 @@ from wedgeflow.shocks import (
     _family_ratio,
     _family_spread,
     critical_angle,
-    cross2,
     horizontal_downstream_shock,
 )
 from wedgeflow.cli import dispatch
@@ -46,7 +45,7 @@ def assert_pattern_invariants(p: WavePattern):
     assert np.allclose(p.xi_BR, [p.state_R.c, 0.0], atol=1e-14)
     assert np.allclose(p.xi_BL, [p.state_L.v[0] - p.state_L.c, 0.0], atol=1e-9)
     # both shocks admissible and compressive
-    assert p.shock_L.admissible and p.shock_R.admissible
+    assert p.shock_L.lun >= 1.0 and p.shock_R.lun >= 1.0
     assert p.state_L.rho >= p.state_I.rho
     assert p.state_R.rho > p.state_I.rho
     # corners sit exactly on their arcs
@@ -224,6 +223,12 @@ class TestBuild:
         # M_I_y with tau alone is a valid config, but the tip shock needs M_I
         with pytest.raises(GeometryError):
             build(ProblemConfig(model=AIR, MIy=-2.0, tau=0.1))
+
+    def test_eta_L_star_with_the_wedge_pair_rejected(self):
+        # the wedge pair fixes the L shock as its tip shock; eta_L_star would
+        # pick another member and so another wedge
+        with pytest.raises(ValueError, match="eta_L_star and the wedge pair"):
+            ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), eta_L_star=0.1)
 
     def test_invalid_eta_rejected(self):
         with pytest.raises(GeometryError):

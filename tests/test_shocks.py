@@ -8,13 +8,17 @@ from scipy.optimize import brentq, minimize_scalar
 
 from shock_oracles import (
     InadmissibleShock,
+    WrongSideError,
+    cross2,
     density_sound_pseudo_mach,
+    downstream_normal_mach,
     g_prime,
     g_value,
     jump_state,
     mp_critical_angle,
     mp_downstream_normal_mach,
     mp_horizontal_height,
+    resolve_oblique,
     sensitivities,
     steady_deflection,
 )
@@ -27,20 +31,14 @@ from wedgeflow.gas import (
 from wedgeflow import shocks
 from wedgeflow.shocks import (
     NoAttachedShock,
-    NoPolarError,
     NoSonicIntersection,
     ShockSolveError,
-    WrongSideError,
     _bracketed_root,
     _family_ratio,
     _ratios,
     critical_angle,
-    cross2,
     deflection_solutions,
-    downstream_normal_mach,
     horizontal_downstream_shock,
-    polar_beta_max,
-    resolve_oblique,
     shock_polar,
     sonic_points,
 )
@@ -327,7 +325,7 @@ class TestResolveOblique:
         xi = np.array([0.0, 0.5])
         sol = resolve_oblique(AIR, up, xi, (0.0, -1.0))
         z_d = sol.downstream.v - xi
-        assert abs(sol.z_t) < 1e-14
+        assert abs(float((up.v - xi) @ sol.tangent)) < 1e-14
         assert abs(z_d[0] * sol.n[1] - z_d[1] * sol.n[0]) < 1e-14
 
     def test_mass_flux_invariant(self):
@@ -385,25 +383,25 @@ class TestResolveOblique:
     def test_inadmissible_flagged_not_raised(self):
         up = FlowState.from_model(AIR, 1.0, (0.0, -0.5))
         sol = resolve_oblique(AIR, up, (0.0, 0.0), (0.0, -1.0))
-        assert not sol.admissible
+        assert sol.lun < 1.0
         assert sol.downstream.rho < up.rho
 
 
 class TestShockPolar:
     def test_requires_supersonic_pseudo_velocity(self):
         up = FlowState.from_model(AIR, 1.0, (0.5, 0.0))
-        with pytest.raises(NoPolarError):
-            shock_polar(AIR, up, (0.0, 0.0), 11)
+        with pytest.raises(NoAttachedShock):
+            shock_polar(AIR, up, 11)
 
     def test_beta_max_matches_closed_form(self):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-        assert polar_beta_max(AIR, up, np.zeros(2)) == pytest.approx(
-            math.acos(1.0 / 2.94), abs=1e-12
-        )
+        samples = shock_polar(AIR, up, 3)
+        for s, sign in ((samples[0], -1.0), (samples[-1], 1.0)):
+            assert s.beta == pytest.approx(sign * math.acos(1.0 / 2.94), abs=1e-12)
 
     def test_monotone_structure(self):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-        samples = shock_polar(AIR, up, np.zeros(2), 801)
+        samples = shock_polar(AIR, up, 801)
         betas = np.array([s.beta for s in samples])
         rho = np.array([s.rho_d for s in samples])
         L = np.array([s.L_d for s in samples])
@@ -416,26 +414,39 @@ class TestShockPolar:
         assert np.argmax(rho) == len(samples) // 2
 
     def test_endpoints_vanish(self):
-        # the edge samples sit at L_un = 1 to rounding, at or below it in 64 of
-        # these 76: the branch of downstream_normal_mach for L_un <= 1, which
-        # wedge polar reaches
+        # the edge samples sit at L_un = M cos beta = 1 to rounding; where it
+        # rounds to 1 or below, the sample is the vanishing shock u = 0
         for gamma in GAMMAS:
             model = GasModel(gamma=gamma)
             for mach in (1.0001, 1.5, 2.94, 30.0) + ((1e4,) if gamma > 1.0 else ()):
                 for angle in (0.0, 2.5):
                     v = (mach * math.cos(angle), mach * math.sin(angle))
                     up = FlowState.from_model(model, 1.0, v)
-                    samples = shock_polar(model, up, np.zeros(2), 5)
+                    samples = shock_polar(model, up, 5)
                     for s in (samples[0], samples[-1]):
                         assert s.rho_d == pytest.approx(1.0, abs=1e-9)
                         assert np.allclose(s.downstream_v, up.v, rtol=0.0, atol=1e-9 * mach)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_normal_sample_is_the_strong_shock_at_tau_0(self, gamma):
+        # the polar and the deflection pair share one normal-shock root and one
+        # jump formula, so the sample at beta = 0 is that shock bit for bit
+        model = GasModel(gamma=gamma)
+        for mach in (1.0001, 1.5, 2.94, 10.0, 30.0):
+            for angle in (0.0, 2.5):
+                up = FlowState.from_model(model, 1.0, (mach * math.cos(angle), mach * math.sin(angle)))
+                s = shock_polar(model, up, 5)[2]
+                strong = deflection_solutions(model, up, 0.0).strong.downstream
+                assert s.beta == 0.0
+                assert (s.rho_d, s.c_d) == (strong.rho, strong.c), (mach, angle)
+                assert np.array_equal(s.downstream_v, strong.v), (mach, angle)
 
     def test_polar_bytes_matches_the_samples(self):
         # the estimate behind the polar_n preflight, against tracemalloc's peak
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
         tracemalloc.start()
         try:
-            samples = shock_polar(AIR, up, np.zeros(2), 401)
+            samples = shock_polar(AIR, up, 401)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -444,7 +455,7 @@ class TestShockPolar:
 
     def test_zdx_increasing_in_abs_beta(self):
         up = FlowState.from_model(AIR, 1.0, (3.0, 0.0))
-        samples = shock_polar(AIR, up, np.zeros(2), 401)
+        samples = shock_polar(AIR, up, 401)
         betas = np.array([s.beta for s in samples])
         zdx = np.array([s.downstream_v[0] for s in samples])
         half = betas >= 0
@@ -477,7 +488,7 @@ class TestDeflection:
             v = s.downstream.v
             ang = math.atan2(v[1], v[0])
             assert ang == pytest.approx(math.radians(10.0), abs=1e-10)
-        assert sols.weak.admissible and sols.strong.admissible
+        assert sols.weak.lun >= 1.0 and sols.strong.lun >= 1.0
 
     def test_above_critical_none(self):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
@@ -509,7 +520,9 @@ class TestDeflection:
             for s in (sols.weak, sols.strong):
                 v = s.downstream.v
                 assert abs(math.atan2(cross2(up.v, v), float(up.v @ v)) - math.radians(tau)) <= 4e-15
-            assert 0.0 < -sols.strong.beta < 1e-20
+            # the strong shock's normal lies clockwise of the stream
+            n = sols.strong.n
+            assert 0.0 < -math.atan2(cross2(up.v, n), float(up.v @ n)) < 1e-20
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("mach", [1.05, 1.5, 2.94, 5.0, 10.0])
@@ -664,7 +677,7 @@ class TestBracketedRoot:
     @given(st.floats(1.05, 20.0))
     def test_critical_angle_is_the_largest_deflection(self, mach):
         up = FlowState.from_model(AIR, 1.0, (mach, 0.0))
-        beta_max = polar_beta_max(AIR, up, np.zeros(2))
+        beta_max = math.acos(1.0 / mach)
         top = minimize_scalar(
             lambda b: -steady_deflection(AIR, up, b),
             bounds=(-beta_max, 0.0),

@@ -1,6 +1,7 @@
 """The package holds what the ``wedge`` commands run.  Every top-level
-function and class in src/wedgeflow is referenced by package code outside
-its own body; the oracles that only the tests read live under tests/."""
+function and class in src/wedgeflow, and every method and property of its
+classes, is referenced by package code outside its own body; the oracles
+that only the tests read live under tests/."""
 
 import ast
 from collections import Counter
@@ -13,6 +14,9 @@ ALLOWED = {
     "CompositeField": "perfbench's tracer wraps CompositeField.evaluate",
     "horizontal_downstream_shock": "perfbench's corner-family workload calls it",
 }
+ALLOWED_MEMBERS = {
+    "CompositeField.evaluate": "perfbench's tracer wraps it",
+}
 
 
 def _names(node) -> Counter:
@@ -24,9 +28,32 @@ def _names(node) -> Counter:
     )
 
 
-def test_every_top_level_name_is_referenced_by_the_package():
-    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+def _trees():
+    return [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+
+
+def _unreferenced(trees, defs) -> set:
+    """The qualified names of the defs whose name the package reads only
+    inside the def's own body."""
     used = sum((_names(t) for t in trees), Counter())
-    defs = [n for t in trees for n in t.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-    unreferenced = {d.name for d in defs if used[d.name] == _names(d)[d.name]}
-    assert unreferenced == set(ALLOWED)
+    return {name for name, d in defs if used[d.name] == _names(d)[d.name]}
+
+
+def test_every_top_level_name_is_referenced_by_the_package():
+    trees = _trees()
+    defs = [(n.name, n) for t in trees for n in t.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    assert _unreferenced(trees, defs) == set(ALLOWED)
+
+
+def test_every_method_and_property_is_referenced_by_the_package():
+    # dunder methods are called by the language, not by name
+    trees = _trees()
+    defs = [
+        (f"{c.name}.{m.name}", m)
+        for t in trees
+        for c in t.body
+        if isinstance(c, ast.ClassDef)
+        for m in c.body
+        if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+    ]
+    assert _unreferenced(trees, defs) == set(ALLOWED_MEMBERS)

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shock_oracles import resolve_oblique
 from wedgeflow import unsteady
 from wedgeflow.gas import GasModel, FlowState, VacuumError, WedgeError, pi_of_rho
 from wedgeflow.pattern import GeometryError, ProblemConfig
-from wedgeflow.shocks import resolve_oblique
 from wedgeflow.unsteady import (
     Grid,
     SimState,
