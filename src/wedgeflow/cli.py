@@ -5,8 +5,9 @@
 Commands: polar, pattern, simulate, elliptic, verify, sweep.  The config is
 flat ``key = value`` text with ``#`` comments; the wedge angle is given as
 ``tau_deg`` in degrees and stored in radians.  Exit codes: 0 success, 1
-solver non-convergence, 2 configuration error, 3 diagnostic FAIL under
---strict.  Every output file is written here.
+solver non-convergence or an output file that cannot be written, 2
+configuration error, 3 diagnostic FAIL under --strict.  Every output file
+is written here.
 The WEDGE_THREADS environment variable caps the sweep worker count.
 """
 
@@ -76,8 +77,6 @@ class RunConfig:
             raise ConfigError("either (M_I, tau_deg) or M_I_y is required")
         return ProblemConfig(
             model=self.model(),
-            rho_I=self.rho_I,
-            c_I=self.c_I,
             M_I=self.M_I,
             tau=self.tau,
             MIy=self.M_I_y,
@@ -137,10 +136,14 @@ def parse_config(path=None, text=None) -> RunConfig:
     ConfigError naming the key."""
     raw = {}
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
-        text = p.read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     if text:
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -510,15 +513,13 @@ def dispatch(argv=None) -> int:
     parser.add_argument("--strict", action="store_true", help="exit 3 on diagnostic FAIL")
     args = parser.parse_args(argv)
 
+    out = Path(args.out)
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {_one_line(exc)}", file=sys.stderr)
-        return 2
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: cannot make the output directory ({exc.strerror})") from None
         return COMMANDS[args.command](cfg, out, args.strict)
     except ConfigError as exc:
         print(f"config error: {_one_line(exc)}", file=sys.stderr)
@@ -529,6 +530,10 @@ def dispatch(argv=None) -> int:
     except MemoryError as exc:
         # an allocation no preflight estimate caught
         print(f"solver failure (MemoryError): {_one_line(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an output file that cannot be written; the error names it
+        print(f"output error ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
         return 1
 
 

@@ -59,7 +59,7 @@ def _spacing(sol: EllipticSolution) -> float:
 
 def ellipticity_report(sol: EllipticSolution):
     """Interior pseudo-Mach bound: L^2 < 1 - eps + grid_tol away from the arcs."""
-    eps = sol.pattern.epsilon
+    eps = sol.pattern.config.epsilon
     f = sol.fields()
     h = _spacing(sol)
     grid_tol = C_GRID * h
@@ -230,7 +230,7 @@ def velocity_and_normal_ranges(sol: EllipticSolution):
     """Horizontal-velocity window, shock-normal window, admissibility, and
     the above-the-corner-chord property."""
     pattern = sol.pattern
-    eps = pattern.epsilon
+    eps = pattern.config.epsilon
     c_r = pattern.state_R.c
     f = sol.fields()
     m = sol.mapping
@@ -354,7 +354,7 @@ def arc_profile(sol: EllipticSolution, side: str):
     pattern = sol.pattern
     model = pattern.config.model
     gamma = model.gamma
-    eps = pattern.epsilon
+    eps = pattern.config.epsilon
     f = sol.fields()
     m = sol.mapping
     h_grid = _spacing(sol)

@@ -199,8 +199,6 @@ class GridMapping:
         self.pattern = pattern
         self.shock = shock
         self.lattice = lattice
-        self.r_l = pattern.arc_L.radius
-        self.r_r = pattern.arc_R.radius
         S, Z = lattice.S, lattice.Z
         s_v = shock.value(S)
         sp = shock.deriv(S, 1)
@@ -271,10 +269,6 @@ class GridMapping:
         self.hxy = hess_coeffs(qx, qy)
         self.hyy = hess_coeffs(qy, qy)
 
-    def gradient(self, u):
-        us, uz = self.lattice.derivatives(u)[:2]
-        return self.sig_x * us + self.zet_x * uz, self.sig_y * us + self.zet_y * uz
-
     def hessian_terms(self, u):
         """(u_x, u_y, u_xx, u_xy, u_yy) from one product D u: the gradient at
         every node, the Hessian entries at the interior nodes (edges meaningless)."""
@@ -300,7 +294,7 @@ class GridMapping:
         eta = np.asarray(eta, dtype=float)
         # every level arc is at least as tall as the lower of the two arcs;
         # heights outside [0, min radius) are tested at eta = 0 and stay outside
-        inside = (eta >= 0.0) & (eta < min(self.r_l, self.r_r))
+        inside = (eta >= 0.0) & (eta < min(self.pattern.arc_L.radius, self.pattern.arc_R.radius))
         eta_in = np.where(inside, eta, 0.0)
         x0, x1 = (level_arc(self.pattern, sig, eta_in)[0] for sig in (0.0, 1.0))
         inside &= (xi >= x0) & (xi <= x1)
@@ -427,7 +421,6 @@ class EllipticSolution:
     config: EllipticConfig
     mapping: GridMapping
     psi: np.ndarray
-    shock: ShockCurve
     converged: bool
     residual_history: list
 
@@ -435,7 +428,7 @@ class EllipticSolution:
         """Nodal (rho, vx, vy, L2, chi) derived from psi on the mapping."""
         model = self.pattern.config.model
         m = self.mapping
-        vx, vy = m.gradient(self.psi)
+        vx, vy = m.hessian_terms(self.psi)[:2]
         chi = self.psi - 0.5 * (m.xi**2 + m.eta**2)
         zx, zy = vx - m.xi, vy - m.eta
         arg = -chi - 0.5 * (zx**2 + zy**2)
@@ -474,7 +467,7 @@ def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
     and of the mass flux.
     """
     gamma = model.gamma
-    eps = pattern.epsilon
+    eps = pattern.config.epsilon
     c_r = pattern.state_R.c
     rho_I = pattern.state_I.rho
     v_I = pattern.state_I.v
@@ -718,7 +711,7 @@ def _true_residuals(pattern, mapping, psi):
         pattern.config.model, pattern, mapping, chi, psi
     )
     L2 = z2 / c2
-    target = 1.0 - pattern.epsilon
+    target = 1.0 - pattern.config.epsilon
     return {
         "r_interior": float(np.max(np.abs(interior))),
         "r_arcL": float(np.max(np.abs(L2[1:, 0] - target))),
@@ -751,7 +744,7 @@ def iterate(
     before it, never below tol_inner, since a tighter inner solve is lost
     on a shock that is still that far off.
     """
-    if pattern.epsilon <= 0.0:
+    if pattern.config.epsilon <= 0.0:
         raise ValueError("the free-boundary solve needs epsilon > 0")
     lattice = Lattice(config.lattice_n)
     shock = shock0 or chord_shock(pattern, lattice)
@@ -818,7 +811,6 @@ def iterate(
         config=config,
         mapping=mapping,
         psi=psi,
-        shock=shock,
         converged=converged,
         residual_history=history,
     )

@@ -47,15 +47,14 @@ class SupersonicityViolation(WedgeError, ValueError):
 class ProblemConfig:
     """Upstream data plus the two pattern parameters.
 
-    Either MIy (wall-normal upstream Mach, negative) or the original-picture
-    pair (M_I, tau) must be given.  eta_L_star goes with MIy and defaults to
-    the R-shock height (straight-shock pattern); the wedge pair fixes the L
-    shock as its tip shock.
+    Exactly one of MIy (wall-normal upstream Mach, negative) and the
+    original-picture pair (M_I, tau) must be given.  eta_L_star goes with MIy
+    and defaults to the R-shock height (straight-shock pattern); the wedge
+    pair fixes the L shock as its tip shock.  The upstream density and sound
+    speed are the gas model's reference values rho0 and c0.
     """
 
     model: GasModel
-    rho_I: float = 1.0
-    c_I: float = 1.0
     MIy: float | None = None
     M_I: float | None = None
     tau: float | None = None
@@ -63,12 +62,12 @@ class ProblemConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        if self.rho_I <= 0 or self.c_I <= 0:
-            raise ValueError("upstream density and sound speed must be positive")
         if not 0.0 <= self.epsilon <= 0.25:
             raise ValueError(f"epsilon must lie in [0, 0.25], got {self.epsilon}")
         if self.MIy is None and (self.M_I is None or self.tau is None):
             raise ValueError("either MIy or the pair (M_I, tau) is required")
+        if self.MIy is not None and (self.M_I is not None or self.tau is not None):
+            raise ValueError("MIy and the wedge pair (M_I, tau) both given; give one or the other")
         if self.MIy is not None and self.MIy >= 0:
             raise ValueError(f"MIy must be negative (flow onto the wall), got {self.MIy}")
         if self.tau is not None and not 0.0 < self.tau < 0.5 * math.pi:
@@ -77,12 +76,6 @@ class ProblemConfig:
             raise ValueError(f"M_I must exceed 1, got {self.M_I}")
         if self.eta_L_star is not None and (self.M_I is not None or self.tau is not None):
             raise ValueError("eta_L_star and the wedge pair (M_I, tau) both given; eta_L_star goes with MIy")
-        c_model = float(self.model.sound_speed(self.rho_I))
-        if abs(c_model - self.c_I) > 1e-12 * self.c_I:
-            raise ValueError(
-                f"c_I = {self.c_I} inconsistent with the gas model: "
-                f"sound_speed(rho_I) = {c_model}"
-            )
 
     @property
     def miy(self) -> float:
@@ -92,13 +85,13 @@ class ProblemConfig:
         return -self.M_I * math.sin(self.tau)
 
     def upstream(self) -> FlowState:
-        return FlowState.from_model(self.model, self.rho_I, (0.0, self.miy * self.c_I))
+        return FlowState.from_model(self.model, self.model.rho0, (0.0, self.miy * self.model.c0))
 
     def upstream_original(self) -> FlowState:
         """The incoming state of the original picture: speed M_I c_I along the xi axis."""
-        if self.M_I is None or self.tau is None:
+        if self.tau is None:
             raise GeometryError("the original picture needs the wedge pair (M_I, tau)")
-        return FlowState.from_model(self.model, self.rho_I, (self.M_I * self.c_I, 0.0))
+        return FlowState.from_model(self.model, self.model.rho0, (self.M_I * self.model.c0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -116,9 +109,6 @@ class Arc:
             [self.center[0] + self.radius * np.cos(angle), self.center[1] + self.radius * np.sin(angle)],
             axis=-1,
         )
-
-    def tangent(self, angle) -> np.ndarray:
-        return np.array([-math.sin(angle), math.cos(angle)])
 
 
 @dataclass(frozen=True)
@@ -140,7 +130,6 @@ class WavePattern:
     xi_BR: np.ndarray
     arc_L: Arc
     arc_R: Arc
-    epsilon: float
     # wall speed of the original picture, |v_R| there; infinite for the
     # unperturbed pattern whose corner sits at xi = -infinity
     wall_speed: float
@@ -159,12 +148,12 @@ class WavePattern:
         """Wedge angle of the original picture."""
         if not math.isfinite(self.wall_speed):
             raise GeometryError("unperturbed pattern has no original picture (tip at -infinity)")
-        return math.atan2(-self.config.miy * self.config.c_I, self.wall_speed)
+        return math.atan2(-self.config.miy * self.config.model.c0, self.wall_speed)
 
     @property
     def M_I(self) -> float:
-        vy = self.config.miy * self.config.c_I
-        return math.hypot(self.wall_speed, vy) / self.config.c_I
+        c0 = self.config.model.c0
+        return math.hypot(self.wall_speed, self.config.miy * c0) / c0
 
     def to_original(self, w):
         """Standard to original coordinates: the wedge tip (-wall_speed, 0)
@@ -177,12 +166,6 @@ class WavePattern:
         x = w[..., 0] + self.wall_speed
         y = w[..., 1]
         return np.stack([c * x - s * y, s * x + c * y], axis=-1)
-
-
-def _sonic_pair(model, sol, epsilon):
-    """Sonic points ordered left-to-right; the left one faces the wedge tip."""
-    a, b = sonic_points(model, sol, epsilon)
-    return (a, b) if a[0] <= b[0] else (b, a)
 
 
 def build(
@@ -210,7 +193,7 @@ def build(
         raise GeometryError(
             f"R shock has L_dn = {shock_R.ldn}; needs < sqrt(1-eps) for sonic corners"
         )
-    _, xi_R_star = _sonic_pair(model, shock_R, config.epsilon)
+    _, xi_R_star = sonic_points(shock_R, config.epsilon)
 
     if config.tau is not None:
         u, cos_b, sin_b = _tip_tilt(config)
@@ -223,7 +206,7 @@ def build(
         u, cos_b, sin_b = _tilt_from_eta_L(config, upstream, u_R, target, shock_R)
     beta = math.atan2(sin_b, cos_b)
     eta0_L, shock_L = _horizontal_member(upstream, model.gamma, u, cos_b, sin_b)
-    xi_L_star, _ = _sonic_pair(model, shock_L, config.epsilon)
+    xi_L_star, _ = sonic_points(shock_L, config.epsilon)
     eta_L_star = float(xi_L_star[1])
     if eta_L_star <= 0.0:
         raise SupersonicityViolation(
@@ -269,7 +252,6 @@ def build(
         xi_BR=np.array([state_R.c, 0.0]),
         arc_L=arc_L,
         arc_R=arc_R,
-        epsilon=config.epsilon,
         wall_speed=wall_speed,
     )
     if validate_supersonic and beta > 1e-14 and pattern.mach_L <= 1.0:
@@ -336,8 +318,6 @@ def _tip_tilt(config):
     rounding.  A tilt at rounding level would put the tip at xi = -infinity
     and raises GeometryError.
     """
-    if config.M_I is None:
-        raise GeometryError("the tip shock needs the wedge pair (M_I, tau)")
     polar = _SteadyPolar(config.model.gamma, config.M_I)
     r_weak, _ = polar.roots(config.tau, strong=False)
     if r_weak is None:
@@ -371,5 +351,5 @@ def separation_check(pattern: WavePattern) -> float:
     """
     v_I = pattern.state_I.v
     return (
-        _dist_point_segment(v_I, pattern.xi_L_star, pattern.xi_R_star) - pattern.config.c_I
+        _dist_point_segment(v_I, pattern.xi_L_star, pattern.xi_R_star) - pattern.config.model.c0
     )

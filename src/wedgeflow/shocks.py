@@ -460,11 +460,14 @@ def horizontal_downstream_shock(model: GasModel, upstream: FlowState, beta: floa
     return _horizontal_member(upstream, model.gamma, u, cos_b, math.sin(beta))
 
 
-def sonic_points(model: GasModel, s: ShockSolution, epsilon: float):
-    """The two shock points where the downstream pseudo-Mach equals sqrt(1-eps).
+def sonic_points(s: ShockSolution, epsilon: float):
+    """The two shock points where the downstream pseudo-Mach equals sqrt(1-eps),
+    in the order -tangent, +tangent.
 
     Valid for a straight shock with constant downstream data.  The points
-    are symmetric about the pseudo-normal point.
+    are symmetric about the pseudo-normal point.  For a family member, with
+    downstream normal (sin b, -cos b) and |b| < pi/2, the tangent has a
+    positive xi component, so the left point (the wedge tip's side) comes first.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")

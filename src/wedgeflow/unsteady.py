@@ -54,14 +54,14 @@ class ShockFitError(WedgeError, ArithmeticError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform square-cell grid; cells with center below the wedge face are solid.
+    """Uniform square-cell grid with its bottom row on the wall (y = 0); cells
+    with center below the wedge face are solid.
 
     The static geometry is built once, at construction: the read-only solid
     mask and the wall-ghost stencil that ``step`` reads.
     """
 
     x0: float
-    y0: float
     spacing: float
     nx: int
     ny: int
@@ -78,7 +78,7 @@ class Grid:
 
     def centers(self):
         x = self.x0 + (np.arange(self.nx) + 0.5) * self.spacing
-        y = self.y0 + (np.arange(self.ny) + 0.5) * self.spacing
+        y = (np.arange(self.ny) + 0.5) * self.spacing
         return x, y
 
     def solid_mask(self):
@@ -94,7 +94,7 @@ class SimState:
     vy: np.ndarray
 
 
-def init(model: GasModel, upstream: FlowState, grid: Grid) -> SimState:
+def init(upstream: FlowState, grid: Grid) -> SimState:
     shape = (grid.ny, grid.nx)
     return SimState(
         t=0.0,
@@ -137,7 +137,7 @@ class _WallGhosts:
         # bilinear stencil of the mirror points, restricted to fluid cells:
         # weights of solid stencil members are dropped and renormalized
         fi = np.clip((pm[:, 0] - grid.x0) / grid.spacing - 0.5, 0.0, grid.nx - 1.0)
-        fj = np.clip((pm[:, 1] - grid.y0) / grid.spacing - 0.5, 0.0, grid.ny - 1.0)
+        fj = np.clip(pm[:, 1] / grid.spacing - 0.5, 0.0, grid.ny - 1.0)
         i0 = np.clip(np.floor(fi).astype(int), 0, grid.nx - 2)
         j0 = np.clip(np.floor(fj).astype(int), 0, grid.ny - 2)
         di, dj = fi - i0, fj - j0
@@ -426,7 +426,7 @@ def sample_self_similar(
     XX, YY = np.meshgrid(xi_x * state.t, xi_y * state.t)
     h = grid.spacing
     fi = (XX - grid.x0) / h - 0.5
-    fj = (YY - grid.y0) / h - 0.5
+    fj = YY / h - 0.5
     inside = (fi >= 0) & (fi <= grid.nx - 1) & (fj >= 0) & (fj <= grid.ny - 1)
     rho = bilinear(state.rho, fi, fj)
     vx = bilinear(state.vx, fi, fj)
@@ -504,9 +504,9 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
 
     x_min, x_max, y_max = config.box
     h, _, ny = _grid_shape(config)
-    grid = Grid(x0=x_min, y0=0.0, spacing=h, nx=config.grid_n, ny=ny, tau=problem.tau)
+    grid = Grid(x0=x_min, spacing=h, nx=config.grid_n, ny=ny, tau=problem.tau)
 
-    state = init(model, upstream_orig, grid)
+    state = init(upstream_orig, grid)
     t_half = 0.5 * config.t_final
     margin = 1.5 * h / t_half
     xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)

@@ -389,8 +389,8 @@ def corner_sensitivity(pattern) -> CornerSensitivity:
     dropped)."""
     model = pattern.config.model
     gamma = model.gamma
-    eps = pattern.epsilon
-    c_u = pattern.config.c_I
+    eps = pattern.config.epsilon
+    c_u = pattern.config.model.c0
     v_uy = float(pattern.state_I.v[1])
     c_r = pattern.state_R.c
     r = math.sqrt(1.0 - eps) * c_r
@@ -440,7 +440,7 @@ def corner_state_direct(pattern, eta: float):
     Solved for the normal angle with a bracketed root; returns the profile
     variables (p, h) and the downstream velocity for finite differencing.
     """
-    target = math.sqrt(1.0 - pattern.epsilon)
+    target = math.sqrt(1.0 - pattern.config.epsilon)
     r = target * pattern.state_R.c
     xi_pt = np.array([math.sqrt(r**2 - eta**2), eta])
 
@@ -467,7 +467,7 @@ def corner_sensitivity_fd(pattern):
     the expected height eta_R_star, with step 1e-6 c_R."""
     model = pattern.config.model
     gamma = model.gamma
-    eps = pattern.epsilon
+    eps = pattern.config.epsilon
     c_r = pattern.state_R.c
     r = math.sqrt(1.0 - eps) * c_r
     eta = pattern.eta_R_star

@@ -274,7 +274,7 @@ def test_criterion_elliptic_fixed_point(desk_solutions):
     pat0 = build(ProblemConfig(model=ISO, MIy=-2.0, epsilon=0.04))
     shock0 = bumped(chord_shock(pat0, Lattice(32)), 0.01 * pat0.state_R.c)
     sol0 = iterate(pat0, EllipticConfig(lattice_n=32), shock0=shock0)
-    recover = float(np.max(np.abs(sol0.shock.s - pat0.eta_R_star)))
+    recover = float(np.max(np.abs(sol0.mapping.shock.s - pat0.eta_R_star)))
     unpert_ok = sol0.converged and recover < 1e-6
 
     details = [f"unperturbed recovery {recover:.2e} < 1e-6"]

@@ -510,10 +510,44 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1
         assert "grid_n" in err
 
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert dispatch(["pattern", "--config", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: config file {tmp_path}: ")
+        assert not out.exists()
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_bytes(CASE12.encode() + "# caf\u00e9\n".encode("latin-1"))
+        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: config file {f}: not UTF-8")
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12)
+        assert dispatch(["pattern", "--config", str(f), "--out", str(f)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: --out {f}: ")
+
+    def test_unwritable_output_file_exit_1(self, tmp_path, capsys):
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12)
+        (tmp_path / "pattern.csv").mkdir()
+        assert dispatch(["pattern", "--config", str(f), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("output error (IsADirectoryError): ")
+        assert str(tmp_path / "pattern.csv") in err[0]
+
 
 def test_write_field_csv_matches_cell_loop(tmp_path):
     # more fluid cells than one 4096-cell block of the writer
-    g = unsteady.Grid(x0=-0.5, y0=0.0, spacing=0.01, nx=150, ny=40, tau=math.radians(10))
+    g = unsteady.Grid(x0=-0.5, spacing=0.01, nx=150, ny=40, tau=math.radians(10))
     rng = np.random.default_rng(3)
     state = unsteady.SimState(t=0.5, rho=rng.random((40, 150)), vx=rng.random((40, 150)),
                               vy=rng.standard_normal((40, 150)))

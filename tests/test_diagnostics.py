@@ -55,7 +55,7 @@ class TestEllipticity:
 
     def test_unperturbed_L2_attained_only_on_arcs(self, unpert_solution):
         sol = unpert_solution
-        eps = sol.pattern.epsilon
+        eps = sol.pattern.config.epsilon
         f = sol.fields()
         assert np.max(f["L2"][:, 1:-1]) < 1.0 - eps
         assert np.max(np.abs(f["L2"][:, 0] - (1 - eps))) < 1e-8

@@ -162,7 +162,7 @@ class TestMapping:
     def test_gradient_second_order_for_linear(self, case12_pattern):
         def worst(n):
             m = chord_mapping(case12_pattern, n)
-            gx, gy = m.gradient(0.4 * m.xi + 1.3 * m.eta)
+            gx, gy = m.hessian_terms(0.4 * m.xi + 1.3 * m.eta)[:2]
             return max(np.max(np.abs(gx - 0.4)), np.max(np.abs(gy - 1.3)))
 
         e32, e64 = worst(32), worst(64)
@@ -210,7 +210,7 @@ class TestMapping:
             assert np.max(np.abs(sig - bisect_sigma(m, xi, eta))) <= 1e-13
         # above the shock, beyond either arc and above the lower arc top
         d = 0.05 * p.state_R.c
-        top = min(m.r_l, m.r_r)
+        top = min(p.arc_L.radius, p.arc_R.radius)
         xi = np.concatenate([m.xi[-1, 1:-1], m.xi[1:-1, 0] - d, m.xi[1:-1, -1] + d, m.xi[0, 1:-1]])
         eta = np.concatenate([
             m.eta[-1, 1:-1] + d, m.eta[1:-1, 0], m.eta[1:-1, -1], np.full(m.lattice.nodes.size - 2, 1.01 * top),
@@ -245,19 +245,19 @@ class TestInitialGuess:
         p = case12_pattern
         m = chord_mapping(p, 32)
         psi = initial_guess(p, m)
-        _, gy = m.gradient(psi)
+        _, gy = m.hessian_terms(psi)[:2]
         assert np.max(np.abs(gy[0, :])) < 2e-5
         # for the unperturbed pattern the guess is constant: exactly zero
         p0 = unpert_pattern
         m0 = chord_mapping(p0, 24)
-        _, gy0 = m0.gradient(initial_guess(p0, m0))
+        _, gy0 = m0.hessian_terms(initial_guess(p0, m0))[:2]
         assert np.max(np.abs(gy0[0, :])) < 1e-12
 
     def test_guess_subsonic_interior_case12(self, case12_pattern):
         p = case12_pattern
         m = chord_mapping(p, 48)
         psi = initial_guess(p, m)
-        vx, vy = m.gradient(psi)
+        vx, vy = m.hessian_terms(psi)[:2]
         chi = psi - 0.5 * (m.xi**2 + m.eta**2)
         zx, zy = vx - m.xi, vy - m.eta
         arg = -chi - 0.5 * (zx**2 + zy**2)
@@ -321,7 +321,7 @@ class TestInnerSolve:
             sol = iterate(p, EllipticConfig(lattice_n=n))
             fine = build_mapping(p, ShockCurve(
                 sigma=np.linspace(0, 1, 97),
-                s=sol.shock.value(np.linspace(0, 1, 97)),
+                s=sol.mapping.shock.value(np.linspace(0, 1, 97)),
             ), Lattice(96))
             sp = RectBivariateSpline(sol.mapping.lattice.nodes, sol.mapping.lattice.nodes, sol.psi, kx=3, ky=3)
             psi_f = sp(fine.lattice.nodes, fine.lattice.nodes)
@@ -402,7 +402,7 @@ class TestIterate:
         shock0 = bumped(chord_shock(p, Lattice(32)), 0.01 * p.state_R.c)
         sol = iterate(p, cfg, shock0=shock0)
         assert sol.converged
-        assert np.max(np.abs(sol.shock.s - p.eta_R_star)) < 1e-6
+        assert np.max(np.abs(sol.mapping.shock.s - p.eta_R_star)) < 1e-6
 
     def test_factorization_carried_across_outer_iterations(self, case12_pattern, splu_calls):
         sol = iterate(case12_pattern, EllipticConfig(lattice_n=48))
@@ -413,7 +413,7 @@ class TestIterate:
         sol, p = case12_solution, case12_pattern
         assert sol.converged
         assert sol.residual_history[-1]["combined"] < 1e-6
-        eps = p.epsilon
+        eps = p.config.epsilon
         c_r = p.state_R.c
         assert np.hypot(*(sol.corner_L - p.xi_L_star)) < 3 * math.sqrt(eps) * c_r
         assert np.hypot(*(sol.corner_R - p.xi_R_star)) < 3 * math.sqrt(eps) * c_r
@@ -466,7 +466,7 @@ class TestIterate:
         assert sol.converged
         f = sol.fields()
         assert f["rho"].min() > p.state_I.rho
-        assert np.max(f["L2"][1:-1, 1:-1]) < 1.0 - p.epsilon
+        assert np.max(f["L2"][1:-1, 1:-1]) < 1.0 - p.config.epsilon
 
     def test_separation_flag_marks_unsupported_case(self):
         # small |M_I^y| with a low corner violates the corner-chord

@@ -12,7 +12,6 @@ from wedgeflow.pattern import (
     ProblemConfig,
     WavePattern,
     _sonic_height,
-    _sonic_pair,
     _tip_tilt,
     build,
     separation_check,
@@ -24,6 +23,7 @@ from wedgeflow.shocks import (
     _family_spread,
     critical_angle,
     horizontal_downstream_shock,
+    sonic_points,
 )
 from wedgeflow.cli import dispatch
 
@@ -34,7 +34,7 @@ CASE_12 = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.0
 
 
 def assert_pattern_invariants(p: WavePattern):
-    eps = p.epsilon
+    eps = p.config.epsilon
     # R state at rest, arc_R centered at the origin
     assert np.allclose(p.state_R.v, 0.0, atol=1e-10)
     assert np.allclose(p.arc_R.center, 0.0)
@@ -56,10 +56,8 @@ def assert_pattern_invariants(p: WavePattern):
         r = np.hypot(*(corner - arc.center))
         assert abs(r - math.sqrt(1 - eps) * c) < 1e-12 * c
     # arc/shock transversality at the corners
-    tR = p.arc_R.tangent(p.arc_R.angle_hi)
-    assert abs(cross2(p.shock_R.tangent, tR)) > 1e-3
-    tL = p.arc_L.tangent(p.arc_L.angle_lo)
-    assert abs(cross2(p.shock_L.tangent, tL)) > 1e-3
+    for shock, angle in ((p.shock_R, p.arc_R.angle_hi), (p.shock_L, p.arc_L.angle_lo)):
+        assert abs(cross2(shock.tangent, (-math.sin(angle), math.cos(angle)))) > 1e-3
 
 
 class TestBuild:
@@ -135,7 +133,7 @@ class TestBuild:
         for t in [*ts, t_top]:
             height, _, cos_b, sin_b = _sonic_height(cfg, up, u_R, float(t))
             beta = math.atan2(sin_b, cos_b)
-            point = _sonic_pair(model, horizontal_downstream_shock(model, up, beta)[1], 0.01)[0]
+            point = sonic_points(horizontal_downstream_shock(model, up, beta)[1], 0.01)[0]
             assert abs(height - point[1]) <= 1e-14 * eta_R
         assert beta > top  # the tilt bracket spans [0, top]
 
@@ -220,9 +218,20 @@ class TestBuild:
         assert count["evals"] <= 36 * len(taus)
 
     def test_wedge_pair_needs_the_mach_number(self):
-        # M_I_y with tau alone is a valid config, but the tip shock needs M_I
-        with pytest.raises(GeometryError):
-            build(ProblemConfig(model=AIR, MIy=-2.0, tau=0.1))
+        # M_I_y poses the standard picture; any part of the wedge pair next
+        # to it is a second parameterization of the same upstream state
+        for pair in ({"tau": 0.1}, {"M_I": 3.0}, {"M_I": 3.0, "tau": 0.1}):
+            with pytest.raises(ValueError, match=r"MIy and the wedge pair \(M_I, tau\)"):
+                ProblemConfig(model=AIR, MIy=-2.0, **pair)
+
+    def test_upstream_state_is_the_gas_reference_state(self):
+        model = GasModel(gamma=1.4, rho0=2.0, c0=1.5)
+        p = build(ProblemConfig(model=model, M_I=2.94, tau=math.radians(10.0), epsilon=0.01))
+        assert p.state_I.rho == 2.0
+        assert p.state_I.c == 1.5
+        assert p.config.upstream_original().v.tolist() == [2.94 * 1.5, 0.0]
+        assert p.M_I == pytest.approx(2.94, rel=1e-12)
+        assert p.tau == pytest.approx(math.radians(10.0), rel=1e-12)
 
     def test_eta_L_star_with_the_wedge_pair_rejected(self):
         # the wedge pair fixes the L shock as its tip shock; eta_L_star would

@@ -610,14 +610,14 @@ class TestSonicPoints:
 
     def test_symmetric_about_pseudo_normal_point(self):
         sol, _ = self._r_shock(AIR)
-        a, b = sonic_points(AIR, sol, 0.01)
+        a, b = sonic_points(sol, 0.01)
         xm = sol.pseudo_normal_point()
         assert np.hypot(*(a - xm)) == pytest.approx(np.hypot(*(b - xm)), rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.0, 0.01, 0.04])
     def test_pseudo_mach_at_points(self, eps):
         sol, _ = self._r_shock(AIR)
-        a, b = sonic_points(AIR, sol, eps)
+        a, b = sonic_points(sol, eps)
         psi_d, _ = constant_state_potential(AIR, sol.downstream.rho, sol.downstream.v)
         for pt in (a, b):
             chi = psi_d(pt) - 0.5 * pt @ pt
@@ -634,7 +634,7 @@ class TestSonicPoints:
         sol, _ = self._r_shock(AIR)
         eps_too_big = 1.0 - sol.ldn**2 + 1e-6
         with pytest.raises(NoSonicIntersection):
-            sonic_points(AIR, sol, eps_too_big)
+            sonic_points(sol, eps_too_big)
 
 
 # monotone test functions with the root r: f(x; r, k)

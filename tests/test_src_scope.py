@@ -1,7 +1,11 @@
 """The package holds what the ``wedge`` commands run.  Every top-level
 function and class in src/wedgeflow, and every method and property of its
 classes, is referenced by package code outside its own body; the oracles
-that only the tests read live under tests/."""
+that only the tests read live under tests/.
+
+The guard counts names, not bindings: a member whose name another
+referenced member shares passes unseen.  Arc.tangent, read only by a test,
+passed because ShockSolution.tangent is read in the package."""
 
 import ast
 from collections import Counter

@@ -23,7 +23,7 @@ AIR = GasModel(gamma=1.4)
 
 
 def flat_grid(nx=64, ny=8, h=0.02, x0=0.0):
-    return Grid(x0=x0, y0=0.0, spacing=h, nx=nx, ny=ny, tau=0.0)
+    return Grid(x0=x0, spacing=h, nx=nx, ny=ny, tau=0.0)
 
 
 def total_mass(grid, state):
@@ -42,7 +42,7 @@ class TestInit:
     def test_uniform_state(self):
         up = FlowState.from_model(AIR, 1.2, (2.0, 0.0))
         g = flat_grid()
-        s = init(AIR, up, g)
+        s = init(up, g)
         assert np.all(s.rho == 1.2)
         assert np.all(s.vx == 2.0)
         assert np.all(s.vy == 0.0)
@@ -51,26 +51,26 @@ class TestInit:
     def test_total_mass_exact(self):
         up = FlowState.from_model(AIR, 1.2, (2.0, 0.0))
         g = flat_grid()
-        s = init(AIR, up, g)
+        s = init(up, g)
         fluid_area = g.nx * g.ny * g.spacing**2
         assert total_mass(g, s) == pytest.approx(1.2 * fluid_area, rel=1e-14)
 
     def test_wedge_mask(self):
-        g = Grid(x0=-0.5, y0=0.0, spacing=0.1, nx=20, ny=10, tau=math.radians(30))
+        g = Grid(x0=-0.5, spacing=0.1, nx=20, ny=10, tau=math.radians(30))
         solid = g.solid_mask()
         x, y = g.centers()
         assert not solid[:, x < 0].any()
         assert solid[0, -1]  # bottom-right cell is inside the wedge
 
     def test_solid_mask_read_only(self):
-        g = Grid(x0=-0.5, y0=0.0, spacing=0.1, nx=20, ny=10, tau=math.radians(30))
+        g = Grid(x0=-0.5, spacing=0.1, nx=20, ny=10, tau=math.radians(30))
         with pytest.raises(ValueError):
             g.solid_mask()[0, -1] = False
 
     def test_flat_wall_constant_state_is_exact(self):
         up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
         g = flat_grid()
-        s = init(AIR, up, g)
+        s = init(up, g)
         s2 = step(AIR, g, s, up)
         assert np.max(np.abs(s2.rho - 1.0)) < 1e-14
         assert np.max(np.abs(s2.vx - 2.0)) < 1e-14
@@ -80,8 +80,8 @@ class TestInit:
 class TestStep:
     def test_cfl_step_is_stable_dt_cut_at_t_stop(self):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-        g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
-        s = init(AIR, up, g)
+        g = Grid(x0=-0.4, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
+        s = init(up, g)
         assert step(AIR, g, s, up, cfl=0.3).t == stable_dt(AIR, g, s, 0.3)
         assert step(AIR, g, s, up, cfl=0.3, t_stop=1e-4).t == 1e-4
 
@@ -89,7 +89,7 @@ class TestStep:
         # the NaN reaches the CFL bound before any density
         up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
         g = flat_grid()
-        s = init(AIR, up, g)
+        s = init(up, g)
         s.vy[0, 5] = math.nan
         with pytest.raises(WedgeError, match=r"nan .*cell \(i=5, j=0\), t = ") as exc:
             step(AIR, g, s, up)
@@ -97,9 +97,9 @@ class TestStep:
 
     def test_step_evaluates_each_closure_once(self, monkeypatch):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-        g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
+        g = Grid(x0=-0.4, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
         assert g.solid_mask().any()
-        s = init(AIR, up, g)
+        s = init(up, g)
         calls = dict.fromkeys(("sound_speed", "pi_of_rho", "solid_mask"), 0)
 
         def counted(name, fn):
@@ -120,8 +120,8 @@ class TestStep:
         # step, whose states and CFL step are step's bit for bit
         cfg = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-        g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=cfg.tau)
-        s = init(AIR, up, g)
+        g = Grid(x0=-0.4, spacing=0.05, nx=60, ny=30, tau=cfg.tau)
+        s = init(up, g)
         for _ in range(25):
             m0 = total_mass(g, s)
             _, inflow = _ref_step(AIR, g, s, up)
@@ -136,7 +136,7 @@ class TestStep:
         sol = resolve_oblique(AIR, up, (sigma, 0.0), (1.0, 0.0))
         g = flat_grid(nx=400, ny=6, h=0.01)
         x, _ = g.centers()
-        s = init(AIR, up, g)
+        s = init(up, g)
         s.t = 1.0
         xs0 = sigma * s.t
         right = x >= xs0
@@ -170,7 +170,7 @@ class TestStep:
         x, _ = g.centers()
 
         def setup(up, down_v, down_rho, xs):
-            s = init(AIR, up, g)
+            s = init(up, g)
             s.t = 1.0
             right = x >= xs
             s.rho[:, right] = down_rho
@@ -198,8 +198,8 @@ class TestStep:
     def test_irrotational_in_smooth_regions(self):
         cfg = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-        g = Grid(x0=-0.6, y0=0.0, spacing=0.04, nx=100, ny=50, tau=cfg.tau)
-        s = init(AIR, up, g)
+        g = Grid(x0=-0.6, spacing=0.04, nx=100, ny=50, tau=cfg.tau)
+        s = init(up, g)
         for _ in range(60):
             s = step(AIR, g, s, up)
         curl = discrete_curl(g, s)
@@ -249,8 +249,8 @@ class TestWorkspace:
             snaps.append(SimState(state.t, state.rho.copy(), state.vx.copy(), state.vy.copy()))
 
         res = run(cfg, on_snapshot=keep)
-        up = FlowState.from_model(AIR, problem.rho_I, (problem.M_I * problem.c_I, 0.0))
-        s, steps, ref_snaps = init(AIR, up, res.grid), 0, []
+        up = FlowState.from_model(AIR, AIR.rho0, (problem.M_I * AIR.c0, 0.0))
+        s, steps, ref_snaps = init(up, res.grid), 0, []
         for target in (0.5 * cfg.t_final, cfg.t_final):
             while s.t < target - 1e-14:
                 s = step(AIR, res.grid, s, up, cfl=cfg.cfl, t_stop=target)
@@ -353,8 +353,8 @@ class TestStepMatchesReference:
 
     def wedge_case(self):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-        g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
-        return up, g, init(AIR, up, g)
+        g = Grid(x0=-0.4, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
+        return up, g, init(up, g)
 
     def test_wedge_inflow_top_cfl_step(self):
         up, g, s = self.wedge_case()
@@ -368,7 +368,7 @@ class TestStepMatchesReference:
         up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
         sol = resolve_oblique(AIR, up, (0.8, 0.0), (1.0, 0.0))
         g = flat_grid(nx=120, ny=6, h=0.01)
-        s = init(AIR, up, g)
+        s = init(up, g)
         s.t = 1.0
         right = g.centers()[0] >= 0.6
         s.rho[:, right] = sol.downstream.rho
@@ -419,7 +419,7 @@ class TestActiveRows:
     def test_flat_strip_outflow_top_steps_like_reference(self):
         up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
         g = flat_grid(nx=40, ny=12)
-        s = init(AIR, up, g)
+        s = init(up, g)
         s.rho[2, 10] = 1.1
         assert g._ghosts.top == -1
         assert unsteady._active_rows(g, s, up) == 4
@@ -427,8 +427,8 @@ class TestActiveRows:
 
     def test_ghosts_up_to_the_top_row_give_the_full_grid(self):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-        g = Grid(x0=-0.4, y0=0.0, spacing=0.05, nx=60, ny=30, tau=math.radians(40.0))
-        s = init(AIR, up, g)
+        g = Grid(x0=-0.4, spacing=0.05, nx=60, ny=30, tau=math.radians(40.0))
+        s = init(up, g)
         assert g._ghosts.top == g.ny - 1
         assert unsteady._active_rows(g, s, up) == g.ny
         self.march_like_reference(up, g, s)
@@ -464,8 +464,8 @@ class TestSampling:
         problem = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
         cfg = UnsteadyConfig(problem=problem, grid_n=40, sample_nx=400)
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
-        g = Grid(x0=-0.6, y0=0.0, spacing=5.4 / 40, nx=40, ny=19, tau=problem.tau)
-        s = init(AIR, up, g)
+        g = Grid(x0=-0.6, spacing=5.4 / 40, nx=40, ny=19, tau=problem.tau)
+        s = init(up, g)
         s.t = 1.0
         xi_x = np.linspace(-0.5, 4.7, cfg.sample_nx)
         xi_y = np.linspace(0.05, 2.5, unsteady._sample_rows(cfg))
@@ -482,7 +482,7 @@ class TestSampling:
     def test_identical_states_zero_defect(self):
         up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
         g = flat_grid()
-        s = init(AIR, up, g)
+        s = init(up, g)
         s.t = 1.0
         xi = np.linspace(0.1, 1.0, 20)
         f1 = sample_self_similar(AIR, g, s, xi, xi[:8])
@@ -496,7 +496,7 @@ class TestSampling:
         x, y = g.centers()
 
         def make(t):
-            s = init(AIR, up, g)
+            s = init(up, g)
             s.t = t
             s.rho = 1.0 + 0.3 * np.tanh((x[None, :] / t - 0.9) / 0.2) * np.ones((g.ny, 1))
             return s
