@@ -41,6 +41,9 @@ class GasModel:
     c0: float = 1.0
 
     def __post_init__(self):
+        for name in ("gamma", "rho0", "c0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma < 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if self.rho0 <= 0.0 or self.c0 <= 0.0:

@@ -16,22 +16,22 @@ cells with mirror-reflected ghost states; outer boundaries are upstream
 Dirichlet (left, top) and zero-gradient outflow (right).  The bottom row of
 the box is the upstream wall (slip via mirror).
 
-A step allocates nothing the size of the grid but the results of the two gas
-closures.  ``run`` hands every step one ``_Workspace``: flat padded arrays,
-face and flux-sum buffers, and two state sets that the steps write into in
-turn.  In the flat padded layout (rows of nx + 2 cells, one ghost layer
-round the window) the faces between cells k and k + 1 (x) and k and
-k + nx + 2 (y) are contiguous slices, so the fluxes and their sums per cell
-are formed by 1-D array operations.
+A step updates its state in place and allocates nothing the size of the
+grid but the results of the two gas closures.  ``run`` hands every step one
+``_Workspace``: flat padded arrays and face and flux-sum buffers.  In the
+flat padded layout (rows of nx + 2 cells, one ghost layer round the window)
+the faces between cells k and k + 1 (x) and k and k + nx + 2 (y) are
+contiguous slices, so the fluxes and their sums per cell are formed by 1-D
+array operations.
 
 A step updates only the rows the wedge has disturbed.  A cell whose four
 neighbours hold its own state bit for bit has two equal flux pairs, so its
 increment is exactly 0 and the update returns it unchanged; ahead of the
 tip shock the upstream state therefore survives bit for bit.  Each step
 finds the highest row, above the wall ghosts, whose bits differ from the
-upstream state, marches the rows up to the one above it as a grid that
-ends there, and copies the rest (``_active_rows``).  The fields and the
-time step are bit for bit those of the full-grid update.
+upstream state, and marches the rows up to the one above it as a grid that
+ends there (``_active_rows``).  The fields and the time step are bit for
+bit those of the full-grid update.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ RHO_FLOOR_FACTOR = 1e-10
 
 class ShockFitError(WedgeError, ArithmeticError):
     """Too few shock-front crossings to fit the tip-shock angle."""
+
+
+class SamplingError(WedgeError, ValueError):
+    """Two self-similar samplings share no valid point to compare."""
 
 
 @dataclass(frozen=True)
@@ -209,8 +213,7 @@ class _Workspace:
     The padded arrays are flat, (W + 2) * (nx + 2) values for a window of W
     rows, so the faces between flat cells k and k + 1 (x) and k and
     k + nx + 2 (y) are contiguous slices; the faces that straddle a row end
-    join two border ghosts and are never read.  The two state sets take the
-    steps' results in turn.
+    join two border ghosts and are never read.
     """
 
     def __init__(self, grid: Grid):
@@ -218,19 +221,10 @@ class _Workspace:
         self.rho, self.vx, self.vy, self.sx, self.sy = (np.empty((grid.ny + 2) * S) for _ in range(5))
         self.ha, self.d = np.empty((grid.ny + 1) * S), np.empty((grid.ny + 1) * S)
         self.sums = tuple(np.empty(grid.ny * S) for _ in range(3))  # the flux sums of rho, vx, vy
-        self.sets = tuple(tuple(np.empty((grid.ny, grid.nx)) for _ in range(3)) for _ in range(2))
         self.fluid = ~grid._solid
         fluid_p = np.zeros((grid.ny + 2, grid.nx + 2), dtype=bool)
         fluid_p[1:-1, 1:-1] = self.fluid
         self.fluid_p = fluid_p.reshape(-1)  # the fluid cells in the flat padded layout
-
-    def free_set(self, state: SimState):
-        """The state set that holds none of state's arrays."""
-        olds = (state.rho, state.vx, state.vy)
-        first, second = self.sets
-        if any(np.may_share_memory(a, b) for a in first for b in olds):
-            return second
-        return first
 
 
 def _grid_shape(config: "UnsteadyConfig"):
@@ -242,18 +236,19 @@ def _grid_shape(config: "UnsteadyConfig"):
 
 def march_bytes(config: "UnsteadyConfig") -> int:
     """Bytes of the grid-sized arrays a march holds at its peak: the
-    workspace's buffers in the padded layout above, the first state, the
-    results of a step's two gas closures, and the boolean masks (solid,
-    fluid, wall ghosts, active rows)."""
+    workspace's buffers in the padded layout above, the state, the results
+    of a step's two gas closures, the boolean masks (solid, fluid, wall
+    ghosts, active rows), and NumPy's iteration buffer, which the update
+    takes for its strided flux sums."""
     _, nx, ny = _grid_shape(config)
     S = nx + 2
     padded, cells = (ny + 2) * S, ny * nx
-    floats = 7 * padded + 2 * (ny + 1) * S + 3 * ny * S + 9 * cells
+    floats = 7 * padded + 2 * (ny + 1) * S + 3 * ny * S + 3 * cells + np.getbufsize()
     return 8 * floats + padded + 4 * cells
 
 
 def _active_rows(grid: Grid, state: SimState, upstream: FlowState) -> int:
-    """W: a step updates rows 0..W-1 and copies the rows above.
+    """W: a step updates rows 0..W-1 and leaves the rows above as they are.
 
     J is the highest row holding a value whose bits differ from the upstream
     state's (a NaN, or -0.0 in place of 0.0, counts as differing), and never
@@ -286,29 +281,27 @@ def step(
     grid: Grid,
     state: SimState,
     upstream: FlowState,
+    workspace: _Workspace,
     cfl: float = CFL_DEFAULT,
     top_bc: str = "inflow",
     t_stop: float = math.inf,
-    workspace: _Workspace | None = None,
-):
-    """One explicit finite-volume update by the CFL step
+) -> None:
+    """Advance state in place by one explicit finite-volume update: its three
+    fields and t.  The step is the CFL step
     cfl * h / (max(|vx| + c) + max(|vy| + c)), maxima over the fluid cells,
     shortened so that the step ends no later than t_stop; a wave speed that is
     not finite raises VacuumError naming its cell and the start time.
 
     The left boundary is upstream inflow; top_bc is "inflow" too (the
     wedge-problem default) or "outflow" (zero gradient, for quasi-1D test strips).
-    The update works on the rows below ``_active_rows`` as on a grid that
-    ends there, and the new state copies the rows above: bit for bit the
-    full-grid update.
-
-    The new state's arrays belong to ``workspace`` (a fresh one when None):
-    the next step with it writes into the set the input state does not use,
-    so the step after that overwrites them.  The input state is never written.
+    The update writes the fluid cells of the rows below ``_active_rows`` as
+    on a grid that ends there; solid cells and the rows above keep their
+    bytes, which is bit for bit the full-grid update.  ``workspace`` is
+    ``_Workspace(grid)``, the step's buffers.  A VacuumError from the CFL bound
+    leaves state unchanged; one from the density floor leaves it updated.
     """
-    ws = _Workspace(grid) if workspace is None else workspace
+    ws = workspace
     W = _active_rows(grid, state, upstream)
-    solid = grid._solid[:W]
     fluid = ws.fluid[:W]
     h = grid.spacing
     S = grid.nx + 2  # the padded row length
@@ -349,11 +342,10 @@ def step(
         )
     dt = min(cfl * h / speeds, t_stop - state.t)
 
-    # old - lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid, summed in the
+    # old -= lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid, summed in the
     # flat layout: entry q of a sum is the padded cell S + 1 + q, whose x faces
     # are entries q and q + 1 of the x pass and whose y faces are entries
-    # 1 + q and S + 1 + q of the y pass.  Solid cells and the rows above the
-    # window keep old.  c's array takes the mass flux
+    # 1 + q and S + 1 + q of the y pass.  c's array takes the mass flux
     n = W * S - 2  # from the first interior cell of the window to its last
     sums = [a[:n] for a in ws.sums]
     for a, f in zip(sums, _llf(rho, B, sx, vx, vy, c, S, (W + 1) * S, 1, ws.ha, ws.d)):
@@ -363,27 +355,20 @@ def step(
         a += f[S + 1 : S + 1 + n]
         a -= f[1 : 1 + n]
     lam = dt / h
-    news = ws.free_set(state)
-    for new, a, old in zip(news, ws.sums, olds):
+    for a, old in zip(ws.sums, olds):
         a[:n] *= lam
-        d = new[:W]
-        np.copyto(d, a[: W * S].reshape(W, S)[:, : S - 2])
-        np.subtract(old[:W], d, out=d)
-        np.copyto(d, old[:W], where=solid)
-        new[W:] = old[W:]
+        np.subtract(old[:W], a[: W * S].reshape(W, S)[:, : S - 2], out=old[:W], where=fluid)
+    state.t += dt
 
     # written so that a NaN density fails it too; argmin finds a NaN first.
     # The rows above the window hold the upstream density
-    rho_new, vx_new, vy_new = news
     floor = RHO_FLOOR_FACTOR * upstream.rho
-    if not np.all(rho_new[:W] > floor, where=fluid):
-        j, i = np.unravel_index(int(np.argmin(np.where(fluid, rho_new[:W], np.inf))), fluid.shape)
+    if not np.all(state.rho[:W] > floor, where=fluid):
+        j, i = np.unravel_index(int(np.argmin(np.where(fluid, state.rho[:W], np.inf))), fluid.shape)
         raise VacuumError(
-            f"density {rho_new[j, i]} not above the floor {floor} at cell (i={i}, j={j}), "
-            f"t = {state.t + dt}"
+            f"density {state.rho[j, i]} not above the floor {floor} at cell (i={i}, j={j}), "
+            f"t = {state.t}"
         )
-
-    return SimState(t=state.t + dt, rho=rho_new, vx=vx_new, vy=vy_new)
 
 
 @dataclass
@@ -446,6 +431,11 @@ def self_similarity_defect(f1: SelfSimilarField, f2: SelfSimilarField) -> float:
     if f1.rho.shape != f2.rho.shape:
         raise ValueError("fields must share the sampling grid")
     m = f1.valid & f2.valid
+    if not m.any():
+        raise SamplingError(
+            f"the samplings at t = {f1.t:g} and t = {f2.t:g} share no valid point in the xi window "
+            f"x {f1.xi_x[0]:.4g} to {f1.xi_x[-1]:.4g}, y {f1.xi_y[0]:.4g} to {f1.xi_y[-1]:.4g}"
+        )
     num = (
         np.sum(np.abs(f1.rho[m] - f2.rho[m]))
         + np.sum(np.abs(f1.vx[m] - f2.vx[m]))
@@ -494,8 +484,8 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
     """March the wedge problem to t_final and sample at t_final/2 and t_final.
 
     Every ``snapshot_every`` steps ``on_snapshot(grid, state)`` is called with
-    a state whose arrays the march reuses two steps later: a caller copies
-    what it keeps.
+    the march's own state, which the next step updates in place: a caller
+    copies what it keeps.
     """
     problem = config.problem
     upstream_orig = problem.upstream_original()
@@ -515,9 +505,7 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
     steps, samples = 0, []
     for target in (t_half, config.t_final):
         while state.t < target - 1e-14:
-            state = step(
-                model, grid, state, upstream_orig, cfl=config.cfl, t_stop=target, workspace=workspace
-            )
+            step(model, grid, state, upstream_orig, workspace, cfl=config.cfl, t_stop=target)
             steps += 1
             if on_snapshot and config.snapshot_every and steps % config.snapshot_every == 0:
                 on_snapshot(grid, state)

@@ -249,7 +249,7 @@ class TestDispatch:
 
 class TestErrorContract:
     def test_every_package_error_derives_from_wedge_error(self):
-        assert len(PACKAGE_ERRORS) == 14
+        assert len(PACKAGE_ERRORS) == 15
         for exc_type in PACKAGE_ERRORS:
             assert issubclass(exc_type, wedgeflow.WedgeError)
 
@@ -273,6 +273,18 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "ShockFitError" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_sampling_window_exit_1(self, tmp_path, capsys):
+        # the xi window stays 1.5 cells at t_final / 2 inside the box; a box
+        # 0.3 high with h = 0.135 leaves it no row, so the defect has no point
+        f = tmp_path / "wedge.cfg"
+        f.write_text(CASE12 + "grid_n = 40\nbox_y_max = 0.3\nt_final = 0.2\n")
+        assert dispatch(["simulate", "--config", str(f), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("solver failure (SamplingError): ")
+        assert "share no valid point in the xi window" in err[0]
 
     def test_coarse_simulate_leaves_all_files(self, tmp_path):
         f = tmp_path / "wedge.cfg"

@@ -39,6 +39,14 @@ def test_pressure_and_pi_reference_identities():
         assert pi_of_rho(model, model.rho0) == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["gamma", "rho0", "c0"])
+def test_non_finite_model_parameter_rejected(name, value):
+    # GasModel(1.4, c0=inf) once built a pattern whose eta_R* was nan
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        GasModel(**{"gamma": 1.4, name: value})
+
+
 def test_nonpositive_density_rejected():
     with pytest.raises(VacuumError):
         pi_of_rho(AIR, 0.0)

@@ -26,6 +26,10 @@ def flat_grid(nx=64, ny=8, h=0.02, x0=0.0):
     return Grid(x0=x0, spacing=h, nx=nx, ny=ny, tau=0.0)
 
 
+def copied(state):
+    return SimState(state.t, state.rho.copy(), state.vx.copy(), state.vy.copy())
+
+
 def total_mass(grid, state):
     return float(np.sum(state.rho[~grid.solid_mask()])) * grid.spacing**2
 
@@ -71,19 +75,24 @@ class TestInit:
         up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
         g = flat_grid()
         s = init(up, g)
-        s2 = step(AIR, g, s, up)
-        assert np.max(np.abs(s2.rho - 1.0)) < 1e-14
-        assert np.max(np.abs(s2.vx - 2.0)) < 1e-14
-        assert np.max(np.abs(s2.vy)) < 1e-14
+        step(AIR, g, s, up, unsteady._Workspace(g))
+        assert np.max(np.abs(s.rho - 1.0)) < 1e-14
+        assert np.max(np.abs(s.vx - 2.0)) < 1e-14
+        assert np.max(np.abs(s.vy)) < 1e-14
 
 
 class TestStep:
     def test_cfl_step_is_stable_dt_cut_at_t_stop(self):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
         g = Grid(x0=-0.4, spacing=0.05, nx=60, ny=30, tau=math.radians(10.0))
+        ws = unsteady._Workspace(g)
         s = init(up, g)
-        assert step(AIR, g, s, up, cfl=0.3).t == stable_dt(AIR, g, s, 0.3)
-        assert step(AIR, g, s, up, cfl=0.3, t_stop=1e-4).t == 1e-4
+        dt = stable_dt(AIR, g, s, 0.3)
+        step(AIR, g, s, up, ws, cfl=0.3)
+        assert s.t == dt
+        s = init(up, g)
+        step(AIR, g, s, up, ws, cfl=0.3, t_stop=1e-4)
+        assert s.t == 1e-4
 
     def test_nan_names_the_cell(self):
         # the NaN reaches the CFL bound before any density
@@ -92,7 +101,7 @@ class TestStep:
         s = init(up, g)
         s.vy[0, 5] = math.nan
         with pytest.raises(WedgeError, match=r"nan .*cell \(i=5, j=0\), t = ") as exc:
-            step(AIR, g, s, up)
+            step(AIR, g, s, up, unsteady._Workspace(g))
         assert str(exc.value).endswith("t = 0.0")
 
     def test_step_evaluates_each_closure_once(self, monkeypatch):
@@ -112,7 +121,7 @@ class TestStep:
         monkeypatch.setattr(GasModel, "sound_speed", counted("sound_speed", GasModel.sound_speed))
         monkeypatch.setattr(unsteady, "pi_of_rho", counted("pi_of_rho", unsteady.pi_of_rho))
         monkeypatch.setattr(Grid, "solid_mask", counted("solid_mask", Grid.solid_mask))
-        step(AIR, g, s, up)
+        step(AIR, g, s, up, unsteady._Workspace(g))
         assert calls == {"sound_speed": 1, "pi_of_rho": 1, "solid_mask": 0}
 
     def test_mass_conservation_against_boundary_flux(self):
@@ -121,11 +130,11 @@ class TestStep:
         cfg = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
         g = Grid(x0=-0.4, spacing=0.05, nx=60, ny=30, tau=cfg.tau)
-        s = init(up, g)
+        s, ws = init(up, g), unsteady._Workspace(g)
         for _ in range(25):
             m0 = total_mass(g, s)
             _, inflow = _ref_step(AIR, g, s, up)
-            s = step(AIR, g, s, up)
+            step(AIR, g, s, up, ws)
             m1 = total_mass(g, s)
             assert m1 - m0 == pytest.approx(inflow, rel=1e-10, abs=1e-14)
 
@@ -153,11 +162,12 @@ class TestStep:
             return x[k - 1] + f * g.spacing
 
         # let the discrete shock profile form, then clock it over 100 steps
+        ws = unsteady._Workspace(g)
         for _ in range(100):
-            s = step(AIR, g, s, up, top_bc="outflow")
+            step(AIR, g, s, up, ws, top_bc="outflow")
         p0, t0 = shock_pos(s), s.t
         for _ in range(100):
-            s = step(AIR, g, s, up, top_bc="outflow")
+            step(AIR, g, s, up, ws, top_bc="outflow")
         speed = (shock_pos(s) - p0) / (s.t - t0)
         assert speed == pytest.approx(sigma, rel=0.02)
 
@@ -181,9 +191,10 @@ class TestStep:
         sb = setup(up_b, sol_a.downstream.v[0] + v0, sol_a.downstream.rho, sigma + v0)
         # one fixed step in both frames: t_stop ends it, below the CFL bound at cfl 1
         dt = min(stable_dt(AIR, g, sa), stable_dt(AIR, g, sb))
+        ws = unsteady._Workspace(g)
         for _ in range(120):
-            sa = step(AIR, g, sa, up_a, cfl=1.0, top_bc="outflow", t_stop=sa.t + dt)
-            sb = step(AIR, g, sb, up_b, cfl=1.0, top_bc="outflow", t_stop=sb.t + dt)
+            step(AIR, g, sa, up_a, ws, cfl=1.0, top_bc="outflow", t_stop=sa.t + dt)
+            step(AIR, g, sb, up_b, ws, cfl=1.0, top_bc="outflow", t_stop=sb.t + dt)
             assert sa.t == sb.t
         xi = np.linspace(0.5, 2.2, 150)
         y = np.array([0.03])
@@ -199,9 +210,9 @@ class TestStep:
         cfg = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
         g = Grid(x0=-0.6, spacing=0.04, nx=100, ny=50, tau=cfg.tau)
-        s = init(up, g)
+        s, ws = init(up, g), unsteady._Workspace(g)
         for _ in range(60):
-            s = step(AIR, g, s, up)
+            step(AIR, g, s, up, ws)
         curl = discrete_curl(g, s)
         # quiescent upstream quarter of the box, away from wall and shocks
         sub = curl[30:, :20]
@@ -209,18 +220,18 @@ class TestStep:
 
 
 class TestWorkspace:
-    """``run`` hands one workspace to every step; the steps write their
-    states into its two sets in turn."""
+    """``run`` hands one workspace to every step; the steps update the state
+    in place."""
 
     def test_step_allocates_nothing_grid_sized(self):
         up, g, s = TestStepMatchesReference().wedge_case()
         ws = unsteady._Workspace(g)
         for _ in range(20):
-            s = step(AIR, g, s, up, workspace=ws)
+            step(AIR, g, s, up, ws)
         tracemalloc.start()
         try:
             for _ in range(5):
-                s = step(AIR, g, s, up, workspace=ws)
+                step(AIR, g, s, up, ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,35 +239,58 @@ class TestWorkspace:
         padded = (g.ny + 2) * (g.nx + 2) * 8
         assert peak < 4 * padded
 
-    def test_step_leaves_its_input_unchanged(self):
+    def test_step_writes_only_the_fluid_cells_of_its_window(self):
         up, g, s = TestStepMatchesReference().wedge_case()
         ws = unsteady._Workspace(g)
         for _ in range(3):
-            s = step(AIR, g, s, up, workspace=ws)
-        kept = [a.copy() for a in (s.rho, s.vx, s.vy)]
-        new = step(AIR, g, s, up, workspace=ws)
-        for a, b in zip((s.rho, s.vx, s.vy), kept):
-            assert a.tobytes() == b.tobytes()
-        for a in (new.rho, new.vx, new.vy):
-            assert not any(np.may_share_memory(a, b) for b in (s.rho, s.vx, s.vy))
+            step(AIR, g, s, up, ws)
+        W = unsteady._active_rows(g, s, up)
+        window_fluid = np.zeros((g.ny, g.nx), dtype=bool)
+        window_fluid[:W] = ~g.solid_mask()[:W]
+        assert W < g.ny and g.solid_mask()[:W].any()
+        arrays = (s.rho, s.vx, s.vy)
+        kept = [a.copy() for a in arrays]
+        t0 = s.t
+        assert step(AIR, g, s, up, ws) is None
+        assert s.t > t0
+        for name, a, b in zip(("rho", "vx", "vy"), arrays, kept):
+            assert getattr(s, name) is a  # updated in place
+            assert a[~window_fluid].tobytes() == b[~window_fluid].tobytes(), name
+            assert (a[window_fluid] != b[window_fluid]).any(), name
+
+    @pytest.mark.parametrize("grid_n", [100, 200])
+    def test_march_bytes_matches_the_march(self, grid_n):
+        # the estimate behind the grid_n preflight, against tracemalloc's peak
+        # over a desk march with a sampling too small to count
+        problem = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
+        cfg = UnsteadyConfig(problem=problem, grid_n=grid_n, sample_nx=2)
+        assert unsteady.sample_bytes(cfg) < 0.01 * unsteady.march_bytes(cfg)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak == pytest.approx(unsteady.march_bytes(cfg), rel=0.1)
 
     def test_run_marches_like_steps_without_a_workspace(self):
         problem = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
         cfg = UnsteadyConfig(problem=problem, grid_n=100, t_final=1.0, snapshot_every=50)
         snaps = []
 
-        def keep(grid, state):  # the march reuses the state's arrays
-            snaps.append(SimState(state.t, state.rho.copy(), state.vx.copy(), state.vy.copy()))
+        def keep(grid, state):  # the march updates the state in place
+            snaps.append(copied(state))
 
         res = run(cfg, on_snapshot=keep)
         up = FlowState.from_model(AIR, AIR.rho0, (problem.M_I * AIR.c0, 0.0))
         s, steps, ref_snaps = init(up, res.grid), 0, []
+        ws = unsteady._Workspace(res.grid)
         for target in (0.5 * cfg.t_final, cfg.t_final):
             while s.t < target - 1e-14:
-                s = step(AIR, res.grid, s, up, cfl=cfg.cfl, t_stop=target)
+                step(AIR, res.grid, s, up, ws, cfl=cfg.cfl, t_stop=target)
                 steps += 1
                 if steps % cfg.snapshot_every == 0:
-                    ref_snaps.append(s)
+                    ref_snaps.append(copied(s))
         assert steps == res.steps and len(snaps) == len(ref_snaps) == steps // 50 > 0
         for a, b in zip([*snaps, res.final], [*ref_snaps, s]):
             TestActiveRows.assert_same_bytes(a, b)
@@ -358,9 +392,9 @@ class TestStepMatchesReference:
 
     def test_wedge_inflow_top_cfl_step(self):
         up, g, s = self.wedge_case()
-        ref = s
+        ref, ws = copied(s), unsteady._Workspace(g)
         for _ in range(self.STEPS):
-            s = step(AIR, g, s, up)
+            step(AIR, g, s, up, ws)
             ref, _ = _ref_step(AIR, g, ref, up)
             self.assert_same(s, ref)
 
@@ -375,9 +409,9 @@ class TestStepMatchesReference:
         s.vx[:, right] = sol.downstream.v[0]
         s.vy[:, right] = 0.01  # v_y jumps across x faces: a nonzero tangential flux
         dt = 0.5 * stable_dt(AIR, g, s)
-        ref = s
+        ref, ws = copied(s), unsteady._Workspace(g)
         for _ in range(self.STEPS):
-            s = step(AIR, g, s, up, top_bc="outflow", t_stop=s.t + dt)
+            step(AIR, g, s, up, ws, top_bc="outflow", t_stop=s.t + dt)
             ref, _ = _ref_step(AIR, g, ref, up, dt=(ref.t + dt) - ref.t, top_bc="outflow")
             self.assert_same(s, ref)
 
@@ -395,9 +429,9 @@ class TestActiveRows:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     def march_like_reference(self, up, g, s, top_bc="inflow"):
-        ref = s
+        ref, ws = copied(s), unsteady._Workspace(g)
         for _ in range(self.STEPS):
-            s = step(AIR, g, s, up, top_bc=top_bc)
+            step(AIR, g, s, up, ws, top_bc=top_bc)
             ref, _ = _ref_step(AIR, g, ref, up, top_bc=top_bc)
             self.assert_same_bytes(s, ref)
 
@@ -437,7 +471,7 @@ class TestActiveRows:
         up, g, s = TestStepMatchesReference().wedge_case()
         s.vx[-1, 0] = math.nan
         with pytest.raises(VacuumError, match=r"nan .*cell \(i=0, j=29\)"):
-            step(AIR, g, s, up)
+            step(AIR, g, s, up, unsteady._Workspace(g))
 
     def test_window_starts_small_and_grows_to_the_full_grid(self, monkeypatch):
         up, g, s = TestStepMatchesReference().wedge_case()
@@ -451,8 +485,9 @@ class TestActiveRows:
             return sound_speed(model, rho)
 
         monkeypatch.setattr(GasModel, "sound_speed", recording)
+        ws = unsteady._Workspace(g)
         for _ in range(TestStepMatchesReference.STEPS):
-            s = step(AIR, g, s, up)
+            step(AIR, g, s, up, ws)
         assert rows[0] == first
         assert rows[-1] == g.ny
 
