@@ -57,10 +57,8 @@ class RunConfig:
     box_y_max: float = 2.6
     # elliptic numerics
     lattice_n: int = 48
-    tol_inner: float = 1e-10
     tol_outer: float = 1e-6
-    omega_relax: float = 0.5
-    max_outer: int = 120
+    max_outer: int = 120  # accepted Newton steps
     # sweep / verification
     eps_list: tuple = (0.04, 0.01, 0.0025)
     lattice_list: tuple = (48,)
@@ -91,11 +89,7 @@ class RunConfig:
             raise ConfigError(f"epsilon = {self.epsilon}: the elliptic solve needs epsilon > 0")
         _check_memory(f"lattice_n = {self.lattice_n}", lattice_bytes(self.lattice_n), "the solve")
         return EllipticConfig(
-            lattice_n=self.lattice_n,
-            tol_inner=self.tol_inner,
-            tol_outer=self.tol_outer,
-            omega_relax=self.omega_relax,
-            max_outer=self.max_outer,
+            lattice_n=self.lattice_n, tol_outer=self.tol_outer, max_outer=self.max_outer
         )
 
 
@@ -106,10 +100,6 @@ _RANGES = {
     "epsilon": (0.0, 0.25),
     "cfl": (1e-6, 0.999),
     "t_final": (1e-9, math.inf),
-    "omega_relax": (1e-3, 1.0),
-    # below about 1e-15 a Newton step relative to the potential scale stalls
-    # at rounding level before it reaches the tolerance
-    "tol_inner": (1e-14, 1.0),
     "tol_outer": (0.0, 1.0),
     "max_outer": (1, math.inf),
     "lattice_n": (8, math.inf),

@@ -5,52 +5,39 @@ mapped to the unit square by onion coordinates: level curves of sigma blend
 the two arc circles (centers and radii linear in sigma, see arc_blend), eta
 is preserved, and zeta = eta / s(sigma) scales the shock to zeta = 1.
 
-On that square the construction alternates two steps until the coupled
-residual settles:
+On that square one Newton solves the four conditions for the potential
+psi, with coefficients from its own chi = psi - |xi|^2/2:
 
-1. a fixed-boundary quasilinear solve for the potential psi_hat with
-   the old iterate frozen exactly where the split removes the zeroth-order
-   term of the arc condition:
+    interior:  ((c0^2 + (1-g)(chi + |grad chi|^2/2)) I
+                - grad chi grad chi^T) : Hess psi = 0
+    arcs:      |grad chi|^2/2 + (1-e)((g-1) chi - c0^2)/(g+1-e(g-1)) = 0
+    shock:     (rho grad chi - rho_I grad chi_I) . unit(v_I - grad psi) = 0
+    wall:      psi_eta = 0
 
-       interior:  ((c0^2 + (1-g)(chi_old + |grad chi_hat|^2/2)) I
-                   - grad chi_hat grad chi_hat^T) : Hess psi_hat = 0
-       arcs:      |grad chi_hat|^2/2
-                   + (1-e)((g-1) chi_old - c0^2)/(g+1-e(g-1)) = 0
-       shock:     (rho_hat grad chi_hat - rho_I grad chi_I)
-                   . unit(v_I - grad psi_hat) = 0
-       wall:      psi_hat_eta = 0
-
-2. a shock update from the potential-matching condition
-   s_target(sigma) = (psi_hat(sigma, 1) - psi_I(0)) / v_I^y.  The pair
-   (s, psi) moves by Anderson mixing (Walker and Ni, SIAM J. Numer. Anal.
-   49 (2011)) of its last few updates (s_target - s, psi_hat - psi) with
-   weight omega_relax, which is plain under-relaxation without a history.
-
-At a fixed point the four conditions hold with chi_hat = chi_old, which is
-the self-similar potential flow problem with L^2 = 1 - eps on the arcs.
+which is the self-similar potential flow problem with L^2 = 1 - eps on the
+arcs.  The shock is no separate unknown: at every iterate its heights are
+s(sigma) = (psi(sigma, 1) - psi_I(0)) / v_I^y, so the potential-matching
+condition holds exactly and the mapping follows psi's top row.
 
 Each solve builds one Lattice, whose sparse matrix D stacks every
-difference stencil, and shares it among its mappings.  Step 1 is chord
-Newton on the exact Jacobian of the split residual: the residual kernel
+difference stencil, and shares it among its mappings.  The residual kernel
 (_conditions) reads its derivatives from D psi and also yields per-node
-coefficients W of the same stencils, so the Jacobian is W D.  Its sparse
-LU, ordered by minimum degree on A^T + A with diagonal pivots, carries over
-from one outer iteration to the next.  Each inner solve stops at
-INNER_FORCING times the previous shock update, never below tol_inner (the
-forcing term of inexact Newton, Eisenstat and Walker, SIAM J. Sci. Comput.
-17 (1996)).
+coefficients W of the same stencils, so on a fixed mapping the Jacobian is
+W D.  Node (j, i) reads the shock only through (s_i, s'_i, s''_i) of the
+not-a-knot spline; with the N node slopes as extra unknowns and their
+slope equations, those columns stay sparse too (_jacobian).  The sparse LU
+of the whole matrix, ordered by minimum degree on A^T + A with diagonal
+pivots, is kept over the steps it contracts (the chord method).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .gas import WedgeError, constant_state_potential, pi_inverse
@@ -84,11 +71,7 @@ class ShockCurve:
     def __post_init__(self):
         if np.any(self.s[1:-1] <= 0.0):
             raise MappingError("shock height must stay positive over the wall")
-
-    @cached_property
-    def _spline(self):
-        # built on first use: the shock update's target curve only lends its heights
-        return CubicSpline(self.sigma, self.s, bc_type="not-a-knot")
+        self._spline = CubicSpline(self.sigma, self.s, bc_type="not-a-knot")
 
     def value(self, sig):
         return self._spline(sig)
@@ -106,8 +89,9 @@ class Lattice:
     on psi.ravel() (sigma fastest) with integer weights, to be divided by
     its entry of scale.  The first differences are central inside and
     one-sided of second order at the edges.  The second differences act at
-    the interior nodes and the identity at the shock rows, the only rows
-    whose conditions read them; their other rows are empty.
+    the interior nodes, and the identity at every node but the open wall
+    row: those are the rows whose conditions read them.  Their other rows
+    are empty.
     """
 
     def __init__(self, lattice_n: int):
@@ -119,7 +103,7 @@ class Lattice:
         node = np.arange(N * N)
         j, i = np.divmod(node, N)
         inner = (0 < i) & (i < lattice_n) & (0 < j) & (j < lattice_n)
-        shock = (j == lattice_n) & (0 < i) & (i < lattice_n)
+        ident = (j > 0) | (i == 0) | (i == lattice_n)
 
         def first(t, step):
             lo, mid, hi = t == 0, (0 < t) & (t < lattice_n), t == lattice_n
@@ -133,7 +117,7 @@ class Lattice:
             return [(inner, step, 1), (inner, 0, -2), (inner, -step, 1)]
 
         cross = [(inner, N + 1, 1), (inner, N - 1, -1), (inner, 1 - N, -1), (inner, -1 - N, 1)]
-        ops = (first(i, 1), first(j, N), second(1), cross, second(N), [(shock, 0, 1)])
+        ops = (first(i, 1), first(j, N), second(1), cross, second(N), [(ident, 0, 1)])
         # row-major over (node, tap): each row keeps its taps in the order above,
         # so that D u adds them up as the written differences do
         data, cols, counts = [], [], []
@@ -148,7 +132,7 @@ class Lattice:
         self.D = csr_matrix((data, cols, indptr), shape=(6 * N * N, N * N))
 
     def derivatives(self, u):
-        """(u_s, u_z, u_ss, u_sz, u_zz, u at the shock rows), each shaped like u."""
+        """(u_s, u_z, u_ss, u_sz, u_zz, u off the open wall row), each shaped like u."""
         return (self.D @ u.ravel()).reshape((6,) + u.shape) / self.scale[:, None, None]
 
 
@@ -159,7 +143,7 @@ def lattice_bytes(lattice_n: int) -> int:
     4-byte column indices of its taps, 4-byte row pointers).  A lower bound:
     the Jacobian, its LU fill and the solve's temporaries are not counted."""
     N = lattice_n + 1
-    taps = 4 * N * N + 10 * (N - 2) ** 2
+    taps = 5 * N * N + 10 * (N - 2) ** 2
     return 8 * (2 + 22 + 6) * N * N + 12 * taps + 4 * 6 * N * N
 
 
@@ -200,9 +184,10 @@ class GridMapping:
         self.shock = shock
         self.lattice = lattice
         S, Z = lattice.S, lattice.Z
-        s_v = shock.value(S)
-        sp = shock.deriv(S, 1)
-        spp = shock.deriv(S, 2)
+        # the shock at the sigma nodes, broadcast over the zeta rows
+        s_v = shock.value(lattice.nodes)
+        sp = shock.deriv(lattice.nodes, 1)
+        spp = shock.deriv(lattice.nodes, 2)
         eta = Z * s_v
 
         (b, u, R), (bp, up, Rp) = arc_blend(pattern, S)
@@ -409,10 +394,8 @@ def initial_guess(pattern: WavePattern, mapping: GridMapping):
 @dataclass
 class EllipticConfig:
     lattice_n: int  # lattice cells per direction
-    tol_inner: float = 1e-10
     tol_outer: float = 1e-6
-    omega_relax: float = 0.5
-    max_outer: int = 120
+    max_outer: int = 120  # accepted Newton steps
 
 
 @dataclass
@@ -446,25 +429,25 @@ class EllipticSolution:
         return self.mapping.corner("R")
 
 
-def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
-    """The four conditions at psi, block by block, each made dimensionless.
+def _conditions(model, pattern, mapping, psi, linearize=False):
+    """The four conditions at psi on mapping, block by block, each made
+    dimensionless.
 
-    chi_coef is the chi that sets the coefficients: the frozen chi_old of the
-    split problem, or chi of psi itself for the unsplit conditions.  Returns
-    (interior, arc, wall, shock, z2, c2, K): the interior operator at the
-    interior nodes, the arc condition at every node (its sigma = 0 and 1
+    Returns (interior, arc, wall, shock, z2, c2, K): the interior operator at
+    the interior nodes, the arc condition at every node (its sigma = 0 and 1
     columns are the arc rows), the wall and shock rows without their corner
-    nodes, |z|^2 and c^2 = c0^2 + (1-g)(chi_coef + |z|^2/2) at every node,
-    and K, None unless linearize is set.
+    nodes, |z|^2 and c^2 = c0^2 + (1-g)(chi + |z|^2/2) at every node, and K,
+    None unless linearize is set.
 
-    With linearize, K holds the derivative of the split residual (_residual)
-    with respect to psi, chi_coef frozen, as per-node coefficient fields of
+    With linearize, K holds the derivative of the residual (_residual) with
+    respect to psi on the fixed mapping, as per-node coefficient fields of
     the six operators stacked in Lattice.D, in their order (shape (6,) +
     psi.shape): the residual row at a node changes by sum_op K_op
-    D_op(delta psi) there.  Interior rows carry A : H plus the
-    derivative of A = c^2 I - z z^T through grad psi; arc rows z . grad;
-    wall rows d/dy; shock rows the derivatives of rho, of the unit normal
-    and of the mass flux.
+    D_op(delta psi) there.  Interior rows carry A : H plus the derivative
+    of A = c^2 I - z z^T through grad psi and through chi
+    (dc^2/dpsi = 1 - g); arc rows z . grad and the arc term's derivative in
+    chi; wall rows d/dy; shock rows the derivatives of rho, of the unit
+    normal and of the mass flux.
     """
     gamma = model.gamma
     eps = pattern.config.epsilon
@@ -474,9 +457,10 @@ def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
 
     vx, vy, hxx, hxy, hyy = mapping.hessian_terms(psi)
     xi, eta = mapping.xi, mapping.eta
+    chi = psi - 0.5 * (xi**2 + eta**2)
     zx, zy = vx - xi, vy - eta
     z2 = zx**2 + zy**2
-    c2 = model.c0**2 + (1.0 - gamma) * (chi_coef + 0.5 * z2)
+    c2 = model.c0**2 + (1.0 - gamma) * (chi + 0.5 * z2)
 
     Axx = c2 - zx * zx
     Axy = -zx * zy
@@ -487,19 +471,16 @@ def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
         + Ayy[1:-1, 1:-1] * hyy[1:-1, 1:-1]
     ) / c_r**2
 
-    # arcs: L^2 = 1 - eps solved for |z|^2/2, with chi_coef in c^2
-    arc_term = (1.0 - eps) * ((gamma - 1.0) * chi_coef - model.c0**2) / (
-        gamma + 1.0 - eps * (gamma - 1.0)
-    )
-    arc = (0.5 * z2 + arc_term) / c_r**2
+    # arcs: L^2 = 1 - eps solved for |z|^2/2
+    arc_den = gamma + 1.0 - eps * (gamma - 1.0)
+    arc = (0.5 * z2 + (1.0 - eps) * ((gamma - 1.0) * chi - model.c0**2) / arc_den) / c_r**2
 
     # wall: psi_eta = 0
     wall = vy[0, 1:-1] / c_r
 
     # shock: normal mass flux against the upstream state
     top = (-1, slice(1, -1))
-    chi = psi[top] - 0.5 * (xi[top] ** 2 + eta[top] ** 2)
-    raw = -chi - 0.5 * z2[top]
+    raw = -chi[top] - 0.5 * z2[top]
     arg = raw
     if not model.isothermal:
         arg = np.maximum(raw, -model.c0**2 / (gamma - 1.0) * 0.999999)
@@ -521,8 +502,8 @@ def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
         # coefficients of d_s and d_z for the row gx d/dx + gy d/dy
         return gx * sig_x + gy * sig_y, gx * zet_x + gy * zet_y
 
-    # interior: A : H(delta psi), then dA through dz = grad delta psi
-    # (dc^2 = (1-g) z . dz)
+    # interior: A : H(delta psi), then dA through dc^2 = (1-g)(delta psi + z . dz)
+    # and dz = grad delta psi
     for A, coef in ((Axx, mapping.hxx), (2.0 * Axy, mapping.hxy), (Ayy, mapping.hyy)):
         for k, c in zip((2, 3, 4, 0, 1), coef):  # c_ss, c_sz, c_zz, d_s, d_z
             K[k] += A * c
@@ -532,12 +513,14 @@ def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
     )
     K_s += dA_s
     K_z += dA_z
-    K[:5] /= c_r**2
+    K_id += trace
+    K /= c_r**2
 
-    # arcs: z . grad
+    # arcs: z . grad, and the arc term through chi
     arc_s, arc_z = grad_rows(zx / c_r**2, zy / c_r**2)
     for col in (0, -1):
         K_s[:, col], K_z[:, col] = arc_s[:, col], arc_z[:, col]
+        K_id[:, col] = (1.0 - eps) * (gamma - 1.0) / (arc_den * c_r**2)
 
     # wall: d/dy
     K_s[0, 1:-1] = sig_y[0, 1:-1] / c_r
@@ -558,12 +541,12 @@ def _conditions(model, pattern, mapping, chi_coef, psi, linearize=False):
     return interior, arc, wall, shock, z2, c2, K
 
 
-def _residual(model, pattern, mapping, chi_old, psi):
-    """Residual of the split problem: coefficients and arc term frozen at chi_old.
+def _residual(model, pattern, mapping, psi):
+    """The Newton residual: the four conditions at psi on mapping.
 
-    Returns (F, z2, c2), with |z|^2 and the frozen-coefficient c^2 at every node.
+    Returns (F, z2, c2), with |z|^2 and c^2 at every node.
     """
-    interior, arc, wall, shock, z2, c2, _ = _conditions(model, pattern, mapping, chi_old, psi)
+    interior, arc, wall, shock, z2, c2, _ = _conditions(model, pattern, mapping, psi)
     F = np.empty_like(psi)
     F[1:-1, 1:-1] = interior
     # corner rows carry the arc condition; the shock side is enforced
@@ -576,149 +559,129 @@ def _residual(model, pattern, mapping, chi_old, psi):
     return F, z2, c2
 
 
-def _jacobian(model, pattern, mapping, chi_old, psi):
-    """Exact sparse Jacobian of _residual at psi: W D, with W = [diag(K_op /
-    scale_op)] the coefficient fields of _conditions side by side and D,
-    scale the stencils of the mapping's lattice; entries that vanish are
-    left out."""
-    *_, K = _conditions(model, pattern, mapping, chi_old, psi, linearize=True)
-    n = psi.size
+# step of the shock-sensitivity probes, relative to the R arc radius
+SHOCK_PROBE = 1e-8
+
+
+def _spline_rows(N: int, h: float):
+    """The not-a-knot spline through N node heights s, spacing h, in its
+    node slopes m.
+
+    Returns (T, R, piece, ws, wm).  The slopes solve T m = R s (sparse),
+    with end rows m_0 - m_2 = -2 (s_0 - 2 s_1 + s_2)/h and its mirror, and
+    interior rows m_{i-1} + 4 m_i + m_{i+1} = 3 (s_{i+1} - s_{i-1})/h.  The
+    second derivative at node i, by the Hermite formula on the piece p =
+    piece[i] that starts there (the last node: on the piece that ends
+    there), is ws[i] . (s_p, s_p+1) + wm[i] . (m_p, m_p+1).
+    """
+    k = np.arange(1, N - 1)
+    T = coo_matrix((
+        np.concatenate([[1.0, -1.0, 1.0, -1.0], np.ones(N - 2), np.full(N - 2, 4.0), np.ones(N - 2)]),
+        (np.concatenate([[0, 0, N - 1, N - 1], k, k, k]),
+         np.concatenate([[0, 2, N - 1, N - 3], k - 1, k, k + 1])),
+    ), shape=(N, N))
+    R = coo_matrix((
+        np.concatenate([[-2.0, 4.0, -2.0, 2.0, -4.0, 2.0], np.full(N - 2, -3.0), np.full(N - 2, 3.0)]) / h,
+        (np.concatenate([[0, 0, 0, N - 1, N - 1, N - 1], k, k]),
+         np.concatenate([[0, 1, 2, N - 1, N - 2, N - 3], k - 1, k + 1])),
+    ), shape=(N, N))
+    piece = np.minimum(np.arange(N), N - 2)
+    ws = np.tile([-6.0, 6.0], (N, 1)) / h**2
+    wm = np.tile([-4.0, -2.0], (N, 1)) / h
+    ws[-1], wm[-1] = -ws[-1], [2.0 / h, 4.0 / h]
+    return T, R, piece, ws, wm
+
+
+def _jacobian(model, pattern, mapping, psi, F):
+    """Sparse Newton matrix at psi, whose residual on mapping is F.
+
+    The unknowns are psi and the N node slopes m of the shock spline; the
+    rows are F and the slope equations T m = R s (_spline_rows), with
+    s = (psi_top - a0)/v_I^y.  On the fixed mapping the block is exactly
+    W D, with W = [diag(K_op / scale_op)] the coefficient fields of
+    _conditions side by side and D, scale the stencils of the mapping's
+    lattice.
+    Node (j, i) reads the shock only through (s_i, s'_i = m_i, s''_i),
+    whose effects are forward differences over three probe mappings at
+    s + delta (1, t, t^2), t = sigma - 1/2, which the spline carries
+    exactly.  Entries that vanish are left out.
+    """
+    *_, K = _conditions(model, pattern, mapping, psi, linearize=True)
+    lattice = mapping.lattice
+    n, N = psi.size, lattice.nodes.size
     # row r of W holds K_op / scale_op at node r in column op n + r
-    w = (K.reshape(6, n) * (1.0 / mapping.lattice.scale)[:, None]).T.ravel()
+    w = (K.reshape(6, n) * (1.0 / lattice.scale)[:, None]).T.ravel()
     col = np.arange(6 * n).reshape(6, n).T.ravel()
     W = csr_matrix((w, col, np.arange(0, 6 * n + 1, 6)), shape=(n, 6 * n))
-    J = W @ mapping.lattice.D
-    J.eliminate_zeros()
-    return J.tocsc()
+    WD = (W @ lattice.D).tocoo()
 
+    shock = mapping.shock
+    t = shock.sigma - 0.5
+    delta = SHOCK_PROBE * pattern.arc_R.radius
 
-# the chord iteration refactors once a step shrinks by less than this factor
-# against the step before it made with the same factorization
-CHORD_CONTRACTION = 4.0
-# an outer iteration solves its fixed-boundary problem only to this fraction
-# of the shock update the previous one made (the forcing term of inexact
-# Newton), never below tol_inner
-INNER_FORCING = 0.01
-MAX_NEWTON = 20  # Newton steps per fixed-boundary solve
-CORNER_MARGIN = 0.995  # a corner above this fraction of its arc radius has escaped
-# the outer iteration mixes the last this many iterate differences (Anderson
-# mixing, Walker and Ni, SIAM J. Numer. Anal. 49 (2011)); 0 is plain relaxation
-ANDERSON_DEPTH = 3
+    def probe(q):
+        m = GridMapping(pattern, ShockCurve(shock.sigma, shock.s + delta * q), lattice)
+        return (_residual(model, pattern, m, psi)[0] - F).ravel() / delta
 
+    # the effects a, b, c of s_i, s'_i and s''_i at every node
+    d1, d2, d3 = probe(1.0), probe(t), probe(t * t)
+    column = np.tile(np.arange(N), N)  # the sigma column of each node
+    t = t[column]
+    a, b, c = d1, d2 - t * d1, 0.5 * (d3 - 2.0 * t * d2 + t * t * d1)
 
-def solve_fixed_boundary(
-    pattern: WavePattern,
-    mapping: GridMapping,
-    psi_old: np.ndarray,
-    config: EllipticConfig,
-    lu=None,
-    tol: float | None = None,
-):
-    """Chord-Newton solve of the split problem with coefficients frozen at psi_old.
-
-    Newton starts from psi_old.  Its steps reuse one factorization of the
-    Jacobian (the chord method): lu when given, such as the one an earlier
-    call returned on a nearby mapping, else one of the exact Jacobian
-    (_jacobian).  That is refactored at the current iterate when a step shrinks
-    by less than CHORD_CONTRACTION against the previous step of this call
-    made with the same factorization.  The solve stops when a step falls
-    below tol (default tol_inner) relative to the potential scale; a
-    residual above 4x its best value on 5 consecutive steps, or above
-    1e3 tol after MAX_NEWTON steps, raises InnerSolveError.  The returned
-    state must keep the frozen coefficients elliptic at every interior node
-    (EllipticityLost otherwise), checked on the last residual evaluation.
-    Returns (psi, lu), with lu None when the last step asked for a refresh.
-    """
-    model = pattern.config.model
-    chi_old = psi_old - 0.5 * (mapping.xi**2 + mapping.eta**2)
-    tol = config.tol_inner if tol is None else tol
-
-    psi = psi_old.copy()
-    scale = pattern.state_R.c * max(1.0, np.max(np.abs(psi)))
-
-    F, z2, c2_mix = _residual(model, pattern, mapping, chi_old, psi)
-    best = np.max(np.abs(F))
-    growth = 0
-    upd_prev = math.inf
-    for _ in range(MAX_NEWTON):
-        if lu is None:
-            J = _jacobian(model, pattern, mapping, chi_old, psi)
-            try:
-                # the 9-point stencils make J structurally symmetric but for
-                # the one-sided edge rows: order on A^T + A, pivot on the diagonal
-                lu = splu(
-                    J,
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                )
-            except RuntimeError as exc:
-                raise InnerSolveError(f"singular Newton matrix: {exc}") from exc
-            upd_prev = math.inf
-        step = lu.solve(-F.ravel()).reshape(psi.shape)
-        psi = psi + step
-        F, z2, c2_mix = _residual(model, pattern, mapping, chi_old, psi)
-        res_norm = np.max(np.abs(F))
-        upd = np.max(np.abs(step)) / scale
-        if upd < tol:
-            break
-        if res_norm > 4.0 * best:
-            growth += 1
-            if growth >= 5:
-                raise InnerSolveError(f"Newton divergence: residual grew to {res_norm}")
-        else:
-            growth = 0
-            best = min(best, res_norm)
-        if CHORD_CONTRACTION * upd > upd_prev:
-            lu = None
-        upd_prev = upd
-    else:
-        if np.max(np.abs(F)) > 1e3 * tol:
-            raise InnerSolveError(
-                f"Newton did not converge: residual {np.max(np.abs(F))}"
-            )
-
-    # frozen-coefficient ellipticity check at the returned state
-    ell = c2_mix - z2
-    bad = ell[1:-1, 1:-1] <= 0.0
-    if np.any(bad):
-        j, i = np.unravel_index(int(np.argmin(ell[1:-1, 1:-1])), bad.shape)
-        nodes = mapping.lattice.nodes
-        raise EllipticityLost(
-            f"frozen coefficients lost ellipticity at node (sigma={nodes[i+1]:.3f}, "
-            f"zeta={nodes[j+1]:.3f})"
-        )
-    return psi, lu
-
-
-def update_shock(pattern: WavePattern, mapping: GridMapping, psi_hat: np.ndarray) -> ShockCurve:
-    """New shock heights from the potential-matching condition."""
-    model = pattern.config.model
-    psi_I, a0 = constant_state_potential(model, pattern.state_I.rho, pattern.state_I.v)
+    # node rows on s_k and m_k: a and b at the node's column, c through s''
+    T, R, piece, ws, wm = _spline_rows(N, lattice.h)
+    p = piece[column]
+    rows = np.tile(np.arange(n), 3)
+    cols = np.concatenate([column, p, p + 1])
+    on_s = np.concatenate([a, c * ws[column, 0], c * ws[column, 1]])
+    on_m = np.concatenate([b, c * wm[column, 0], c * wm[column, 1]])
+    # s_k = (psi_k' - a0)/v_I^y at the top-row node k' = n - N + k; m_k is unknown n + k
     v_iy = float(pattern.state_I.v[1])
-    s_new = (psi_hat[-1, :] - a0) / v_iy
-    return ShockCurve(sigma=mapping.lattice.nodes, s=s_new)
+    J = coo_matrix((
+        np.concatenate([WD.data, on_s / v_iy, on_m, T.data, -R.data / v_iy]),
+        (np.concatenate([WD.row, rows, rows, n + T.row, n + R.row]),
+         np.concatenate([WD.col, n - N + cols, n + cols, n + T.col, n - N + R.col])),
+    ), shape=(n + N, n + N)).tocsc()
+    J.eliminate_zeros()
+    return J
 
 
-def _true_residuals(pattern, mapping, psi):
-    """Residuals of the unsplit fixed-point conditions for the current psi.
+# the Newton matrix is refactored once a step on it cuts the largest
+# residual by less than this factor
+CHORD_CONTRACTION = 4.0
+CORNER_MARGIN = 0.995  # a corner above this fraction of its arc radius has escaped
 
-    Wall and shock are measured on their open portions; at the corner nodes
-    the arc condition, measured as L^2 - (1 - eps), takes precedence.
-    """
-    chi = psi - 0.5 * (mapping.xi**2 + mapping.eta**2)
-    interior, _, wall, shock, z2, c2, _ = _conditions(
-        pattern.config.model, pattern, mapping, chi, psi
-    )
+
+def _factor(J):
+    """Sparse LU of the Newton matrix: the 9-point stencils make J
+    structurally symmetric but for the one-sided edge rows and the shock
+    columns, so order on A^T + A and pivot on the diagonal."""
+    try:
+        return splu(
+            J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError as exc:
+        raise InnerSolveError(f"singular Newton matrix: {exc}") from exc
+
+
+def _record(pattern, F, z2, c2, move):
+    """The residual blocks of F, the shock move over r_R (r_shock_update)
+    and their sum (combined).  Wall and shock are measured on their open
+    portions; at the corner nodes the arc condition, measured as
+    L^2 - (1 - eps), takes precedence."""
     L2 = z2 / c2
     target = 1.0 - pattern.config.epsilon
-    return {
-        "r_interior": float(np.max(np.abs(interior))),
+    rec = {
+        "r_interior": float(np.max(np.abs(F[1:-1, 1:-1]))),
         "r_arcL": float(np.max(np.abs(L2[1:, 0] - target))),
         "r_arcR": float(np.max(np.abs(L2[1:, -1] - target))),
-        "r_wall": float(np.max(np.abs(wall))),
-        "r_shock": float(np.max(np.abs(shock))),
+        "r_wall": float(np.max(np.abs(F[0, 1:-1]))),
+        "r_shock": float(np.max(np.abs(F[-1, 1:-1]))),
+        "r_shock_update": move / pattern.arc_R.radius,
     }
+    rec["combined"] = sum(rec.values())
+    return rec
 
 
 def iterate(
@@ -726,86 +689,76 @@ def iterate(
     config: EllipticConfig,
     shock0: ShockCurve | None = None,
 ) -> EllipticSolution:
-    """Alternate fixed-boundary solves and shock updates until residuals settle.
+    """Newton on psi for the free-boundary problem, the shock read off psi.
 
-    The outer iterate is x = (shock heights s, psi / c_R) and its residual
-    f = (s_target - s, (psi_hat - psi) / c_R), with s_target from the
-    matching condition on the solve's psi_hat.  The next iterate is the
-    Anderson mixture of the last ANDERSON_DEPTH + 1 iterates with mixing
-    weight omega_relax (with no history, the relaxed step x + omega_relax f).
-    A mixture whose corner heights leave the arcs is dropped with the
-    history for that relaxed step, and CornerEscapeError is raised only when
-    the relaxed step leaves them too.
+    At every iterate the shock heights are s = (psi_top - a0)/v_I^y, so the
+    potential-matching condition holds exactly; the mapping follows s.
+    Each step solves with the Newton matrix (_jacobian) of this or an
+    earlier iterate: its LU is kept while a step on it cuts the largest
+    residual at least CHORD_CONTRACTION-fold, and otherwise the step is
+    redone from the same point on a fresh one.  A trial shock whose mapping fails, or
+    whose corner passes CORNER_MARGIN of its arc radius, is retried the same
+    way; on a fresh matrix it raises InnerSolveError or CornerEscapeError.
 
-    The mapping changes little between outer iterations, so each solve
-    starts from the factorization the previous one returned, and all share
-    one Lattice.  The first solve runs to tol_inner; each
-    later one to INNER_FORCING times the shock update of the iteration
-    before it, never below tol_inner, since a tighter inner solve is lost
-    on a shock that is still that far off.
+    Each accepted step appends its record (_record) to the history.  The solve stops once combined is below tol_outer, or after
+    max_outer accepted steps.  The returned state must keep the
+    coefficients elliptic at every interior node (EllipticityLost
+    otherwise).
     """
     if pattern.config.epsilon <= 0.0:
         raise ValueError("the free-boundary solve needs epsilon > 0")
+    model = pattern.config.model
     lattice = Lattice(config.lattice_n)
-    shock = shock0 or chord_shock(pattern, lattice)
-    mapping = build_mapping(pattern, shock, lattice)
+    mapping = build_mapping(pattern, shock0 or chord_shock(pattern, lattice), lattice)
     psi = initial_guess(pattern, mapping)
+    F = _residual(model, pattern, mapping, psi)[0]
+    _, a0 = constant_state_potential(model, pattern.state_I.rho, pattern.state_I.v)
+    v_iy = float(pattern.state_I.v[1])
     history = []
     converged = False
-    r_r, c_r = pattern.arc_R.radius, pattern.state_R.c
-    n_s = shock.s.size
     lu = None
-    tol = config.tol_inner
-    dx_hist, df_hist = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
-    x_prev = f_prev = None
 
-    for outer in range(config.max_outer):
-        psi_hat, lu = solve_fixed_boundary(pattern, mapping, psi, config, lu, tol)
-        s_target = update_shock(pattern, mapping, psi_hat)
-        ds = s_target.s - shock.s
-        rec = _true_residuals(pattern, mapping, psi_hat)
-        rec["iter"] = outer
-        rec["r_shock_update"] = float(np.max(np.abs(ds))) / r_r
-        rec["combined"] = (
-            rec["r_interior"]
-            + rec["r_arcL"]
-            + rec["r_arcR"]
-            + rec["r_wall"]
-            + rec["r_shock"]
-            + rec["r_shock_update"]
-        )
-        history.append(rec)
-        tol = max(config.tol_inner, INNER_FORCING * rec["r_shock_update"])
-
-        x = np.concatenate([shock.s, psi.ravel() / c_r])
-        f = np.concatenate([ds, (psi_hat - psi).ravel() / c_r])
-        if x_prev is not None:
-            dx_hist.append(x - x_prev)
-            df_hist.append(f - f_prev)
-        x_prev, f_prev = x, f
-        x_new = x + config.omega_relax * f
-        if dx_hist:
-            x_mixed = _anderson_mix(x_new, f, dx_hist, df_hist, config.omega_relax)
-            if _corner_escape(pattern, x_mixed[:n_s]) is None:
-                x_new = x_mixed
-            else:
-                dx_hist.clear()
-                df_hist.clear()
-
-        # corner escape checks against the (extended) arcs
-        escape = _corner_escape(pattern, x_new[:n_s])
-        if escape is not None:
-            raise CornerEscapeError(escape)
-
-        if rec["combined"] < config.tol_outer:
-            psi = psi_hat
+    for step in range(config.max_outer):
+        while True:
+            fresh = lu is None
+            if fresh:
+                lu = _factor(_jacobian(model, pattern, mapping, psi, F))
+            rhs = np.concatenate([-F.ravel(), np.zeros(lattice.nodes.size)])
+            trial = psi + lu.solve(rhs)[: psi.size].reshape(psi.shape)
+            s = (trial[-1, :] - a0) / v_iy
+            try:
+                escape = _corner_escape(pattern, s)
+                if escape is not None:
+                    raise CornerEscapeError(escape)
+                trial_map = build_mapping(pattern, ShockCurve(sigma=lattice.nodes, s=s), lattice)
+            except (MappingError, CornerEscapeError) as exc:
+                if not fresh:
+                    lu = None
+                    continue
+                if isinstance(exc, CornerEscapeError):
+                    raise
+                raise InnerSolveError(f"Newton step left the mappable shocks: {exc}") from exc
+            F_trial, z2, c2 = _residual(model, pattern, trial_map, trial)
+            if fresh or CHORD_CONTRACTION * np.max(np.abs(F_trial)) <= np.max(np.abs(F)):
+                break
+            lu = None
+        move = float(np.max(np.abs(s - mapping.shock.s)))
+        history.append({"iter": step, **_record(pattern, F_trial, z2, c2, move)})
+        psi, mapping, F = trial, trial_map, F_trial
+        if history[-1]["combined"] < config.tol_outer:
             converged = True
             break
 
-        shock = ShockCurve(sigma=shock.sigma, s=x_new[:n_s])
-        mapping = build_mapping(pattern, shock, lattice)
-        psi = c_r * x_new[n_s:].reshape(psi.shape)
-
+    # ellipticity check at the returned state
+    ell = c2 - z2
+    bad = ell[1:-1, 1:-1] <= 0.0
+    if np.any(bad):
+        j, i = np.unravel_index(int(np.argmin(ell[1:-1, 1:-1])), bad.shape)
+        nodes = lattice.nodes
+        raise EllipticityLost(
+            f"coefficients lost ellipticity at node (sigma={nodes[i+1]:.3f}, "
+            f"zeta={nodes[j+1]:.3f})"
+        )
     return EllipticSolution(
         pattern=pattern,
         config=config,
@@ -814,16 +767,6 @@ def iterate(
         converged=converged,
         residual_history=history,
     )
-
-
-def _anderson_mix(x_relaxed, f, dx_hist, df_hist, omega):
-    """The Anderson mixture x + omega f - (dX + omega dF) gamma of Walker and
-    Ni, given the relaxed step x + omega f, with gamma the least-squares fit
-    of f by the columns of dF.  The columns of dX and dF are the differences
-    of successive iterates and of their residuals."""
-    dF = np.stack(df_hist, axis=1)
-    gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-    return x_relaxed - (np.stack(dx_hist, axis=1) + omega * dF) @ gamma
 
 
 def _corner_escape(pattern, s):

@@ -15,18 +15,20 @@ def bumped(shock: ShockCurve, amount) -> ShockCurve:
 def fd_jacobian(resid, psi, F, delta_fd):
     """Sparse finite-difference Jacobian of resid at psi (F = resid(psi)).
 
-    Grouped differences over a 5x5 node coloring: the perturbed nodes of one
-    color are 5 apart in each direction and every stencil, the one-sided
-    boundary stencils included, reaches at most 2 nodes, so each row sees
-    at most one perturbed node.  Entries whose difference is exactly 0 are
-    left out.
+    Below the top row, grouped differences over a 5x5 node coloring: the
+    perturbed nodes of one color are 5 apart in each direction and every
+    stencil, the one-sided boundary stencils included, reaches at most 2
+    nodes, so each row sees at most one perturbed node.  A top-row node
+    sets the shock height of its column, which the shock spline spreads
+    over the whole lattice, so those nodes are perturbed one at a time.
+    Entries whose difference is exactly 0 are left out.
     """
     nz, ns = psi.shape
     rows, cols, vals = [], [], []
     for ci in range(5):
         for cj in range(5):
             mask = np.zeros_like(psi, dtype=bool)
-            mask[cj::5, ci::5] = True
+            mask[cj:-1:5, ci::5] = True
             Fp = resid(psi + delta_fd * mask)
             dF = (Fp - F) / delta_fd
             rj, ri = np.nonzero(np.abs(dF) > 0.0)
@@ -37,10 +39,18 @@ def fd_jacobian(resid, psi, F, delta_fd):
             off_j = np.where(off_j > 2, off_j - 5, off_j)
             src_i = ri + off_i
             src_j = rj + off_j
-            ok = (src_i >= 0) & (src_i < ns) & (src_j >= 0) & (src_j < nz)
+            ok = (src_i >= 0) & (src_i < ns) & (src_j >= 0) & (src_j < nz - 1)
             rows.append(rj[ok] * ns + ri[ok])
             cols.append(src_j[ok] * ns + src_i[ok])
             vals.append(dF[rj[ok], ri[ok]])
+    for i in range(ns):
+        bump = np.zeros_like(psi)
+        bump[-1, i] = delta_fd
+        dF = ((resid(psi + bump) - F) / delta_fd).ravel()
+        (r,) = np.nonzero(dF)
+        rows.append(r)
+        cols.append(np.full(r.size, (nz - 1) * ns + i))
+        vals.append(dF[r])
     return coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nz * ns, nz * ns),

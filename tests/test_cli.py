@@ -56,6 +56,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(text="gamme = 1.4\n")
 
+    @pytest.mark.parametrize("key", ["tol_inner", "omega_relax"])
+    def test_split_iteration_knobs_are_unknown_keys(self, key):
+        with pytest.raises(ConfigError, match=f"unknown key: {key}"):
+            parse_config(text=f"M_I_y = -2\n{key} = 0.5\n")
+
     def test_malformed_value(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_config(text="gamma = fast\n")
@@ -175,8 +180,8 @@ class TestDispatch:
         assert (tmp_path / "verify_report.csv").exists()
 
     def test_verify_slow_contraction_case_all_pass(self, tmp_path, capsys):
-        # plain relaxation at omega_relax 0.5 drifts here until max_outer and
-        # exits 1; the Anderson-mixed outer iteration converges
+        # the slow corner of the split iteration: plain relaxation at weight
+        # 0.5 drifted here until max_outer and exited 1
         cfgtext = "gamma = 1.4\nM_I = 2.2\ntau_deg = 5\nepsilon = 0.04\nlattice_n = 48\n"
         code = dispatch(
             ["verify", "--config", self._cfg_file(tmp_path, cfgtext), "--out", str(tmp_path),
@@ -297,7 +302,9 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "command, lines, key",
         [
+            # the knobs of the former split iteration are unknown keys
             ("elliptic", "tol_inner = 0", "tol_inner"),
+            ("elliptic", "omega_relax = 0.5", "unknown key: omega_relax"),
             ("elliptic", "max_outer = 0", "max_outer"),
             ("verify", "quad_n = 1", "quad_n"),
             ("elliptic", "lattice_n = 2", "lattice_n"),

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.sparse import csc_matrix, hstack
 
 from elliptic_oracles import bumped, fd_jacobian
 from wedgeflow import elliptic
@@ -18,8 +19,6 @@ from wedgeflow.elliptic import (
     chord_shock,
     initial_guess,
     iterate,
-    solve_fixed_boundary,
-    update_shock,
 )
 
 AIR = GasModel(gamma=1.4)
@@ -91,11 +90,11 @@ class TestLattice:
         for got, exact in ((u_ss, 2 * d), (u_sz, e), (u_zz, 2 * f)):
             assert np.max(np.abs(got[interior] - exact)) <= 1e-9
             assert np.all(got[~interior] == 0.0)
-        # the identity at the shock rows only
-        shock = np.zeros(u.shape, dtype=bool)
-        shock[-1, 1:-1] = True
-        assert np.array_equal(u_shock[shock], u[shock])
-        assert np.all(u_shock[~shock] == 0.0)
+        # the identity at every node but the open wall row
+        wall = np.zeros(u.shape, dtype=bool)
+        wall[0, 1:-1] = True
+        assert np.array_equal(u_shock[~wall], u[~wall])
+        assert np.all(u_shock[wall] == 0.0)
 
     @pytest.mark.parametrize("n", [16, 48])
     def test_lattice_bytes_is_a_close_lower_bound(self, case12_pattern, n):
@@ -269,40 +268,33 @@ class TestInitialGuess:
 class TestInnerSolve:
     def test_unperturbed_is_fixed_point(self, unpert_pattern):
         p = unpert_pattern
-        cfg = EllipticConfig(lattice_n=32)
-        m = chord_mapping(p, 32)
-        psi0 = initial_guess(p, m)
-        psi_hat, _ = solve_fixed_boundary(p, m, psi0, cfg)
-        assert np.max(np.abs(psi_hat - psi0)) < 1e-8
+        sol = iterate(p, EllipticConfig(lattice_n=32))
+        assert sol.converged
+        assert np.max(np.abs(sol.psi - initial_guess(p, chord_mapping(p, 32)))) < 1e-8
 
     def test_chord_newton_reuses_the_factorization(self, case12_pattern, splu_calls):
-        # a first outer iteration, from the initial guess
         p = case12_pattern
-        cfg = EllipticConfig(lattice_n=24)
-        m = chord_mapping(p, 24)
-        psi0 = initial_guess(p, m)
-        psi, _ = solve_fixed_boundary(p, m, psi0, cfg)
-        assert 1 <= len(splu_calls) <= 2
-        chi_old = psi0 - 0.5 * (m.xi**2 + m.eta**2)
-        F, _, _ = elliptic._residual(p.config.model, p, m, chi_old, psi)
-        assert np.max(np.abs(F)) < cfg.tol_inner
+        sol = iterate(p, EllipticConfig(lattice_n=24))
+        assert sol.converged
+        assert 1 <= len(splu_calls) < len(sol.residual_history)
+        F, _, _ = elliptic._residual(p.config.model, p, sol.mapping, sol.psi)
+        assert np.max(np.abs(F)) < sol.config.tol_outer
 
-    def test_stale_factorization_converges_to_the_fresh_solution(self, case12_pattern):
-        # a factorization carried from the chord-shock mapping, used on a
-        # mapping whose shock sits a few percent of r_R higher
+    def test_stale_factorization_converges_to_the_fresh_solution(
+        self, case12_pattern, splu_calls, monkeypatch
+    ):
+        # a Newton matrix carried over accepted steps, against a fresh one at
+        # every step (no step on a carried one is accepted)
         p = case12_pattern
-        cfg = EllipticConfig(lattice_n=24)
-        lattice = Lattice(24)
-        chord = chord_shock(p, lattice)
-        m0 = build_mapping(p, chord, lattice)
-        _, lu = solve_fixed_boundary(p, m0, initial_guess(p, m0), cfg)
-        assert lu is not None
-        m = build_mapping(p, bumped(chord, 0.03 * p.arc_R.radius), lattice)
-        psi0 = initial_guess(p, m)
-        fresh, _ = solve_fixed_boundary(p, m, psi0, cfg)
-        stale, _ = solve_fixed_boundary(p, m, psi0, cfg, lu)
-        scale = p.state_R.c * max(1.0, np.max(np.abs(fresh)))
-        assert np.max(np.abs(stale - fresh)) < 1e-9 * scale
+        cfg = EllipticConfig(lattice_n=24, tol_outer=1e-10)
+        chord = iterate(p, cfg)
+        n_chord = len(splu_calls)
+        monkeypatch.setattr(elliptic, "CHORD_CONTRACTION", math.inf)
+        fresh = iterate(p, cfg)
+        assert chord.converged and fresh.converged
+        assert len(splu_calls) - n_chord == len(fresh.residual_history) > n_chord
+        scale = p.state_R.c * max(1.0, np.max(np.abs(fresh.psi)))
+        assert np.max(np.abs(chord.psi - fresh.psi)) < 1e-9 * scale
 
     def test_wall_rows_exact_in_discrete_stencil(self, case12_solution):
         sol = case12_solution
@@ -342,57 +334,84 @@ class TestInnerSolve:
 class TestExactJacobian:
     @pytest.mark.parametrize("n", [16, 48])
     def test_matches_finite_differences(self, case12_pattern, n):
-        # off the fixed point: coefficients frozen at the initial guess, psi
-        # a smooth perturbation of it that vanishes on no boundary row
+        # off the fixed point: psi a smooth perturbation of the initial guess
+        # that vanishes on no boundary row, the shock read off its top row
         p = case12_pattern
         model = p.config.model
-        m = chord_mapping(p, n)
-        psi_old = initial_guess(p, m)
-        chi_old = psi_old - 0.5 * (m.xi**2 + m.eta**2)
-        S, Z = m.lattice.S, m.lattice.Z
-        psi = psi_old + 0.01 * p.state_R.c * (Z + S * Z + 0.5 * S**2)
+        lattice = Lattice(n)
+        m0 = build_mapping(p, chord_shock(p, lattice), lattice)
+        S, Z = lattice.S, lattice.Z
+        psi = initial_guess(p, m0) + 0.01 * p.state_R.c * (Z + S * Z + 0.5 * S**2)
+        _, a0 = constant_state_potential(model, p.state_I.rho, p.state_I.v)
+        v_iy = p.state_I.v[1]
+
+        def mapping_of(q):
+            return build_mapping(p, ShockCurve(sigma=lattice.nodes, s=(q[-1] - a0) / v_iy), lattice)
 
         def resid(q):
-            return elliptic._residual(model, p, m, chi_old, q)[0]
+            return elliptic._residual(model, p, mapping_of(q), q)[0]
 
+        F = resid(psi)
         scale = p.state_R.c * max(1.0, np.max(np.abs(psi)))
-        fd = fd_jacobian(resid, psi, resid(psi), 1e-7 * scale).tocsr()
-        exact = elliptic._jacobian(model, p, m, chi_old, psi).tocsr()
-        assert ((exact != 0) != (fd != 0)).nnz == 0
+        fd = fd_jacobian(resid, psi, F, 1e-7 * scale).tocsr()
+        # eliminate the slope unknowns: dF/dpsi = A - B T^-1 C, where C
+        # reads the top row only
+        J = elliptic._jacobian(model, p, mapping_of(psi), psi, F).tocsc()
+        size, top = psi.size, psi.size - lattice.nodes.size
+        A, B = J[:size, :size], J[:size, size:]
+        C, T = J[size:, top:size], J[size:, size:]
+        coupled = A[:, top:].toarray() - B.toarray() @ np.linalg.solve(T.toarray(), C.toarray())
+        exact = hstack([A[:, :top], csc_matrix(coupled)]).tocsr()
         # forward differences carry an O(delta) truncation error
         row_scale = abs(exact).max(axis=1).toarray().ravel()
         row_diff = abs(exact - fd).max(axis=1).toarray().ravel()
         assert np.max(row_diff / row_scale) <= 1e-4
+        # off the top-row columns the pattern is the stencils'
+        local = exact[:, :top], fd[:, :top]
+        assert ((local[0] != 0) != (local[1] != 0)).nnz == 0
+
+    def test_spline_rows_give_the_not_a_knot_slopes(self, case12_pattern):
+        lattice = Lattice(32)
+        s = chord_shock(case12_pattern, lattice).s * (1.0 + 0.3 * np.sin(7.0 * lattice.nodes))
+        T, R, piece, ws, wm = elliptic._spline_rows(lattice.nodes.size, lattice.h)
+        m = np.linalg.solve(T.toarray(), R @ s)
+        spline = CubicSpline(lattice.nodes, s, bc_type="not-a-knot")
+        assert np.max(np.abs(m - spline(lattice.nodes, 1))) <= 1e-12 * np.max(np.abs(m))
+        ends = piece, piece + 1
+        spp = spline(lattice.nodes, 2)
+        hermite = sum(ws[:, k] * s[e] + wm[:, k] * m[e] for k, e in enumerate(ends))
+        assert np.max(np.abs(hermite - spp)) <= 1e-10 * np.max(np.abs(spp))
 
 
 class TestShockUpdate:
     def test_unperturbed_shock_unchanged(self, unpert_pattern):
         p = unpert_pattern
-        cfg = EllipticConfig(lattice_n=24)
-        lattice = Lattice(24)
-        sh = chord_shock(p, lattice)
-        m = build_mapping(p, sh, lattice)
-        psi_hat, _ = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
-        s_new = update_shock(p, m, psi_hat)
-        assert np.max(np.abs(s_new.s - sh.s)) < 1e-10
+        sh = chord_shock(p, Lattice(24))
+        sol = iterate(p, EllipticConfig(lattice_n=24))
+        assert sol.converged
+        assert np.max(np.abs(sol.mapping.shock.s - sh.s)) < 1e-10
 
-    def test_matching_relation_is_identity(self, case12_pattern):
-        p = case12_pattern
-        cfg = EllipticConfig(lattice_n=24)
-        m = chord_mapping(p, 24)
-        psi_hat, _ = solve_fixed_boundary(p, m, initial_guess(p, m), cfg)
-        s_new = update_shock(p, m, psi_hat)
-        psi_I, a0 = constant_state_potential(AIR, p.state_I.rho, p.state_I.v)
+    def test_matching_relation_is_identity(self, case12_solution, case12_pattern):
+        p, sol = case12_pattern, case12_solution
+        _, a0 = constant_state_potential(AIR, p.state_I.rho, p.state_I.v)
         v_iy = p.state_I.v[1]
-        recomputed = a0 + v_iy * s_new.s
-        assert np.max(np.abs(recomputed - psi_hat[-1, :])) < 1e-12
+        assert np.max(np.abs(sol.mapping.shock.s - (sol.psi[-1, :] - a0) / v_iy)) < 1e-12
+        assert np.max(np.abs(a0 + v_iy * sol.mapping.shock.s - sol.psi[-1, :])) < 1e-12
 
-    def test_monotone_damping_on_desk_case(self, case12_solution):
-        upd = [rec["r_shock_update"] for rec in case12_solution.residual_history]
-        # under-relaxed updates decay (allow small non-monotone wiggle)
-        assert upd[-1] < 1e-6
-        drops = sum(1 for a, b in zip(upd, upd[1:]) if b < a)
-        assert drops >= 0.7 * (len(upd) - 1)
+    def test_monotone_residual_on_desk_case(self, case12_solution):
+        combined = [rec["combined"] for rec in case12_solution.residual_history]
+        assert combined[-1] < 1e-6
+        assert all(b < a for a, b in zip(combined, combined[1:]))
+
+    def test_stop_test_bounds_the_error_at_the_slow_corner(self):
+        # the default tolerance stops within 1e-6 r_R of a tight solve where
+        # the split iteration with Anderson mixing stopped 1.3e-4 r_R away
+        p = build(ProblemConfig(model=GasModel(gamma=1.1), M_I=2.2, tau=math.radians(5.0), epsilon=0.04))
+        loose = iterate(p, EllipticConfig(lattice_n=32))
+        tight = iterate(p, EllipticConfig(lattice_n=32, tol_outer=1e-11))
+        assert loose.converged and tight.converged
+        gap = np.max(np.abs(loose.mapping.shock.s - tight.mapping.shock.s))
+        assert gap < 1e-6 * p.arc_R.radius
 
 
 class TestIterate:
@@ -423,34 +442,13 @@ class TestIterate:
 
     @pytest.mark.parametrize("eps", [0.04, 0.01, 0.0025])
     def test_desk_case_outer_iterations(self, eps):
-        # Anderson-mixed outer iteration: 9 per eps at lattice 48, where
-        # plain relaxation at omega_relax 0.5 took 14
+        # 7 Newton steps per eps at lattice 48
         p = build(ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=eps))
         cfg = EllipticConfig(lattice_n=48)
         sol = iterate(p, cfg)
         assert sol.converged
-        assert len(sol.residual_history) <= 10
+        assert len(sol.residual_history) <= 8
         assert sol.residual_history[-1]["combined"] < cfg.tol_outer
-
-    def test_rejected_mixtures_fall_back_to_relaxation(self, case12_pattern, monkeypatch):
-        # a mixture whose corner leaves its arc gives way to the relaxed step
-        # and the history is dropped: rejecting every mixture reproduces
-        # depth 0, plain relaxation, to the last bit
-        cfg = EllipticConfig(lattice_n=24)
-        monkeypatch.setattr(elliptic, "ANDERSON_DEPTH", 0)
-        plain = iterate(case12_pattern, cfg)
-        monkeypatch.undo()
-
-        def escaping(x_relaxed, *args):
-            x = x_relaxed.copy()
-            x[0] = 2.0 * case12_pattern.arc_L.radius
-            return x
-
-        monkeypatch.setattr(elliptic, "_anderson_mix", escaping)
-        rejected = iterate(case12_pattern, cfg)
-        assert plain.converged and rejected.converged
-        assert rejected.residual_history == plain.residual_history
-        assert np.array_equal(rejected.psi, plain.psi)
 
     def test_escaping_relaxed_step_raises(self, case12_pattern, monkeypatch):
         # every corner sits above a tenth of its arc radius
