@@ -32,6 +32,10 @@ from . import unsteady as unsteady_mod
 from .unsteady import UnsteadyConfig
 
 
+# simulate refuses a config whose march needs more steps than this
+MAX_MARCH_STEPS = 10**6
+
+
 class ConfigError(WedgeError, ValueError):
     pass
 
@@ -293,8 +297,24 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
         sample_nx=cfg.sample_nx,
         snapshot_every=cfg.snapshot_every,
     )
-    _check_memory(f"grid_n = {cfg.grid_n}", unsteady_mod.march_bytes(ucfg), "the march")
-    _check_memory(f"sample_nx = {cfg.sample_nx}", unsteady_mod.sample_bytes(ucfg), "the sampling")
+    steps = unsteady_mod.min_march_steps(ucfg)
+    if steps > MAX_MARCH_STEPS:
+        raise ConfigError(
+            f"grid_n = {cfg.grid_n}, cfl = {cfg.cfl}, t_final = {cfg.t_final}, M_I = {cfg.M_I}, "
+            f"c_I = {cfg.c_I}: the march needs at least {steps} steps, more than {MAX_MARCH_STEPS}"
+        )
+    # run keeps its first sampling while it marches on
+    _check_memory(
+        f"grid_n = {cfg.grid_n}, sample_nx = {cfg.sample_nx}",
+        unsteady_mod.march_bytes(ucfg) + unsteady_mod.sample_bytes(ucfg),
+        "the march and its samplings",
+    )
+    if unsteady_mod.shared_sample_points(ucfg) == 0:
+        raise ConfigError(
+            f"grid_n = {cfg.grid_n}, box_x_min = {cfg.box_x_min}, box_x_max = {cfg.box_x_max}, "
+            f"box_y_max = {cfg.box_y_max}, t_final = {cfg.t_final}: the samplings at t_final / 2 "
+            "and t_final share no valid point in the xi window"
+        )
     counter = {"k": 0}
 
     def snap(grid, state):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gas import ISOTHERMAL_EPS, WedgeError
+from .gas import ISOTHERMAL_EPS, WedgeError, c2_of_pi
 from .pattern import WavePattern
 from .shocks import _bracketed_root
 from .elliptic import EllipticSolution, level_arc
@@ -389,7 +389,7 @@ def arc_profile(sol: EllipticSolution, side: str):
     zx, zy = f["zx"][:, i], f["zy"][:, i]
     p = orient * (rel_x * zy - rel_y * zx)
     arg = -f["chi"][:, i] - 0.5 * (zx**2 + zy**2)
-    h_arr = model.c0**2 + (gamma - 1.0) * arg
+    h_arr = c2_of_pi(model, arg)
 
     _, sigma_g, sigma_f, h0, sigma_theta = arc_ode_constants(gamma, eps, r)
     chi_t_over_c = np.abs(p) / (r * np.sqrt(h_arr))

@@ -40,7 +40,7 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .gas import WedgeError, constant_state_potential, pi_inverse
+from .gas import WedgeError, c2_of_pi, constant_state_potential, pi_inverse
 from .pattern import WavePattern
 from .shocks import _bracketed_root
 
@@ -416,7 +416,7 @@ class EllipticSolution:
         zx, zy = vx - m.xi, vy - m.eta
         arg = -chi - 0.5 * (zx**2 + zy**2)
         rho = pi_inverse(model, arg)
-        c2 = model.c0**2 + (model.gamma - 1.0) * arg
+        c2 = c2_of_pi(model, arg)
         L2 = (zx**2 + zy**2) / c2
         return {"rho": rho, "vx": vx, "vy": vy, "L2": L2, "chi": chi, "zx": zx, "zy": zy}
 
@@ -436,7 +436,7 @@ def _conditions(model, pattern, mapping, psi, linearize=False):
     Returns (interior, arc, wall, shock, z2, c2, K): the interior operator at
     the interior nodes, the arc condition at every node (its sigma = 0 and 1
     columns are the arc rows), the wall and shock rows without their corner
-    nodes, |z|^2 and c^2 = c0^2 + (1-g)(chi + |z|^2/2) at every node, and K,
+    nodes, |z|^2 and c^2 at pi = -chi - |z|^2/2 (gas.c2_of_pi) at every node, and K,
     None unless linearize is set.
 
     With linearize, K holds the derivative of the residual (_residual) with
@@ -460,7 +460,8 @@ def _conditions(model, pattern, mapping, psi, linearize=False):
     chi = psi - 0.5 * (xi**2 + eta**2)
     zx, zy = vx - xi, vy - eta
     z2 = zx**2 + zy**2
-    c2 = model.c0**2 + (1.0 - gamma) * (chi + 0.5 * z2)
+    arg = -chi - 0.5 * z2  # pi at every node
+    c2 = c2_of_pi(model, arg)
 
     Axx = c2 - zx * zx
     Axy = -zx * zy
@@ -480,10 +481,8 @@ def _conditions(model, pattern, mapping, psi, linearize=False):
 
     # shock: normal mass flux against the upstream state
     top = (-1, slice(1, -1))
-    raw = -chi[top] - 0.5 * z2[top]
-    arg = raw
-    if not model.isothermal:
-        arg = np.maximum(raw, -model.c0**2 / (gamma - 1.0) * 0.999999)
+    raw = arg[top]
+    arg = raw if model.isothermal else np.maximum(raw, -model.c0**2 / (gamma - 1.0) * 0.999999)
     rho = pi_inverse(model, arg)
     dx, dy = v_I[0] - vx[top], v_I[1] - vy[top]
     dn = np.maximum(np.hypot(dx, dy), 1e-14 * c_r)
@@ -528,7 +527,7 @@ def _conditions(model, pattern, mapping, psi, linearize=False):
 
     # shock: d(rho) = rho/c^2 d(arg) off the vacuum clamp, d(arg) = -d psi - z . dz,
     # d(normal) = -(I - n n^T) dz / dn, and the flux's own rho dz
-    c2_top = model.c0**2 if model.isothermal else model.c0**2 + (gamma - 1.0) * arg
+    c2_top = c2_of_pi(model, arg)
     drho = np.where(arg == raw, rho / c2_top, 0.0)
     zn = zx[top] * nx + zy[top] * ny
     mn = mx * nx + my * ny

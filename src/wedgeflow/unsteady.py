@@ -17,12 +17,12 @@ Dirichlet (left, top) and zero-gradient outflow (right).  The bottom row of
 the box is the upstream wall (slip via mirror).
 
 A step updates its state in place and allocates nothing the size of the
-grid but the results of the two gas closures.  ``run`` hands every step one
-``_Workspace``: flat padded arrays and face and flux-sum buffers.  In the
-flat padded layout (rows of nx + 2 cells, one ghost layer round the window)
-the faces between cells k and k + 1 (x) and k and k + nx + 2 (y) are
-contiguous slices, so the fluxes and their sums per cell are formed by 1-D
-array operations.
+grid but the results of ``pi_of_rho`` and ``c2_of_pi``.  ``run`` hands
+every step one ``_Workspace``: flat padded arrays and face and flux-sum
+buffers.  In the flat padded layout (rows of nx + 2 cells, one ghost layer
+round the window) the faces between cells k and k + 1 (x) and k and
+k + nx + 2 (y) are contiguous slices, so the fluxes and their sums per
+cell are formed by 1-D array operations.
 
 A step updates only the rows the wedge has disturbed.  A cell whose four
 neighbours hold its own state bit for bit has two equal flux pairs, so its
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gas import GasModel, FlowState, VacuumError, WedgeError, pi_of_rho
+from .gas import GasModel, FlowState, VacuumError, WedgeError, c2_of_pi, pi_of_rho
 from .pattern import ProblemConfig, WavePattern, build
 
 CFL_DEFAULT = 0.45
@@ -237,14 +237,25 @@ def _grid_shape(config: "UnsteadyConfig"):
 def march_bytes(config: "UnsteadyConfig") -> int:
     """Bytes of the grid-sized arrays a march holds at its peak: the
     workspace's buffers in the padded layout above, the state, the results
-    of a step's two gas closures, the boolean masks (solid, fluid, wall
-    ghosts, active rows), and NumPy's iteration buffer, which the update
-    takes for its strided flux sums."""
+    of a step's ``pi_of_rho`` and ``c2_of_pi``, the boolean masks (solid,
+    fluid, wall ghosts, active rows), and NumPy's iteration buffer, which the
+    update takes for its strided flux sums."""
     _, nx, ny = _grid_shape(config)
     S = nx + 2
     padded, cells = (ny + 2) * S, ny * nx
     floats = 7 * padded + 2 * (ny + 1) * S + 3 * ny * S + 3 * cells + np.getbufsize()
     return 8 * floats + padded + 4 * cells
+
+
+def min_march_steps(config: "UnsteadyConfig") -> int:
+    """A lower bound on run's step count: t_final (M_I + 2) c_I / (cfl h).
+
+    Each CFL step is cfl h over max(|v_x| + c) + max(|v_y| + c) on the fluid
+    cells, and the cells ahead of the tip hold the supersonic upstream state,
+    whose speeds sum to (M_I + 2) c_I."""
+    h, _, _ = _grid_shape(config)
+    up = config.problem.upstream_original()
+    return math.floor(config.t_final * (abs(up.v[0]) + abs(up.v[1]) + 2.0 * up.c) / (config.cfl * h))
 
 
 def _active_rows(grid: Grid, state: SimState, upstream: FlowState) -> int:
@@ -317,14 +328,15 @@ def step(
     for p, v, sign in zip((rho_p, vx_p, vy_p), (upstream.rho, *upstream.v), (1.0, 1.0, -1.0)):
         _fill_border(p, v, v if top_bc == "inflow" else None, sign)
 
-    # once per padded cell, for the faces and the CFL bound: c, B = |v|^2/2 + pi,
-    # |v_n| + c (sx holds |v|^2/2 until it takes |v_x| + c)
-    c = np.asarray(model.sound_speed(rho_p)).reshape(P)
+    # once per padded cell, for the faces and the CFL bound: pi, c from pi,
+    # B = |v|^2/2 + pi, |v_n| + c (sx holds |v|^2/2 until it takes |v_x| + c)
+    B = pi_of_rho(model, rho_p).reshape(P)
+    c = c2_of_pi(model, B)
+    np.sqrt(c, out=c)
     np.multiply(vx, vx, out=sx)
     np.multiply(vy, vy, out=sy)
     sx += sy
     sx *= 0.5
-    B = pi_of_rho(model, rho_p).reshape(P)
     B += sx
     for v, s in ((vx, sx), (vy, sy)):
         np.abs(v, out=s)
@@ -400,6 +412,18 @@ def bilinear(arr, fi, fj):
     )
 
 
+def _sample_points(grid: Grid, t: float, xi_x, xi_y):
+    """(fi, fj, valid) of the xi grid at time t: the fractional cell indices
+    of the points x = xi t, and whether each lies inside the grid's cell
+    centres and off the wedge."""
+    XX, YY = np.meshgrid(xi_x * t, xi_y * t)
+    fi = (XX - grid.x0) / grid.spacing - 0.5
+    fj = YY / grid.spacing - 0.5
+    inside = (fi >= 0) & (fi <= grid.nx - 1) & (fj >= 0) & (fj <= grid.ny - 1)
+    solid = bilinear(grid._solid, fi, fj) > 1e-12  # bool times float64 is float64, no copy
+    return fi, fj, inside & ~solid
+
+
 def sample_self_similar(
     model: GasModel, grid: Grid, state: SimState, xi_x, xi_y
 ) -> SelfSimilarField:
@@ -408,22 +432,14 @@ def sample_self_similar(
         raise ValueError("self-similar sampling needs t > 0")
     xi_x = np.asarray(xi_x, dtype=float)
     xi_y = np.asarray(xi_y, dtype=float)
-    XX, YY = np.meshgrid(xi_x * state.t, xi_y * state.t)
-    h = grid.spacing
-    fi = (XX - grid.x0) / h - 0.5
-    fj = YY / h - 0.5
-    inside = (fi >= 0) & (fi <= grid.nx - 1) & (fj >= 0) & (fj <= grid.ny - 1)
+    fi, fj, valid = _sample_points(grid, state.t, xi_x, xi_y)
     rho = bilinear(state.rho, fi, fj)
     vx = bilinear(state.vx, fi, fj)
     vy = bilinear(state.vy, fi, fj)
-    solid = bilinear(grid._solid, fi, fj) > 1e-12  # bool times float64 is float64, no copy
     XiX, XiY = np.meshgrid(xi_x, xi_y)
     c = np.asarray(model.sound_speed(np.maximum(rho, 1e-300)))
     L = np.hypot(vx - XiX, vy - XiY) / c
-    return SelfSimilarField(
-        t=state.t, xi_x=xi_x, xi_y=xi_y, rho=rho, vx=vx, vy=vy, L=L,
-        valid=inside & ~solid,
-    )
+    return SelfSimilarField(t=state.t, xi_x=xi_x, xi_y=xi_y, rho=rho, vx=vx, vy=vy, L=L, valid=valid)
 
 
 def self_similarity_defect(f1: SelfSimilarField, f2: SelfSimilarField) -> float:
@@ -472,12 +488,33 @@ def _sample_rows(config: UnsteadyConfig) -> int:
     return max(8, int(config.sample_nx * y_max / (x_max - x_min)))
 
 
+def _march_setup(config: UnsteadyConfig):
+    """(grid, xi_x, xi_y): run's grid, and its xi grid, which stays 1.5 cells
+    at t_final / 2 inside each side of the box."""
+    x_min, x_max, y_max = config.box
+    h, nx, ny = _grid_shape(config)
+    grid = Grid(x0=x_min, spacing=h, nx=nx, ny=ny, tau=config.problem.tau)
+    margin = 1.5 * h / (0.5 * config.t_final)
+    xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)
+    xi_y = np.linspace(margin, y_max - margin, _sample_rows(config))
+    return grid, xi_x, xi_y
+
+
+def shared_sample_points(config: UnsteadyConfig) -> int:
+    """The points of run's xi grid valid in both its samplings, at t_final / 2
+    and at t_final; with none there is no self-similarity defect to take."""
+    grid, xi_x, xi_y = _march_setup(config)
+    t = config.t_final
+    both = _sample_points(grid, 0.5 * t, xi_x, xi_y)[2] & _sample_points(grid, t, xi_x, xi_y)[2]
+    return int(np.count_nonzero(both))
+
+
 def sample_bytes(config: UnsteadyConfig) -> int:
     """Bytes of run's two samplings at their peak, per xi point: the first
     field's rho, v and L and its valid flag, and the second sampling's
-    temporaries, 14 float and 2 flag arrays (tracemalloc reads 147 bytes per
+    temporaries, 12 float and 1 flag arrays (tracemalloc reads 130 bytes per
     point)."""
-    return config.sample_nx * _sample_rows(config) * (8 * (4 + 14) + 1 + 2)
+    return config.sample_nx * _sample_rows(config) * (8 * (4 + 12) + 1 + 1)
 
 
 def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
@@ -492,18 +529,11 @@ def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
     pattern = build(problem)
     model = problem.model
 
-    x_min, x_max, y_max = config.box
-    h, _, ny = _grid_shape(config)
-    grid = Grid(x0=x_min, spacing=h, nx=config.grid_n, ny=ny, tau=problem.tau)
-
+    grid, xi_x, xi_y = _march_setup(config)
     state = init(upstream_orig, grid)
-    t_half = 0.5 * config.t_final
-    margin = 1.5 * h / t_half
-    xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)
-    xi_y = np.linspace(margin, y_max - margin, _sample_rows(config))
     workspace = _Workspace(grid)
     steps, samples = 0, []
-    for target in (t_half, config.t_final):
+    for target in (0.5 * config.t_final, config.t_final):
         while state.t < target - 1e-14:
             step(model, grid, state, upstream_orig, workspace, cfl=config.cfl, t_stop=target)
             steps += 1

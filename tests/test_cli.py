@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import wedgeflow
 from wedgeflow import cli, diagnostics, elliptic, gas, pattern, shocks, unsteady
 from wedgeflow.cli import ConfigError, dispatch, parse_config
+from wedgeflow.unsteady import UnsteadyConfig
 
 CASE12 = "gamma = 1.4\nM_I = 2.94\ntau_deg = 10\nepsilon = 0.01\n"
 UNPERT = "gamma = 1.0\nM_I_y = -2.0\nepsilon = 0.04\nlattice_n = 32\n"
@@ -280,16 +282,45 @@ class TestErrorContract:
         assert "ShockFitError" in err
 
     @pytest.mark.filterwarnings("error")
-    def test_empty_sampling_window_exit_1(self, tmp_path, capsys):
+    def test_empty_sampling_window_exit_2_before_the_march(self, tmp_path, monkeypatch, capsys):
         # the xi window stays 1.5 cells at t_final / 2 inside the box; a box
-        # 0.3 high with h = 0.135 leaves it no row, so the defect has no point
+        # 0.3 high with h = 0.135 leaves it no row, so the defect has no point.
+        # The config alone fixes that, so no step runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("the march ran")
+
+        monkeypatch.setattr(unsteady, "step", refuse)
         f = tmp_path / "wedge.cfg"
         f.write_text(CASE12 + "grid_n = 40\nbox_y_max = 0.3\nt_final = 0.2\n")
-        assert dispatch(["simulate", "--config", str(f), "--out", str(tmp_path)]) == 1
+        assert dispatch(["simulate", "--config", str(f), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("solver failure (SamplingError): ")
+        assert err[0].startswith("config error: grid_n = 40, ")
+        assert "box_y_max = 0.3" in err[0] and "t_final = 0.2" in err[0]
         assert "share no valid point in the xi window" in err[0]
+
+    def test_march_without_end_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # about 4.5e7 steps (some 2 h): c_I t_final is about 1e6 box widths
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran past its step-count check")
+
+        monkeypatch.setattr(unsteady, "run", refuse)
+        f = tmp_path / "wedge.cfg"
+        f.write_text("gamma = 1.4\nM_I = 10\ntau_deg = 10\nc_I = 1e6\ngrid_n = 8\nt_final = 1\n")
+        start = time.perf_counter()
+        assert dispatch(["simulate", "--config", str(f), "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        for key in ("grid_n = 8", "cfl = 0.45", "t_final = 1.0", "M_I = 10.0", "c_I = 1000000.0"):
+            assert key in err[0]
+        assert f"more than {cli.MAX_MARCH_STEPS}" in err[0]
+
+    def test_min_march_steps_bounds_the_desk_march(self):
+        # 813 at grid_n 400 against the 917 steps the march takes
+        cfg = parse_config(text=CASE12 + "grid_n = 400\n")
+        ucfg = UnsteadyConfig(problem=cfg.problem(), grid_n=400)
+        assert unsteady.min_march_steps(ucfg) == 813
 
     def test_coarse_simulate_leaves_all_files(self, tmp_path):
         f = tmp_path / "wedge.cfg"
@@ -362,7 +393,7 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "command, line, key",
         [
-            # about 71 TB of samples (unsteady.sample_bytes)
+            # about 63 TB of samples (unsteady.sample_bytes)
             ("simulate", "sample_nx = 1000000", "sample_nx = 1000000"),
             # about 360 TB of polar samples (shocks.polar_bytes)
             ("polar", "polar_n = 1000000000000", "polar_n = 1000000000000"),
@@ -382,6 +413,27 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert key in err and "physical memory" in err
+
+    def test_memory_preflight_sums_the_march_and_its_samplings(self, tmp_path, monkeypatch, capsys):
+        # run holds its first sampling while it marches on: each part fits
+        # the patched memory alone, their sum does not
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran past its memory preflight")
+
+        text = CASE12 + "grid_n = 60\nsample_nx = 2000\n"
+        cfg = parse_config(text=text)
+        ucfg = UnsteadyConfig(problem=cfg.problem(), grid_n=60, sample_nx=2000)
+        march, sample = unsteady.march_bytes(ucfg), unsteady.sample_bytes(ucfg)
+        have = max(march, sample) + min(march, sample) // 2
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(unsteady, "run", refuse)
+        f = tmp_path / "wedge.cfg"
+        f.write_text(text)
+        assert dispatch(["simulate", "--config", str(f), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "grid_n = 60, sample_nx = 2000" in err[0] and "physical memory" in err[0]
 
     @pytest.mark.parametrize("command", ["pattern", "simulate"])
     def test_eta_L_star_with_the_wedge_pair_exit_2_before_any_work(

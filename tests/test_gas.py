@@ -8,6 +8,7 @@ from shock_oracles import density_sound_pseudo_mach
 from wedgeflow.gas import (
     GasModel,
     VacuumError,
+    c2_of_pi,
     constant_state_potential,
     pi_inverse,
     pi_of_rho,
@@ -135,6 +136,37 @@ def test_sound_speed_matches_pressure_derivative(gamma):
         h = 1e-6 * rho
         p_rho = (pressure(rho + h) - pressure(rho - h)) / (2 * h)
         assert model.sound_speed(rho) ** 2 == pytest.approx(p_rho, rel=1e-8)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.1, 1.4, 5 / 3, 3.0, 10.0])
+@pytest.mark.parametrize("rho0, c0", [(1.0, 1.0), (0.7, 2.5), (13.0, 0.11), (1e-3, 17.0)])
+def test_c2_of_pi_matches_the_sound_speed_at_and_above_rho0(gamma, rho0, c0):
+    model = GasModel(gamma=gamma, rho0=rho0, c0=c0)
+    rho = rho0 * np.geomspace(1.0, 1e3, 401)
+    c2 = c2_of_pi(model, pi_of_rho(model, rho))
+    assert np.max(np.abs(c2 / model.sound_speed(rho) ** 2 - 1.0)) < 1e-14
+    assert type(c2_of_pi(model, pi_of_rho(model, 2.0 * rho0))) is float
+
+
+def test_c2_of_pi_is_finite_and_nonnegative_near_vacuum():
+    # unclamped, c0^2 + (gamma - 1) pi rounds below 0 here: c = sqrt(c^2) would be NaN
+    model = GasModel(gamma=3.4, c0=2.5)
+    a = pi_of_rho(model, 1e-10)
+    assert model.c0**2 + (model.gamma - 1.0) * a < 0.0
+    assert c2_of_pi(model, a) == 0.0
+    rho = np.array([1e-10, 1e-9, 1e-6])
+    scan = [(g, c0, rho0) for g in np.linspace(1.8, 10.0, 42) for c0 in np.geomspace(0.11, 17.0, 15)
+            for rho0 in (0.3, 1.0, 7.0)]
+    for gamma, c0, rho0 in [(2.63, 0.7, 1.0)] + scan:
+        model = GasModel(gamma=gamma, rho0=rho0, c0=c0)
+        c2 = c2_of_pi(model, pi_of_rho(model, rho0 * rho))
+        assert np.all(np.isfinite(c2)) and np.all(c2 >= 0.0), (gamma, c0, rho0)
+
+
+def test_c2_of_pi_passes_a_nan_through():
+    assert math.isnan(c2_of_pi(AIR, math.nan))
+    c2 = c2_of_pi(AIR, np.array([math.nan, 0.0]))
+    assert math.isnan(c2[0]) and c2[1] == 1.0
 
 
 def test_gamma_to_one_limit():
