@@ -5,10 +5,9 @@
 Commands: polar, pattern, simulate, elliptic, verify, sweep.  The config is
 flat ``key = value`` text with ``#`` comments; the wedge angle is given as
 ``tau_deg`` in degrees and stored in radians.  Exit codes: 0 success, 1
-solver non-convergence or an output file that cannot be written, 2
-configuration error, 3 diagnostic FAIL under --strict.  Every output file
-is written here.
-The WEDGE_THREADS environment variable caps the sweep worker count.
+solver non-convergence, a dead sweep worker or an output file that cannot
+be written, 2 configuration error, 3 diagnostic FAIL under --strict.  Every
+output file is written here; ``sweep`` runs one worker per usable CPU.
 """
 
 from __future__ import annotations
@@ -38,6 +37,10 @@ MAX_MARCH_STEPS = 10**6
 
 class ConfigError(WedgeError, ValueError):
     pass
+
+
+class WorkerLost(WedgeError, RuntimeError):
+    """A sweep's pool worker died, for example killed for lack of memory."""
 
 
 @dataclass
@@ -461,8 +464,14 @@ def _sweep_job(args):
     return (eps, lattice, sol.converged, rec["combined"], dl, dr, wr["max"])
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # loaded before the pool starts, so that forked workers inherit them
     from . import diagnostics, elliptic  # noqa: F401
@@ -474,18 +483,22 @@ def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
         for eps in sorted(cfg.eps_list, reverse=True)
         for lattice in cfg.lattice_list
     ]
-    max_workers = min(len(jobs), int(os.environ.get("WEDGE_THREADS", os.cpu_count() or 1)))
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    futures = {}
+    try:
+        with ProcessPoolExecutor(max_workers=min(len(jobs), _usable_cpus())) as pool:
             # largest lattice first, so that no worker ends the sweep alone on
             # a long job; results are collected in job order
-            futures = {
-                k: pool.submit(_sweep_job, jobs[k])
-                for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][2])
-            }
+            for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][2]):
+                futures[k] = pool.submit(_sweep_job, jobs[k])
             results = [futures[k].result() for k in range(len(jobs))]
-    else:
-        results = [_sweep_job(j) for j in jobs]
+    except BrokenProcessPool:
+        # the pool has shut down, so every submitted future is done
+        lost = ", ".join(
+            f"(eps={job[1]:g}, lattice={job[2]})"
+            for k, job in enumerate(jobs)
+            if k not in futures or isinstance(futures[k].exception(), BrokenProcessPool)
+        )
+        raise WorkerLost(f"a sweep worker died; jobs in flight: {lost}") from None
     _write_rows(
         out / "sweep_summary.csv",
         ["epsilon", "lattice", "converged", "combined_residual", "corner_dL", "corner_dR", "weak_residual_max"],

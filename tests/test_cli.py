@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -221,42 +223,130 @@ class TestDispatch:
         for name in ("field_final.raw", "field_final.csv", "probes.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def _record_pool_sizes(self, monkeypatch):
+        """The max_workers of every pool the sweep starts, in order."""
+        sizes = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        return sizes
+
     def test_sweep_single_worker(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WEDGE_THREADS", "1")
+        sizes = self._record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         cfgtext = UNPERT + "eps_list = 0.04, 0.02\nlattice_list = 24\nquad_n = 64\n"
         code = dispatch(
             ["sweep", "--config", self._cfg_file(tmp_path, cfgtext), "--out", str(tmp_path)]
         )
         assert code == 0
+        assert sizes == [1]
         lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 3
         assert "slope" in capsys.readouterr().out
 
+    def test_sweep_takes_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
+        sizes = self._record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        cfgtext = UNPERT + "eps_list = 0.04\nlattice_list = 16\n"
+        assert dispatch(
+            ["sweep", "--config", self._cfg_file(tmp_path, cfgtext), "--out", str(tmp_path)]
+        ) == 0
+        assert sizes == [1]
+
+    def test_usable_cpus_counts_the_affinity_set(self, monkeypatch):
+        # a process restricted to some CPUs (taskset -c 0,3,5) runs that many
+        # workers; without an affinity call, every CPU counts
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert cli._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._usable_cpus() == 7
 
     def test_sweep_two_workers_match_one(self, tmp_path, monkeypatch):
         # the pool takes the larger lattice first; the files and the summary
         # rows (eps_list x lattice_list order) do not depend on the workers
+        sizes = self._record_pool_sizes(monkeypatch)
         cfgfile = self._cfg_file(
             tmp_path, UNPERT + "eps_list = 0.04, 0.02\nlattice_list = 16, 24\nquad_n = 64\n"
         )
         outs = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("WEDGE_THREADS", threads)
-            outs[threads] = tmp_path / f"threads{threads}"
-            assert dispatch(["sweep", "--config", cfgfile, "--out", str(outs[threads])]) == 0
-        names = sorted(p.name for p in outs["1"].iterdir())
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda n=cpus: n)
+            outs[cpus] = tmp_path / f"cpus{cpus}"
+            assert dispatch(["sweep", "--config", cfgfile, "--out", str(outs[cpus])]) == 0
+        assert sizes == [1, 2]
+        names = sorted(p.name for p in outs[1].iterdir())
         assert len(names) == 4 * 3 + 1
-        assert names == sorted(p.name for p in outs["2"].iterdir())
+        assert names == sorted(p.name for p in outs[2].iterdir())
         for name in names:
-            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
-        with open(outs["2"] / "sweep_summary.csv", newline="") as fh:
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+        with open(outs[2] / "sweep_summary.csv", newline="") as fh:
             keys = [(row["epsilon"], row["lattice"]) for row in csv.DictReader(fh)]
         assert keys == [("0.04", "16"), ("0.04", "24"), ("0.02", "16"), ("0.02", "24")]
+
+    def test_sweep_worker_death_exit_1(self, tmp_path, monkeypatch, capfd):
+        # one worker takes the jobs largest lattice first: both lattice-24
+        # jobs return before the first lattice-16 job kills it, and the two
+        # lattice-16 jobs are lost with the pool
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "_sweep_job", _sweep_job_dying_on_lattice_16)
+        cfgfile = self._cfg_file(tmp_path, UNPERT + "eps_list = 0.04, 0.02\nlattice_list = 16, 24\n")
+        assert dispatch(["sweep", "--config", cfgfile, "--out", str(tmp_path)]) == 1
+        out, err = capfd.readouterr()
+        assert err == (
+            "solver failure (WorkerLost): a sweep worker died; jobs in flight: "
+            "(eps=0.04, lattice=16), (eps=0.02, lattice=16)\n"
+        )
+        assert out == ""
+        assert not (tmp_path / "sweep_summary.csv").exists()
+
+    def test_polar_above_critical_angle(self, tmp_path, capsys):
+        cfgtext = "gamma = 1.4\nM_I = 1.5\ntau_deg = 20\npolar_n = 11\n"
+        code = dispatch(
+            ["polar", "--config", self._cfg_file(tmp_path, cfgtext), "--out", str(tmp_path)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("tau=20.0000deg above critical tau*=")
+        assert out.endswith("deg: no attached shock\n")
+        assert (tmp_path / "polar_summary.txt").read_text() == out
+        assert len((tmp_path / "polar.csv").read_text().splitlines()) == 12
+
+    @pytest.mark.parametrize("strict, code", [(True, 3), (False, 0)])
+    def test_verify_fail_exit_3_only_under_strict(self, strict, code, tmp_path, monkeypatch, capsys):
+        density_extrema = diagnostics.density_extrema
+
+        def one_fail(sol):
+            first, *rest = density_extrema(sol)
+            return [dataclasses.replace(first, passed=False), *rest]
+
+        monkeypatch.setattr(diagnostics, "density_extrema", one_fail)
+        argv = ["verify", "--config", self._cfg_file(tmp_path, UNPERT), "--out", str(tmp_path)]
+        assert dispatch(argv + ["--strict"] * strict) == code
+        out = capsys.readouterr().out
+        fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1
+        with open(tmp_path / "verify_report.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["verdict"] == "FAIL"]
+        assert len(rows) == 1 and fails[0].startswith(f"FAIL {rows[0]['name']}: ")
+
+
+def _sweep_job_dying_on_lattice_16(args):
+    """A sweep job that ends its worker process on lattice 16, as the kernel's
+    out-of-memory killer would, and returns a made-up row on any other."""
+    _, eps, lattice, _ = args
+    if lattice == 16:
+        os._exit(1)
+    return (eps, lattice, True, 0.0, 0.0, 0.0, 1.0)
 
 
 class TestErrorContract:
     def test_every_package_error_derives_from_wedge_error(self):
-        assert len(PACKAGE_ERRORS) == 15
+        assert len(PACKAGE_ERRORS) == 16
         for exc_type in PACKAGE_ERRORS:
             assert issubclass(exc_type, wedgeflow.WedgeError)
 
@@ -379,6 +469,13 @@ class TestErrorContract:
             ("pattern", "c_I = inf", "c_I = inf is not finite"),
             ("pattern", "rho_I = inf", "rho_I = inf is not finite"),
             ("pattern", "tau_deg = nan", "tau_deg = nan is not finite"),
+            # the wedge pair and the wall-normal Mach number have open ranges
+            ("pattern", "tau_deg = 0", "tau_deg = 0.0 out of range (0, 90)"),
+            ("pattern", "tau_deg = 90", "tau_deg = 90.0 out of range (0, 90)"),
+            ("pattern", "M_I = 1", "M_I = 1.0 must exceed 1"),
+            ("pattern", "M_I_y = 0", "M_I_y = 0.0 must be negative"),
+            # CASE12 is four lines long
+            ("pattern", "gamma 1.4", "line 5: expected 'key = value', got 'gamma 1.4'"),
         ],
     )
     def test_config_range_exit_2(self, command, lines, key, tmp_path, capsys):
@@ -702,6 +799,32 @@ class TestSimulateCommand:
         assert len(rest) == 3 * nx * ny * 8
         arr = np.frombuffer(rest, dtype="<f8", count=nx * ny).reshape(ny, nx)
         assert arr.min() > 0.5  # densities
+
+
+def test_simulate_snapshots(tmp_path, capsys):
+    """Snapshots share field_final.csv's format, and writing them leaves
+    every other output as it is."""
+    outs = {}
+    for every in (0, 50):
+        outs[every] = tmp_path / f"every{every}"
+        outs[every].mkdir()
+        f = outs[every] / "wedge.cfg"
+        f.write_text(CASE12 + f"grid_n = 60\nsample_nx = 60\nsnapshot_every = {every}\n")
+        assert dispatch(["simulate", "--config", str(f), "--out", str(outs[every])]) == 0
+    steps = int(capsys.readouterr().out.split("steps=")[-1].split()[0])
+    snaps = sorted(outs[50].glob("snapshot_*.csv"))
+    assert [p.name for p in snaps] == [f"snapshot_{k:04d}.csv" for k in range(1, steps // 50 + 1)]
+    assert len(snaps) >= 2
+    assert not list(outs[0].glob("snapshot_*"))
+    final = (outs[50] / "field_final.csv").read_text().splitlines()
+    for snap in snaps:
+        lines = snap.read_text().splitlines()
+        assert lines[0] == final[0] and len(lines) == len(final)
+        # the same cells in the same order
+        assert [ln.split(",", 4)[:4] for ln in lines] == [ln.split(",", 4)[:4] for ln in final]
+    assert snaps[0].read_bytes() != (outs[50] / "field_final.csv").read_bytes()
+    for name in ("field_final.csv", "field_final.raw", "probes.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[50] / name).read_bytes(), name
 
 
 def test_light_commands_load_no_scipy(tmp_path):

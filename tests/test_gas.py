@@ -48,6 +48,19 @@ def test_non_finite_model_parameter_rejected(name, value):
         GasModel(**{"gamma": 1.4, name: value})
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"gamma": 0.9}, r"^gamma must be >= 1, got 0\.9$"),
+        ({"gamma": 1.4, "rho0": 0.0}, "^reference density and sound speed must be positive$"),
+        ({"gamma": 1.4, "c0": -1.0}, "^reference density and sound speed must be positive$"),
+    ],
+)
+def test_model_parameter_out_of_range_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        GasModel(**kwargs)
+
+
 def test_nonpositive_density_rejected():
     with pytest.raises(VacuumError):
         pi_of_rho(AIR, 0.0)

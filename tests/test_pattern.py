@@ -224,6 +224,24 @@ class TestBuild:
             with pytest.raises(ValueError, match=r"MIy and the wedge pair \(M_I, tau\)"):
                 ProblemConfig(model=AIR, MIy=-2.0, **pair)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"MIy": -2.0, "epsilon": 0.3}, r"epsilon must lie in \[0, 0\.25\], got 0\.3"),
+            ({"MIy": -2.0, "epsilon": -0.01}, r"epsilon must lie in \[0, 0\.25\], got -0\.01"),
+            ({}, r"either MIy or the pair \(M_I, tau\) is required"),
+            ({"M_I": 2.94}, r"either MIy or the pair \(M_I, tau\) is required"),
+            ({"MIy": 0.0}, "MIy must be negative .*got 0.0"),
+            ({"M_I": 2.94, "tau": 0.0}, r"tau must lie in \(0, pi/2\), got 0\.0"),
+            ({"M_I": 2.94, "tau": 0.5 * math.pi}, r"tau must lie in \(0, pi/2\), got 1\.57"),
+            ({"M_I": 1.0, "tau": 0.1}, "M_I must exceed 1, got 1.0"),
+        ],
+    )
+    def test_config_out_of_range_rejected(self, kwargs, message):
+        # the command line checks these first; a library caller meets them here
+        with pytest.raises(ValueError, match=message):
+            ProblemConfig(model=AIR, **kwargs)
+
     def test_upstream_state_is_the_gas_reference_state(self):
         model = GasModel(gamma=1.4, rho0=2.0, c0=1.5)
         p = build(ProblemConfig(model=model, M_I=2.94, tau=math.radians(10.0), epsilon=0.01))

@@ -81,6 +81,56 @@ class TestInit:
         assert np.max(np.abs(s.vy)) < 1e-14
 
 
+class TestWallGhosts:
+    @staticmethod
+    def starved(g):
+        """Ghosts whose mirror point has no fluid cell among the centres that
+        weigh in its bilinear interpolation: their fluid weights sum to less
+        than 1e-12."""
+        gh, solid = g._ghosts, g.solid_mask()
+        x, y = g.centers()
+        n = np.array([-math.sin(g.tau), math.cos(g.tau)])
+        p = np.stack([x[gh.ii], y[gh.jj]], axis=-1)
+        pm = p - 2.0 * (p @ n)[:, None] * n
+        fi = np.clip((pm[:, 0] - g.x0) / g.spacing - 0.5, 0.0, g.nx - 1.0)
+        fj = np.clip(pm[:, 1] / g.spacing - 0.5, 0.0, g.ny - 1.0)
+        i0 = np.clip(np.floor(fi).astype(int), 0, g.nx - 2)
+        j0 = np.clip(np.floor(fj).astype(int), 0, g.ny - 2)
+        di, dj = fi - i0, fj - j0
+        corners = ((0, 0, (1 - di) * (1 - dj)), (0, 1, di * (1 - dj)), (1, 0, (1 - di) * dj), (1, 1, di * dj))
+        fluid_weight = sum(np.where(solid[j0 + a, i0 + b], 0.0, w) for a, b, w in corners)
+        # a weight of rounding size, such as 1e-16 for a point on a centre, is none
+        return np.flatnonzero(fluid_weight < 1e-12)
+
+    @pytest.mark.parametrize(
+        "grid, count",
+        [
+            (dict(x0=-0.5, spacing=0.05, nx=60, ny=30), 3),
+            (dict(x0=-0.05, spacing=0.05, nx=20, ny=10), 1),
+        ],
+    )
+    def test_starved_ghost_copies_the_first_fluid_cell_of_its_column(self, grid, count):
+        # at 45 degrees the mirror of a ghost near the wedge face can fall
+        # deep into the solid, where no stencil member is fluid
+        g = Grid(tau=math.radians(45.0), **grid)
+        starved = self.starved(g)
+        assert len(starved) == count
+        rng = np.random.default_rng(0)
+        rho, vx, vy = (rng.uniform(0.5, 2.0, (g.ny, g.nx)) for _ in range(3))
+        fluid = (rho.copy(), vx.copy(), vy.copy())
+        g._ghosts.fill(rho, vx, vy)
+        first_fluid = np.argmax(~g.solid_mask(), axis=0)
+        n = np.array([-math.sin(g.tau), math.cos(g.tau)])
+        for k in starved:
+            j, i = g._ghosts.jj[k], g._ghosts.ii[k]
+            src = (first_fluid[i], i)
+            assert not g.solid_mask()[src] and g.solid_mask()[j, i]
+            assert rho[j, i] == fluid[0][src]
+            v = np.array([fluid[1][src], fluid[2][src]])
+            mirrored = v - 2.0 * (v @ n) * n
+            assert [vx[j, i], vy[j, i]] == pytest.approx(mirrored, rel=1e-14, abs=1e-15)
+
+
 class TestStep:
     def test_cfl_step_is_stable_dt_cut_at_t_stop(self):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
@@ -103,6 +153,25 @@ class TestStep:
         with pytest.raises(WedgeError, match=r"nan .*cell \(i=5, j=0\), t = ") as exc:
             step(AIR, g, s, up, unsteady._Workspace(g))
         assert str(exc.value).endswith("t = 0.0")
+
+    def test_density_floor_names_the_cell(self):
+        # gas at 1.5e-10 rho_I streams apart at 100 c_I from the line between
+        # columns 7 and 8; the cells on either side of it lose 45 % of their
+        # mass in one step, below the floor of 1e-10 rho_I
+        up = FlowState.from_model(AIR, 1.0, (0.0, 0.0))
+        g = flat_grid(nx=16, ny=4)
+        s = init(up, g)
+        s.rho[:, 5:11] = 1.5e-10
+        s.vx[:, 5:8], s.vx[:, 8:11] = -100.0, 100.0
+        with pytest.raises(VacuumError) as exc:
+            step(AIR, g, s, up, unsteady._Workspace(g))
+        # the state is left updated; the message names its lowest density
+        j, i = np.unravel_index(int(np.argmin(s.rho)), s.rho.shape)
+        assert 0 < s.rho[j, i] < 1e-10
+        assert i in (7, 8) and s.t > 0.0
+        assert str(exc.value) == (
+            f"density {s.rho[j, i]} not above the floor 1e-10 at cell (i={i}, j={j}), t = {s.t}"
+        )
 
     def test_step_evaluates_each_closure_once(self, monkeypatch):
         up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
