@@ -436,6 +436,11 @@ def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
             note=f"{len(wr['values'])} bumps, informational at fixed epsilon",
         )
     )
+    # how far the shock's free ends sit below the sonic corners, in units of c_I
+    for side, star, corner in (("L", pat.eta_L_star, sol.corner_L), ("R", pat.eta_R_star, sol.corner_R)):
+        gap = float(star - corner[1]) / pat.state_I.c
+        note = f"eta_{side}* minus the shock's end height, informational"
+        checks.append(diag_mod.CheckResult(f"corner_gap_{side}", True, gap, float("nan"), note=note))
     for c in checks:
         print(c.line())
     rows = [(c.name, "PASS" if c.passed else "FAIL", c.value, c.tolerance, c.location, c.note) for c in checks]

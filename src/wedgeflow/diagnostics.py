@@ -612,11 +612,10 @@ def _lens_edge(m, piece, t):
     dsigma; the arcs ("L", "R") are sigma = 0 and 1 parameterized by zeta."""
     t = np.asarray(t, dtype=float)
     if piece == "S":
-        Y, sp = m.shock.value(t), m.shock.deriv(t)
+        Y, sp = m.shock.value(t), m.shock.slope(t)
         X, X_s, X_e = level_arc(m.pattern, t, Y)
         return X, Y, -sp, X_s + X_e * sp
-    sig = np.full(t.shape, 0.0 if piece == "L" else 1.0)
-    s = m.shock.value(sig)
+    sig, s = (0.0, m.shock.s[0]) if piece == "L" else (1.0, m.shock.s[-1])
     Y = t * s
     X, _, X_e = level_arc(m.pattern, sig, Y)
     sign = 1.0 if piece == "L" else -1.0

@@ -23,11 +23,12 @@ Each solve builds one Lattice, whose sparse matrix D stacks every
 difference stencil, and shares it among its mappings.  The residual kernel
 (_conditions) reads its derivatives from D psi and also yields per-node
 coefficients W of the same stencils, so on a fixed mapping the Jacobian is
-W D.  Node (j, i) reads the shock only through (s_i, s'_i, s''_i) of the
-not-a-knot spline; with the N node slopes as extra unknowns and their
-slope equations, those columns stay sparse too (_jacobian).  The sparse LU
-of the whole matrix, ordered by minimum degree on A^T + A with diagonal
-pivots, is kept over the steps it contracts (the chord method).
+W D.  Node (j, i) reads the shock only through (s_i, s'_i, s''_i) of one
+not-a-knot spline (ShockCurve), whose node slopes solve the sparse slope
+equations of _spline_rows; with those slopes as extra unknowns, the shock
+columns stay sparse too (_jacobian).  The sparse LU of the whole matrix,
+ordered by minimum degree on A^T + A with diagonal pivots, is kept over
+the steps it contracts (the chord method).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
@@ -61,23 +62,71 @@ class CornerEscapeError(WedgeError, RuntimeError):
     pass
 
 
+def _spline_rows(N: int, h: float):
+    """The not-a-knot spline through N node heights s, spacing h, in its
+    node slopes m.
+
+    Returns (T, R, piece, ws, wm).  The slopes solve T m = R s (sparse),
+    with end rows m_0 - m_2 = -2 (s_0 - 2 s_1 + s_2)/h and its mirror, and
+    interior rows m_{i-1} + 4 m_i + m_{i+1} = 3 (s_{i+1} - s_{i-1})/h.  The
+    second derivative at node i, by the Hermite formula on the piece p =
+    piece[i] that starts there (the last node: on the piece that ends
+    there), is ws[i] . (s_p, s_p+1) + wm[i] . (m_p, m_p+1).
+    """
+    k = np.arange(1, N - 1)
+    T = coo_matrix((
+        np.concatenate([[1.0, -1.0, 1.0, -1.0], np.ones(N - 2), np.full(N - 2, 4.0), np.ones(N - 2)]),
+        (np.concatenate([[0, 0, N - 1, N - 1], k, k, k]),
+         np.concatenate([[0, 2, N - 1, N - 3], k - 1, k, k + 1])),
+    ), shape=(N, N))
+    R = coo_matrix((
+        np.concatenate([[-2.0, 4.0, -2.0, 2.0, -4.0, 2.0], np.full(N - 2, -3.0), np.full(N - 2, 3.0)]) / h,
+        (np.concatenate([[0, 0, 0, N - 1, N - 1, N - 1], k, k]),
+         np.concatenate([[0, 1, 2, N - 1, N - 2, N - 3], k - 1, k + 1])),
+    ), shape=(N, N))
+    piece = np.minimum(np.arange(N), N - 2)
+    ws = np.tile([-6.0, 6.0], (N, 1)) / h**2
+    wm = np.tile([-4.0, -2.0], (N, 1)) / h
+    ws[-1], wm[-1] = -ws[-1], [2.0 / h, 4.0 / h]
+    return T, R, piece, ws, wm
+
+
+def _hermite(x, x0, w, y0, y1, m0, m1):
+    """At x, the cubic on [x0, x0 + w] with ends y0, y1 and end slopes m0, m1, and its slope."""
+    t, d0, d1 = (x - x0) / w, w * m0, w * m1
+    value = (1 + 2 * t) * (1 - t) ** 2 * y0 + t * (1 - t) ** 2 * d0 + t * t * (3 - 2 * t) * y1
+    slope = 6 * t * (t - 1) * (y0 - y1) + (1 - t) * (1 - 3 * t) * d0 + t * (3 * t - 2) * d1
+    return value + t * t * (t - 1) * d1, slope / w
+
+
 @dataclass
 class ShockCurve:
-    """Shock heights at the sigma nodes, with spline derivatives."""
+    """The not-a-knot spline through heights s at equally spaced sigma nodes:
+    node slopes m and curvatures spp (_spline_rows), Hermite pieces between."""
 
     sigma: np.ndarray
     s: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.s[1:-1] <= 0.0):
-            raise MappingError("shock height must stay positive over the wall")
-        self._spline = CubicSpline(self.sigma, self.s, bc_type="not-a-knot")
+        if not np.all(np.isfinite(self.s)) or np.any(self.s[1:-1] <= 0.0):
+            raise MappingError("shock height must stay finite, and positive over the wall")
+        T, R, piece, ws, wm = _spline_rows(self.s.size, self.sigma[1] - self.sigma[0])
+        bands = np.zeros((5, self.s.size))  # T's diagonals +2 .. -2, as solve_banded reads them
+        bands[2 + T.row - T.col, T.col] = T.data
+        self.m = solve_banded((2, 2), bands, R @ self.s)
+        ends = np.stack([piece, piece + 1], axis=1)
+        self.spp = np.sum(ws * self.s[ends] + wm * self.m[ends], axis=1)
+
+    def _piece(self, sig):
+        p = np.clip(np.searchsorted(self.sigma, sig, side="right") - 1, 0, self.s.size - 2)
+        h = self.sigma[1] - self.sigma[0]
+        return _hermite(sig, self.sigma[p], h, self.s[p], self.s[p + 1], self.m[p], self.m[p + 1])
 
     def value(self, sig):
-        return self._spline(sig)
+        return self._piece(sig)[0]
 
-    def deriv(self, sig, k=1):
-        return self._spline(sig, k)
+    def slope(self, sig):
+        return self._piece(sig)[1]
 
 
 class Lattice:
@@ -184,10 +233,7 @@ class GridMapping:
         self.shock = shock
         self.lattice = lattice
         S, Z = lattice.S, lattice.Z
-        # the shock at the sigma nodes, broadcast over the zeta rows
-        s_v = shock.value(lattice.nodes)
-        sp = shock.deriv(lattice.nodes, 1)
-        spp = shock.deriv(lattice.nodes, 2)
+        s_v, sp, spp = shock.s, shock.m, shock.spp  # at the sigma nodes, broadcast over zeta
         eta = Z * s_v
 
         (b, u, R), (bp, up, Rp) = arc_blend(pattern, S)
@@ -347,16 +393,9 @@ def chord_shock(pattern: WavePattern, lattice: Lattice) -> ShockCurve:
     if abs(b[1] - a[1]) < 1e-14:
         return ShockCurve(sigma=sig, s=np.full(sig.size, a[1]))
     xa, xb = float(a[0]), float(b[0])
-    ma, mb = math.tan(pattern.beta), 0.0
-    dx = xb - xa
 
     def hermite(x):
-        t = (x - xa) / dx
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return h00 * a[1] + h10 * dx * ma + h01 * b[1] + h11 * dx * mb
+        return _hermite(x, xa, xb - xa, a[1], b[1], math.tan(pattern.beta), 0.0)[0]
 
     heights = np.empty(sig.size)
     heights[0], heights[-1] = a[1], b[1]
@@ -562,35 +601,6 @@ def _residual(model, pattern, mapping, psi):
 SHOCK_PROBE = 1e-8
 
 
-def _spline_rows(N: int, h: float):
-    """The not-a-knot spline through N node heights s, spacing h, in its
-    node slopes m.
-
-    Returns (T, R, piece, ws, wm).  The slopes solve T m = R s (sparse),
-    with end rows m_0 - m_2 = -2 (s_0 - 2 s_1 + s_2)/h and its mirror, and
-    interior rows m_{i-1} + 4 m_i + m_{i+1} = 3 (s_{i+1} - s_{i-1})/h.  The
-    second derivative at node i, by the Hermite formula on the piece p =
-    piece[i] that starts there (the last node: on the piece that ends
-    there), is ws[i] . (s_p, s_p+1) + wm[i] . (m_p, m_p+1).
-    """
-    k = np.arange(1, N - 1)
-    T = coo_matrix((
-        np.concatenate([[1.0, -1.0, 1.0, -1.0], np.ones(N - 2), np.full(N - 2, 4.0), np.ones(N - 2)]),
-        (np.concatenate([[0, 0, N - 1, N - 1], k, k, k]),
-         np.concatenate([[0, 2, N - 1, N - 3], k - 1, k, k + 1])),
-    ), shape=(N, N))
-    R = coo_matrix((
-        np.concatenate([[-2.0, 4.0, -2.0, 2.0, -4.0, 2.0], np.full(N - 2, -3.0), np.full(N - 2, 3.0)]) / h,
-        (np.concatenate([[0, 0, 0, N - 1, N - 1, N - 1], k, k]),
-         np.concatenate([[0, 1, 2, N - 1, N - 2, N - 3], k - 1, k + 1])),
-    ), shape=(N, N))
-    piece = np.minimum(np.arange(N), N - 2)
-    ws = np.tile([-6.0, 6.0], (N, 1)) / h**2
-    wm = np.tile([-4.0, -2.0], (N, 1)) / h
-    ws[-1], wm[-1] = -ws[-1], [2.0 / h, 4.0 / h]
-    return T, R, piece, ws, wm
-
-
 def _jacobian(model, pattern, mapping, psi, F):
     """Sparse Newton matrix at psi, whose residual on mapping is F.
 
@@ -696,8 +706,9 @@ def iterate(
     earlier iterate: its LU is kept while a step on it cuts the largest
     residual at least CHORD_CONTRACTION-fold, and otherwise the step is
     redone from the same point on a fresh one.  A trial shock whose mapping fails, or
-    whose corner passes CORNER_MARGIN of its arc radius, is retried the same
-    way; on a fresh matrix it raises InnerSolveError or CornerEscapeError.
+    whose corner passes CORNER_MARGIN of its arc radius, and a trial that
+    reaches vacuum (c = 0) at a node are retried the same way; on a fresh
+    matrix they raise InnerSolveError or CornerEscapeError.
 
     Each accepted step appends its record (_record) to the history.  The solve stops once combined is below tol_outer, or after
     max_outer accepted steps.  The returned state must keep the
@@ -738,8 +749,13 @@ def iterate(
                     raise
                 raise InnerSolveError(f"Newton step left the mappable shocks: {exc}") from exc
             F_trial, z2, c2 = _residual(model, pattern, trial_map, trial)
-            if fresh or CHORD_CONTRACTION * np.max(np.abs(F_trial)) <= np.max(np.abs(F)):
+            vacuum = np.argwhere(~(c2 > 0.0))
+            contracts = CHORD_CONTRACTION * np.max(np.abs(F_trial)) <= np.max(np.abs(F))
+            if not vacuum.size and (fresh or contracts):
                 break
+            if fresh:
+                zeta, sig = lattice.nodes[vacuum[0]]
+                raise InnerSolveError(f"Newton step reached vacuum at node (sigma={sig:.3f}, zeta={zeta:.3f})")
             lu = None
         move = float(np.max(np.abs(s - mapping.shock.s)))
         history.append({"iter": step, **_record(pattern, F_trial, z2, c2, move)})

@@ -1,15 +1,20 @@
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wedgeflow
 from wedgeflow import cli, diagnostics, elliptic, gas, pattern, shocks, unsteady
@@ -585,6 +590,9 @@ class TestErrorContract:
             # below the 4.19 degree critical angle: the pattern builds, though
             # its corner chord cuts the upstream sonic disc, and Newton diverges
             ("elliptic", "M_I = 1.2\ntau_deg = 3", "InnerSolveError"),
+            # the first Newton step from the chord shock reaches vacuum at
+            # two shock nodes
+            ("elliptic", "M_I = 2.5\ntau_deg = 39\nlattice_n = 8", "InnerSolveError"),
             # the weak tip shock's tilt is below rounding level: no wedge tip
             ("pattern", "M_I = 1e4", "GeometryError"),
         ],
@@ -850,3 +858,73 @@ def test_light_commands_load_no_scipy(tmp_path):
         "scipy: pattern 0 []",
         "scipy: simulate 0 []",
     ]
+
+
+# tiny problems and sizes: a run on in-range values takes milliseconds
+IN_RANGE = {
+    "M_I": st.floats(1.01, 8.0),
+    "tau_deg": st.floats(0.5, 45.0),
+    "M_I_y": st.floats(-6.0, -1.01),
+    "eta_L_star": st.floats(0.05, 2.0),
+    "gamma": st.floats(1.0, 3.0),
+    "epsilon": st.floats(0.001, 0.25),
+    "grid_n": st.integers(4, 24),
+    "t_final": st.floats(0.001, 0.2),
+    "cfl": st.floats(0.05, 0.9),
+    "lattice_n": st.integers(8, 12),
+    "max_outer": st.integers(1, 20),
+    "polar_n": st.integers(2, 64),
+}
+OUT_OF_RANGE = {
+    "M_I": st.floats(-3.0, 1.0),
+    "tau_deg": st.floats(-10.0, 0.0) | st.floats(90.0, 400.0),
+    "M_I_y": st.floats(0.0, 3.0),
+    "eta_L_star": st.floats(-2.0, 0.0),
+    "gamma": st.floats(-2.0, 0.99) | st.floats(10.01, 1e3),
+    "epsilon": st.floats(-1.0, 0.0) | st.floats(0.26, 5.0),
+    "grid_n": st.integers(-5, 3),
+    "t_final": st.floats(-1.0, 0.0),
+    "cfl": st.floats(-1.0, 0.0) | st.floats(1.0, 5.0),
+    "lattice_n": st.integers(-3, 7),
+    "max_outer": st.integers(-3, 0),
+    "polar_n": st.integers(-3, 1),
+}
+NOT_A_VALUE = st.sampled_from(["nan", "inf", "-inf", "", "abc", "1e", "2..5", "0x10", "1,5", "8.5", "None"])
+PROBLEM_KEYS = ("M_I", "tau_deg", "M_I_y", "eta_L_star")
+FUZZ_CONFIG = st.fixed_dictionaries(
+    {
+        # a wedge pair, or a family member with or without its L corner height
+        "problem": st.fixed_dictionaries({k: IN_RANGE[k] for k in ("M_I", "tau_deg")})
+        | st.fixed_dictionaries({"M_I_y": IN_RANGE["M_I_y"]}, optional={"eta_L_star": IN_RANGE["eta_L_star"]}),
+        "numerics": st.fixed_dictionaries(
+            {}, optional={k: v for k, v in IN_RANGE.items() if k not in PROBLEM_KEYS}
+        ),
+        # at most two values spoiled: out of range, not finite or malformed
+        "spoiled": st.lists(
+            st.sampled_from(sorted(IN_RANGE)).flatmap(
+                lambda k: st.tuples(st.just(k), OUT_OF_RANGE[k].map(str) | NOT_A_VALUE)
+            ),
+            max_size=2,
+        ),
+    }
+)
+
+
+@settings(max_examples=50)
+@given(command=st.sampled_from(["polar", "pattern", "simulate", "elliptic", "verify"]), config=FUZZ_CONFIG)
+def test_dispatch_fuzz_exits_with_a_code_and_one_line(command, config):
+    # sweep is left out: it forks a process pool
+    values = {"lattice_n": 8, "grid_n": 8, "t_final": 0.05, "polar_n": 8}
+    values.update(config["problem"], **config["numerics"])
+    values.update(config["spoiled"])
+    text = "".join(f"{key} = {val}\n" for key, val in values.items())
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = Path(tmp) / "wedge.cfg"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = dispatch([command, "--config", str(cfg), "--out", tmp])
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert [str(w.message) for w in caught] == []

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -277,3 +278,22 @@ def test_report_csv(tmp_path, capsys):
     text = (tmp_path / "verify_report.csv").read_text().splitlines()
     assert text[0].startswith("name,verdict")
     assert text[1].startswith("interior_L2_bound,PASS")
+
+
+@pytest.mark.parametrize("eps, gap_L, gap_R", [(0.01, 3.51e-3, 4.28e-3), (0.0025, 2.37e-3, 3.37e-3)])
+def test_report_carries_the_corner_gaps(eps, gap_L, gap_R, tmp_path, capsys):
+    # informational rows: the sonic-corner heights eta_L*, eta_R* minus the
+    # shock's end heights s(0), s(1), in units of c_I = 1
+    cfg = tmp_path / "wedge.cfg"
+    cfg.write_text(f"gamma = 1.4\nM_I = 2.94\ntau_deg = 10\nepsilon = {eps}\nlattice_n = 48\n")
+    assert dispatch(["verify", "--config", str(cfg), "--out", str(tmp_path), "--strict"]) == 0
+    with open(tmp_path / "verify_report.csv", newline="") as fh:
+        rows = {row["name"]: row for row in csv.DictReader(fh)}
+    p = build(ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=eps))
+    sol = iterate(p, EllipticConfig(lattice_n=48))
+    ends = {"L": (p.eta_L_star, sol.corner_L, gap_L), "R": (p.eta_R_star, sol.corner_R, gap_R)}
+    for side, (star, corner, gap) in ends.items():
+        row = rows[f"corner_gap_{side}"]
+        assert (row["verdict"], row["tolerance"]) == ("PASS", "nan")
+        assert float(row["value"]) == star - corner[1]
+        assert float(row["value"]) == pytest.approx(gap, abs=5e-6)

@@ -113,6 +113,73 @@ class TestLattice:
         assert elliptic.lattice_bytes(100000) > 2e12
 
 
+class TestShockCurve:
+    """The curve against scipy's not-a-knot CubicSpline as an oracle."""
+
+    @staticmethod
+    def curve_and_oracle(N, seed=0):
+        sigma = np.linspace(0.0, 1.0, N)
+        s = np.random.default_rng(seed + N).uniform(0.2, 1.0, N)
+        return ShockCurve(sigma=sigma, s=s), CubicSpline(sigma, s, bc_type="not-a-knot")
+
+    @pytest.mark.parametrize("N", [5, 9, 49, 97])
+    def test_heights_and_slopes_between_nodes(self, N):
+        curve, spline = self.curve_and_oracle(N)
+        sig = np.random.default_rng(N).uniform(0.0, 1.0, 200)
+        for got, want in ((curve.value(sig), spline(sig)), (curve.slope(sig), spline(sig, 1))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [5, 9, 49, 97])
+    def test_node_slopes_and_curvatures(self, N):
+        curve, spline = self.curve_and_oracle(N)
+        m, spp = spline(curve.sigma, 1), spline(curve.sigma, 2)
+        assert np.max(np.abs(curve.m - m)) <= 1e-12 * np.max(np.abs(m))
+        assert np.max(np.abs(curve.spp - spp)) <= 1e-10 * np.max(np.abs(spp))
+
+    @pytest.mark.parametrize("N", [5, 9, 49, 97])
+    def test_a_quadratic_moves_the_nodes_by_its_derivatives(self, N):
+        # what the Jacobian's shock probes at s + delta (1, t, t^2) rely on
+        curve, _ = self.curve_and_oracle(N)
+        t = curve.sigma - 0.5
+        moved = ShockCurve(sigma=curve.sigma, s=curve.s + 0.3 - 0.7 * t + 1.1 * t * t)
+        assert np.max(np.abs(moved.m - curve.m - (2.2 * t - 0.7))) <= 1e-12 * np.max(np.abs(curve.m))
+        assert np.max(np.abs(moved.spp - curve.spp - 2.2)) <= 1e-12 * np.max(np.abs(curve.spp))
+
+    def test_curve_solves_the_spline_rows(self, monkeypatch):
+        calls = []
+        rows = elliptic._spline_rows
+
+        def recording_rows(N, h):
+            calls.append((N, h))
+            return rows(N, h)
+
+        monkeypatch.setattr(elliptic, "_spline_rows", recording_rows)
+        ShockCurve(sigma=np.linspace(0.0, 1.0, 9), s=np.ones(9))
+        assert calls == [(9, 0.125)]
+
+    def test_mapping_reads_the_curves_node_arrays(self, case12_pattern, monkeypatch):
+        p, lattice = case12_pattern, Lattice(16)
+        curve = chord_shock(p, lattice)
+        base = build_mapping(p, curve, lattice)
+
+        def refuse(self, sig):
+            raise AssertionError("the mapping evaluated the spline")
+
+        # the mapping evaluates no spline at its nodes ...
+        monkeypatch.setattr(ShockCurve, "value", refuse)
+        monkeypatch.setattr(ShockCurve, "slope", refuse)
+        again = build_mapping(p, curve, lattice)
+        assert np.array_equal(again.jac_det, base.jac_det) and np.array_equal(again.hxx, base.hxx)
+        # ... and column k reads the slope and curvature of node k alone
+        k = 5
+        curve.m[k] += 1e-3
+        curve.spp[k] += 1e-2
+        moved = build_mapping(p, curve, lattice)
+        for field in (moved.jac_det - base.jac_det, moved.hxx[3] - base.hxx[3]):
+            assert np.flatnonzero(np.any(field != 0.0, axis=0)).tolist() == [k]
+        assert np.array_equal(moved.eta, base.eta)
+
+
 class TestMapping:
     def test_wall_row_exactly_on_axis(self, case12_pattern):
         m = chord_mapping(case12_pattern, 32)

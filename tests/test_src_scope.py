@@ -8,6 +8,7 @@ referenced member shares passes unseen.  Arc.tangent, read only by a test,
 passed because ShockSolution.tangent is read in the package."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -61,3 +62,31 @@ def test_every_method_and_property_is_referenced_by_the_package():
         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
     ]
     assert _unreferenced(trees, defs) == set(ALLOWED_MEMBERS)
+
+
+# the modules of the elliptic route may also import the scipy modules of its
+# sparse and banded solves; every other module imports the standard library,
+# numpy and the package alone, so that polar, pattern and simulate load
+# numpy alone
+SCIPY_MODULES = {"elliptic", "diagnostics"}
+SCIPY_SOLVES = {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"}
+
+
+def test_module_level_imports_stay_in_their_layer():
+    roots = set(sys.stdlib_module_names) | {"numpy", "wedgeflow"}
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        allowed = SCIPY_SOLVES if path.stem in SCIPY_MODULES else set()
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay in the package
+            outside += [
+                f"{path.stem}: {name}"
+                for name in names
+                if name.split(".")[0] not in roots and name not in allowed
+            ]
+    assert outside == []
