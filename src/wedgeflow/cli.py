@@ -390,9 +390,9 @@ def write_solution_csv(sol, node_path, shock_path, history_path):
         for j, zeta in enumerate(coords):
             cols = (map(repr, a[j]) for a in values)
             fh.writelines(",".join(row) + "\r\n" for row in zip(coords, repeat(zeta), *cols))
-    xs, ss = m.xi[-1, :], m.eta[-1, :]
-    normal = [math.atan2(sl, 1.0) - 0.5 * math.pi for sl in np.gradient(ss, xs).tolist()]
-    _write_rows(shock_path, ["xi", "s", "normal_angle"], zip(xs.tolist(), ss.tolist(), normal))
+    # the downstream shock normal is -grad zeta on the shock row
+    normal = map(math.atan2, (-m.zet_y[-1]).tolist(), (-m.zet_x[-1]).tolist())
+    _write_rows(shock_path, ["xi", "s", "normal_angle"], zip(m.xi[-1].tolist(), m.eta[-1].tolist(), normal))
     keys = ["iter", "r_interior", "r_arcL", "r_arcR", "r_wall", "r_shock", "r_shock_update", "combined"]
     _write_rows(history_path, keys, ([rec[k] for k in keys] for rec in sol.residual_history))
 

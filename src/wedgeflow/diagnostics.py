@@ -154,8 +154,6 @@ def density_extrema(sol: EllipticSolution):
     m = sol.mapping
     h = _spacing(sol)
 
-    xs, es = m.xi[-1, :], m.eta[-1, :]
-
     bad = sum(_classify_node(sol, j, i) in ("interior", "wall") for j, i in _local_minima(rho))
     checks = [
         CheckResult(
@@ -192,9 +190,9 @@ def density_extrema(sol: EllipticSolution):
             )
         )
     elif gkind == "shock":
-        # chi_t, the pseudo-velocity along the shock, against the
-        # pseudo-normal tolerance 5 * spacing * |z|
-        t_vec = np.array([np.gradient(xs)[i], np.gradient(es)[i]])
+        # chi_t, the pseudo-velocity along the shock (normal to grad zeta),
+        # against the pseudo-normal tolerance 5 * spacing * |z|
+        t_vec = np.array([m.zet_y[j, i], -m.zet_x[j, i]])
         t_vec /= np.hypot(*t_vec)
         z_vec = np.array([f["zx"][j, i], f["zy"][j, i]])
         chi_t, tol = float(z_vec @ t_vec), 5.0 * h * float(np.hypot(*z_vec))
@@ -208,7 +206,9 @@ def density_extrema(sol: EllipticSolution):
                 note="pseudo_normal_tol = 5*spacing*|z|",
             )
         )
-        # local convexity of the region at the minimum: s'' < 0 for the graph
+        # local convexity of the region at the minimum: s'' < 0 for the graph,
+        # by second differences over the shock row's node positions
+        xs, es = m.xi[-1, :], m.eta[-1, :]
         spp = np.gradient(np.gradient(es, xs), xs)
         if 2 <= i <= len(xs) - 3:
             checks.append(
@@ -258,10 +258,7 @@ def velocity_and_normal_ranges(sol: EllipticSolution):
     )
 
     # shock normals between the R and L shock normals, within the window
-    xs, es = m.xi[-1, :], m.eta[-1, :]
-    tx, ty = np.gradient(xs), np.gradient(es)
-    norm = np.hypot(tx, ty)
-    ang = np.arctan2(-tx / norm, ty / norm)  # angle of (t_y, -t_x): downstream normal
+    ang = np.arctan2(-m.zet_y[-1], -m.zet_x[-1])  # angle of -grad zeta: the downstream normal
     lo, hi = -0.5 * math.pi, -0.5 * math.pi + pattern.beta
     dist = np.maximum(lo - ang, ang - hi)
     worst = float(np.max(dist))
@@ -286,8 +283,8 @@ def velocity_and_normal_ranges(sol: EllipticSolution):
     )
 
     a, b = sol.corner_L, sol.corner_R
-    chord = a[1] + (xs - a[0]) * (b[1] - a[1]) / (b[0] - a[0])
-    gap = float(np.min(es - chord))
+    chord = a[1] + (m.xi[-1] - a[0]) * (b[1] - a[1]) / (b[0] - a[0])
+    gap = float(np.min(m.eta[-1] - chord))
     checks.append(
         CheckResult(
             name="shock_above_corner_chord",
@@ -612,7 +609,7 @@ def _lens_edge(m, piece, t):
     dsigma; the arcs ("L", "R") are sigma = 0 and 1 parameterized by zeta."""
     t = np.asarray(t, dtype=float)
     if piece == "S":
-        Y, sp = m.shock.value(t), m.shock.slope(t)
+        Y, sp = m.shock.at(t)
         X, X_s, X_e = level_arc(m.pattern, t, Y)
         return X, Y, -sp, X_s + X_e * sp
     sig, s = (0.0, m.shock.s[0]) if piece == "L" else (1.0, m.shock.s[-1])
@@ -662,7 +659,7 @@ def _interfaces(pattern: WavePattern, m):
                 )
                 cuts.append([t])
                 if piece == "S":
-                    cut_heights[name] = float(m.shock.value(t))
+                    cut_heights[name] = float(m.shock.at(t)[0])
         breaks[piece] = np.unique(np.concatenate(cuts))
 
     L, R, I = p.state_L, p.state_R, p.state_I
@@ -757,7 +754,7 @@ def weak_residual(sol: EllipticSolution, bumps=None):
             gz, wz = _gauss(np.array([0.0, 1.0]), rule(n_zet))
             fi = I[:, None, None] + gs[None, None, :]
             fj = J[:, None, None] + gz[None, :, None]
-            s = m.shock.value(fi * h)
+            s = m.shock.at(fi * h)[0]
             fi, fj = np.broadcast_arrays(fi, fj)
             Y = fj * h * s
             X, X_s, _ = level_arc(m.pattern, fi * h, Y)

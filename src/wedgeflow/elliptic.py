@@ -24,11 +24,11 @@ difference stencil, and shares it among its mappings.  The residual kernel
 (_conditions) reads its derivatives from D psi and also yields per-node
 coefficients W of the same stencils, so on a fixed mapping the Jacobian is
 W D.  Node (j, i) reads the shock only through (s_i, s'_i, s''_i) of one
-not-a-knot spline (ShockCurve), whose node slopes solve the sparse slope
-equations of _spline_rows; with those slopes as extra unknowns, the shock
-columns stay sparse too (_jacobian).  The sparse LU of the whole matrix,
-ordered by minimum degree on A^T + A with diagonal pivots, is kept over
-the steps it contracts (the chord method).
+not-a-knot spline, ShockCurve(lattice, s), whose node slopes solve the
+slope rows the Lattice builds once; with those slopes as extra unknowns,
+the shock columns stay sparse too (_jacobian).  The sparse LU of the
+whole matrix, ordered by minimum degree on A^T + A with diagonal pivots,
+is kept over the steps it contracts (the chord method).
 """
 
 from __future__ import annotations
@@ -66,12 +66,13 @@ def _spline_rows(N: int, h: float):
     """The not-a-knot spline through N node heights s, spacing h, in its
     node slopes m.
 
-    Returns (T, R, piece, ws, wm).  The slopes solve T m = R s (sparse),
-    with end rows m_0 - m_2 = -2 (s_0 - 2 s_1 + s_2)/h and its mirror, and
-    interior rows m_{i-1} + 4 m_i + m_{i+1} = 3 (s_{i+1} - s_{i-1})/h.  The
-    second derivative at node i, by the Hermite formula on the piece p =
-    piece[i] that starts there (the last node: on the piece that ends
-    there), is ws[i] . (s_p, s_p+1) + wm[i] . (m_p, m_p+1).
+    Returns (T, R, bands, piece, ws, wm).  The slopes solve T m = R s, T's
+    diagonals +2 .. -2 in bands, with end rows m_0 - m_2 = -2 (s_0 - 2 s_1
+    + s_2)/h and its mirror, and interior rows m_{i-1} + 4 m_i + m_{i+1} =
+    3 (s_{i+1} - s_{i-1})/h.  The second derivative at node i, by the
+    Hermite formula on the piece p = piece[i] that starts there (the last
+    node: on the piece that ends there), is ws[i] . (s_p, s_p+1) + wm[i] .
+    (m_p, m_p+1).
     """
     k = np.arange(1, N - 1)
     T = coo_matrix((
@@ -84,11 +85,13 @@ def _spline_rows(N: int, h: float):
         (np.concatenate([[0, 0, 0, N - 1, N - 1, N - 1], k, k]),
          np.concatenate([[0, 1, 2, N - 1, N - 2, N - 3], k - 1, k + 1])),
     ), shape=(N, N))
+    bands = np.zeros((5, N))
+    bands[2 + T.row - T.col, T.col] = T.data
     piece = np.minimum(np.arange(N), N - 2)
     ws = np.tile([-6.0, 6.0], (N, 1)) / h**2
     wm = np.tile([-4.0, -2.0], (N, 1)) / h
     ws[-1], wm[-1] = -ws[-1], [2.0 / h, 4.0 / h]
-    return T, R, piece, ws, wm
+    return T, R, bands, piece, ws, wm
 
 
 def _hermite(x, x0, w, y0, y1, m0, m1):
@@ -101,32 +104,25 @@ def _hermite(x, x0, w, y0, y1, m0, m1):
 
 @dataclass
 class ShockCurve:
-    """The not-a-knot spline through heights s at equally spaced sigma nodes:
-    node slopes m and curvatures spp (_spline_rows), Hermite pieces between."""
+    """The not-a-knot spline through heights s at the nodes of lattice: node
+    slopes m and curvatures spp from its slope rows, Hermite pieces between."""
 
-    sigma: np.ndarray
+    lattice: Lattice
     s: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.s)) or np.any(self.s[1:-1] <= 0.0):
             raise MappingError("shock height must stay finite, and positive over the wall")
-        T, R, piece, ws, wm = _spline_rows(self.s.size, self.sigma[1] - self.sigma[0])
-        bands = np.zeros((5, self.s.size))  # T's diagonals +2 .. -2, as solve_banded reads them
-        bands[2 + T.row - T.col, T.col] = T.data
-        self.m = solve_banded((2, 2), bands, R @ self.s)
-        ends = np.stack([piece, piece + 1], axis=1)
-        self.spp = np.sum(ws * self.s[ends] + wm * self.m[ends], axis=1)
+        lat = self.lattice
+        self.m = solve_banded((2, 2), lat.bands, lat.R @ self.s)
+        ends = np.stack([lat.piece, lat.piece + 1], axis=1)
+        self.spp = np.sum(lat.ws * self.s[ends] + lat.wm * self.m[ends], axis=1)
 
-    def _piece(self, sig):
-        p = np.clip(np.searchsorted(self.sigma, sig, side="right") - 1, 0, self.s.size - 2)
-        h = self.sigma[1] - self.sigma[0]
-        return _hermite(sig, self.sigma[p], h, self.s[p], self.s[p + 1], self.m[p], self.m[p + 1])
-
-    def value(self, sig):
-        return self._piece(sig)[0]
-
-    def slope(self, sig):
-        return self._piece(sig)[1]
+    def at(self, sig):
+        """(height, slope) of the curve at sig, on its Hermite piece."""
+        nodes, h = self.lattice.nodes, self.lattice.h
+        p = np.clip(np.searchsorted(nodes, sig, side="right") - 1, 0, self.s.size - 2)
+        return _hermite(sig, nodes[p], h, self.s[p], self.s[p + 1], self.m[p], self.m[p + 1])
 
 
 class Lattice:
@@ -140,7 +136,8 @@ class Lattice:
     one-sided of second order at the edges.  The second differences act at
     the interior nodes, and the identity at every node but the open wall
     row: those are the rows whose conditions read them.  Their other rows
-    are empty.
+    are empty.  T, R, bands, piece, ws and wm are the shock spline's slope
+    rows (_spline_rows), which its curves and the Newton matrix read.
     """
 
     def __init__(self, lattice_n: int):
@@ -179,6 +176,7 @@ class Lattice:
         indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
         data, cols = np.concatenate(data), np.concatenate(cols)
         self.D = csr_matrix((data, cols, indptr), shape=(6 * N * N, N * N))
+        self.T, self.R, self.bands, self.piece, self.ws, self.wm = _spline_rows(N, h)
 
     def derivatives(self, u):
         """(u_s, u_z, u_ss, u_sz, u_zz, u off the open wall row), each shaped like u."""
@@ -225,7 +223,8 @@ class GridMapping:
     Level set sigma is the point-blend of the two arc circles at equal
     height, xi(sigma, eta) = X(sigma, eta) of level_arc.  zeta rescales eta
     by the shock height s(sigma).  The mapping lives on the nodes of its
-    lattice, which every mapping of a solve shares.
+    lattice, which every mapping of a solve shares, and reads the shock
+    only through its node arrays s, m and spp.
     """
 
     def __init__(self, pattern: WavePattern, shock: ShockCurve, lattice: Lattice):
@@ -332,7 +331,7 @@ class GridMapping:
         sig = np.asarray(np.clip((xi - x0) / (x1 - x0), 0.0, 1.0))
         del eta_in, x0, x1  # lowers the peak memory of the Newton arrays
         sig[inside] = self._sigma_by_newton(xi[inside], eta[inside], sig[inside])
-        s_here = self.shock.value(sig)
+        s_here = self.shock.at(sig)[0]
         zet = np.where(s_here > 0, eta / np.maximum(s_here, 1e-300), np.inf)
         inside &= zet <= 1.0
         return sig, zet, inside
@@ -391,7 +390,7 @@ def chord_shock(pattern: WavePattern, lattice: Lattice) -> ShockCurve:
     sig = lattice.nodes
     a, b = pattern.xi_L_star, pattern.xi_R_star
     if abs(b[1] - a[1]) < 1e-14:
-        return ShockCurve(sigma=sig, s=np.full(sig.size, a[1]))
+        return ShockCurve(lattice, np.full(sig.size, a[1]))
     xa, xb = float(a[0]), float(b[0])
 
     def hermite(x):
@@ -408,7 +407,7 @@ def chord_shock(pattern: WavePattern, lattice: Lattice) -> ShockCurve:
                 return level_arc(pattern, sig[k], min(hermite(x), R))[0] - x
 
             heights[k] = hermite(_bracketed_root(f, xa, xb, xtol=1e-15))
-    return ShockCurve(sigma=sig, s=heights)
+    return ShockCurve(lattice, heights)
 
 
 def initial_guess(pattern: WavePattern, mapping: GridMapping):
@@ -605,16 +604,19 @@ def _jacobian(model, pattern, mapping, psi, F):
     """Sparse Newton matrix at psi, whose residual on mapping is F.
 
     The unknowns are psi and the N node slopes m of the shock spline; the
-    rows are F and the slope equations T m = R s (_spline_rows), with
-    s = (psi_top - a0)/v_I^y.  On the fixed mapping the block is exactly
-    W D, with W = [diag(K_op / scale_op)] the coefficient fields of
+    rows are F and the lattice's slope equations T m = R s (_spline_rows),
+    with s = (psi_top - a0)/v_I^y.  On the fixed mapping the block is
+    exactly W D, with W = [diag(K_op / scale_op)] the coefficient fields of
     _conditions side by side and D, scale the stencils of the mapping's
     lattice.
     Node (j, i) reads the shock only through (s_i, s'_i = m_i, s''_i),
-    whose effects are forward differences over three probe mappings at
-    s + delta (1, t, t^2), t = sigma - 1/2, which the spline carries
-    exactly.  Entries that vanish are left out.
+    whose effects are forward differences over three probe mappings.  The
+    spline carries a quadratic q exactly, so a probe shifts the curve's node
+    arrays (s, m, spp) by delta (q, q', q'') for q = 1, t, t^2, t = sigma -
+    1/2, and solves no curve.  Entries that vanish are left out.
     """
+    from types import SimpleNamespace
+
     *_, K = _conditions(model, pattern, mapping, psi, linearize=True)
     lattice = mapping.lattice
     n, N = psi.size, lattice.nodes.size
@@ -625,21 +627,21 @@ def _jacobian(model, pattern, mapping, psi, F):
     WD = (W @ lattice.D).tocoo()
 
     shock = mapping.shock
-    t = shock.sigma - 0.5
+    t = lattice.nodes - 0.5
     delta = SHOCK_PROBE * pattern.arc_R.radius
 
-    def probe(q):
-        m = GridMapping(pattern, ShockCurve(shock.sigma, shock.s + delta * q), lattice)
-        return (_residual(model, pattern, m, psi)[0] - F).ravel() / delta
+    def probe(q, dq, ddq):
+        nodes = SimpleNamespace(s=shock.s + delta * q, m=shock.m + delta * dq, spp=shock.spp + delta * ddq)
+        return (_residual(model, pattern, GridMapping(pattern, nodes, lattice), psi)[0] - F).ravel() / delta
 
     # the effects a, b, c of s_i, s'_i and s''_i at every node
-    d1, d2, d3 = probe(1.0), probe(t), probe(t * t)
+    d1, d2, d3 = probe(1.0, 0.0, 0.0), probe(t, 1.0, 0.0), probe(t * t, 2.0 * t, 2.0)
     column = np.tile(np.arange(N), N)  # the sigma column of each node
     t = t[column]
     a, b, c = d1, d2 - t * d1, 0.5 * (d3 - 2.0 * t * d2 + t * t * d1)
 
     # node rows on s_k and m_k: a and b at the node's column, c through s''
-    T, R, piece, ws, wm = _spline_rows(N, lattice.h)
+    T, R, piece, ws, wm = lattice.T, lattice.R, lattice.piece, lattice.ws, lattice.wm
     p = piece[column]
     rows = np.tile(np.arange(n), 3)
     cols = np.concatenate([column, p, p + 1])
@@ -740,7 +742,7 @@ def iterate(
                 escape = _corner_escape(pattern, s)
                 if escape is not None:
                     raise CornerEscapeError(escape)
-                trial_map = build_mapping(pattern, ShockCurve(sigma=lattice.nodes, s=s), lattice)
+                trial_map = build_mapping(pattern, ShockCurve(lattice, s), lattice)
             except (MappingError, CornerEscapeError) as exc:
                 if not fresh:
                     lu = None

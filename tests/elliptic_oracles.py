@@ -9,7 +9,7 @@ from wedgeflow.elliptic import ShockCurve
 
 def bumped(shock: ShockCurve, amount) -> ShockCurve:
     """The shock curve with every height raised by amount."""
-    return ShockCurve(sigma=shock.sigma.copy(), s=shock.s + amount)
+    return ShockCurve(shock.lattice, shock.s + amount)
 
 
 def fd_jacobian(resid, psi, F, delta_fd):

@@ -759,9 +759,9 @@ def test_write_solution_csv_matches_node_loop(tmp_path):
     with open(tmp_path / "loop_shock.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["xi", "s", "normal_angle"])
-        xs, ss = m.xi[-1, :], m.eta[-1, :]
-        for x, s_v, sl in zip(xs, ss, np.gradient(ss, xs)):
-            w.writerow([x, s_v, math.atan2(sl, 1.0) - 0.5 * math.pi])
+        for i in range(nodes.size):
+            # the downstream shock normal, -grad zeta
+            w.writerow([m.xi[-1, i], m.eta[-1, i], math.atan2(-m.zet_y[-1, i], -m.zet_x[-1, i])])
     with open(tmp_path / "loop_history.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         keys = ["iter", "r_interior", "r_arcL", "r_arcR", "r_wall", "r_shock", "r_shock_update", "combined"]

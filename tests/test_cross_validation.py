@@ -29,7 +29,7 @@ def lens_probes(sol):
     lattice, pts_std = [], []
     for _ in range(400):
         sig, zet = rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85)
-        eta = zet * sol.mapping.shock.value(sig)
+        eta = zet * sol.mapping.shock.at(sig)[0]
         lattice.append([sig, zet])
         pts_std.append([level_arc(sol.pattern, sig, eta)[0], eta])
     return np.array(lattice), np.array(pts_std)

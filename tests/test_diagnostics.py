@@ -24,7 +24,7 @@ from wedgeflow.diagnostics import (
     _local_minima,
 )
 from wedgeflow import diagnostics
-from wedgeflow.cli import dispatch
+from wedgeflow.cli import dispatch, write_solution_csv
 
 AIR = GasModel(gamma=1.4)
 ISO = GasModel(gamma=1.0)
@@ -101,6 +101,31 @@ class TestVelocityRanges:
         checks = velocity_and_normal_ranges(case12_solution)
         adm = next(c for c in checks if c.name == "shock_admissible_everywhere")
         assert adm.passed and adm.value > 1.0
+
+
+class TestShockNormal:
+    """solution_shock.csv's normal_angle is the mapping's exact downstream
+    shock normal, -grad zeta on the shock row."""
+
+    @staticmethod
+    def written_angles(sol, tmp_path):
+        paths = [tmp_path / f"{n}.csv" for n in ("nodes", "shock", "history")]
+        write_solution_csv(sol, *paths)
+        with open(paths[1], newline="") as fh:
+            return np.array([float(row["normal_angle"]) for row in csv.DictReader(fh)])
+
+    def test_case12_normal_is_minus_grad_zeta_and_the_spline_normal(self, case12_solution, tmp_path):
+        m = case12_solution.mapping
+        angles = self.written_angles(case12_solution, tmp_path)
+        assert angles.tolist() == [math.atan2(-zy, -zx) for zx, zy in zip(m.zet_x[-1], m.zet_y[-1])]
+        # at every node, the corners included, the outward normal of the
+        # lens edge from the level arcs and the curve's slope, turned downstream
+        _, _, nx, ny = diagnostics._lens_edge(m, "S", m.lattice.nodes)
+        assert np.max(np.abs(angles - np.arctan2(-ny, -nx))) <= 1e-12
+
+    def test_straight_shock_normal_points_down(self, unpert_solution, tmp_path):
+        angles = self.written_angles(unpert_solution, tmp_path)
+        assert np.max(np.abs(angles + 0.5 * math.pi)) <= 1e-12
 
 
 class TestArcProfile:

@@ -118,21 +118,21 @@ class TestShockCurve:
 
     @staticmethod
     def curve_and_oracle(N, seed=0):
-        sigma = np.linspace(0.0, 1.0, N)
+        lattice = Lattice(N - 1)
         s = np.random.default_rng(seed + N).uniform(0.2, 1.0, N)
-        return ShockCurve(sigma=sigma, s=s), CubicSpline(sigma, s, bc_type="not-a-knot")
+        return ShockCurve(lattice, s), CubicSpline(lattice.nodes, s, bc_type="not-a-knot")
 
     @pytest.mark.parametrize("N", [5, 9, 49, 97])
     def test_heights_and_slopes_between_nodes(self, N):
         curve, spline = self.curve_and_oracle(N)
         sig = np.random.default_rng(N).uniform(0.0, 1.0, 200)
-        for got, want in ((curve.value(sig), spline(sig)), (curve.slope(sig), spline(sig, 1))):
+        for got, want in zip(curve.at(sig), (spline(sig), spline(sig, 1))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("N", [5, 9, 49, 97])
     def test_node_slopes_and_curvatures(self, N):
         curve, spline = self.curve_and_oracle(N)
-        m, spp = spline(curve.sigma, 1), spline(curve.sigma, 2)
+        m, spp = spline(curve.lattice.nodes, 1), spline(curve.lattice.nodes, 2)
         assert np.max(np.abs(curve.m - m)) <= 1e-12 * np.max(np.abs(m))
         assert np.max(np.abs(curve.spp - spp)) <= 1e-10 * np.max(np.abs(spp))
 
@@ -140,12 +140,13 @@ class TestShockCurve:
     def test_a_quadratic_moves_the_nodes_by_its_derivatives(self, N):
         # what the Jacobian's shock probes at s + delta (1, t, t^2) rely on
         curve, _ = self.curve_and_oracle(N)
-        t = curve.sigma - 0.5
-        moved = ShockCurve(sigma=curve.sigma, s=curve.s + 0.3 - 0.7 * t + 1.1 * t * t)
+        t = curve.lattice.nodes - 0.5
+        moved = ShockCurve(curve.lattice, curve.s + 0.3 - 0.7 * t + 1.1 * t * t)
         assert np.max(np.abs(moved.m - curve.m - (2.2 * t - 0.7))) <= 1e-12 * np.max(np.abs(curve.m))
         assert np.max(np.abs(moved.spp - curve.spp - 2.2)) <= 1e-12 * np.max(np.abs(curve.spp))
 
-    def test_curve_solves_the_spline_rows(self, monkeypatch):
+    def test_slope_rows_are_built_once_per_solve(self, case12_pattern, monkeypatch):
+        # the lattice builds them; its curves and the Newton matrix read them
         calls = []
         rows = elliptic._spline_rows
 
@@ -154,8 +155,8 @@ class TestShockCurve:
             return rows(N, h)
 
         monkeypatch.setattr(elliptic, "_spline_rows", recording_rows)
-        ShockCurve(sigma=np.linspace(0.0, 1.0, 9), s=np.ones(9))
-        assert calls == [(9, 0.125)]
+        assert iterate(case12_pattern, EllipticConfig(lattice_n=16)).converged
+        assert calls == [(17, 0.0625)]
 
     def test_mapping_reads_the_curves_node_arrays(self, case12_pattern, monkeypatch):
         p, lattice = case12_pattern, Lattice(16)
@@ -166,8 +167,7 @@ class TestShockCurve:
             raise AssertionError("the mapping evaluated the spline")
 
         # the mapping evaluates no spline at its nodes ...
-        monkeypatch.setattr(ShockCurve, "value", refuse)
-        monkeypatch.setattr(ShockCurve, "slope", refuse)
+        monkeypatch.setattr(ShockCurve, "at", refuse)
         again = build_mapping(p, curve, lattice)
         assert np.array_equal(again.jac_det, base.jac_det) and np.array_equal(again.hxx, base.hxx)
         # ... and column k reads the slope and curvature of node k alone
@@ -293,7 +293,7 @@ class TestMapping:
 
     def test_negative_shock_height_rejected(self):
         with pytest.raises(MappingError):
-            ShockCurve(sigma=np.linspace(0, 1, 5), s=np.array([0.5, 0.4, -0.1, 0.4, 0.5]))
+            ShockCurve(Lattice(4), np.array([0.5, 0.4, -0.1, 0.4, 0.5]))
 
 
 class TestInitialGuess:
@@ -378,10 +378,8 @@ class TestInnerSolve:
 
         def fine_residual(n):
             sol = iterate(p, EllipticConfig(lattice_n=n))
-            fine = build_mapping(p, ShockCurve(
-                sigma=np.linspace(0, 1, 97),
-                s=sol.mapping.shock.value(np.linspace(0, 1, 97)),
-            ), Lattice(96))
+            lattice = Lattice(96)
+            fine = build_mapping(p, ShockCurve(lattice, sol.mapping.shock.at(lattice.nodes)[0]), lattice)
             sp = RectBivariateSpline(sol.mapping.lattice.nodes, sol.mapping.lattice.nodes, sol.psi, kx=3, ky=3)
             psi_f = sp(fine.lattice.nodes, fine.lattice.nodes)
             vx, vy, hxx, hxy, hyy = fine.hessian_terms(psi_f)
@@ -413,7 +411,7 @@ class TestExactJacobian:
         v_iy = p.state_I.v[1]
 
         def mapping_of(q):
-            return build_mapping(p, ShockCurve(sigma=lattice.nodes, s=(q[-1] - a0) / v_iy), lattice)
+            return build_mapping(p, ShockCurve(lattice, (q[-1] - a0) / v_iy), lattice)
 
         def resid(q):
             return elliptic._residual(model, p, mapping_of(q), q)[0]
@@ -437,10 +435,27 @@ class TestExactJacobian:
         local = exact[:, :top], fd[:, :top]
         assert ((local[0] != 0) != (local[1] != 0)).nnz == 0
 
+    def test_jacobian_solves_no_slope_system(self, case12_pattern, monkeypatch):
+        # the shock probes shift the curve's node arrays instead
+        p, lattice = case12_pattern, Lattice(16)
+        mapping = build_mapping(p, chord_shock(p, lattice), lattice)
+        psi = initial_guess(p, mapping)
+        F = elliptic._residual(p.config.model, p, mapping, psi)[0]
+        calls = []
+        real_solve = elliptic.solve_banded
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic, "solve_banded", counting_solve)
+        elliptic._jacobian(p.config.model, p, mapping, psi, F)
+        assert calls == []
+
     def test_spline_rows_give_the_not_a_knot_slopes(self, case12_pattern):
         lattice = Lattice(32)
         s = chord_shock(case12_pattern, lattice).s * (1.0 + 0.3 * np.sin(7.0 * lattice.nodes))
-        T, R, piece, ws, wm = elliptic._spline_rows(lattice.nodes.size, lattice.h)
+        T, R, piece, ws, wm = lattice.T, lattice.R, lattice.piece, lattice.ws, lattice.wm
         m = np.linalg.solve(T.toarray(), R @ s)
         spline = CubicSpline(lattice.nodes, s, bc_type="not-a-knot")
         assert np.max(np.abs(m - spline(lattice.nodes, 1))) <= 1e-12 * np.max(np.abs(m))
