@@ -11,12 +11,13 @@ differences, which only the tests check, live in tests/shock_oracles.py.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gas import ISOTHERMAL_EPS, WedgeError, c2_of_pi
+from .gas import ISOTHERMAL_EPS, WedgeError
 from .pattern import WavePattern
 from .shocks import _bracketed_root
 from .elliptic import EllipticSolution, level_arc
@@ -385,8 +386,7 @@ def arc_profile(sol: EllipticSolution, side: str):
     # tangential pseudo-velocity in the profile orientation: p = chi_phi
     zx, zy = f["zx"][:, i], f["zy"][:, i]
     p = orient * (rel_x * zy - rel_y * zx)
-    arg = -f["chi"][:, i] - 0.5 * (zx**2 + zy**2)
-    h_arr = c2_of_pi(model, arg)
+    h_arr = f["c2"][:, i]
 
     _, sigma_g, sigma_f, h0, sigma_theta = arc_ode_constants(gamma, eps, r)
     chi_t_over_c = np.abs(p) / (r * np.sqrt(h_arr))
@@ -492,10 +492,6 @@ class CompositeField:
     def __init__(self, sol: EllipticSolution):
         self.sol = sol
         self.pattern = sol.pattern
-        f = sol.fields()
-        self._rho = f["rho"]
-        self._zx = f["zx"]
-        self._zy = f["zy"]
 
     def evaluate(self, X, Y):
         """(rho, z, region_code) at points of the upper half plane.
@@ -522,11 +518,11 @@ class CompositeField:
             zx[mk] = v_c[0] - X[mk]
             zy[mk] = v_c[1] - Y[mk]
         if np.any(inside):
-            m = self.sol.mapping
-            fi, fj = sig[inside] / m.lattice.h, zet[inside] / m.lattice.h
-            rho[inside] = bilinear(self._rho, fi, fj)
-            zx[inside] = bilinear(self._zx, fi, fj)
-            zy[inside] = bilinear(self._zy, fi, fj)
+            h, f = self.sol.mapping.lattice.h, self.sol.fields()
+            fi, fj = sig[inside] / h, zet[inside] / h
+            rho[inside] = bilinear(f["rho"], fi, fj)
+            zx[inside] = bilinear(f["zx"], fi, fj)
+            zy[inside] = bilinear(f["zy"], fi, fj)
         return rho, zx, zy, region
 
 
@@ -561,11 +557,7 @@ def make_test_battery(pattern: WavePattern):
     bumps.append((np.array([p.xi_R_star[0] + 1.2 * c_r, 0.35 * p.eta_R_star]), 0.15 * c_r))
     bumps.append((np.array([0.0, p.eta_R_star + 1.1 * c_r]), 0.3 * c_r))
     # keep every support strictly above the wall
-    out = []
-    for center, radius in bumps:
-        radius = min(radius, 0.95 * center[1]) if center[1] > 0 else radius
-        out.append((np.asarray(center, dtype=float), float(radius)))
-    return out
+    return [(np.asarray(c, dtype=float), float(min(r, 0.95 * c[1]) if c[1] > 0 else r)) for c, r in bumps]
 
 
 # Gauss-Legendre nodes across each bump's diameter: per direction in the
@@ -731,13 +723,7 @@ def weak_residual(sol: EllipticSolution, bumps=None):
         np.hypot(m.xi[1:, :-1] - m.xi[:-1, 1:], m.eta[1:, :-1] - m.eta[:-1, 1:]),
     )
 
-    rules = {}
-
-    def rule(n):
-        if n not in rules:
-            rules[n] = np.polynomial.legendre.leggauss(n)
-        return rules[n]
-
+    rule = functools.cache(np.polynomial.legendre.leggauss)
     values = []
     for center, radius in bumps:
         center = np.asarray(center, dtype=float)

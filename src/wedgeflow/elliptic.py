@@ -20,13 +20,15 @@ s(sigma) = (psi(sigma, 1) - psi_I(0)) / v_I^y, so the potential-matching
 condition holds exactly and the mapping follows psi's top row.
 
 Each solve builds one Lattice, whose sparse matrix D stacks every
-difference stencil, and shares it among its mappings.  The residual kernel
-(_conditions) reads its derivatives from D psi and also yields per-node
-coefficients W of the same stencils, so on a fixed mapping the Jacobian is
-W D.  Node (j, i) reads the shock only through (s_i, s'_i, s''_i) of one
-not-a-knot spline, ShockCurve(lattice, s), whose node slopes solve the
-slope rows the Lattice builds once; with those slopes as extra unknowns,
-the shock columns stay sparse too (_jacobian).  The sparse LU of the
+difference stencil; its shock curves carry it, and a mapping takes it from
+its curve.  The residual kernel (_conditions) reads its derivatives from
+D psi and also yields per-node coefficients W of the same stencils, so on
+a fixed mapping the Jacobian is W D.  Its nodal state (_nodal_state: v,
+chi, z, |z|^2, pi, c^2) is the one a solution's fields() read.  Node
+(j, i) reads the shock only through (s_i, s'_i, s''_i) of one not-a-knot
+spline, ShockCurve(lattice, s), whose node slopes solve the slope rows the
+Lattice builds once; with those slopes as extra unknowns, the shock
+columns stay sparse too (_jacobian).  The sparse LU of the
 whole matrix, ordered by minimum degree on A^T + A with diagonal pivots,
 is kept over the steps it contracts (the chord method).
 """
@@ -34,7 +36,7 @@ is kept over the steps it contracts (the chord method).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -105,18 +107,24 @@ def _hermite(x, x0, w, y0, y1, m0, m1):
 @dataclass
 class ShockCurve:
     """The not-a-knot spline through heights s at the nodes of lattice: node
-    slopes m and curvatures spp from its slope rows, Hermite pieces between."""
+    slopes m and curvatures spp from its slope rows, Hermite pieces between.
+    Node arrays m and spp that are given are taken as they are, unsolved."""
 
     lattice: Lattice
     s: np.ndarray
+    m: np.ndarray | None = None
+    spp: np.ndarray | None = None
 
     def __post_init__(self):
+        lat = self.lattice
+        if np.shape(self.s) != lat.nodes.shape:
+            raise MappingError(f"shock heights shaped {np.shape(self.s)} on a lattice of {lat.nodes.size} nodes")
         if not np.all(np.isfinite(self.s)) or np.any(self.s[1:-1] <= 0.0):
             raise MappingError("shock height must stay finite, and positive over the wall")
-        lat = self.lattice
-        self.m = solve_banded((2, 2), lat.bands, lat.R @ self.s)
-        ends = np.stack([lat.piece, lat.piece + 1], axis=1)
-        self.spp = np.sum(lat.ws * self.s[ends] + lat.wm * self.m[ends], axis=1)
+        if self.m is None:
+            self.m = solve_banded((2, 2), lat.bands, lat.R @ self.s)
+            ends = np.stack([lat.piece, lat.piece + 1], axis=1)
+            self.spp = np.sum(lat.ws * self.s[ends] + lat.wm * self.m[ends], axis=1)
 
     def at(self, sig):
         """(height, slope) of the curve at sig, on its Hermite piece."""
@@ -223,14 +231,14 @@ class GridMapping:
     Level set sigma is the point-blend of the two arc circles at equal
     height, xi(sigma, eta) = X(sigma, eta) of level_arc.  zeta rescales eta
     by the shock height s(sigma).  The mapping lives on the nodes of its
-    lattice, which every mapping of a solve shares, and reads the shock
-    only through its node arrays s, m and spp.
+    shock curve's lattice, which every mapping of a solve shares, and reads
+    the shock only through its node arrays s, m and spp.
     """
 
-    def __init__(self, pattern: WavePattern, shock: ShockCurve, lattice: Lattice):
+    def __init__(self, pattern: WavePattern, shock: ShockCurve):
         self.pattern = pattern
         self.shock = shock
-        self.lattice = lattice
+        self.lattice = lattice = shock.lattice
         S, Z = lattice.S, lattice.Z
         s_v, sp, spp = shock.s, shock.m, shock.spp  # at the sigma nodes, broadcast over zeta
         eta = Z * s_v
@@ -258,23 +266,14 @@ class GridMapping:
         xi_ss = X_ss + 2.0 * X_se * Z * sp + X_ee * (Z * sp) ** 2 + X_e * Z * spp
         xi_sz = X_se * s_v + X_ee * Z * sp * s_v + X_e * sp
         xi_zz = X_ee * s_v**2
-        eta_s = Z * sp
-        eta_z = s_v
-        eta_ss = Z * spp
-        eta_sz = sp
+        eta_s, eta_z, eta_ss, eta_sz = Z * sp, s_v, Z * spp, sp
 
         det = xi_s * eta_z - xi_z * eta_s
         if np.any(det <= 0.0):
             raise MappingError("degenerate onion mapping (nonpositive Jacobian)")
-        self.jac_det = det
-        sig_x = eta_z / det
-        sig_y = -xi_z / det
-        zet_x = -eta_s / det
-        zet_y = xi_s / det
-        self.xi = X
-        self.eta = eta
-        self.sig_x, self.sig_y = sig_x, sig_y
-        self.zet_x, self.zet_y = zet_x, zet_y
+        sig_x, sig_y, zet_x, zet_y = eta_z / det, -xi_z / det, -eta_s / det, xi_s / det
+        self.jac_det, self.xi, self.eta = det, X, eta
+        self.sig_x, self.sig_y, self.zet_x, self.zet_y = sig_x, sig_y, zet_x, zet_y
 
         # Hessian transform coefficients:
         # u_ab = sum_pq q^p_a q^q_b u_pq - sum_r (sum_pq q^p_a q^q_b G^r_pq) u_r
@@ -360,14 +359,13 @@ class GridMapping:
         raise MappingError("sigma inversion did not converge in 64 steps")
 
     def corner(self, side: str):
-        j = -1
         i = 0 if side == "L" else -1
-        return np.array([self.xi[j, i], self.eta[j, i]])
+        return np.array([self.xi[-1, i], self.eta[-1, i]])
 
 
-def build_mapping(pattern: WavePattern, shock: ShockCurve, lattice: Lattice) -> GridMapping:
+def build_mapping(pattern: WavePattern, shock: ShockCurve) -> GridMapping:
     """Construct and sanity-check the onion mapping for the given shock."""
-    m = GridMapping(pattern, shock, lattice)
+    m = GridMapping(pattern, shock)
     # wall maps exactly to zeta = 0
     if np.max(np.abs(m.eta[0, :])) != 0.0:
         raise MappingError("wall row does not sit at eta = 0")
@@ -436,7 +434,7 @@ class EllipticConfig:
     max_outer: int = 120  # accepted Newton steps
 
 
-@dataclass
+@dataclass(frozen=True)
 class EllipticSolution:
     pattern: WavePattern
     config: EllipticConfig
@@ -444,19 +442,21 @@ class EllipticSolution:
     psi: np.ndarray
     converged: bool
     residual_history: list
+    _fields: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def fields(self):
-        """Nodal (rho, vx, vy, L2, chi) derived from psi on the mapping."""
-        model = self.pattern.config.model
-        m = self.mapping
-        vx, vy = m.hessian_terms(self.psi)[:2]
-        chi = self.psi - 0.5 * (m.xi**2 + m.eta**2)
-        zx, zy = vx - m.xi, vy - m.eta
-        arg = -chi - 0.5 * (zx**2 + zy**2)
-        rho = pi_inverse(model, arg)
-        c2 = c2_of_pi(model, arg)
-        L2 = (zx**2 + zy**2) / c2
-        return {"rho": rho, "vx": vx, "vy": vy, "L2": L2, "chi": chi, "zx": zx, "zy": zy}
+        """Nodal rho, v (vx, vy), L2 = |z|^2/c^2, chi, z (zx, zy) and c2 of
+        psi on the mapping: the kernel's nodal state (_nodal_state), with
+        rho = pi_inverse(pi).  A solution, which is frozen, forms them once,
+        as read-only arrays; a copy made by dataclasses.replace forms its own."""
+        if self._fields is None:
+            model = self.pattern.config.model
+            vx, vy, _, _, _, chi, zx, zy, z2, pi, c2 = _nodal_state(model, self.mapping, self.psi)
+            f = dict(rho=pi_inverse(model, pi), vx=vx, vy=vy, L2=z2 / c2, chi=chi, zx=zx, zy=zy, c2=c2)
+            for a in f.values():
+                a.flags.writeable = False
+            object.__setattr__(self, "_fields", f)
+        return dict(self._fields)
 
     @property
     def corner_L(self):
@@ -467,6 +467,19 @@ class EllipticSolution:
         return self.mapping.corner("R")
 
 
+def _nodal_state(model, mapping, psi):
+    """psi's state at every node of mapping: (vx, vy, hxx, hxy, hyy, chi,
+    zx, zy, z2, pi, c2), with v = grad psi and the Hessian entries of
+    hessian_terms, chi = psi - |xi|^2/2, z = grad chi, z2 = |z|^2,
+    pi = -chi - |z|^2/2 and c2 = c^2 at pi (gas.c2_of_pi)."""
+    vx, vy, hxx, hxy, hyy = mapping.hessian_terms(psi)
+    chi = psi - 0.5 * (mapping.xi**2 + mapping.eta**2)
+    zx, zy = vx - mapping.xi, vy - mapping.eta
+    z2 = zx**2 + zy**2
+    pi = -chi - 0.5 * z2
+    return vx, vy, hxx, hxy, hyy, chi, zx, zy, z2, pi, c2_of_pi(model, pi)
+
+
 def _conditions(model, pattern, mapping, psi, linearize=False):
     """The four conditions at psi on mapping, block by block, each made
     dimensionless.
@@ -474,8 +487,8 @@ def _conditions(model, pattern, mapping, psi, linearize=False):
     Returns (interior, arc, wall, shock, z2, c2, K): the interior operator at
     the interior nodes, the arc condition at every node (its sigma = 0 and 1
     columns are the arc rows), the wall and shock rows without their corner
-    nodes, |z|^2 and c^2 at pi = -chi - |z|^2/2 (gas.c2_of_pi) at every node, and K,
-    None unless linearize is set.
+    nodes, |z|^2 and c^2 at every node (_nodal_state), and K, None unless
+    linearize is set.
 
     With linearize, K holds the derivative of the residual (_residual) with
     respect to psi on the fixed mapping, as per-node coefficient fields of
@@ -493,13 +506,8 @@ def _conditions(model, pattern, mapping, psi, linearize=False):
     rho_I = pattern.state_I.rho
     v_I = pattern.state_I.v
 
-    vx, vy, hxx, hxy, hyy = mapping.hessian_terms(psi)
+    vx, vy, hxx, hxy, hyy, chi, zx, zy, z2, arg, c2 = _nodal_state(model, mapping, psi)
     xi, eta = mapping.xi, mapping.eta
-    chi = psi - 0.5 * (xi**2 + eta**2)
-    zx, zy = vx - xi, vy - eta
-    z2 = zx**2 + zy**2
-    arg = -chi - 0.5 * z2  # pi at every node
-    c2 = c2_of_pi(model, arg)
 
     Axx = c2 - zx * zx
     Axy = -zx * zy
@@ -615,8 +623,6 @@ def _jacobian(model, pattern, mapping, psi, F):
     arrays (s, m, spp) by delta (q, q', q'') for q = 1, t, t^2, t = sigma -
     1/2, and solves no curve.  Entries that vanish are left out.
     """
-    from types import SimpleNamespace
-
     *_, K = _conditions(model, pattern, mapping, psi, linearize=True)
     lattice = mapping.lattice
     n, N = psi.size, lattice.nodes.size
@@ -631,8 +637,8 @@ def _jacobian(model, pattern, mapping, psi, F):
     delta = SHOCK_PROBE * pattern.arc_R.radius
 
     def probe(q, dq, ddq):
-        nodes = SimpleNamespace(s=shock.s + delta * q, m=shock.m + delta * dq, spp=shock.spp + delta * ddq)
-        return (_residual(model, pattern, GridMapping(pattern, nodes, lattice), psi)[0] - F).ravel() / delta
+        moved = ShockCurve(lattice, shock.s + delta * q, shock.m + delta * dq, shock.spp + delta * ddq)
+        return (_residual(model, pattern, GridMapping(pattern, moved), psi)[0] - F).ravel() / delta
 
     # the effects a, b, c of s_i, s'_i and s''_i at every node
     d1, d2, d3 = probe(1.0, 0.0, 0.0), probe(t, 1.0, 0.0), probe(t * t, 2.0 * t, 2.0)
@@ -715,13 +721,19 @@ def iterate(
     Each accepted step appends its record (_record) to the history.  The solve stops once combined is below tol_outer, or after
     max_outer accepted steps.  The returned state must keep the
     coefficients elliptic at every interior node (EllipticityLost
-    otherwise).
+    otherwise).  A shock0 on a lattice of another size than
+    config.lattice_n raises MappingError before any step.
     """
     if pattern.config.epsilon <= 0.0:
         raise ValueError("the free-boundary solve needs epsilon > 0")
+    n = config.lattice_n if shock0 is None else shock0.lattice.nodes.size - 1
+    if n != config.lattice_n:
+        raise MappingError(
+            f"shock0 lies on a lattice of {n} cells per direction, the solve's lattice_n is {config.lattice_n}"
+        )
     model = pattern.config.model
-    lattice = Lattice(config.lattice_n)
-    mapping = build_mapping(pattern, shock0 or chord_shock(pattern, lattice), lattice)
+    mapping = build_mapping(pattern, shock0 or chord_shock(pattern, Lattice(config.lattice_n)))
+    lattice = mapping.lattice
     psi = initial_guess(pattern, mapping)
     F = _residual(model, pattern, mapping, psi)[0]
     _, a0 = constant_state_potential(model, pattern.state_I.rho, pattern.state_I.v)
@@ -742,7 +754,7 @@ def iterate(
                 escape = _corner_escape(pattern, s)
                 if escape is not None:
                     raise CornerEscapeError(escape)
-                trial_map = build_mapping(pattern, ShockCurve(lattice, s), lattice)
+                trial_map = build_mapping(pattern, ShockCurve(lattice, s))
             except (MappingError, CornerEscapeError) as exc:
                 if not fresh:
                     lu = None
@@ -767,14 +779,12 @@ def iterate(
             break
 
     # ellipticity check at the returned state
-    ell = c2 - z2
-    bad = ell[1:-1, 1:-1] <= 0.0
-    if np.any(bad):
-        j, i = np.unravel_index(int(np.argmin(ell[1:-1, 1:-1])), bad.shape)
+    ell = (c2 - z2)[1:-1, 1:-1]
+    if np.any(ell <= 0.0):
+        j, i = np.unravel_index(int(np.argmin(ell)), ell.shape)
         nodes = lattice.nodes
         raise EllipticityLost(
-            f"coefficients lost ellipticity at node (sigma={nodes[i+1]:.3f}, "
-            f"zeta={nodes[j+1]:.3f})"
+            f"coefficients lost ellipticity at node (sigma={nodes[i+1]:.3f}, zeta={nodes[j+1]:.3f})"
         )
     return EllipticSolution(
         pattern=pattern,

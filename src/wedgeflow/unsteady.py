@@ -561,12 +561,11 @@ def tip_shock_angle(result: UnsteadyResult) -> float:
 
     Least-squares line through the per-column crossing heights of
     rho = (rho_I + rho_L)/2, within a window on the straight part of the
-    shock (between the tip and the sonic corner).  Samples the final state
-    on its own fine vertical grid so the crossing is bracketed even close
-    to the tip.
+    shock (between the tip and the sonic corner).  Samples the final
+    density alone (_sample_points, bilinear) on its own fine vertical grid
+    so the crossing is bracketed even close to the tip.
     """
     pattern = result.pattern
-    model = pattern.config.model
     state, grid = result.final, result.grid
     rho_mid = 0.5 * (pattern.state_I.rho + pattern.state_L.rho)
 
@@ -581,8 +580,8 @@ def tip_shock_angle(result: UnsteadyResult) -> float:
         y_lo = xc * math.tan(tau) + 2.0 * grid.spacing / state.t
         y_hi = xc * math.tan(theta_pred) * 1.6 + 6.0 * grid.spacing / state.t
         ys = np.arange(y_lo, y_hi, dxi)
-        f = sample_self_similar(model, grid, state, np.array([xc]), ys)
-        col_rho, ok = f.rho[:, 0], f.valid[:, 0]
+        fi, fj, ok = _sample_points(grid, state.t, np.array([xc]), ys)
+        col_rho, ok = bilinear(state.rho, fi, fj)[:, 0], ok[:, 0]
         dense = np.where(ok & (col_rho > rho_mid))[0]
         if len(dense) == 0:
             continue

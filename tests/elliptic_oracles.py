@@ -1,10 +1,28 @@
-"""Independent checks of the elliptic solver's linear algebra, and the
-shifted shock curves the tests start the solver from."""
+"""Independent checks of the elliptic solver's linear algebra and nodal
+fields, and the shifted shock curves the tests start the solver from."""
 
 import numpy as np
 from scipy.sparse import coo_matrix
 
 from wedgeflow.elliptic import ShockCurve
+from wedgeflow.gas import c2_of_pi, pi_inverse
+
+
+def nodal_fields(sol):
+    """The nodal (rho, vx, vy, L2, chi, zx, zy) of an elliptic solution by
+    their formulas alone, with their own derivatives of psi, as
+    EllipticSolution.fields formed them before it read the residual
+    kernel's nodal state."""
+    model = sol.pattern.config.model
+    m = sol.mapping
+    vx, vy = m.hessian_terms(sol.psi)[:2]
+    chi = sol.psi - 0.5 * (m.xi**2 + m.eta**2)
+    zx, zy = vx - m.xi, vy - m.eta
+    arg = -chi - 0.5 * (zx**2 + zy**2)
+    rho = pi_inverse(model, arg)
+    c2 = c2_of_pi(model, arg)
+    L2 = (zx**2 + zy**2) / c2
+    return {"rho": rho, "vx": vx, "vy": vy, "L2": L2, "chi": chi, "zx": zx, "zy": zy}
 
 
 def bumped(shock: ShockCurve, amount) -> ShockCurve:

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from shock_oracles import corner_sensitivity, corner_sensitivity_fd
 from wedgeflow.gas import GasModel
 from wedgeflow.pattern import ProblemConfig, build
-from wedgeflow.elliptic import EllipticConfig, iterate
+from wedgeflow.elliptic import EllipticConfig, GridMapping, iterate
 from wedgeflow.shocks import horizontal_downstream_shock
 from wedgeflow.diagnostics import (
     CompositeField,
@@ -23,7 +23,7 @@ from wedgeflow.diagnostics import (
     weak_residual,
     _local_minima,
 )
-from wedgeflow import diagnostics
+from wedgeflow import diagnostics, elliptic
 from wedgeflow.cli import dispatch, write_solution_csv
 
 AIR = GasModel(gamma=1.4)
@@ -170,7 +170,9 @@ class TestArcProfile:
         import dataclasses
 
         sol = case12_solution
+        sol.fields()  # formed before the copy, which forms its own
         broken = dataclasses.replace(sol, psi=sol.psi * 1.05)
+        assert not np.array_equal(broken.fields()["L2"], sol.fields()["L2"])
         with pytest.raises(ProfileError):
             arc_profile(broken, "R")
 
@@ -303,6 +305,29 @@ def test_report_csv(tmp_path, capsys):
     text = (tmp_path / "verify_report.csv").read_text().splitlines()
     assert text[0].startswith("name,verdict")
     assert text[1].startswith("interior_L2_bound,PASS")
+
+
+def test_verify_forms_the_nodal_fields_once(tmp_path, capsys, monkeypatch):
+    # after the solve, the checks and the weak residual share one set of
+    # nodal fields: one Hessian evaluation at most
+    calls = []
+    terms, solve = GridMapping.hessian_terms, elliptic.iterate
+
+    def counted_terms(self, u):
+        calls.append(1)
+        return terms(self, u)
+
+    def solve_then_count(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        calls.clear()
+        return sol
+
+    monkeypatch.setattr(GridMapping, "hessian_terms", counted_terms)
+    monkeypatch.setattr(elliptic, "iterate", solve_then_count)
+    cfg = tmp_path / "wedge.cfg"
+    cfg.write_text("gamma = 1.4\nM_I = 2.94\ntau_deg = 10\nepsilon = 0.04\nlattice_n = 24\n")
+    assert dispatch(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("eps, gap_L, gap_R", [(0.01, 3.51e-3, 4.28e-3), (0.0025, 2.37e-3, 3.37e-3)])

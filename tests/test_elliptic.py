@@ -1,11 +1,12 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.sparse import csc_matrix, hstack
 
-from elliptic_oracles import bumped, fd_jacobian
+from elliptic_oracles import bumped, fd_jacobian, nodal_fields
 from wedgeflow import elliptic
 from wedgeflow.gas import GasModel, constant_state_potential
 from wedgeflow.pattern import ProblemConfig, build, separation_check
@@ -30,8 +31,7 @@ CASE_12 = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.0
 
 def chord_mapping(p, n):
     """The mapping of the chord shock on a lattice of n cells per direction."""
-    lattice = Lattice(n)
-    return build_mapping(p, chord_shock(p, lattice), lattice)
+    return build_mapping(p, chord_shock(p, Lattice(n)))
 
 
 def bisect_sigma(m, xi, eta, steps=60):
@@ -161,20 +161,20 @@ class TestShockCurve:
     def test_mapping_reads_the_curves_node_arrays(self, case12_pattern, monkeypatch):
         p, lattice = case12_pattern, Lattice(16)
         curve = chord_shock(p, lattice)
-        base = build_mapping(p, curve, lattice)
+        base = build_mapping(p, curve)
 
         def refuse(self, sig):
             raise AssertionError("the mapping evaluated the spline")
 
         # the mapping evaluates no spline at its nodes ...
         monkeypatch.setattr(ShockCurve, "at", refuse)
-        again = build_mapping(p, curve, lattice)
+        again = build_mapping(p, curve)
         assert np.array_equal(again.jac_det, base.jac_det) and np.array_equal(again.hxx, base.hxx)
         # ... and column k reads the slope and curvature of node k alone
         k = 5
         curve.m[k] += 1e-3
         curve.spp[k] += 1e-2
-        moved = build_mapping(p, curve, lattice)
+        moved = build_mapping(p, curve)
         for field in (moved.jac_det - base.jac_det, moved.hxx[3] - base.hxx[3]):
             assert np.flatnonzero(np.any(field != 0.0, axis=0)).tolist() == [k]
         assert np.array_equal(moved.eta, base.eta)
@@ -289,11 +289,19 @@ class TestMapping:
         lattice = Lattice(16)
         tall = bumped(chord_shock(p, lattice), 2.0 * p.arc_R.radius)
         with pytest.raises(MappingError):
-            build_mapping(p, tall, lattice)
+            build_mapping(p, tall)
 
     def test_negative_shock_height_rejected(self):
-        with pytest.raises(MappingError):
-            ShockCurve(Lattice(4), np.array([0.5, 0.4, -0.1, 0.4, 0.5]))
+        # and so are heights that are not finite or not shaped like the nodes
+        cases = [
+            (4, [0.5, 0.4, -0.1, 0.4, 0.5]),
+            (4, [0.5, 0.4, np.nan, 0.4, 0.5]),
+            (16, np.full(10, 0.5)),
+            (16, np.full((17, 1), 0.5)),
+        ]
+        for n, s in cases:
+            with pytest.raises(MappingError):
+                ShockCurve(Lattice(n), np.asarray(s))
 
 
 class TestInitialGuess:
@@ -379,7 +387,7 @@ class TestInnerSolve:
         def fine_residual(n):
             sol = iterate(p, EllipticConfig(lattice_n=n))
             lattice = Lattice(96)
-            fine = build_mapping(p, ShockCurve(lattice, sol.mapping.shock.at(lattice.nodes)[0]), lattice)
+            fine = build_mapping(p, ShockCurve(lattice, sol.mapping.shock.at(lattice.nodes)[0]))
             sp = RectBivariateSpline(sol.mapping.lattice.nodes, sol.mapping.lattice.nodes, sol.psi, kx=3, ky=3)
             psi_f = sp(fine.lattice.nodes, fine.lattice.nodes)
             vx, vy, hxx, hxy, hyy = fine.hessian_terms(psi_f)
@@ -404,14 +412,14 @@ class TestExactJacobian:
         p = case12_pattern
         model = p.config.model
         lattice = Lattice(n)
-        m0 = build_mapping(p, chord_shock(p, lattice), lattice)
+        m0 = build_mapping(p, chord_shock(p, lattice))
         S, Z = lattice.S, lattice.Z
         psi = initial_guess(p, m0) + 0.01 * p.state_R.c * (Z + S * Z + 0.5 * S**2)
         _, a0 = constant_state_potential(model, p.state_I.rho, p.state_I.v)
         v_iy = p.state_I.v[1]
 
         def mapping_of(q):
-            return build_mapping(p, ShockCurve(lattice, (q[-1] - a0) / v_iy), lattice)
+            return build_mapping(p, ShockCurve(lattice, (q[-1] - a0) / v_iy))
 
         def resid(q):
             return elliptic._residual(model, p, mapping_of(q), q)[0]
@@ -438,7 +446,7 @@ class TestExactJacobian:
     def test_jacobian_solves_no_slope_system(self, case12_pattern, monkeypatch):
         # the shock probes shift the curve's node arrays instead
         p, lattice = case12_pattern, Lattice(16)
-        mapping = build_mapping(p, chord_shock(p, lattice), lattice)
+        mapping = build_mapping(p, chord_shock(p, lattice))
         psi = initial_guess(p, mapping)
         F = elliptic._residual(p.config.model, p, mapping, psi)[0]
         calls = []
@@ -505,6 +513,16 @@ class TestIterate:
         assert sol.converged
         assert np.max(np.abs(sol.mapping.shock.s - p.eta_R_star)) < 1e-6
 
+    def test_shock0_on_another_lattice_raises(self, case12_pattern, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the solve built a mapping")
+
+        monkeypatch.setattr(elliptic, "build_mapping", refuse)
+        shock0 = chord_shock(case12_pattern, Lattice(32))
+        with pytest.raises(MappingError, match="32 cells.*lattice_n is 16") as err:
+            iterate(case12_pattern, EllipticConfig(lattice_n=16), shock0=shock0)
+        assert "\n" not in str(err.value)
+
     def test_factorization_carried_across_outer_iterations(self, case12_pattern, splu_calls):
         sol = iterate(case12_pattern, EllipticConfig(lattice_n=48))
         assert sol.converged
@@ -563,6 +581,27 @@ class TestIterate:
         p = build(ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.0))
         with pytest.raises(ValueError):
             iterate(p, EllipticConfig(lattice_n=8))
+
+
+def test_fields_match_their_formulas_bit_for_bit(case12_solution):
+    # on case12 and on the desk case; L2 is also the kernel's |z|^2/c^2
+    desk = iterate(build(replace(CASE_12, epsilon=0.01)), EllipticConfig(lattice_n=48))
+    for sol in (case12_solution, desk):
+        f = sol.fields()
+        for key, a in nodal_fields(sol).items():
+            assert f[key].tobytes() == a.tobytes(), key
+        z2, c2 = elliptic._conditions(sol.pattern.config.model, sol.pattern, sol.mapping, sol.psi)[4:6]
+        assert (z2 / c2).tobytes() == f["L2"].tobytes()
+
+
+def test_fields_are_formed_once_as_read_only_arrays(case12_solution):
+    sol = case12_solution
+    f = sol.fields()
+    c2 = elliptic._conditions(sol.pattern.config.model, sol.pattern, sol.mapping, sol.psi)[5]
+    assert f["c2"].tobytes() == c2.tobytes()
+    assert all(a is b and not a.flags.writeable for a, b in zip(f.values(), sol.fields().values()))
+    with pytest.raises(FrozenInstanceError):
+        sol.psi = sol.psi + 1.0
 
 
 def test_export_csv(tmp_path, case12_solution):

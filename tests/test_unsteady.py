@@ -618,6 +618,32 @@ class TestSampling:
         assert self_similarity_defect(f1, f2) < 2e-4  # interpolation error only
 
 
+def _tip_angle_from_full_samplings(result):
+    """tip_shock_angle with each column sampled by sample_self_similar."""
+    pattern, state, grid = result.pattern, result.final, result.grid
+    rho_mid = 0.5 * (pattern.state_I.rho + pattern.state_L.rho)
+    corner = pattern.to_original(pattern.xi_L_star)
+    theta_pred = unsteady.predicted_tip_shock_angle(pattern)
+    dxi = 0.5 * grid.spacing / state.t
+    pts = []
+    for xc in np.linspace(0.25 * corner[0], 0.75 * corner[0], 60):
+        y_lo = xc * math.tan(pattern.tau) + 2.0 * grid.spacing / state.t
+        y_hi = xc * math.tan(theta_pred) * 1.6 + 6.0 * grid.spacing / state.t
+        ys = np.arange(y_lo, y_hi, dxi)
+        f = sample_self_similar(pattern.config.model, grid, state, np.array([xc]), ys)
+        col_rho, ok = f.rho[:, 0], f.valid[:, 0]
+        dense = np.where(ok & (col_rho > rho_mid))[0]
+        if len(dense) == 0:
+            continue
+        j = dense.max()
+        if j + 1 >= len(ys) or not ok[j + 1] or col_rho[j + 1] >= rho_mid:
+            continue
+        frac = (rho_mid - col_rho[j]) / (col_rho[j + 1] - col_rho[j])
+        pts.append((xc, ys[j] + frac * (ys[j + 1] - ys[j])))
+    pts = np.asarray(pts)
+    return math.atan(np.polyfit(pts[:, 0], pts[:, 1], 1)[0])
+
+
 @pytest.mark.slow
 class TestWedgeRunCoarse:
     def test_structure_small_grid(self, desk_march_100):
@@ -639,6 +665,18 @@ class TestWedgeRunCoarse:
             st = probe_stats(res.sample_final, probes[name], 0.1)
             assert st["L_mean"] > 1.0
         assert res.defect < 0.05
+
+    def test_tip_angle_samples_only_the_density(self, desk_march_100, monkeypatch):
+        # the fit reads rho alone: the full samplings it once took (rho, v, L,
+        # with a sound speed per column) give the same angle bit for bit
+        res, _ = desk_march_100
+        want = _tip_angle_from_full_samplings(res)
+
+        def refuse(self, rho):
+            raise AssertionError("the tip-angle fit formed a sound speed")
+
+        monkeypatch.setattr(GasModel, "sound_speed", refuse)
+        assert unsteady.tip_shock_angle(res) == want
 
     def test_run_needs_the_wedge_pair(self):
         # a standard-picture problem has no wedge to march
