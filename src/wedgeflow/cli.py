@@ -5,9 +5,10 @@
 Commands: polar, pattern, simulate, elliptic, verify, sweep.  The config is
 flat ``key = value`` text with ``#`` comments; the wedge angle is given as
 ``tau_deg`` in degrees and stored in radians.  Exit codes: 0 success, 1
-solver non-convergence, a dead sweep worker or an output file that cannot
+solver non-convergence, a dead worker process or an output file that cannot
 be written, 2 configuration error, 3 diagnostic FAIL under --strict.  Every
-output file is written here; ``sweep`` runs one worker per usable CPU.
+output file is written here; ``sweep`` runs one worker per usable CPU and
+``simulate`` one process per usable CPU, up to two.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import pattern as pattern_mod
 from .pattern import ProblemConfig, build
 from .shocks import critical_angle, deflection_solutions, polar_bytes, shock_polar
 from . import unsteady as unsteady_mod
-from .unsteady import UnsteadyConfig
+from .unsteady import UnsteadyConfig, WorkerLost
 
 
 # simulate refuses a config whose march needs more steps than this
@@ -37,10 +38,6 @@ MAX_MARCH_STEPS = 10**6
 
 class ConfigError(WedgeError, ValueError):
     pass
-
-
-class WorkerLost(WedgeError, RuntimeError):
-    """A sweep's pool worker died, for example killed for lack of memory."""
 
 
 @dataclass
@@ -306,13 +303,15 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
             f"grid_n = {cfg.grid_n}, cfl = {cfg.cfl}, t_final = {cfg.t_final}, M_I = {cfg.M_I}, "
             f"c_I = {cfg.c_I}: the march needs at least {steps} steps, more than {MAX_MARCH_STEPS}"
         )
-    # run keeps its first sampling while it marches on
+    # run keeps its first sampling while it marches on; the march counts
+    # the state once and the buffers of each of its processes
     _check_memory(
         f"grid_n = {cfg.grid_n}, sample_nx = {cfg.sample_nx}",
         unsteady_mod.march_bytes(ucfg) + unsteady_mod.sample_bytes(ucfg),
         "the march and its samplings",
     )
-    if unsteady_mod.shared_sample_points(ucfg) == 0:
+    setup = unsteady_mod.march_setup(ucfg)
+    if unsteady_mod.shared_sample_points(setup) == 0:
         raise ConfigError(
             f"grid_n = {cfg.grid_n}, box_x_min = {cfg.box_x_min}, box_x_max = {cfg.box_x_max}, "
             f"box_y_max = {cfg.box_y_max}, t_final = {cfg.t_final}: the samplings at t_final / 2 "
@@ -324,7 +323,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
         counter["k"] += 1
         write_field_csv(grid, state, out / f"snapshot_{counter['k']:04d}.csv")
 
-    res = unsteady_mod.run(ucfg, on_snapshot=snap if cfg.snapshot_every else None)
+    res = unsteady_mod.run(ucfg, on_snapshot=snap if cfg.snapshot_every else None, setup=setup)
     write_field_csv(res.grid, res.final, out / "field_final.csv")
     write_field_raw(res.grid, res.final, out / "field_final.raw")
     # probes.csv is written before the tip-angle fit, which can fail on a
@@ -469,11 +468,6 @@ def _sweep_job(args):
     return (eps, lattice, sol.converged, rec["combined"], dl, dr, wr["max"])
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, where the platform has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -490,7 +484,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     ]
     futures = {}
     try:
-        with ProcessPoolExecutor(max_workers=min(len(jobs), _usable_cpus())) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(jobs), unsteady_mod.usable_cpus())) as pool:
             # largest lattice first, so that no worker ends the sweep alone on
             # a long job; results are collected in job order
             for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][2]):

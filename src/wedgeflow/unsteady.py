@@ -32,11 +32,27 @@ finds the highest row, above the wall ghosts, whose bits differ from the
 upstream state, and marches the rows up to the one above it as a grid that
 ends there (``_active_rows``).  The fields and the time step are bit for
 bit those of the full-grid update.
+
+On two or more usable CPUs ``run`` marches on two processes.  The fields
+live in one anonymous shared mapping, and a forked partner updates rows
+R..W-1 of each step's W-row window, R = W // 2, while the march's own
+process updates rows 0..R-1.  Each process copies its rows and one halo row
+on each side, fills the wall ghosts and borders among them, forms pi, c, B,
+the wave speeds and the fluxes there, and updates its own rows in place.
+This is exact: every quantity of a cell, face or update is formed
+element by element from the cells it reads, which hold the same bits in
+both copies, and the larger of the two processes' CFL maxima is the
+window's maximum, so dt, every field and every step count are those of
+one process.  Both copy before either updates: the partner sends its
+maxima only after its copy, and the march's process sends dt / h only
+after its own.  An error is formed over the whole window, as on one
+process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +70,22 @@ class ShockFitError(WedgeError, ArithmeticError):
 
 class SamplingError(WedgeError, ValueError):
     """Two self-similar samplings share no valid point to compare."""
+
+
+class WorkerLost(WedgeError, RuntimeError):
+    """A worker process died: a sweep's pool worker or a march's partner,
+    for example killed for lack of memory."""
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _processes() -> int:
+    """The processes a march runs on: one per usable CPU, up to two, where
+    the platform lets each process keep to its own CPUs."""
+    return min(2, usable_cpus()) if hasattr(os, "sched_setaffinity") else 1
 
 
 @dataclass(frozen=True)
@@ -98,27 +130,19 @@ class SimState:
     vy: np.ndarray
 
 
-def init(upstream: FlowState, grid: Grid) -> SimState:
-    shape = (grid.ny, grid.nx)
-    return SimState(
-        t=0.0,
-        rho=np.full(shape, upstream.rho),
-        vx=np.full(shape, upstream.v[0]),
-        vy=np.full(shape, upstream.v[1]),
-    )
+def init(upstream: FlowState, grid: Grid, shared: bool = False) -> SimState:
+    """The upstream state on every cell; shared puts the three fields in one
+    anonymous shared mapping, which a forked process writes to as well."""
+    shape = (3, grid.ny, grid.nx)
+    if shared:
+        import mmap
 
-
-def _fill_border(p, left, top, bottom_mirror_sign):
-    """The outer ghost layer of a padded array with its interior filled: Dirichlet
-    left, zero-gradient right, mirror bottom; top = None copies the edge (outflow)."""
-    p[1:-1, 0] = left
-    p[1:-1, -1] = p[1:-1, -2]
-    p[-1, 1:-1] = p[-2, 1:-1] if top is None else top
-    np.multiply(p[1, 1:-1], bottom_mirror_sign, out=p[0, 1:-1])
-    p[0, 0] = p[1, 0]
-    p[0, -1] = p[1, -1]
-    p[-1, 0] = p[-1, 1]
-    p[-1, -1] = p[-1, -2]
+        fields = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+    else:
+        fields = np.empty(shape)
+    for a, v in zip(fields, (upstream.rho, *upstream.v)):
+        a.fill(v)
+    return SimState(0.0, *fields)
 
 
 class _WallGhosts:
@@ -172,12 +196,22 @@ class _WallGhosts:
         self.mxy = -2.0 * n[0] * n[1]
         self.myy = 1.0 - 2.0 * n[1] * n[1]
 
-    def fill(self, rho, vx, vy):
-        """Overwrite near-surface solid cells with wall-mirrored fluid data."""
-        r, u, w = (np.sum(self.w * a[self.sj, self.si], axis=0) for a in (rho, vx, vy))
-        rho[self.jj, self.ii] = r
-        vx[self.jj, self.ii] = self.mxx * u + self.mxy * w
-        vy[self.jj, self.ii] = self.mxy * u + self.myy * w
+    def fill(self, fields, out, j0, j1):
+        """Write the near-surface solid cells of rows j0..j1-1 with
+        wall-mirrored fluid data: out holds the (rho, vx, vy) of those rows,
+        out's row 0 being row j0, and the stencils read the grid's fields.
+
+        The ghosts are stored row by row, so each row range is a slice of
+        them; each ghost's four-term sum is added in stencil order whatever
+        the slice's length."""
+        k0, k1 = np.searchsorted(self.jj, (j0, j1))
+        sj, si, w = self.sj[:, k0:k1], self.si[:, k0:k1], self.w[:, k0:k1]
+        jj, ii = self.jj[k0:k1] - j0, self.ii[k0:k1]
+        r, u, v = (np.sum(w * a[sj, si], axis=0) for a in fields)
+        rho, vx, vy = out
+        rho[jj, ii] = r
+        vx[jj, ii] = self.mxx * u + self.mxy * v
+        vy[jj, ii] = self.mxy * u + self.myy * v
 
 
 def _llf(rho, B, s, vn, vt, m, k0, k1, off, ha, d):
@@ -207,24 +241,114 @@ def _llf(rho, B, s, vn, vt, m, k0, k1, off, ha, d):
 
 
 class _Workspace:
-    """The buffers of the steps on one grid, sized for the full grid; a step
-    works on their leading part.
+    """The buffers of one process's steps on one grid, sized for the most
+    rows a step updates with them (every row by default); a step works on
+    their leading part.  With a partner, a step updates the lower half of
+    the window's rows and the partner the upper half.
 
-    The padded arrays are flat, (W + 2) * (nx + 2) values for a window of W
-    rows, so the faces between flat cells k and k + 1 (x) and k and
-    k + nx + 2 (y) are contiguous slices; the faces that straddle a row end
-    join two border ghosts and are never read.
+    The padded arrays are flat, (m + 2) * (nx + 2) values for m rows and a
+    ghost or halo row on each side, so the faces between flat cells k and
+    k + 1 (x) and k and k + nx + 2 (y) are contiguous slices; the faces that
+    straddle a row end join two border ghosts and are never read.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, rows: int | None = None, partner: _Partner | None = None):
+        rows = grid.ny if rows is None else rows
         S = grid.nx + 2
-        self.rho, self.vx, self.vy, self.sx, self.sy = (np.empty((grid.ny + 2) * S) for _ in range(5))
-        self.ha, self.d = np.empty((grid.ny + 1) * S), np.empty((grid.ny + 1) * S)
-        self.sums = tuple(np.empty(grid.ny * S) for _ in range(3))  # the flux sums of rho, vx, vy
+        self.rho, self.vx, self.vy, self.sx, self.sy = (np.empty((rows + 2) * S) for _ in range(5))
+        self.ha, self.d = np.empty((rows + 1) * S), np.empty((rows + 1) * S)
+        self.sums = tuple(np.empty(rows * S) for _ in range(3))  # the flux sums of rho, vx, vy
         self.fluid = ~grid._solid
         fluid_p = np.zeros((grid.ny + 2, grid.nx + 2), dtype=bool)
         fluid_p[1:-1, 1:-1] = self.fluid
         self.fluid_p = fluid_p.reshape(-1)  # the fluid cells in the flat padded layout
+        self.partner = partner
+
+
+def _half_rows(grid: Grid) -> int:
+    """The most rows either process updates in a two-process step."""
+    return grid.ny - grid.ny // 2
+
+
+class _Partner:
+    """The march's second process, forked so that it shares the anonymous
+    mapping of the fields, and the parent's end of their pipe.
+
+    Per step the parent sends (R, W, top_bc) and, after the partner's CFL
+    maxima, dt / h; the partner answers each with its maxima and then with
+    whether its rows' density stayed above the floor.  Each wait also watches
+    the process, so a partner that dies ends in WorkerLost.
+
+    Until ``close`` the two processes keep to disjoint halves of the
+    parent's CPUs (to its one CPU, where it has one): a pipe's wake-up draws
+    the woken process onto the waker's CPU, and the two halves of a step
+    would then take turns on one CPU.
+    """
+
+    def __init__(self, model: GasModel, grid: Grid, state: SimState, upstream: FlowState):
+        import multiprocessing  # here, so that a one-process march never loads it
+        from multiprocessing.connection import wait
+
+        ctx = multiprocessing.get_context("fork")  # the child inherits the mapping
+        self._wait = wait
+        self.cpus = os.sched_getaffinity(0)
+        cpus = sorted(self.cpus)
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_partner_loop,
+            args=(child, self.conn, cpus[1::2] or cpus, model, grid, state, upstream),
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+        os.sched_setaffinity(0, cpus[::2])
+
+    def receive(self):
+        """The partner's next message; an exception it could not act on is raised here."""
+        if self.conn in self._wait([self.conn, self.process.sentinel]):
+            try:
+                message = self.conn.recv()
+            except EOFError:
+                pass
+            else:
+                if isinstance(message, Exception):
+                    raise message
+                return message
+        self.process.join()
+        raise WorkerLost(f"the march's partner process died (exit code {self.process.exitcode})")
+
+    def close(self):
+        """End the partner, which exits when its pipe closes, wait for it, and
+        give this process its CPUs back."""
+        self.conn.close()
+        self.process.join()
+        os.sched_setaffinity(0, self.cpus)
+
+
+def _partner_loop(conn, parent_end, cpus, model, grid, state, upstream):
+    """The partner's side of each step, on the given CPUs: rows R..W-1 of the
+    window.  A VacuumError is sent as NaN maxima, so that the parent forms it
+    over the whole window; it ends when the parent closes the pipe."""
+    import signal
+
+    parent_end.close()  # so that the pipe closes when the parent dies
+    os.sched_setaffinity(0, cpus)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the parent, which closes the pipe
+    ws = _Workspace(grid, _half_rows(grid))
+    try:
+        while True:
+            lo, W, top_bc = conn.recv()
+            rows = _update_rows(model, grid, state, upstream, ws, W, lo, W, top_bc)
+            try:
+                maxima = next(rows)
+            except VacuumError:
+                maxima = (math.nan, math.nan)
+            conn.send(maxima)
+            conn.send(rows.send(conn.recv()))
+    except (EOFError, BrokenPipeError):
+        pass
+    except Exception as exc:  # the parent raises it as the march's error
+        conn.send(exc)
 
 
 def _grid_shape(config: "UnsteadyConfig"):
@@ -235,16 +359,20 @@ def _grid_shape(config: "UnsteadyConfig"):
 
 
 def march_bytes(config: "UnsteadyConfig") -> int:
-    """Bytes of the grid-sized arrays a march holds at its peak: the
-    workspace's buffers in the padded layout above, the state, the results
-    of a step's ``pi_of_rho`` and ``c2_of_pi``, the boolean masks (solid,
-    fluid, wall ghosts, active rows), and NumPy's iteration buffer, which the
-    update takes for its strided flux sums."""
+    """Bytes of the grid-sized arrays a march holds at its peak, on the
+    processes run starts.  Once: the state (in the mapping the processes
+    share) and the grid's boolean masks (solid, wall ghosts, active rows).
+    Per process: the workspace's buffers in the padded layout above, for the
+    most rows the process updates, the results of a step's ``pi_of_rho`` and
+    ``c2_of_pi``, NumPy's iteration buffer, which the update takes for its
+    strided flux sums, and the workspace's fluid masks."""
     _, nx, ny = _grid_shape(config)
+    processes = _processes()
+    m = ny - ny // 2 if processes > 1 else ny
     S = nx + 2
-    padded, cells = (ny + 2) * S, ny * nx
-    floats = 7 * padded + 2 * (ny + 1) * S + 3 * ny * S + 3 * cells + np.getbufsize()
-    return 8 * floats + padded + 4 * cells
+    cells = ny * nx
+    own = 8 * (7 * (m + 2) * S + 2 * (m + 1) * S + 3 * m * S + np.getbufsize()) + (ny + 2) * S + cells
+    return 8 * 3 * cells + 3 * cells + processes * own
 
 
 def min_march_steps(config: "UnsteadyConfig") -> int:
@@ -287,6 +415,77 @@ def _active_rows(grid: Grid, state: SimState, upstream: FlowState) -> int:
     return min(grid.ny, J + 2)
 
 
+def _update_rows(model, grid, state, upstream, ws, W, lo, hi, top_bc):
+    """The arithmetic of a step on rows lo..hi-1 of a W-row window, as a
+    generator: it yields the CFL maxima (max(|vx| + c), max(|vy| + c)) over
+    those rows' fluid cells; sent lam = dt / h, it updates those rows of
+    state in place and yields whether their fluid density stays above the
+    floor.
+
+    It reads the rows lo - 1..hi of the window: the window's own rows, their
+    wall ghosts, and the window's border rows where it reaches them.  Local
+    padded row p is window row lo - 1 + p; the border columns and corners of
+    its halo rows are not those of the full window, and no update reads them.
+    """
+    m = hi - lo
+    S = grid.nx + 2  # the padded row length
+    P = (m + 2) * S
+    a, b = max(lo - 1, 0), min(hi + 1, W)  # the window rows it copies
+    olds = (state.rho, state.vx, state.vy)
+
+    # padded arrays: the rows' state inside, wall ghosts in its solid cells, the border where it is one
+    rho, vx, vy, sx, sy = (x[:P] for x in (ws.rho, ws.vx, ws.vy, ws.sx, ws.sy))
+    padded = [x.reshape(m + 2, S) for x in (rho, vx, vy)]
+    copied = [p[a - lo + 1 : b - lo + 1, 1:-1] for p in padded]
+    for p, old in zip(copied, olds):
+        p[...] = old[a:b]
+    grid._ghosts.fill(olds, copied, a, b)
+    for p, v, sign in zip(padded, (upstream.rho, *upstream.v), (1.0, 1.0, -1.0)):
+        if lo == 0:  # mirror bottom
+            np.multiply(p[1, 1:-1], sign, out=p[0, 1:-1])
+        if hi == W:  # upstream top, or a copy of the edge for outflow
+            p[-1, 1:-1] = v if top_bc == "inflow" else p[-2, 1:-1]
+        p[:, 0] = v  # upstream left
+        p[:, -1] = p[:, -2]  # zero-gradient right
+
+    # once per padded cell, for the faces and the CFL bound: pi, c from pi,
+    # B = |v|^2/2 + pi, |v_n| + c (sx holds |v|^2/2 until it takes |v_x| + c)
+    B = pi_of_rho(model, padded[0]).reshape(P)
+    c = c2_of_pi(model, B)
+    np.sqrt(c, out=c)
+    np.multiply(vx, vx, out=sx)
+    np.multiply(vy, vy, out=sy)
+    sx += sy
+    sx *= 0.5
+    B += sx
+    for v, s in ((vx, sx), (vy, sy)):
+        np.abs(v, out=s)
+        s += c
+
+    # the CFL maxima from the same wave speeds on the fluid cells
+    fluid_p = ws.fluid_p[(lo + 1) * S : (hi + 1) * S]
+    lam = yield tuple(float(np.max(s[S : (m + 1) * S], where=fluid_p, initial=-np.inf)) for s in (sx, sy))
+
+    # old -= lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid, summed in the
+    # flat layout: entry q of a sum is the padded cell S + 1 + q, whose x faces
+    # are entries q and q + 1 of the x pass and whose y faces are entries
+    # 1 + q and S + 1 + q of the y pass.  c's array takes the mass flux
+    n = m * S - 2  # from the first interior cell of the rows to their last
+    sums = [x[:n] for x in ws.sums]
+    for x, f in zip(sums, _llf(rho, B, sx, vx, vy, c, S, (m + 1) * S, 1, ws.ha, ws.d)):
+        np.subtract(f[1 : n + 1], f[:n], out=x)
+    y_faces = _llf(rho, B, sy, vy, vx, c, 0, (m + 1) * S, S, ws.ha, ws.d)
+    for x, f in zip((sums[0], sums[2], sums[1]), y_faces):
+        x += f[S + 1 : S + 1 + n]
+        x -= f[1 : 1 + n]
+    fluid = ws.fluid[lo:hi]
+    for x, old in zip(ws.sums, olds):
+        x[:n] *= lam
+        np.subtract(old[lo:hi], x[: m * S].reshape(m, S)[:, : S - 2], out=old[lo:hi], where=fluid)
+    # written so that a NaN density fails it too
+    yield bool(np.all(state.rho[lo:hi] > RHO_FLOOR_FACTOR * upstream.rho, where=fluid))
+
+
 def step(
     model: GasModel,
     grid: Grid,
@@ -308,74 +507,52 @@ def step(
     The update writes the fluid cells of the rows below ``_active_rows`` as
     on a grid that ends there; solid cells and the rows above keep their
     bytes, which is bit for bit the full-grid update.  ``workspace`` is
-    ``_Workspace(grid)``, the step's buffers.  A VacuumError from the CFL bound
-    leaves state unchanged; one from the density floor leaves it updated.
+    ``_Workspace(grid)``, the step's buffers, or a workspace with a partner,
+    which then updates the upper half of those rows.  A VacuumError from the
+    CFL bound leaves state unchanged; one from the density floor leaves it
+    updated.
     """
     ws = workspace
     W = _active_rows(grid, state, upstream)
+    partner = ws.partner if W > 1 else None
+    R = W // 2 if partner else W  # this process updates rows 0..R-1, the partner rows R..W-1
+    if partner:
+        partner.conn.send((R, W, top_bc))
+    rows = _update_rows(model, grid, state, upstream, ws, W, 0, R, top_bc)
+    try:
+        maxima = next(rows)
+    except VacuumError:
+        if not partner:
+            raise
+        maxima = (math.nan, math.nan)
+    if partner:  # np.maximum keeps a NaN from either side
+        maxima = np.maximum(maxima, partner.receive()).tolist()
+    speeds = maxima[0] + maxima[1]
     fluid = ws.fluid[:W]
-    h = grid.spacing
-    S = grid.nx + 2  # the padded row length
-    P = (W + 2) * S
-    inner = np.s_[1:-1, 1:-1]
-    olds = (state.rho, state.vx, state.vy)
-
-    # padded arrays: the window's state inside, wall ghosts in its solid cells, one outer ghost layer
-    rho, vx, vy, sx, sy = (a[:P] for a in (ws.rho, ws.vx, ws.vy, ws.sx, ws.sy))
-    rho_p, vx_p, vy_p = (a.reshape(W + 2, S) for a in (rho, vx, vy))
-    rho_p[inner], vx_p[inner], vy_p[inner] = (old[:W] for old in olds)
-    grid._ghosts.fill(rho_p[inner], vx_p[inner], vy_p[inner])
-    for p, v, sign in zip((rho_p, vx_p, vy_p), (upstream.rho, *upstream.v), (1.0, 1.0, -1.0)):
-        _fill_border(p, v, v if top_bc == "inflow" else None, sign)
-
-    # once per padded cell, for the faces and the CFL bound: pi, c from pi,
-    # B = |v|^2/2 + pi, |v_n| + c (sx holds |v|^2/2 until it takes |v_x| + c)
-    B = pi_of_rho(model, rho_p).reshape(P)
-    c = c2_of_pi(model, B)
-    np.sqrt(c, out=c)
-    np.multiply(vx, vx, out=sx)
-    np.multiply(vy, vy, out=sy)
-    sx += sy
-    sx *= 0.5
-    B += sx
-    for v, s in ((vx, sx), (vy, sy)):
-        np.abs(v, out=s)
-        s += c
-
-    # the CFL step from the same wave speeds on the fluid cells
-    rows = slice(S, (W + 1) * S)
-    speeds = sum(float(np.max(s[rows], where=ws.fluid_p[rows], initial=-np.inf)) for s in (sx, sy))
     if not math.isfinite(speeds):  # a NaN or infinite velocity
-        sx_in, sy_in = sx.reshape(W + 2, S)[inner], sy.reshape(W + 2, S)[inner]
+        if partner:  # the first phase again, on one process, forms the error over the whole window
+            ws = _Workspace(grid)
+            next(_update_rows(model, grid, state, upstream, ws, W, 0, W, top_bc))
+        S = grid.nx + 2
+        sx_in, sy_in = (s[: (W + 2) * S].reshape(W + 2, S)[1:-1, 1:-1] for s in (ws.sx, ws.sy))
         bad = fluid & ~np.isfinite(sx_in + sy_in)
         j, i = np.unravel_index(int(np.argmax(bad)), fluid.shape)
         raise VacuumError(
             f"wave speed {sx_in[j, i] + sy_in[j, i]} at cell (i={i}, j={j}), t = {state.t}"
         )
+    h = grid.spacing
     dt = min(cfl * h / speeds, t_stop - state.t)
-
-    # old -= lam * (((fx_E - fx_W) + fy_N) - fy_S) in the fluid, summed in the
-    # flat layout: entry q of a sum is the padded cell S + 1 + q, whose x faces
-    # are entries q and q + 1 of the x pass and whose y faces are entries
-    # 1 + q and S + 1 + q of the y pass.  c's array takes the mass flux
-    n = W * S - 2  # from the first interior cell of the window to its last
-    sums = [a[:n] for a in ws.sums]
-    for a, f in zip(sums, _llf(rho, B, sx, vx, vy, c, S, (W + 1) * S, 1, ws.ha, ws.d)):
-        np.subtract(f[1 : n + 1], f[:n], out=a)
-    y_faces = _llf(rho, B, sy, vy, vx, c, 0, (W + 1) * S, S, ws.ha, ws.d)
-    for a, f in zip((sums[0], sums[2], sums[1]), y_faces):
-        a += f[S + 1 : S + 1 + n]
-        a -= f[1 : 1 + n]
     lam = dt / h
-    for a, old in zip(ws.sums, olds):
-        a[:n] *= lam
-        np.subtract(old[:W], a[: W * S].reshape(W, S)[:, : S - 2], out=old[:W], where=fluid)
+    if partner:
+        partner.conn.send(lam)
+    above = rows.send(lam)
     state.t += dt
+    if partner:
+        above = partner.receive() and above
 
-    # written so that a NaN density fails it too; argmin finds a NaN first.
-    # The rows above the window hold the upstream density
-    floor = RHO_FLOOR_FACTOR * upstream.rho
-    if not np.all(state.rho[:W] > floor, where=fluid):
+    # argmin finds a NaN first; the rows above the window hold the upstream density
+    if not above:
+        floor = RHO_FLOOR_FACTOR * upstream.rho
         j, i = np.unravel_index(int(np.argmin(np.where(fluid, state.rho[:W], np.inf))), fluid.shape)
         raise VacuumError(
             f"density {state.rho[j, i]} not above the floor {floor} at cell (i={i}, j={j}), "
@@ -425,14 +602,15 @@ def _sample_points(grid: Grid, t: float, xi_x, xi_y):
 
 
 def sample_self_similar(
-    model: GasModel, grid: Grid, state: SimState, xi_x, xi_y
+    model: GasModel, grid: Grid, state: SimState, xi_x, xi_y, points=None
 ) -> SelfSimilarField:
-    """Bilinear samples of (rho, v, L) along rays xi = x/t."""
+    """Bilinear samples of (rho, v, L) along rays xi = x/t; points is
+    ``_sample_points`` at state.t, where the caller has it."""
     if state.t <= 0.0:
         raise ValueError("self-similar sampling needs t > 0")
     xi_x = np.asarray(xi_x, dtype=float)
     xi_y = np.asarray(xi_y, dtype=float)
-    fi, fj, valid = _sample_points(grid, state.t, xi_x, xi_y)
+    fi, fj, valid = _sample_points(grid, state.t, xi_x, xi_y) if points is None else points
     rho = bilinear(state.rho, fi, fj)
     vx = bilinear(state.vx, fi, fj)
     vy = bilinear(state.vy, fi, fj)
@@ -488,25 +666,34 @@ def _sample_rows(config: UnsteadyConfig) -> int:
     return max(8, int(config.sample_nx * y_max / (x_max - x_min)))
 
 
-def _march_setup(config: UnsteadyConfig):
-    """(grid, xi_x, xi_y): run's grid, and its xi grid, which stays 1.5 cells
-    at t_final / 2 inside each side of the box."""
+@dataclass(frozen=True)
+class MarchSetup:
+    """run's grid; its xi grid, which stays 1.5 cells at t_final / 2 inside
+    each side of the box; and the sampling times t_final / 2 and t_final with
+    the xi grid's points at each (``_sample_points``)."""
+
+    grid: Grid
+    xi_x: np.ndarray
+    xi_y: np.ndarray
+    times: tuple[float, float]
+    points: tuple
+
+
+def march_setup(config: UnsteadyConfig) -> MarchSetup:
     x_min, x_max, y_max = config.box
     h, nx, ny = _grid_shape(config)
     grid = Grid(x0=x_min, spacing=h, nx=nx, ny=ny, tau=config.problem.tau)
     margin = 1.5 * h / (0.5 * config.t_final)
     xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)
     xi_y = np.linspace(margin, y_max - margin, _sample_rows(config))
-    return grid, xi_x, xi_y
+    times = (0.5 * config.t_final, config.t_final)
+    return MarchSetup(grid, xi_x, xi_y, times, tuple(_sample_points(grid, t, xi_x, xi_y) for t in times))
 
 
-def shared_sample_points(config: UnsteadyConfig) -> int:
-    """The points of run's xi grid valid in both its samplings, at t_final / 2
-    and at t_final; with none there is no self-similarity defect to take."""
-    grid, xi_x, xi_y = _march_setup(config)
-    t = config.t_final
-    both = _sample_points(grid, 0.5 * t, xi_x, xi_y)[2] & _sample_points(grid, t, xi_x, xi_y)[2]
-    return int(np.count_nonzero(both))
+def shared_sample_points(setup: MarchSetup) -> int:
+    """The points of run's xi grid valid in both its samplings; with none
+    there is no self-similarity defect to take."""
+    return int(np.count_nonzero(setup.points[0][2] & setup.points[1][2]))
 
 
 def sample_bytes(config: UnsteadyConfig) -> int:
@@ -517,31 +704,44 @@ def sample_bytes(config: UnsteadyConfig) -> int:
     return config.sample_nx * _sample_rows(config) * (8 * (4 + 12) + 1 + 1)
 
 
-def run(config: UnsteadyConfig, on_snapshot=None) -> UnsteadyResult:
-    """March the wedge problem to t_final and sample at t_final/2 and t_final.
+def run(config: UnsteadyConfig, on_snapshot=None, setup: MarchSetup | None = None) -> UnsteadyResult:
+    """March the wedge problem to t_final and sample at t_final/2 and t_final;
+    setup is ``march_setup(config)``, where the caller has it.
 
     Every ``snapshot_every`` steps ``on_snapshot(grid, state)`` is called with
     the march's own state, which the next step updates in place: a caller
-    copies what it keeps.
+    copies what it keeps.  On two usable CPUs a partner process updates half
+    of each step's rows (module docstring); it has ended when run returns or
+    raises.
     """
     problem = config.problem
     upstream_orig = problem.upstream_original()
     pattern = build(problem)
     model = problem.model
 
-    grid, xi_x, xi_y = _march_setup(config)
-    state = init(upstream_orig, grid)
-    workspace = _Workspace(grid)
-    steps, samples = 0, []
-    for target in (0.5 * config.t_final, config.t_final):
-        while state.t < target - 1e-14:
-            step(model, grid, state, upstream_orig, workspace, cfl=config.cfl, t_stop=target)
-            steps += 1
-            if on_snapshot and config.snapshot_every and steps % config.snapshot_every == 0:
-                on_snapshot(grid, state)
-        if target == config.t_final:
-            workspace = None  # the last sample and the caller's export reuse its memory
-        samples.append(sample_self_similar(model, grid, state, xi_x, xi_y))
+    setup = march_setup(config) if setup is None else setup
+    grid = setup.grid
+    two = _processes() > 1
+    state = init(upstream_orig, grid, shared=two)
+    partner = _Partner(model, grid, state, upstream_orig) if two else None
+    try:
+        workspace = _Workspace(grid, _half_rows(grid), partner) if two else _Workspace(grid)
+        steps, samples = 0, []
+        for target, points in zip(setup.times, setup.points):
+            while state.t < target - 1e-14:
+                step(model, grid, state, upstream_orig, workspace, cfl=config.cfl, t_stop=target)
+                steps += 1
+                if on_snapshot and config.snapshot_every and steps % config.snapshot_every == 0:
+                    on_snapshot(grid, state)
+            if target == config.t_final:
+                workspace = None  # the last sample and the caller's export reuse its memory
+            # the setup's points are those of the target time, which the march
+            # ends on unless a CFL step lands within 1e-14 below it
+            points = points if state.t == target else None
+            samples.append(sample_self_similar(model, grid, state, setup.xi_x, setup.xi_y, points))
+    finally:
+        if partner:
+            partner.close()
     f1, f2 = samples
     return UnsteadyResult(
         pattern=pattern,

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -242,7 +243,7 @@ class TestDispatch:
 
     def test_sweep_single_worker(self, tmp_path, capsys, monkeypatch):
         sizes = self._record_pool_sizes(monkeypatch)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(unsteady, "usable_cpus", lambda: 1)
         cfgtext = UNPERT + "eps_list = 0.04, 0.02\nlattice_list = 24\nquad_n = 64\n"
         code = dispatch(
             ["sweep", "--config", self._cfg_file(tmp_path, cfgtext), "--out", str(tmp_path)]
@@ -255,7 +256,7 @@ class TestDispatch:
 
     def test_sweep_takes_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
         sizes = self._record_pool_sizes(monkeypatch)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(unsteady, "usable_cpus", lambda: 2)
         cfgtext = UNPERT + "eps_list = 0.04\nlattice_list = 16\n"
         assert dispatch(
             ["sweep", "--config", self._cfg_file(tmp_path, cfgtext), "--out", str(tmp_path)]
@@ -267,9 +268,9 @@ class TestDispatch:
         # workers; without an affinity call, every CPU counts
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 7)
-        assert cli._usable_cpus() == 3
+        assert unsteady.usable_cpus() == 3
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli._usable_cpus() == 7
+        assert unsteady.usable_cpus() == 7
 
     def test_sweep_two_workers_match_one(self, tmp_path, monkeypatch):
         # the pool takes the larger lattice first; the files and the summary
@@ -280,7 +281,7 @@ class TestDispatch:
         )
         outs = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda n=cpus: n)
+            monkeypatch.setattr(unsteady, "usable_cpus", lambda n=cpus: n)
             outs[cpus] = tmp_path / f"cpus{cpus}"
             assert dispatch(["sweep", "--config", cfgfile, "--out", str(outs[cpus])]) == 0
         assert sizes == [1, 2]
@@ -297,7 +298,7 @@ class TestDispatch:
         # one worker takes the jobs largest lattice first: both lattice-24
         # jobs return before the first lattice-16 job kills it, and the two
         # lattice-16 jobs are lost with the pool
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(unsteady, "usable_cpus", lambda: 1)
         monkeypatch.setattr(cli, "_sweep_job", _sweep_job_dying_on_lattice_16)
         cfgfile = self._cfg_file(tmp_path, UNPERT + "eps_list = 0.04, 0.02\nlattice_list = 16, 24\n")
         assert dispatch(["sweep", "--config", cfgfile, "--out", str(tmp_path)]) == 1
@@ -308,6 +309,31 @@ class TestDispatch:
         )
         assert out == ""
         assert not (tmp_path / "sweep_summary.csv").exists()
+
+    def test_march_partner_death_exit_1(self, tmp_path, monkeypatch, capfd):
+        # the partner process dies at its fifth step: one line, exit 1, no
+        # hang and no process left
+        monkeypatch.setattr(unsteady, "usable_cpus", lambda: 2)
+        update_rows, parent = unsteady._update_rows, os.getpid()
+        calls = []
+
+        def dying(*args):
+            if os.getpid() != parent:
+                calls.append(args)
+                if len(calls) == 5:
+                    os._exit(3)
+            return update_rows(*args)
+
+        monkeypatch.setattr(unsteady, "_update_rows", dying)
+        cfgfile = self._cfg_file(tmp_path, CASE12 + "grid_n = 40\n")
+        start = time.perf_counter()
+        assert dispatch(["simulate", "--config", cfgfile, "--out", str(tmp_path)]) == 1
+        assert time.perf_counter() - start < 10.0
+        out, err = capfd.readouterr()
+        assert err == "solver failure (WorkerLost): the march's partner process died (exit code 3)\n"
+        assert out == ""
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "field_final.raw").exists()
 
     def test_polar_above_critical_angle(self, tmp_path, capsys):
         cfgtext = "gamma = 1.4\nM_I = 1.5\ntau_deg = 20\npolar_n = 11\n"

@@ -1,4 +1,8 @@
+import contextlib
+import dataclasses
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -118,7 +122,7 @@ class TestWallGhosts:
         rng = np.random.default_rng(0)
         rho, vx, vy = (rng.uniform(0.5, 2.0, (g.ny, g.nx)) for _ in range(3))
         fluid = (rho.copy(), vx.copy(), vy.copy())
-        g._ghosts.fill(rho, vx, vy)
+        g._ghosts.fill((rho, vx, vy), (rho, vx, vy), 0, g.ny)
         first_fluid = np.argmax(~g.solid_mask(), axis=0)
         n = np.array([-math.sin(g.tau), math.cos(g.tau)])
         for k in starved:
@@ -328,29 +332,67 @@ class TestWorkspace:
             assert (a[window_fluid] != b[window_fluid]).any(), name
 
     @pytest.mark.parametrize("grid_n", [100, 200])
-    def test_march_bytes_matches_the_march(self, grid_n):
+    def test_march_bytes_matches_the_march(self, grid_n, monkeypatch, tmp_path):
         # the estimate behind the grid_n preflight, against tracemalloc's peak
-        # over a desk march with a sampling too small to count
+        # over a desk march with a sampling too small to count, on one CPU and
+        # on two.  On two the march's process traces its own share, the
+        # partner (forked with tracemalloc running) what it allocates after
+        # the fork, and the fields' shared mapping is traced by neither
+        partner_loop = unsteady._partner_loop
+
+        def traced_partner(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                partner_loop(*args)
+            finally:
+                (tmp_path / "partner").write_text(str(tracemalloc.get_traced_memory()[1] - start))
+
+        monkeypatch.setattr(unsteady, "_partner_loop", traced_partner)
         problem = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
         cfg = UnsteadyConfig(problem=problem, grid_n=grid_n, sample_nx=2)
-        assert unsteady.sample_bytes(cfg) < 0.01 * unsteady.march_bytes(cfg)
-        tracemalloc.start()
-        try:
-            run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak == pytest.approx(unsteady.march_bytes(cfg), rel=0.1)
+        for cpus in (1, 2):
+            monkeypatch.setattr(unsteady, "usable_cpus", lambda n=cpus: n)
+            assert unsteady.sample_bytes(cfg) < 0.01 * unsteady.march_bytes(cfg)
+            run(dataclasses.replace(cfg, grid_n=8))  # the modules a march imports on first use
+            (tmp_path / "partner").unlink(missing_ok=True)
+            tracemalloc.start()
+            try:
+                res = run(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if cpus == 2:
+                peak += int((tmp_path / "partner").read_text()) + 3 * res.final.rho.nbytes
+            else:
+                assert not (tmp_path / "partner").exists()
+            assert peak == pytest.approx(unsteady.march_bytes(cfg), rel=0.1), cpus
 
-    def test_run_marches_like_steps_without_a_workspace(self):
+    def test_run_marches_like_steps_without_a_workspace(self, monkeypatch):
+        # on one CPU and on two, where a partner process updates half of
+        # each step's rows
+        started = []
+
+        class Partner(unsteady._Partner):
+            def __init__(self, *args):
+                started.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(unsteady, "_Partner", Partner)
         problem = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
         cfg = UnsteadyConfig(problem=problem, grid_n=100, t_final=1.0, snapshot_every=50)
-        snaps = []
+        marches = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(unsteady, "usable_cpus", lambda n=cpus: n)
+            snaps = []
 
-        def keep(grid, state):  # the march updates the state in place
-            snaps.append(copied(state))
+            def keep(grid, state, snaps=snaps):  # the march updates the state in place
+                snaps.append(copied(state))
 
-        res = run(cfg, on_snapshot=keep)
+            marches.append((run(cfg, on_snapshot=keep), snaps))
+            assert len(started) == cpus - 1
+            assert multiprocessing.active_children() == []
+        res = marches[0][0]
         up = FlowState.from_model(AIR, AIR.rho0, (problem.M_I * AIR.c0, 0.0))
         s, steps, ref_snaps = init(up, res.grid), 0, []
         ws = unsteady._Workspace(res.grid)
@@ -360,9 +402,10 @@ class TestWorkspace:
                 steps += 1
                 if steps % cfg.snapshot_every == 0:
                     ref_snaps.append(copied(s))
-        assert steps == res.steps and len(snaps) == len(ref_snaps) == steps // 50 > 0
-        for a, b in zip([*snaps, res.final], [*ref_snaps, s]):
-            TestActiveRows.assert_same_bytes(a, b)
+        for res, snaps in marches:
+            assert steps == res.steps and len(snaps) == len(ref_snaps) == steps // 50 > 0
+            for a, b in zip([*snaps, res.final], [*ref_snaps, s]):
+                TestActiveRows.assert_same_bytes(a, b)
 
 
 # A plain copy of the step's arithmetic as first written: a padded copy per
@@ -418,7 +461,7 @@ def _ref_step(model, grid, state, upstream, dt=None, cfl=unsteady.CFL_DEFAULT, t
     fluid = ~solid
     h = grid.spacing
     rho_g, vx_g, vy_g = state.rho.copy(), state.vx.copy(), state.vy.copy()
-    grid._ghosts.fill(rho_g, vx_g, vy_g)
+    grid._ghosts.fill((rho_g, vx_g, vy_g), (rho_g, vx_g, vy_g), 0, grid.ny)
     top_in = top_bc == "inflow"
     rho_p = _ref_pad(rho_g, upstream.rho, upstream.rho if top_in else None, 1.0)
     vx_p = _ref_pad(vx_g, upstream.v[0], upstream.v[0] if top_in else None, 1.0)
@@ -565,6 +608,139 @@ class TestActiveRows:
             step(AIR, g, s, up, ws)
         assert rows[0] == first
         assert rows[-1] == g.ny
+
+
+@contextlib.contextmanager
+def partnered(up, g, s):
+    """A copy of s in a shared mapping, and a workspace whose partner process
+    updates the upper half of each step's window rows; the partner has ended
+    when the block exits."""
+    shared = init(up, g, shared=True)
+    for name in ("rho", "vx", "vy"):
+        getattr(shared, name)[...] = getattr(s, name)
+    shared.t = s.t
+    partner = unsteady._Partner(AIR, g, shared, up)
+    try:
+        yield shared, unsteady._Workspace(g, unsteady._half_rows(g), partner)
+    finally:
+        partner.close()
+
+
+class TestTwoProcesses:
+    """With a partner, each process updates its half of the window's rows in
+    the fields they share; the fields, t and every error are those of one
+    process."""
+
+    CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+    def march_like_one_process(self, up, g, s, steps=TestStepMatchesReference.STEPS, top_bc="inflow"):
+        ref, ws = copied(s), unsteady._Workspace(g)
+        with partnered(up, g, s) as (shared, ws2):
+            windows = set()
+            for _ in range(steps):
+                windows.add(unsteady._active_rows(g, shared, up))
+                step(AIR, g, shared, up, ws2, top_bc=top_bc)
+                step(AIR, g, ref, up, ws, top_bc=top_bc)
+                TestActiveRows.assert_same_bytes(shared, ref)
+        assert multiprocessing.active_children() == []
+        return windows
+
+    def test_wedge_steps_like_one_process(self):
+        # the split falls in the wall-ghost rows while the window is small
+        up, g, s = TestStepMatchesReference().wedge_case()
+        windows = self.march_like_one_process(up, g, s)
+        assert min(windows) // 2 <= g._ghosts.top and max(windows) == g.ny
+
+    def test_ghosts_up_to_the_top_row_step_like_one_process(self):
+        up = FlowState.from_model(AIR, 1.0, (2.94, 0.0))
+        g = Grid(x0=-0.4, spacing=0.05, nx=60, ny=31, tau=math.radians(40.0))
+        assert g._ghosts.top == g.ny - 1
+        self.march_like_one_process(up, g, init(up, g))
+
+    def test_outflow_strip_steps_like_one_process(self):
+        up = FlowState.from_model(AIR, 1.0, (2.0, 0.0))
+        g = flat_grid(nx=40, ny=12)
+        s = init(up, g)
+        # undisturbed: a window of one row, which the march's process updates alone
+        assert self.march_like_one_process(up, g, s, steps=2, top_bc="outflow") == {1}
+        s.rho[2, 10] = 1.1
+        s.vy[5, 20] = -0.3
+        assert {7, g.ny} <= self.march_like_one_process(up, g, s, steps=8, top_bc="outflow")
+
+    @pytest.mark.parametrize("row", [5, 22], ids=["march_rows", "partner_rows"])
+    @pytest.mark.parametrize("case", ["density_floor", "wave_speed", "nan_density"])
+    def test_errors_read_as_on_one_process(self, case, row, monkeypatch):
+        # the window is rows 0..29 or 0..23 (split at 15 or 12); an error in
+        # either half is formed over the whole window
+        up, g, s = TestStepMatchesReference().wedge_case()
+        if case == "density_floor":
+            monkeypatch.setattr(unsteady, "RHO_FLOOR_FACTOR", 0.9)
+            s.rho[row : row + 2, 20:40] = 0.5
+        elif case == "wave_speed":
+            s.vx[row, 30] = math.inf
+        else:
+            s.rho[row, 30] = math.nan
+        ref = copied(s)
+        with pytest.raises(VacuumError) as one:
+            step(AIR, g, ref, up, unsteady._Workspace(g))
+        with partnered(up, g, s) as (shared, ws):
+            with pytest.raises(VacuumError) as two:
+                step(AIR, g, shared, up, ws)
+        assert str(two.value) == str(one.value)
+        TestActiveRows.assert_same_bytes(shared, ref)
+        assert multiprocessing.active_children() == []
+
+    def test_run_that_raises_leaves_no_process(self, monkeypatch):
+        # every upstream cell is below a floor of 2 rho_I
+        monkeypatch.setattr(unsteady, "RHO_FLOOR_FACTOR", 2.0)
+        problem = ProblemConfig(model=AIR, M_I=2.94, tau=math.radians(10.0), epsilon=0.01)
+        cfg = UnsteadyConfig(problem=problem, grid_n=40)
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(unsteady, "usable_cpus", lambda n=cpus: n)
+            with pytest.raises(VacuumError, match=r"not above the floor 2\.0 at cell \(i=0, j=0\)") as exc:
+                run(cfg)
+            messages.append(str(exc.value))
+            assert multiprocessing.active_children() == []
+            if self.CPUS is not None:
+                assert os.sched_getaffinity(0) == self.CPUS
+        assert messages[0] == messages[1]
+
+    def test_partner_error_is_raised_by_the_step(self, monkeypatch):
+        # an error the partner cannot act on ends it and is the step's error
+        update_rows, parent = unsteady._update_rows, os.getpid()
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise MemoryError("partner allocation")
+            return update_rows(*args)
+
+        monkeypatch.setattr(unsteady, "_update_rows", failing)
+        up, g, s = TestStepMatchesReference().wedge_case()
+        with partnered(up, g, s) as (shared, ws):
+            with pytest.raises(MemoryError, match="^partner allocation$"):
+                step(AIR, g, shared, up, ws)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_partner_is_worker_lost(self, monkeypatch):
+        update_rows, parent = unsteady._update_rows, os.getpid()
+        calls = []
+
+        def dying(*args):
+            if os.getpid() != parent:
+                calls.append(args)
+                if len(calls) == 3:
+                    os._exit(5)
+            return update_rows(*args)
+
+        monkeypatch.setattr(unsteady, "_update_rows", dying)
+        up, g, s = TestStepMatchesReference().wedge_case()
+        with partnered(up, g, s) as (shared, ws):
+            step(AIR, g, shared, up, ws)
+            step(AIR, g, shared, up, ws)
+            with pytest.raises(unsteady.WorkerLost, match=r"partner process died \(exit code 5\)$"):
+                step(AIR, g, shared, up, ws)
+        assert calls == [] and multiprocessing.active_children() == []
 
 
 class TestSampling:
