@@ -35,10 +35,11 @@ bit those of the full-grid update.
 
 On two or more usable CPUs ``run`` marches on two processes.  The fields
 live in one anonymous shared mapping, and a forked partner updates rows
-R..W-1 of each step's W-row window, R = W // 2, while the march's own
-process updates rows 0..R-1.  Each process copies its rows and one halo row
-on each side, fills the wall ghosts and borders among them, forms pi, c, B,
-the wave speeds and the fluxes there, and updates its own rows in place.
+0..R-1 of each step's W-row window, R = W // 2, with the wall ghosts, while
+the march's own process finds the window and updates rows R..W-1.  Each
+process copies its rows and one halo row on each side, fills the wall
+ghosts and borders among them, forms pi, c, B, the wave speeds and the
+fluxes there, and updates its own rows in place.
 This is exact: every quantity of a cell, face or update is formed
 element by element from the cells it reads, which hold the same bits in
 both copies, and the larger of the two processes' CFL maxima is the
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +64,11 @@ from .pattern import ProblemConfig, WavePattern, build
 
 CFL_DEFAULT = 0.45
 RHO_FLOOR_FACTOR = 1e-10
+# how long a process of a two-process march polls for its partner's next
+# message before it sleeps on it: one that sleeps on an idle CPU woke 0.2 to
+# 0.4 ms after its message (2-vCPU VM), four times a step, while a grid_n 400
+# step's waits last under 0.5 ms
+SPIN_S = 2e-3
 
 
 class ShockFitError(WedgeError, ArithmeticError):
@@ -243,8 +250,8 @@ def _llf(rho, B, s, vn, vt, m, k0, k1, off, ha, d):
 class _Workspace:
     """The buffers of one process's steps on one grid, sized for the most
     rows a step updates with them (every row by default); a step works on
-    their leading part.  With a partner, a step updates the lower half of
-    the window's rows and the partner the upper half.
+    their leading part.  With a partner, a step updates the upper half of
+    the window's rows and the partner the lower half.
 
     The padded arrays are flat, (m + 2) * (nx + 2) values for m rows and a
     ghost or halo row on each side, so the faces between flat cells k and
@@ -287,10 +294,9 @@ class _Partner:
 
     def __init__(self, model: GasModel, grid: Grid, state: SimState, upstream: FlowState):
         import multiprocessing  # here, so that a one-process march never loads it
-        from multiprocessing.connection import wait
+        import select
 
         ctx = multiprocessing.get_context("fork")  # the child inherits the mapping
-        self._wait = wait
         self.cpus = os.sched_getaffinity(0)
         cpus = sorted(self.cpus)
         self.conn, child = ctx.Pipe()
@@ -302,10 +308,13 @@ class _Partner:
         self.process.start()
         child.close()
         os.sched_setaffinity(0, cpus[::2])
+        self._poll = select.poll()
+        for fd in (self.conn.fileno(), self.process.sentinel):
+            self._poll.register(fd, select.POLLIN)
 
     def receive(self):
         """The partner's next message; an exception it could not act on is raised here."""
-        if self.conn in self._wait([self.conn, self.process.sentinel]):
+        if self.conn.fileno() in dict(_ready(self._poll)):
             try:
                 message = self.conn.recv()
             except EOFError:
@@ -325,25 +334,40 @@ class _Partner:
         os.sched_setaffinity(0, self.cpus)
 
 
+def _ready(poll):
+    """The (fd, event) pairs that poll finds ready, polled for up to SPIN_S
+    before it sleeps on them."""
+    end = time.perf_counter() + SPIN_S
+    while not (ready := poll.poll(0)):
+        if time.perf_counter() > end:
+            return poll.poll()
+    return ready
+
+
 def _partner_loop(conn, parent_end, cpus, model, grid, state, upstream):
-    """The partner's side of each step, on the given CPUs: rows R..W-1 of the
+    """The partner's side of each step, on the given CPUs: rows 0..R-1 of the
     window.  A VacuumError is sent as NaN maxima, so that the parent forms it
     over the whole window; it ends when the parent closes the pipe."""
+    import select
     import signal
 
     parent_end.close()  # so that the pipe closes when the parent dies
     os.sched_setaffinity(0, cpus)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the parent, which closes the pipe
     ws = _Workspace(grid, _half_rows(grid))
+    poll = select.poll()
+    poll.register(conn.fileno(), select.POLLIN)
     try:
         while True:
-            lo, W, top_bc = conn.recv()
-            rows = _update_rows(model, grid, state, upstream, ws, W, lo, W, top_bc)
+            _ready(poll)
+            R, W, top_bc = conn.recv()
+            rows = _update_rows(model, grid, state, upstream, ws, W, 0, R, top_bc)
             try:
                 maxima = next(rows)
             except VacuumError:
                 maxima = (math.nan, math.nan)
             conn.send(maxima)
+            _ready(poll)
             conn.send(rows.send(conn.recv()))
     except (EOFError, BrokenPipeError):
         pass
@@ -508,17 +532,17 @@ def step(
     on a grid that ends there; solid cells and the rows above keep their
     bytes, which is bit for bit the full-grid update.  ``workspace`` is
     ``_Workspace(grid)``, the step's buffers, or a workspace with a partner,
-    which then updates the upper half of those rows.  A VacuumError from the
+    which then updates the lower half of those rows.  A VacuumError from the
     CFL bound leaves state unchanged; one from the density floor leaves it
     updated.
     """
     ws = workspace
     W = _active_rows(grid, state, upstream)
     partner = ws.partner if W > 1 else None
-    R = W // 2 if partner else W  # this process updates rows 0..R-1, the partner rows R..W-1
+    R = W // 2 if partner else 0  # this process updates rows R..W-1, the partner rows 0..R-1
     if partner:
         partner.conn.send((R, W, top_bc))
-    rows = _update_rows(model, grid, state, upstream, ws, W, 0, R, top_bc)
+    rows = _update_rows(model, grid, state, upstream, ws, W, R, W, top_bc)
     try:
         maxima = next(rows)
     except VacuumError:

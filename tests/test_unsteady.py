@@ -613,7 +613,7 @@ class TestActiveRows:
 @contextlib.contextmanager
 def partnered(up, g, s):
     """A copy of s in a shared mapping, and a workspace whose partner process
-    updates the upper half of each step's window rows; the partner has ended
+    updates the lower half of each step's window rows; the partner has ended
     when the block exits."""
     shared = init(up, g, shared=True)
     for name in ("rho", "vx", "vy"):
@@ -667,11 +667,11 @@ class TestTwoProcesses:
         s.vy[5, 20] = -0.3
         assert {7, g.ny} <= self.march_like_one_process(up, g, s, steps=8, top_bc="outflow")
 
-    @pytest.mark.parametrize("row", [5, 22], ids=["march_rows", "partner_rows"])
+    @pytest.mark.parametrize("row", [5, 22], ids=["partner_rows", "march_rows"])
     @pytest.mark.parametrize("case", ["density_floor", "wave_speed", "nan_density"])
     def test_errors_read_as_on_one_process(self, case, row, monkeypatch):
-        # the window is rows 0..29 or 0..23 (split at 15 or 12); an error in
-        # either half is formed over the whole window
+        # row 5 lies in the partner's half of the window, row 22 in the march
+        # process's half; an error in either is formed over the whole window
         up, g, s = TestStepMatchesReference().wedge_case()
         if case == "density_floor":
             monkeypatch.setattr(unsteady, "RHO_FLOOR_FACTOR", 0.9)
@@ -680,6 +680,7 @@ class TestTwoProcesses:
             s.vx[row, 30] = math.inf
         else:
             s.rho[row, 30] = math.nan
+        assert (row < unsteady._active_rows(g, s, up) // 2) == (row == 5)
         ref = copied(s)
         with pytest.raises(VacuumError) as one:
             step(AIR, g, ref, up, unsteady._Workspace(g))
