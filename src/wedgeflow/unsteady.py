@@ -613,28 +613,30 @@ def bilinear(arr, fi, fj):
     )
 
 
-def _sample_points(grid: Grid, t: float, xi_x, xi_y):
+def _sample_points(grid: Grid, t: float, xi_x, xi_y, valid=None):
     """(fi, fj, valid) of the xi grid at time t: the fractional cell indices
     of the points x = xi t, and whether each lies inside the grid's cell
-    centres and off the wedge."""
+    centres and off the wedge; a valid given is that of the same points."""
     XX, YY = np.meshgrid(xi_x * t, xi_y * t)
     fi = (XX - grid.x0) / grid.spacing - 0.5
     fj = YY / grid.spacing - 0.5
-    inside = (fi >= 0) & (fi <= grid.nx - 1) & (fj >= 0) & (fj <= grid.ny - 1)
-    solid = bilinear(grid._solid, fi, fj) > 1e-12  # bool times float64 is float64, no copy
-    return fi, fj, inside & ~solid
+    if valid is None:
+        inside = (fi >= 0) & (fi <= grid.nx - 1) & (fj >= 0) & (fj <= grid.ny - 1)
+        solid = bilinear(grid._solid, fi, fj) > 1e-12  # bool times float64 is float64, no copy
+        valid = inside & ~solid
+    return fi, fj, valid
 
 
 def sample_self_similar(
-    model: GasModel, grid: Grid, state: SimState, xi_x, xi_y, points=None
+    model: GasModel, grid: Grid, state: SimState, xi_x, xi_y, valid=None
 ) -> SelfSimilarField:
-    """Bilinear samples of (rho, v, L) along rays xi = x/t; points is
-    ``_sample_points`` at state.t, where the caller has it."""
+    """Bilinear samples of (rho, v, L) along rays xi = x/t; valid is the
+    points' validity at state.t (``_sample_points``), where the caller has it."""
     if state.t <= 0.0:
         raise ValueError("self-similar sampling needs t > 0")
     xi_x = np.asarray(xi_x, dtype=float)
     xi_y = np.asarray(xi_y, dtype=float)
-    fi, fj, valid = _sample_points(grid, state.t, xi_x, xi_y) if points is None else points
+    fi, fj, valid = _sample_points(grid, state.t, xi_x, xi_y, valid)
     rho = bilinear(state.rho, fi, fj)
     vx = bilinear(state.vx, fi, fj)
     vy = bilinear(state.vy, fi, fj)
@@ -694,13 +696,13 @@ def _sample_rows(config: UnsteadyConfig) -> int:
 class MarchSetup:
     """run's grid; its xi grid, which stays 1.5 cells at t_final / 2 inside
     each side of the box; and the sampling times t_final / 2 and t_final with
-    the xi grid's points at each (``_sample_points``)."""
+    which points of the xi grid are valid at each (``_sample_points``)."""
 
     grid: Grid
     xi_x: np.ndarray
     xi_y: np.ndarray
     times: tuple[float, float]
-    points: tuple
+    valid: tuple
 
 
 def march_setup(config: UnsteadyConfig) -> MarchSetup:
@@ -711,13 +713,13 @@ def march_setup(config: UnsteadyConfig) -> MarchSetup:
     xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)
     xi_y = np.linspace(margin, y_max - margin, _sample_rows(config))
     times = (0.5 * config.t_final, config.t_final)
-    return MarchSetup(grid, xi_x, xi_y, times, tuple(_sample_points(grid, t, xi_x, xi_y) for t in times))
+    return MarchSetup(grid, xi_x, xi_y, times, tuple(_sample_points(grid, t, xi_x, xi_y)[2] for t in times))
 
 
 def shared_sample_points(setup: MarchSetup) -> int:
     """The points of run's xi grid valid in both its samplings; with none
     there is no self-similarity defect to take."""
-    return int(np.count_nonzero(setup.points[0][2] & setup.points[1][2]))
+    return int(np.count_nonzero(setup.valid[0] & setup.valid[1]))
 
 
 def sample_bytes(config: UnsteadyConfig) -> int:
@@ -751,7 +753,7 @@ def run(config: UnsteadyConfig, on_snapshot=None, setup: MarchSetup | None = Non
     try:
         workspace = _Workspace(grid, _half_rows(grid), partner) if two else _Workspace(grid)
         steps, samples = 0, []
-        for target, points in zip(setup.times, setup.points):
+        for target, valid in zip(setup.times, setup.valid):
             while state.t < target - 1e-14:
                 step(model, grid, state, upstream_orig, workspace, cfl=config.cfl, t_stop=target)
                 steps += 1
@@ -759,10 +761,10 @@ def run(config: UnsteadyConfig, on_snapshot=None, setup: MarchSetup | None = Non
                     on_snapshot(grid, state)
             if target == config.t_final:
                 workspace = None  # the last sample and the caller's export reuse its memory
-            # the setup's points are those of the target time, which the march
+            # the setup's masks are those of the target time, which the march
             # ends on unless a CFL step lands within 1e-14 below it
-            points = points if state.t == target else None
-            samples.append(sample_self_similar(model, grid, state, setup.xi_x, setup.xi_y, points))
+            valid = valid if state.t == target else None
+            samples.append(sample_self_similar(model, grid, state, setup.xi_x, setup.xi_y, valid))
     finally:
         if partner:
             partner.close()
