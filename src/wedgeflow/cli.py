@@ -6,9 +6,9 @@ Commands: polar, pattern, simulate, elliptic, verify, sweep.  The config is
 flat ``key = value`` text with ``#`` comments; the wedge angle is given as
 ``tau_deg`` in degrees and stored in radians.  Exit codes: 0 success, 1
 solver non-convergence, a dead worker process or an output file that cannot
-be written, 2 configuration error, 3 diagnostic FAIL under --strict.  Every
-output file is written here; ``sweep`` runs one worker per usable CPU and
-``simulate`` one process per usable CPU, up to two.
+be written, 2 configuration error, 3 diagnostic FAIL under --strict, 130
+interrupted (SIGINT).  Every output file is written here; ``sweep`` runs one
+worker per usable CPU and ``simulate`` one process per usable CPU, up to two.
 """
 
 from __future__ import annotations
@@ -469,6 +469,7 @@ def _sweep_job(args):
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -484,12 +485,23 @@ def cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     ]
     futures = {}
     try:
-        with ProcessPoolExecutor(max_workers=min(len(jobs), unsteady_mod.usable_cpus())) as pool:
-            # largest lattice first, so that no worker ends the sweep alone on
-            # a long job; results are collected in job order
-            for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][2]):
-                futures[k] = pool.submit(_sweep_job, jobs[k])
-            results = [futures[k].result() for k in range(len(jobs))]
+        workers = min(len(jobs), unsteady_mod.usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers, initializer=unsteady_mod.ignore_interrupts) as pool:
+            try:
+                # largest lattice first, so that no worker ends the sweep alone
+                # on a long job; results are collected in job order.  The pool
+                # forks its workers at the first submit
+                with unsteady_mod.interrupts_held():
+                    for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][2]):
+                        futures[k] = pool.submit(_sweep_job, jobs[k])
+                results = [futures[k].result() for k in range(len(jobs))]
+            except KeyboardInterrupt:
+                # the workers ignore SIGINT: end them, so that the interrupt
+                # waits neither for the jobs in flight nor for the queued ones;
+                # leaving the block then shuts the broken pool down
+                for p in multiprocessing.active_children():
+                    p.terminate()
+                raise
     except BrokenProcessPool:
         # the pool has shut down, so every submitted future is done
         lost = ", ".join(
@@ -557,6 +569,10 @@ def dispatch(argv=None) -> int:
         # an output file that cannot be written; the error names it
         print(f"output error ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # the conventional status of a command ended by SIGINT
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def _one_line(exc) -> str:

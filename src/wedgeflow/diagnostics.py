@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .gas import ISOTHERMAL_EPS, WedgeError
 from .pattern import WavePattern
@@ -585,6 +586,34 @@ def _bump(center, radius, X, Y):
     return theta, fac * dx, fac * dy
 
 
+def _legendre(n, x):
+    """P_n and its derivative at points x in (-1, 1), by the three-term
+    recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (p0 - x * p1) / (1.0 - x * x)
+
+
+def _gauss_rule(n):
+    """The n-point Gauss-Legendre rule on [-1, 1]: its nodes and weights.
+
+    The nodes are the eigenvalues of the Legendre polynomials' Jacobi
+    matrix, tridiagonal with diagonal 0 and off-diagonal k / sqrt(4 k^2 - 1),
+    refined by one Newton step on P_n; the weights are
+    2 / ((1 - x^2) P_n'(x)^2).  LAPACK's tridiagonal eigensolver makes no
+    BLAS-3 call, where numpy's leggauss runs a dense eigvalsh: that call wakes
+    the helper threads of numpy's OpenBLAS, which in a pool worker take CPU
+    time from the other workers.
+    """
+    k = np.arange(1.0, n)
+    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+    p, dp = _legendre(n, x)
+    x = x - p / dp
+    _, dp = _legendre(n, x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 def _gauss(edges, rule):
     """Nodes and weights of a Gauss-Legendre rule (nodes and weights on
     [-1, 1]) on every interval between consecutive edges, flattened."""
@@ -723,7 +752,7 @@ def weak_residual(sol: EllipticSolution, bumps=None):
         np.hypot(m.xi[1:, :-1] - m.xi[:-1, 1:], m.eta[1:, :-1] - m.eta[:-1, 1:]),
     )
 
-    rule = functools.cache(np.polynomial.legendre.leggauss)
+    rule = functools.cache(_gauss_rule)
     values = []
     for center, radius in bumps:
         center = np.asarray(center, dtype=float)

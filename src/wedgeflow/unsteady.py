@@ -52,6 +52,7 @@ process.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -305,7 +306,8 @@ class _Partner:
             args=(child, self.conn, cpus[1::2] or cpus, model, grid, state, upstream),
             daemon=True,
         )
-        self.process.start()
+        with interrupts_held():
+            self.process.start()
         child.close()
         os.sched_setaffinity(0, cpus[::2])
         self._poll = select.poll()
@@ -334,6 +336,29 @@ class _Partner:
         os.sched_setaffinity(0, self.cpus)
 
 
+@contextlib.contextmanager
+def interrupts_held():
+    """Hold SIGINT off while worker processes are forked: a fork inherits the
+    held signal until ignore_interrupts, so no interrupt reaches a worker
+    before it ignores them.  An interrupt held here is taken on leaving."""
+    import signal  # here, so that importing the package loads no more modules
+
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
+def ignore_interrupts():
+    """A worker process's start: ignore SIGINT and release it if it was held.
+    An interrupt stops the parent, which ends its workers."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
 def _ready(poll):
     """The (fd, event) pairs that poll finds ready, polled for up to SPIN_S
     before it sleeps on them."""
@@ -349,11 +374,10 @@ def _partner_loop(conn, parent_end, cpus, model, grid, state, upstream):
     window.  A VacuumError is sent as NaN maxima, so that the parent forms it
     over the whole window; it ends when the parent closes the pipe."""
     import select
-    import signal
 
     parent_end.close()  # so that the pipe closes when the parent dies
     os.sched_setaffinity(0, cpus)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the parent, which closes the pipe
+    ignore_interrupts()  # the interrupted parent closes the pipe
     ws = _Workspace(grid, _half_rows(grid))
     poll = select.poll()
     poll.register(conn.fileno(), select.POLLIN)
@@ -369,8 +393,8 @@ def _partner_loop(conn, parent_end, cpus, model, grid, state, upstream):
             conn.send(maxima)
             _ready(poll)
             conn.send(rows.send(conn.recv()))
-    except (EOFError, BrokenPipeError):
-        pass
+    except (EOFError, ConnectionError):
+        pass  # the parent closed the pipe, with or without a message of ours unread
     except Exception as exc:  # the parent raises it as the march's error
         conn.send(exc)
 

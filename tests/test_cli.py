@@ -6,6 +6,7 @@ import io
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -94,6 +95,16 @@ class TestParseConfig:
         cfg = parse_config(text="M_I_y = -2\neps_list = 0.04, 0.01\nlattice_list = 24 32\n")
         assert cfg.eps_list == (0.04, 0.01)
         assert cfg.lattice_list == (24, 32)
+
+
+@pytest.fixture
+def python_sigint():
+    """Python's own SIGINT handler, as in a command started in the foreground;
+    a process started in the background of a non-interactive shell inherits
+    SIGINT ignored, and would never see the interrupt."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
 
 
 class TestDispatch:
@@ -234,9 +245,9 @@ class TestDispatch:
         sizes = []
 
         class Pool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         return sizes
@@ -335,6 +346,44 @@ class TestDispatch:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "field_final.raw").exists()
 
+    def test_sweep_interrupt_exit_130(self, tmp_path, monkeypatch, capfd, python_sigint):
+        # the first job interrupts the command, then runs long: the command
+        # ends its worker at once, drops the queued jobs and exits 130 with
+        # one line
+        monkeypatch.setattr(unsteady, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "_sweep_job", _sweep_job_interrupting)
+        cfgfile = self._cfg_file(tmp_path, UNPERT + "eps_list = 0.04, 0.02\nlattice_list = 16, 24\n")
+        start = time.perf_counter()
+        assert dispatch(["sweep", "--config", cfgfile, "--out", str(tmp_path)]) == 130
+        assert time.perf_counter() - start < 10.0
+        out, err = capfd.readouterr()
+        assert (out, err) == ("", "interrupted\n")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "sweep_summary.csv").exists()
+
+    def test_march_interrupt_exit_130(self, tmp_path, monkeypatch, capfd, python_sigint):
+        # an interrupt in the third step, with the partner's message unread:
+        # the partner ignores its own SIGINT and ends quietly when the
+        # command closes the pipe, its message still in the pipe
+        monkeypatch.setattr(unsteady, "usable_cpus", lambda: 2)
+        receive, calls = unsteady._Partner.receive, []
+
+        def interrupted(partner):
+            calls.append(None)
+            if len(calls) == 5:
+                os.kill(partner.process.pid, signal.SIGINT)
+                assert partner.conn.poll(10.0)
+                raise KeyboardInterrupt
+            return receive(partner)
+
+        monkeypatch.setattr(unsteady._Partner, "receive", interrupted)
+        cfgfile = self._cfg_file(tmp_path, CASE12 + "grid_n = 40\n")
+        assert dispatch(["simulate", "--config", cfgfile, "--out", str(tmp_path)]) == 130
+        out, err = capfd.readouterr()
+        assert (out, err) == ("", "interrupted\n")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "field_final.raw").exists()
+
     def test_polar_above_critical_angle(self, tmp_path, capsys):
         cfgtext = "gamma = 1.4\nM_I = 1.5\ntau_deg = 20\npolar_n = 11\n"
         code = dispatch(
@@ -375,6 +424,15 @@ def _sweep_job_dying_on_lattice_16(args):
     return (eps, lattice, True, 0.0, 0.0, 0.0, 1.0)
 
 
+def _sweep_job_interrupting(args):
+    """A sweep job that checks that its worker ignores SIGINT, sends SIGINT to
+    the command, and runs far longer than the command may take to end it."""
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+        raise AssertionError("a sweep worker would stop on SIGINT")
+    os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(20.0)
+
+
 class TestErrorContract:
     def test_every_package_error_derives_from_wedge_error(self):
         assert len(PACKAGE_ERRORS) == 16
@@ -392,6 +450,14 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()]
         assert "first line second line" in err
+
+    def test_interrupt_exit_130_and_one_line(self, tmp_path, monkeypatch, capsys):
+        def stub(cfg, out, strict):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli.COMMANDS, "pattern", stub)
+        assert dispatch(["pattern", "--out", str(tmp_path)]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
 
     def test_coarse_simulate_exit_1(self, tmp_path, capsys):
         f = tmp_path / "wedge.cfg"

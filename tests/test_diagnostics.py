@@ -1,8 +1,10 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 from shock_oracles import corner_sensitivity, corner_sensitivity_fd
@@ -235,6 +237,58 @@ def _midpoint_weak_residual(comp, bumps, quad_n):
         norm = np.sum(rho_s * (c_s * np.hypot(tx, ty) + 2.0 * theta)) * dx * dy
         values.append(abs(raw) / norm)
     return np.array(values)
+
+
+def _gauss_rule_40_digits(n, x0):
+    """The n-point Gauss-Legendre nodes and weights at 40 digits, by Newton
+    on P_n from the float nodes x0 (one root near each)."""
+    with mpmath.workdps(40):
+
+        def legendre(x):
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            return p1, n * (p0 - x * p1) / (1 - x * x)
+
+        nodes, weights = [], []
+        for x in map(mpmath.mpf, x0):
+            for _ in range(4):
+                p, dp = legendre(x)
+                x -= p / dp
+            dp = legendre(x)[1]
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("n", [2, 3, 7, 32, 64, 128])
+    def test_matches_a_40_digit_reference(self, n):
+        x, w = diagnostics._gauss_rule(n)
+        ref_x, ref_w = _gauss_rule_40_digits(n, x)
+        with mpmath.workdps(40):
+            assert all(b - a > 0 for a, b in zip(ref_x, ref_x[1:]))  # n distinct roots
+            node_err = max(abs(mpmath.mpf(a) - b) for a, b in zip(x, ref_x))
+            weight_err = max(abs((mpmath.mpf(a) - b) / b) for a, b in zip(w, ref_w))
+        assert node_err <= 4.0 * np.finfo(float).eps
+        assert weight_err <= 2e-12
+        assert abs(np.sum(w) - 2.0) <= 1e-14
+
+    def test_weak_residual_runs_no_dense_eigensolve(self, case12_solution, monkeypatch):
+        # a dense eigensolve wakes the helper threads of the bundled OpenBLAS,
+        # which in a sweep worker take CPU time from the other worker
+        def refused(*args, **kwargs):
+            raise AssertionError("a dense eigensolve in the weak residual")
+
+        for mod, name in (
+            (np.linalg, "eigvalsh"),
+            (np.linalg, "eigh"),
+            (np.polynomial.legendre, "leggauss"),
+            (scipy.linalg, "eigh"),
+            (scipy.linalg, "eigvalsh"),
+        ):
+            monkeypatch.setattr(mod, name, refused)
+        assert np.isfinite(weak_residual(case12_solution)["max"])
 
 
 class TestWeakResidual:

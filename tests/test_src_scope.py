@@ -90,3 +90,34 @@ def test_module_level_imports_stay_in_their_layer():
                 if name.split(".")[0] not in roots and name not in allowed
             ]
     assert outside == []
+
+
+# numpy's dense linear algebra wakes the helper threads of its bundled
+# OpenBLAS, which in a sweep worker take CPU time from the other workers; the
+# weak residual's Gauss rules come from scipy's tridiagonal eigensolver
+# instead.  np.polyfit stays: it runs only in the command's own process.
+NUMPY_DENSE = {"numpy.linalg", "numpy.polynomial"}
+
+
+def _numpy_submodules(tree):
+    """The numpy.<name> modules that a module's code imports or reaches as
+    np.<name> or numpy.<name>."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}:
+            found.add(f"numpy.{node.attr}")
+        elif isinstance(node, ast.Import):
+            found.update(".".join(a.name.split(".")[:2]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy":
+            found.add(".".join(node.module.split(".")[:2]))
+            found.update(f"numpy.{a.name}" for a in node.names if node.module == "numpy")
+    return found
+
+
+def test_no_module_reaches_numpy_dense_linear_algebra():
+    reached = {
+        f"{path.stem}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _numpy_submodules(ast.parse(path.read_text(), str(path))) & NUMPY_DENSE
+    }
+    assert reached == set()
