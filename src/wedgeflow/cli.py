@@ -51,14 +51,14 @@ class RunConfig:
     M_I_y: float | None = None
     eta_L_star: float | None = None
     epsilon: float = 0.01
-    # unsteady numerics
-    grid_n: int = 200
-    cfl: float = 0.45
-    t_final: float = 1.0
-    sample_nx: int = 320
-    box_x_min: float = -0.6
-    box_x_max: float = 4.8
-    box_y_max: float = 2.6
+    # unsteady numerics, defaulting to the march's own
+    grid_n: int = UnsteadyConfig.grid_n
+    cfl: float = UnsteadyConfig.cfl
+    t_final: float = UnsteadyConfig.t_final
+    sample_nx: int = UnsteadyConfig.sample_nx
+    box_x_min: float = UnsteadyConfig.box[0]
+    box_x_max: float = UnsteadyConfig.box[1]
+    box_y_max: float = UnsteadyConfig.box[2]
     # elliptic numerics
     lattice_n: int = 48
     tol_outer: float = 1e-6
@@ -69,7 +69,7 @@ class RunConfig:
     quad_n: int = 256  # accepted; the weak residual's Gauss rules have a fixed resolution
     polar_n: int = 2001
     seed: int = 0  # accepted; the fixed bump battery draws no random numbers
-    snapshot_every: int = 0
+    snapshot_every: int = UnsteadyConfig.snapshot_every
 
     def model(self) -> GasModel:
         return GasModel(gamma=self.gamma, rho0=self.rho_I, c0=self.c_I)
@@ -190,8 +190,7 @@ def parse_config(path=None, text=None) -> RunConfig:
             f"box_x_min = {cfg.box_x_min}, box_x_max = {cfg.box_x_max}: "
             "the box must contain the wedge tip x = 0"
         )
-    # the cell-row count of unsteady.run
-    rows = round(cfg.box_y_max / ((cfg.box_x_max - cfg.box_x_min) / cfg.grid_n))
+    _, _, rows = unsteady_mod.grid_shape(cfg.grid_n, (cfg.box_x_min, cfg.box_x_max, cfg.box_y_max))
     if rows < 2:
         raise ConfigError(
             f"box_y_max = {cfg.box_y_max} gives {rows} cell rows at grid_n = {cfg.grid_n}; "

@@ -12,9 +12,9 @@ shock relations.
 
 Scheme: first-order local Lax-Friedrichs fluxes with wave-speed bound
 |v.n| + c, explicit Euler in time.  The wedge is a staircase mask of solid
-cells with mirror-reflected ghost states; outer boundaries are upstream
-Dirichlet (left, top) and zero-gradient outflow (right).  The bottom row of
-the box is the upstream wall (slip via mirror).
+cells with mirror-reflected ghost states.  The box has four borders: the
+upstream state on the left and on the top, zero gradient on the right, and
+a mirror on the bottom, the upstream wall (slip).
 
 A step updates its state in place and allocates nothing the size of the
 grid but the results of ``pi_of_rho`` and ``c2_of_pi``.  ``run`` hands
@@ -33,27 +33,31 @@ upstream state, and marches the rows up to the one above it as a grid that
 ends there (``_active_rows``).  The fields and the time step are bit for
 bit those of the full-grid update.
 
-On two or more usable CPUs ``run`` marches on two processes.  The fields
-live in one anonymous shared mapping, and a forked partner updates rows
-0..R-1 of each step's W-row window, R = W // 2, with the wall ghosts, while
-the march's own process finds the window and updates rows R..W-1.  Each
-process copies its rows and one halo row on each side, fills the wall
-ghosts and borders among them, forms pi, c, B, the wave speeds and the
-fluxes there, and updates its own rows in place.
-This is exact: every quantity of a cell, face or update is formed
-element by element from the cells it reads, which hold the same bits in
-both copies, and the larger of the two processes' CFL maxima is the
-window's maximum, so dt, every field and every step count are those of
-one process.  Both copy before either updates: the partner sends its
-maxima only after its copy, and the march's process sends dt / h only
-after its own.  An error is formed over the whole window, as on one
-process.
+The fields always live in one anonymous shared mapping (``init``).  On two
+or more usable CPUs ``run`` marches on two processes: a forked partner
+updates rows 0..R-1 of each step's W-row window, R = W // 2, with the wall
+ghosts, while the march's own process finds the window and updates rows
+R..W-1.  Each process copies its rows and one halo row on each side,
+fills the wall ghosts and borders among them, forms pi, c, B, the wave
+speeds and the fluxes there, and updates its own rows in place.  This is
+exact: every quantity of a cell, face or update is formed element by
+element from the cells it reads, which hold the same bits in both copies,
+and the larger of the two processes' CFL maxima is the window's maximum,
+so dt, every field and every step count are those of one process.  Both
+copy before either updates: the partner sends its maxima only after its
+copy, and the march's process sends dt / h only after its own.
+
+A step fails one way on one process or two.  A density that pi_of_rho
+refuses makes a process's CFL maxima NaN; for every CFL bound that is not
+finite, the march's process runs the first phase again over the whole
+window, which forms the error.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import time
 from dataclasses import dataclass, field
@@ -138,16 +142,11 @@ class SimState:
     vy: np.ndarray
 
 
-def init(upstream: FlowState, grid: Grid, shared: bool = False) -> SimState:
-    """The upstream state on every cell; shared puts the three fields in one
-    anonymous shared mapping, which a forked process writes to as well."""
+def init(upstream: FlowState, grid: Grid) -> SimState:
+    """The upstream state on every cell, the three fields in one anonymous
+    shared mapping, which a forked partner writes to as well."""
     shape = (3, grid.ny, grid.nx)
-    if shared:
-        import mmap
-
-        fields = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
-    else:
-        fields = np.empty(shape)
+    fields = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
     for a, v in zip(fields, (upstream.rho, *upstream.v)):
         a.fill(v)
     return SimState(0.0, *fields)
@@ -273,16 +272,16 @@ class _Workspace:
         self.partner = partner
 
 
-def _half_rows(grid: Grid) -> int:
-    """The most rows either process updates in a two-process step."""
-    return grid.ny - grid.ny // 2
+def _half_rows(ny: int) -> int:
+    """The most rows either process updates in a two-process step on ny rows."""
+    return ny - ny // 2
 
 
 class _Partner:
     """The march's second process, forked so that it shares the anonymous
     mapping of the fields, and the parent's end of their pipe.
 
-    Per step the parent sends (R, W, top_bc) and, after the partner's CFL
+    Per step the parent sends (R, W) and, after the partner's CFL
     maxima, dt / h; the partner answers each with its maxima and then with
     whether its rows' density stayed above the floor.  Each wait also watches
     the process, so a partner that dies ends in WorkerLost.
@@ -378,14 +377,14 @@ def _partner_loop(conn, parent_end, cpus, model, grid, state, upstream):
     parent_end.close()  # so that the pipe closes when the parent dies
     os.sched_setaffinity(0, cpus)
     ignore_interrupts()  # the interrupted parent closes the pipe
-    ws = _Workspace(grid, _half_rows(grid))
+    ws = _Workspace(grid, _half_rows(grid.ny))
     poll = select.poll()
     poll.register(conn.fileno(), select.POLLIN)
     try:
         while True:
             _ready(poll)
-            R, W, top_bc = conn.recv()
-            rows = _update_rows(model, grid, state, upstream, ws, W, 0, R, top_bc)
+            R, W = conn.recv()
+            rows = _update_rows(model, grid, state, upstream, ws, W, 0, R)
             try:
                 maxima = next(rows)
             except VacuumError:
@@ -399,11 +398,12 @@ def _partner_loop(conn, parent_end, cpus, model, grid, state, upstream):
         conn.send(exc)
 
 
-def _grid_shape(config: "UnsteadyConfig"):
-    """(h, nx, ny): the cell size and counts of the march's grid."""
-    x_min, x_max, y_max = config.box
-    h = (x_max - x_min) / config.grid_n
-    return h, config.grid_n, int(round(y_max / h))
+def grid_shape(grid_n: int, box) -> tuple[float, int, int]:
+    """(h, nx, ny): the cell size and counts of the march's grid, grid_n
+    square cells across the box (x_min, x_max, y_max)."""
+    x_min, x_max, y_max = box
+    h = (x_max - x_min) / grid_n
+    return h, grid_n, int(round(y_max / h))
 
 
 def march_bytes(config: "UnsteadyConfig") -> int:
@@ -414,9 +414,9 @@ def march_bytes(config: "UnsteadyConfig") -> int:
     most rows the process updates, the results of a step's ``pi_of_rho`` and
     ``c2_of_pi``, NumPy's iteration buffer, which the update takes for its
     strided flux sums, and the workspace's fluid masks."""
-    _, nx, ny = _grid_shape(config)
+    _, nx, ny = grid_shape(config.grid_n, config.box)
     processes = _processes()
-    m = ny - ny // 2 if processes > 1 else ny
+    m = _half_rows(ny) if processes > 1 else ny
     S = nx + 2
     cells = ny * nx
     own = 8 * (7 * (m + 2) * S + 2 * (m + 1) * S + 3 * m * S + np.getbufsize()) + (ny + 2) * S + cells
@@ -429,7 +429,7 @@ def min_march_steps(config: "UnsteadyConfig") -> int:
     Each CFL step is cfl h over max(|v_x| + c) + max(|v_y| + c) on the fluid
     cells, and the cells ahead of the tip hold the supersonic upstream state,
     whose speeds sum to (M_I + 2) c_I."""
-    h, _, _ = _grid_shape(config)
+    h, _, _ = grid_shape(config.grid_n, config.box)
     up = config.problem.upstream_original()
     return math.floor(config.t_final * (abs(up.v[0]) + abs(up.v[1]) + 2.0 * up.c) / (config.cfl * h))
 
@@ -445,10 +445,8 @@ def _active_rows(grid: Grid, state: SimState, upstream: FlowState) -> int:
     - every cell from row J + 2 up has four neighbours holding its own state
       bit for bit, so its two flux pairs are equal, its increment is exactly
       0 and old - 0 == old: the full-grid step returns it unchanged;
-    - below ny, rows W - 1 and W both hold the upstream state, so the top
-      ghost layer of the window (upstream for inflow, a copy of row W - 1 for
-      outflow) holds what row W holds: the fluxes into row W - 1 are the
-      full-grid ones;
+    - below ny, row W holds the upstream state, as does the window's top
+      ghost layer: the fluxes into row W - 1 are the full-grid ones;
     - a solid cell below a fluid one is a wall ghost, so row W - 1 has a fluid
       cell whenever a row above it does, and the wave-speed maxima over the
       window's fluid cells are the full-grid ones.
@@ -463,7 +461,7 @@ def _active_rows(grid: Grid, state: SimState, upstream: FlowState) -> int:
     return min(grid.ny, J + 2)
 
 
-def _update_rows(model, grid, state, upstream, ws, W, lo, hi, top_bc):
+def _update_rows(model, grid, state, upstream, ws, W, lo, hi):
     """The arithmetic of a step on rows lo..hi-1 of a W-row window, as a
     generator: it yields the CFL maxima (max(|vx| + c), max(|vy| + c)) over
     those rows' fluid cells; sent lam = dt / h, it updates those rows of
@@ -491,8 +489,8 @@ def _update_rows(model, grid, state, upstream, ws, W, lo, hi, top_bc):
     for p, v, sign in zip(padded, (upstream.rho, *upstream.v), (1.0, 1.0, -1.0)):
         if lo == 0:  # mirror bottom
             np.multiply(p[1, 1:-1], sign, out=p[0, 1:-1])
-        if hi == W:  # upstream top, or a copy of the edge for outflow
-            p[-1, 1:-1] = v if top_bc == "inflow" else p[-2, 1:-1]
+        if hi == W:  # upstream top
+            p[-1, 1:-1] = v
         p[:, 0] = v  # upstream left
         p[:, -1] = p[:, -2]  # zero-gradient right
 
@@ -541,7 +539,6 @@ def step(
     upstream: FlowState,
     workspace: _Workspace,
     cfl: float = CFL_DEFAULT,
-    top_bc: str = "inflow",
     t_stop: float = math.inf,
 ) -> None:
     """Advance state in place by one explicit finite-volume update: its three
@@ -550,10 +547,9 @@ def step(
     shortened so that the step ends no later than t_stop; a wave speed that is
     not finite raises VacuumError naming its cell and the start time.
 
-    The left boundary is upstream inflow; top_bc is "inflow" too (the
-    wedge-problem default) or "outflow" (zero gradient, for quasi-1D test strips).
-    The update writes the fluid cells of the rows below ``_active_rows`` as
-    on a grid that ends there; solid cells and the rows above keep their
+    The borders are the upstream state on the left and top, zero gradient on
+    the right and a mirror on the bottom.  The update writes the fluid cells
+    of the rows below ``_active_rows`` as on a grid that ends there; solid cells and the rows above keep their
     bytes, which is bit for bit the full-grid update.  ``workspace`` is
     ``_Workspace(grid)``, the step's buffers, or a workspace with a partner,
     which then updates the lower half of those rows.  A VacuumError from the
@@ -565,22 +561,21 @@ def step(
     partner = ws.partner if W > 1 else None
     R = W // 2 if partner else 0  # this process updates rows R..W-1, the partner rows 0..R-1
     if partner:
-        partner.conn.send((R, W, top_bc))
-    rows = _update_rows(model, grid, state, upstream, ws, W, R, W, top_bc)
+        partner.conn.send((R, W))
+    rows = _update_rows(model, grid, state, upstream, ws, W, R, W)
     try:
         maxima = next(rows)
-    except VacuumError:
-        if not partner:
-            raise
+    except VacuumError:  # formed again below, over the whole window
         maxima = (math.nan, math.nan)
     if partner:  # np.maximum keeps a NaN from either side
         maxima = np.maximum(maxima, partner.receive()).tolist()
     speeds = maxima[0] + maxima[1]
     fluid = ws.fluid[:W]
-    if not math.isfinite(speeds):  # a NaN or infinite velocity
-        if partner:  # the first phase again, on one process, forms the error over the whole window
-            ws = _Workspace(grid)
-            next(_update_rows(model, grid, state, upstream, ws, W, 0, W, top_bc))
+    if not math.isfinite(speeds):  # a density pi_of_rho refuses, or a NaN or infinite velocity
+        # the first phase again over the whole window, on this process, forms
+        # the error; a partner's workspace holds only half the rows
+        ws = _Workspace(grid) if partner else ws
+        next(_update_rows(model, grid, state, upstream, ws, W, 0, W))
         S = grid.nx + 2
         sx_in, sy_in = (s[: (W + 2) * S].reshape(W + 2, S)[1:-1, 1:-1] for s in (ws.sx, ws.sy))
         bad = fluid & ~np.isfinite(sx_in + sy_in)
@@ -731,7 +726,7 @@ class MarchSetup:
 
 def march_setup(config: UnsteadyConfig) -> MarchSetup:
     x_min, x_max, y_max = config.box
-    h, nx, ny = _grid_shape(config)
+    h, nx, ny = grid_shape(config.grid_n, config.box)
     grid = Grid(x0=x_min, spacing=h, nx=nx, ny=ny, tau=config.problem.tau)
     margin = 1.5 * h / (0.5 * config.t_final)
     xi_x = np.linspace(x_min + margin, x_max - margin, config.sample_nx)
@@ -772,10 +767,10 @@ def run(config: UnsteadyConfig, on_snapshot=None, setup: MarchSetup | None = Non
     setup = march_setup(config) if setup is None else setup
     grid = setup.grid
     two = _processes() > 1
-    state = init(upstream_orig, grid, shared=two)
+    state = init(upstream_orig, grid)
     partner = _Partner(model, grid, state, upstream_orig) if two else None
     try:
-        workspace = _Workspace(grid, _half_rows(grid), partner) if two else _Workspace(grid)
+        workspace = _Workspace(grid, _half_rows(grid.ny), partner) if two else _Workspace(grid)
         steps, samples = 0, []
         for target, valid in zip(setup.times, setup.valid):
             while state.t < target - 1e-14:

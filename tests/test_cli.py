@@ -38,6 +38,12 @@ PACKAGE_ERRORS = sorted(
 )
 
 
+def _threads_after_sweep_job(job):
+    """A sweep worker's job, then the number of threads in the worker's process."""
+    cli._sweep_job(job)
+    return len(os.listdir("/proc/self/task"))
+
+
 class TestParseConfig:
     def test_empty_gives_defaults(self):
         cfg = parse_config(text="")
@@ -304,6 +310,19 @@ class TestDispatch:
         with open(outs[2] / "sweep_summary.csv", newline="") as fh:
             keys = [(row["epsilon"], row["lattice"]) for row in csv.DictReader(fh)]
         assert keys == [("0.04", "16"), ("0.04", "24"), ("0.02", "16"), ("0.02", "24")]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists a process's threads on Linux only")
+    def test_sweep_worker_starts_no_thread(self, tmp_path):
+        # numpy and scipy each bundle an OpenBLAS, whose dense calls wake a
+        # helper thread per CPU in a forked worker, where it takes CPU time
+        # from the other workers; the desk job at lattice 48 makes no such
+        # call.  diagnostics and elliptic are loaded before the fork, as in
+        # cmd_sweep
+        cfg = parse_config(text="M_I = 2.94\ntau_deg = 10\n")
+        job = (dataclasses.asdict(cfg), 0.01, 48, str(tmp_path))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1, initializer=unsteady.ignore_interrupts) as pool:
+            assert pool.submit(_threads_after_sweep_job, job).result() == 1
+        assert (tmp_path / "sweep_eps0.01_n48_nodes.csv").exists()
 
     def test_sweep_worker_death_exit_1(self, tmp_path, monkeypatch, capfd):
         # one worker takes the jobs largest lattice first: both lattice-24
